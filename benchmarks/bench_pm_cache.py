@@ -1,9 +1,10 @@
 """Experiment PM1: cache effectiveness of incremental re-measurement.
 
 Compiles a basket of kernels on register/FU-starved machines twice —
-once with the legacy clone-and-``measure_all`` candidate evaluation
-(``incremental=False``) and once with the ``repro.pm`` trial path
-(``incremental=True``) — and compares the number of
+once with every candidate forced onto the clone-and-``measure_all``
+reference path (declared ``INVALIDATES_ALL`` for the run) and once as
+the allocator runs by default, scoring edges-only candidates with
+``repro.pm`` trials — and compares the number of
 *measure_all-equivalent* recomputations:
 
 * legacy work        = ``measure.calls`` (every candidate clone pays a
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,6 +84,27 @@ def _measure_classes(name: str, fus: int, regs: int) -> int:
     return len(measure_all(dag, MachineModel.homogeneous(fus, regs)))
 
 
+@contextmanager
+def _clone_scoring():
+    """Score every candidate on the clone-and-remeasure path (the
+    reference the incremental trials are compared against)."""
+    from repro.core.allocator import URSAAllocator
+    from repro.core.transforms.base import INVALIDATES_ALL
+
+    original = URSAAllocator._best_candidate
+
+    def clone_scored(self, dag, candidates, current_excess):
+        for candidate in candidates:
+            candidate.invalidation = INVALIDATES_ALL
+        return original(self, dag, candidates, current_excess)
+
+    URSAAllocator._best_candidate = clone_scored
+    try:
+        yield
+    finally:
+        URSAAllocator._best_candidate = original
+
+
 def _compile_counted(
     name: str, fus: int, regs: int, incremental: bool, manager=None
 ) -> Tuple[str, int, Dict[str, float]]:
@@ -93,10 +116,11 @@ def _compile_counted(
 
     _reset_uids()
     machine = MachineModel.homogeneous(fus, regs)
-    with obs.capture() as observer:
+    scoring = nullcontext() if incremental else _clone_scoring()
+    with scoring, obs.capture() as observer:
         result = compile_trace(
             kernel(name), machine, method="ursa", verify=False,
-            incremental=incremental, analysis_manager=manager,
+            analysis_manager=manager,
         )
     return str(result.program), result.stats.cycles, dict(observer.counters)
 

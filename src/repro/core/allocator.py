@@ -3,9 +3,13 @@ units (paper Figure 1 and §5).
 
 Repeatedly measures every resource, locates excessive chain sets, asks
 each applicable transformation for candidates, *tentatively applies*
-each candidate to a copy of the DAG, re-measures, and commits the
-candidate that best combines excess reduction with critical-path
-preservation.  Policies:
+each candidate, re-measures, and commits the candidate that best
+combines excess reduction with critical-path preservation.  Edges-only
+candidates are scored in place by
+:class:`~repro.pm.incremental.IncrementalMeasurer` in every mode
+(deadline, chaos and transactional runs included); node-inserting ones
+are scored on a clone.  The winner is always committed as a fresh DAG,
+so the pre-commit DAG is never mutated.  Policies:
 
 * ``INTEGRATED`` — all transformations compete each iteration (§5's
   multi-resource heuristic).
@@ -21,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.measure import (
@@ -42,18 +46,12 @@ from repro.core.transforms.fu_seq import propose_fu_sequencing
 from repro.core.transforms.reg_seq import propose_register_sequencing
 from repro.core.transforms.remat import propose_rematerializations
 from repro.core.transforms.spill import propose_spills, spill_slot_for
-from repro.graph.dag import (
-    CycleError,
-    DagTransaction,
-    DependenceDAG,
-    TransactionError,
-)
+from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import maximum_antichain
-from repro.graph.hammock import HammockAnalysis
 from repro.machine.model import MachineModel
 from repro.pm.analysis import AnalysisManager
 from repro.pm.incremental import IncrementalMeasurer, InvalidationError
-from repro.resilience import budgets, chaos
+from repro.resilience import budgets
 from repro.resilience.checkpoint import DagCheckpoint
 
 # Invalidation contracts for the candidates the driver itself builds:
@@ -139,7 +137,6 @@ class URSAAllocator:
         max_iterations: Optional[int] = None,
         verify_each: bool = False,
         transactional: bool = False,
-        incremental: bool = True,
         analysis_manager: Optional[AnalysisManager] = None,
     ) -> None:
         self.machine = machine
@@ -155,19 +152,9 @@ class URSAAllocator:
         #: broke an invariant, banning that candidate for the rest of
         #: the run instead of raising.
         self.transactional = transactional
-        #: Score edges-only candidates in place via the pm transaction
-        #: machinery instead of DAG copy + ``measure_all`` (see
-        #: ``repro.pm.incremental``); falls back to the clone path per
-        #: candidate for node-inserting transforms, and wholesale in
-        #: transactional mode or when chaos injection or a deadline is
-        #: active — those resilience modes reason about (and in the
-        #: transactional case, *depend on*) the clone path's guarantee
-        #: that the pre-commit object is never mutated.
-        self.incremental = incremental
         self.analysis_manager = analysis_manager
         self._excess_weight = 1  # set per run from the DAG size
         self._banned: set = set()
-        self._use_incremental = False
         self._am: AnalysisManager = analysis_manager or AnalysisManager()
         self._measurer: Optional[IncrementalMeasurer] = None
 
@@ -181,19 +168,13 @@ class URSAAllocator:
         # doubles it plus the merge budget, so this weight keeps register
         # excess lexicographically dominant for the whole run.
         self._excess_weight = 1 + 8 * (len(dag) + 16)
-        self._use_incremental = (
-            self.incremental
-            and not self.transactional
-            and chaos.active() is None
-            and budgets.active_deadline() is None
-        )
         self._am = self.analysis_manager or AnalysisManager()
         self._measurer = IncrementalMeasurer(
             self.machine, register_weight=self._excess_weight
         )
 
         with obs.span("allocate.measure", iteration=0):
-            requirements = self._measure(dag)
+            requirements = self._am.measure_all(dag, self.machine)
         if self.transactional and any(
             r.available != self._capacity(r.kind, r.cls)
             for r in requirements
@@ -233,15 +214,12 @@ class URSAAllocator:
                 step = self._step(dag, requirements, iteration)
             if step is None:
                 break
-            new_dag, new_reqs, record, txn = step
+            new_dag, new_reqs, record = step
             if self.transactional:
-                # With an open commit transaction the checkpoint rolls
-                # the journal back instead of relying on ``dag`` being a
-                # different object — restore() also restores the DAG's
-                # version, revalidating every analysis cached before
-                # the commit.
+                # Every winner is committed as a fresh DAG, so rolling
+                # back is just keeping the pre-commit references.
                 checkpoint = DagCheckpoint.capture(
-                    dag, requirements, label=f"iteration {iteration}", txn=txn
+                    dag, requirements, label=f"iteration {iteration}"
                 )
                 failure, new_reqs = self._commit_failure(
                     new_dag, new_reqs, requirements
@@ -258,10 +236,6 @@ class URSAAllocator:
                         reason=failure,
                     )
                     continue
-                if txn is not None:
-                    txn.commit()
-            elif txn is not None:
-                txn.commit()
             dag, requirements = new_dag, new_reqs
             records.append(record)
             if self.verify_each and not self.transactional:
@@ -342,23 +316,6 @@ class URSAAllocator:
         return self.machine.registers[cls]
 
     # ------------------------------------------------------------------
-    def _measure(self, dag: DependenceDAG) -> List[ResourceRequirement]:
-        """Full measurement, through the analysis cache when incremental."""
-        if self._use_incremental:
-            return self._am.measure_all(dag, self.machine)
-        return measure_all(dag, self.machine)
-
-    def _asap(self, dag: DependenceDAG) -> Dict[int, int]:
-        if self._use_incremental:
-            return self._am.asap(dag)
-        return dag.asap()
-
-    def _hammock(self, dag: DependenceDAG) -> HammockAnalysis:
-        if self._use_incremental:
-            return self._am.hammock(dag)
-        return HammockAnalysis(dag)
-
-    # ------------------------------------------------------------------
     def _verify_state(
         self,
         dag: DependenceDAG,
@@ -391,22 +348,13 @@ class URSAAllocator:
         requirements: List[ResourceRequirement],
         iteration: int,
     ) -> Optional[
-        Tuple[
-            DependenceDAG,
-            List[ResourceRequirement],
-            TransformationRecord,
-            Optional[DagTransaction],
-        ]
+        Tuple[DependenceDAG, List[ResourceRequirement], TransformationRecord]
     ]:
         """Evaluate candidates and commit the best; None when stuck.
 
-        The returned transaction is open (and the returned DAG is the
-        *input* DAG, mutated in place) when the winner was applied
-        through the incremental path; the caller commits or rolls it
-        back.  A ``None`` transaction means the legacy clone path ran
-        and the returned DAG is a fresh copy.
+        The returned DAG is always a fresh one: ``dag`` is never mutated.
         """
-        analysis = self._hammock(dag)
+        analysis = self._am.hammock(dag)
         excessive = [r for r in requirements if r.is_excessive]
         active = self._active_requirements(excessive)
         if not active:
@@ -433,11 +381,8 @@ class URSAAllocator:
                 )
 
         current_weighted = self._weighted_excess(requirements)
-        if self._use_incremental:
-            current_cp = self._am.critical_path(dag, self.machine)
-            self._measurer.rebase(dag, requirements)
-        else:
-            current_cp = dag.critical_path_length(self.machine.latency_of)
+        current_cp = self._am.critical_path(dag, self.machine)
+        self._measurer.rebase(dag, requirements)
 
         best = self._best_candidate(dag, candidates, current_weighted)
         if best is None:
@@ -455,23 +400,14 @@ class URSAAllocator:
             obs.event("allocate.stuck", iteration=iteration)
             return None
         score, new_dag, new_reqs, candidate = best
-        txn: Optional[DagTransaction] = None
         if new_dag is None:
-            # Incremental winner: re-apply the edits in place inside a
-            # fresh transaction (the trial rolled its own back) and take
-            # one full measurement at the new version — decompositions
-            # and Kill() carried into the next iteration always come
-            # from a from-scratch measure, exactly as on the clone path.
-            txn = dag.begin_transaction()
-            try:
-                candidate.edits(dag)
-            except (CycleError, TransactionError) as exc:  # pragma: no cover
-                txn.rollback()
-                raise AssertionError(
-                    f"winning candidate failed to re-apply: {exc}"
-                ) from exc
-            new_dag = dag
-            new_reqs = self._measure(dag)
+            # In-place winner (the trial rolled its edits back): commit
+            # it as a copy plus its edits, which also runs the chaos
+            # transform hook, and take one full measurement of it —
+            # decompositions and Kill() carried into the next iteration
+            # always come from a from-scratch measure.
+            new_dag = candidate.apply()
+            new_reqs = self._am.measure_all(new_dag, self.machine)
         obs.event(
             "allocate.commit",
             iteration=iteration,
@@ -492,7 +428,7 @@ class URSAAllocator:
             critical_path_before=current_cp,
             critical_path_after=score[1],
         )
-        return new_dag, new_reqs, record, txn
+        return new_dag, new_reqs, record
 
     def _weighted_excess(self, requirements: Sequence[ResourceRequirement]) -> int:
         """Register excess dominates FU excess lexicographically.
@@ -533,9 +469,9 @@ class URSAAllocator:
         Edges-only candidates are scored *in place* by the incremental
         measurer (checkpoint/rollback, no DAG copy, no ``measure_all``);
         the winner's DAG/requirements slots come back ``None`` and are
-        materialized by the caller.  Node-inserting candidates — and
-        every candidate when the incremental path is disabled — go
-        through the legacy clone-and-remeasure path.
+        materialized by the caller.  Clone-and-remeasure scores only
+        node-inserting candidates and candidates caught breaking their
+        edges-only contract.
         """
         best: Optional[
             Tuple[
@@ -557,8 +493,7 @@ class URSAAllocator:
             if (candidate.kind, candidate.description) in self._banned:
                 continue
             if (
-                self._use_incremental
-                and candidate.invalidation.edges_only
+                candidate.invalidation.edges_only
                 and not candidate.invalidation.invalidates_all
             ):
                 try:
@@ -580,8 +515,9 @@ class URSAAllocator:
                             context="invalidation contract violation",
                         ) from exc
                     # The transform lied about being edges-only; the
-                    # trial rolled back cleanly — score it honestly on
-                    # the clone path instead.
+                    # trial rolled back cleanly — relabel it and score
+                    # it honestly on the clone path instead.
+                    candidate.invalidation = INVALIDATES_ALL
                 else:
                     if outcome is None:
                         continue  # must make progress
@@ -708,7 +644,7 @@ class URSAAllocator:
         if excess <= 0 or len(chains) < 2:
             return []
 
-        depth = self._asap(dag)
+        depth = self._am.asap(dag)
         kill = requirement.kill
 
         def tail_node(chain) -> Optional[int]:
@@ -815,7 +751,7 @@ class URSAAllocator:
         available = requirement.available
         if len(chains) <= available:
             return []
-        depth = self._asap(dag)
+        depth = self._am.asap(dag)
         kill = requirement.kill
 
         def element_depth(e) -> int:
@@ -879,10 +815,13 @@ class URSAAllocator:
     def _fallback_candidates(
         self, dag: DependenceDAG, requirement: ResourceRequirement
     ) -> List[TransformCandidate]:
-        depth = self._asap(dag)
+        depth = self._am.asap(dag)
+        node = requirement.element_node
+        # A total order: the antichain is a set, and its iteration order
+        # must not leak into the output (it varies with PYTHONHASHSEED).
         antichain = sorted(
             maximum_antichain(requirement.order),
-            key=lambda e: depth[requirement.element_node[e]],
+            key=lambda e: (depth[node[e]], node[e], e),
         )
         if len(antichain) <= requirement.available:
             return []

@@ -78,15 +78,16 @@ def register_contract(kind: str, invalidation: Invalidation) -> Invalidation:
 class TransformCandidate:
     """One tentative application of a transformation (paper §5).
 
-    Candidates are evaluated by applying their edits to a *copy* of the
-    DAG and re-measuring; the driver commits the best copy.  ``apply``
-    raises :class:`TransformError` when the edits turn out to be illegal
-    (e.g. a sequence edge would close a cycle).
+    ``apply`` returns a *copy* of the DAG with the edits applied; the
+    driver always commits a winner this way (or as the clone it was
+    scored on).  It raises :class:`TransformError` when the edits turn
+    out to be illegal (e.g. a sequence edge would close a cycle).
 
-    Candidates whose ``invalidation`` declares ``edges_only`` may
-    instead be applied *in place* inside a DAG transaction and rolled
-    back — the driver picks the path; ``edits`` must behave identically
-    on a clone and on the base DAG.
+    Candidates whose ``invalidation`` declares ``edges_only`` are
+    *scored* in place inside a DAG transaction and rolled back; the
+    rest are scored on an ``apply()`` clone.  The declared contract
+    picks the path, so ``edits`` must behave identically on a clone and
+    on the base DAG.
     """
 
     kind: str
@@ -102,10 +103,16 @@ class TransformCandidate:
 
     def apply(self) -> DependenceDAG:
         clone = self.base_dag.copy()
+        # Edges-only edits run in a transaction on the copy, which keeps
+        # its closure up to date edge by edge (and refuses any mutation
+        # the contract does not declare).
+        txn = clone.begin_transaction() if self.invalidation.edges_only else None
         try:
             self.edits(clone)
         except CycleError as exc:
             raise TransformError(f"{self.kind}: {exc}") from exc
+        if txn is not None:
+            txn.commit()
         chaos.corrupt_transform(clone)
         return clone
 

@@ -742,7 +742,7 @@ class DependenceDAG:
         clone = replace(original, dest=remat_name).fresh_copy()
         self.graph.add_node(clone.uid, inst=clone)
         self.value_defs[remat_name] = clone.uid
-        for name in set(clone.uses()):
+        for name in dict.fromkeys(clone.uses()):
             src_uid = self.value_defs[name]
             if src_uid != clone.uid:
                 self._add_edge(src_uid, clone.uid, EdgeKind.DATA, value=name)
@@ -794,7 +794,13 @@ class DependenceDAG:
     # Copying and verification.
     # ==================================================================
     def copy(self) -> "DependenceDAG":
-        """A structural copy sharing (immutable) Instruction objects."""
+        """A structural copy sharing (immutable) Instruction objects.
+
+        A warm transitive closure is carried over (the masks are copied;
+        the uid<->bit tables are never mutated, so they are shared), so
+        edits journaled in a transaction on the copy maintain it
+        incrementally instead of rebuilding it from scratch.
+        """
         clone = DependenceDAG.__new__(DependenceDAG)
         clone.graph = self.graph.copy()
         clone._entry_inst = self._entry_inst
@@ -807,9 +813,10 @@ class DependenceDAG:
         clone.source_order = list(self.source_order)
         clone.version = DependenceDAG._next_version()
         clone._txn = None
-        clone._desc_cache = None
-        clone._mask_index = None
-        clone._mask_order = None
+        warm = self._desc_cache is not None
+        clone._desc_cache = dict(self._desc_cache) if warm else None
+        clone._mask_index = self._mask_index
+        clone._mask_order = self._mask_order
         clone._topo_cache = None
         clone._topo_version = -1
         clone._asap_cache = None

@@ -45,6 +45,7 @@ from repro.pm import (
     verify_instrument,
 )
 from repro.pm.analysis import AnalysisManager
+from repro.resilience.budgets import active_deadline, deadline_scope
 from repro.scheduling.list_scheduler import Schedule
 
 #: The compilation methods the harness can compare — one registry call;
@@ -75,6 +76,10 @@ class CompilationResult:
     #: Backend-specific attribution: the exact solver's optimality
     #: certificate, the portfolio's win report (see docs/backends.md).
     backend_report: Optional[Dict[str, object]] = None
+    #: Why the deadline in scope tripped (``time``/``work``/``chaos``)
+    #: by the end of this compile, or None.  A tripped deadline may have
+    #: cut a search short anywhere, so it always means ``degraded``.
+    deadline_tripped: Optional[str] = None
 
     @property
     def cycles(self) -> int:
@@ -82,6 +87,8 @@ class CompilationResult:
 
     @property
     def degraded(self) -> bool:
+        if self.deadline_tripped is not None:
+            return True
         if self.degradation is not None and self.degradation.degraded:
             return True
         return self.allocation is not None and self.allocation.degraded
@@ -123,7 +130,6 @@ def compile_trace(
     deadline: Optional[object] = None,
     hints: Optional[object] = None,
     transactional: bool = False,
-    incremental: bool = True,
     analysis_manager: Optional[AnalysisManager] = None,
     backend_options: Optional[Dict[str, object]] = None,
 ) -> CompilationResult:
@@ -157,12 +163,8 @@ def compile_trace(
     analyzer; the ladder skips rungs the bounds prove doomed and fails
     fast on globally infeasible traces (``docs/analysis.md``).
 
-    ``incremental`` (default on) lets the URSA allocator score
-    edges-only transform candidates in place via the ``repro.pm``
-    transaction machinery instead of copying the DAG and re-running
-    ``measure_all`` per candidate.  ``analysis_manager`` shares one
-    version-keyed analysis cache across compiles (the whole-program
-    compiler passes one per program).
+    ``analysis_manager`` shares one version-keyed analysis cache across
+    compiles (the whole-program compiler passes one per program).
 
     ``backend_options`` is passed through to the resolved backend's
     schedule pass (e.g. ``{"bnb_max_ops": 18}`` for ``bnb-exact``,
@@ -191,22 +193,19 @@ def compile_trace(
             static_checks=static_checks,
             verify_each=verify_each,
             transactional=transactional,
-            incremental=incremental,
             analysis_manager=analysis_manager,
             backend_options=backend_options,
         )
     if deadline is not None:
-        from repro.resilience.budgets import deadline_scope
-
         with deadline_scope(deadline):
             return _compile_once(
                 source, machine, method, live_out, verify, memory, seed,
                 optimize, assignment, static_checks, verify_each,
-                transactional, incremental, analysis_manager, backend_options,
+                transactional, analysis_manager, backend_options,
             )
     return _compile_once(
         source, machine, method, live_out, verify, memory, seed, optimize,
-        assignment, static_checks, verify_each, transactional, incremental,
+        assignment, static_checks, verify_each, transactional,
         analysis_manager, backend_options,
     )
 
@@ -273,7 +272,6 @@ def _pass_allocate(state: PipelineState) -> None:
         resolve(state.method).policy,
         verify_each=opts["verify_each"],
         transactional=opts["transactional"],
-        incremental=opts["incremental"],
         analysis_manager=state.analysis_manager,
     ).run(state.dag)
     state.final_dag = state.allocation.dag
@@ -372,7 +370,6 @@ def _compile_once(
     static_checks: bool,
     verify_each: bool,
     transactional: bool,
-    incremental: bool = True,
     analysis_manager: Optional[AnalysisManager] = None,
     backend_options: Optional[Dict[str, object]] = None,
 ) -> CompilationResult:
@@ -404,7 +401,6 @@ def _compile_once(
             "assignment": assignment,
             "verify_each": verify_each,
             "transactional": transactional,
-            "incremental": incremental,
             "backend": dict(backend_options or {}),
         },
         analysis_manager=analysis_manager or AnalysisManager(),
@@ -419,6 +415,7 @@ def _compile_once(
     stats = ScheduleStats.collect(
         method, state.schedule, state.program, state.simulation, state.verified
     )
+    deadline = active_deadline()
     return CompilationResult(
         method=method,
         machine=machine,
@@ -430,6 +427,7 @@ def _compile_once(
         verified=state.verified,
         stats=stats,
         backend_report=state.backend_report,
+        deadline_tripped=deadline.tripped if deadline is not None else None,
     )
 
 

@@ -1,8 +1,9 @@
 """Region-scoped incremental re-measurement of candidate transforms.
 
-The legacy trial path copies the whole DAG per candidate and reruns
-``measure_all`` from scratch.  :class:`IncrementalMeasurer` instead
-applies an *edges-only* candidate inside a
+Clone scoring copies the whole DAG per candidate and reruns
+``measure_all`` from scratch; the allocator keeps it only for
+node-inserting candidates.  :class:`IncrementalMeasurer` instead
+applies an *edges-only* candidate — in every allocator mode — inside a
 :class:`~repro.graph.dag.DagTransaction`, scores it against per-class
 snapshots taken at the last committed measurement, and rolls back:
 

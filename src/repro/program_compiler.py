@@ -277,9 +277,10 @@ def compile_program(
       pool of this many workers (deterministic, input-order results;
       degrades to serial if the pool cannot run).
     * ``deadline_ms`` / ``resilient`` — per-trace deadline and the
-      ``repro.resilience`` fallback ladder inside each shard.  With a
-      deadline the persistent cache is bypassed (best-so-far output is
-      time-dependent, so it must not be memoized).
+      ``repro.resilience`` fallback ladder inside each shard.  A
+      deadline compile that did not degrade equals the plain compile,
+      so it is served from and stored in the cache like any other; a
+      degraded (e.g. deadline-tripped) answer is never stored.
     * ``pool`` — a persistent :class:`repro.serve.pool.WorkerPool`:
       cache-missing traces are dispatched to its warm supervised
       workers instead of forking a fresh per-request pool (preferred
@@ -345,7 +346,6 @@ def _compile_program_serve(
     from repro.serve.shard import _compile_one, compile_shards
 
     store = resolve_cache(cache)
-    cacheable = store is not None and deadline_ms is None
     extra = ("resilient",) if resilient else ()
 
     artifacts: Dict[str, object] = {}  # key -> TraceArtifact
@@ -358,7 +358,7 @@ def _compile_program_serve(
         key_of[prepared.head] = key
         if key in artifacts or key in pending_keys:
             continue  # duplicate trace: compile/fetch once
-        artifact = store.get(key) if cacheable else None
+        artifact = store.get(key) if store is not None else None
         if artifact is not None:
             artifacts[key] = artifact
             hits += 1
@@ -395,7 +395,7 @@ def _compile_program_serve(
             artifacts[artifact.key] = artifact
             fresh_keys.append(artifact.key)
 
-    if cacheable:
+    if store is not None:
         for key in fresh_keys:
             artifact = artifacts[key]
             degradation = artifact.degradation

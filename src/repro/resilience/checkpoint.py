@@ -1,8 +1,8 @@
 """Transactional DAG commits: checkpoint, verify, roll back.
 
-URSA's driver evaluates every candidate on a *copy* of the DAG and
-commits the best copy, so the pre-commit state is never mutated — a
-checkpoint is just a pair of references, and rollback is restoring
+URSA's driver commits every winning candidate as a *fresh* DAG (a copy
+plus the candidate's edits), so the pre-commit state is never mutated —
+a checkpoint is just a pair of references, and rollback is restoring
 them.  :class:`DagCheckpoint` packages that discipline;
 :func:`guarded_apply` offers the same guarantee for ad-hoc edits
 outside the allocator (clone, edit, verify, and only then adopt).
@@ -15,7 +15,7 @@ letting it poison the rest of the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -30,46 +30,24 @@ class DagCheckpoint:
     """A restorable snapshot of the allocator's (dag, requirements) state.
 
     Relies on the copy-on-write discipline above: the captured DAG must
-    not be mutated after capture (candidates always ``apply()`` onto
-    fresh clones).  ``deep=True`` forces a structural copy for callers
-    that cannot promise that.
-
-    The incremental allocator path mutates the DAG *in place* under an
-    open :class:`~repro.graph.dag.DagTransaction` instead; pass that
-    transaction as ``txn`` and ``restore()`` rolls its journal back —
-    which also restores the DAG's version, so every analysis cached
-    against the pre-commit structure becomes servable again.
+    not be mutated after capture (commits always produce fresh DAGs).
     """
 
     dag: object
     requirements: Tuple
     label: str = ""
-    #: Open commit transaction to roll back on restore (in-place path).
-    txn: Optional[object] = None
 
     @classmethod
     def capture(
-        cls,
-        dag,
-        requirements: Sequence = (),
-        label: str = "",
-        deep: bool = False,
-        txn=None,
+        cls, dag, requirements: Sequence = (), label: str = ""
     ) -> "DagCheckpoint":
         obs.count("resilience.checkpoints")
-        return cls(
-            dag=dag.copy() if deep else dag,
-            requirements=tuple(requirements),
-            label=label,
-            txn=txn,
-        )
+        return cls(dag=dag, requirements=tuple(requirements), label=label)
 
     def restore(self) -> Tuple[object, List]:
         """Return the checkpointed state (counted; the caller emits the
         richer ``resilience.rollback`` event with its own context)."""
         obs.count("resilience.rollbacks")
-        if self.txn is not None and self.txn.active:
-            self.txn.rollback()
         return self.dag, list(self.requirements)
 
 

@@ -329,6 +329,10 @@ def compile_with_fallback(
             continue
 
         problems: List[str] = []
+        if result.deadline_tripped is not None and not last:
+            # Some search during this rung returned best-so-far; the
+            # output may differ from an unhurried compile.
+            problems.append(f"deadline tripped ({result.deadline_tripped})")
         allocation = result.allocation
         if allocation is not None and not allocation.converged:
             problems.append("allocation did not converge")
@@ -372,8 +376,10 @@ def compile_with_fallback(
             + "\n".join(f"  {a.describe()}" for a in attempts)
         )
 
-    degraded = final.method != method or any(
-        a.outcome != "ok" for a in attempts
+    degraded = (
+        final.method != method
+        or any(a.outcome != "ok" for a in attempts)
+        or final.deadline_tripped is not None
     )
     cycles_seen = [a.cycles for a in attempts if a.cycles is not None]
     report = DegradationReport(

@@ -292,7 +292,7 @@ class ListScheduler:
         def frees_registers(uid: int) -> int:
             """How many registers issuing ``uid`` would release."""
             count = 0
-            for name in set(dag.instruction(uid).uses()):
+            for name in dict.fromkeys(dag.instruction(uid).uses()):
                 state = values[name]
                 if state.pending_users == {uid} and state.reg is not None:
                     count += 1
@@ -377,7 +377,9 @@ class ListScheduler:
                     name,
                 )
 
-            reload_candidates = sorted(set(reload_candidates), key=reload_urgency)
+            reload_candidates = sorted(
+                dict.fromkeys(reload_candidates), key=reload_urgency
+            )
 
             issued_this_cycle = False
 
@@ -596,7 +598,7 @@ class ListScheduler:
         droppable: List[_ValueState] = []
         drop: Optional[_ValueState] = None
         if self.respect_registers:
-            for name in set(inst.uses()):
+            for name in dict.fromkeys(inst.uses()):
                 state = values[name]
                 if state.reg is None:
                     continue
@@ -634,7 +636,7 @@ class ListScheduler:
             if drop is not None:
                 release_reg(drop.reg)
                 drop.reg = None
-            for name in set(inst.uses()):
+            for name in dict.fromkeys(inst.uses()):
                 values[name].pending_users.discard(uid)
             if inst.dest is not None:
                 state = values[inst.dest]
@@ -653,7 +655,7 @@ class ListScheduler:
                 state.ready_cycle = (
                     cycle + self.machine.fu_class_for(inst.op).latency
                 )
-            for name in set(inst.uses()):
+            for name in dict.fromkeys(inst.uses()):
                 values[name].pending_users.discard(uid)
         return True
 

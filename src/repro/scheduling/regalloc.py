@@ -187,7 +187,7 @@ class LinearScanAllocator:
                 ensure_register(name, protect - {name}, position)
 
             # Consume this position from each source's next-use list.
-            for name in set(sources):
+            for name in dict.fromkeys(sources):
                 state = values[name]
                 while state.next_uses and state.next_uses[0] <= position:
                     state.next_uses.pop(0)
@@ -201,7 +201,7 @@ class LinearScanAllocator:
 
             # Free registers of sources that died here (reads happen
             # before the write of this very instruction).
-            for name in set(sources):
+            for name in dict.fromkeys(sources):
                 state = values[name]
                 if not state.next_uses and not state.live_out and state.reg is not None:
                     release(state.reg)

@@ -181,7 +181,9 @@ class TraceArtifact:
     method: str
     program: VLIWProgram
     cycles_estimate: int
-    #: ``DegradationReport.to_dict()`` when a resilient compile degraded.
+    #: ``DegradationReport.to_dict()`` for a resilient compile; for a
+    #: plain one, ``{"degraded": True, ...}`` when it degraded (e.g. its
+    #: deadline tripped), else None.  Degraded artifacts are never stored.
     degradation: Optional[Dict[str, object]] = None
 
 

@@ -283,8 +283,7 @@ def handle_trace_request(
     key = trace_key(instructions, machine, method, extra=extra)
     artifact: Optional[TraceArtifact] = None
     hit = hot = False
-    cacheable = cache is not None and deadline_ms is None
-    if cacheable:
+    if cache is not None:
         before_hot = cache.hot_hits
         artifact = cache.get(key)
         hit = artifact is not None
@@ -293,7 +292,7 @@ def handle_trace_request(
         artifact = _compile_one(
             instructions, machine, method, deadline_ms, resilient, key
         )
-        if cacheable and not (
+        if cache is not None and not (
             artifact.degradation and artifact.degradation.get("degraded")
         ):
             cache.put(artifact)

@@ -82,9 +82,19 @@ def _compile_one(
         deadline=deadline,
         analysis_manager=analysis_manager,
     )
-    degradation = (
-        result.degradation.to_dict() if result.degradation is not None else None
-    )
+    if result.degradation is not None:
+        degradation = result.degradation.to_dict()
+    elif result.degraded:
+        # Non-resilient compiles carry the flag too, so no route can
+        # memoize an answer a tripped deadline cut short.
+        degradation = {
+            "requested_method": method,
+            "final_method": method,
+            "degraded": True,
+            "deadline_tripped": result.deadline_tripped,
+        }
+    else:
+        degradation = None
     return TraceArtifact(
         key=key,
         method=method,

@@ -244,12 +244,31 @@ class TestClosureMaskStability:
         assert dag.add_sequence_edge(a, b)
         txn.commit()
         desc, index, order = dag.closure_masks()
-        # Rebuild from scratch on a structural copy and compare in uid
-        # space (the copy may lay bits out differently).
+        # Rebuild from scratch on a structural copy (dropping the closure
+        # the copy carries over) and compare in uid space (the rebuild
+        # may lay bits out differently).
         rebuilt = dag.copy()
+        rebuilt._invalidate()
         rdesc, rindex, rorder = rebuilt.closure_masks()
         for uid in order:
             assert dag.descendants(uid) == rebuilt.descendants(uid)
+
+    def test_copy_carries_closure_independently(self):
+        dag = self._dag(seed=19)
+        desc_before, _, order = dag.closure_masks()
+        snapshot = dict(desc_before)
+        clone = dag.copy()
+        a, b = self._free_pair(clone)
+        txn = clone.begin_transaction()
+        assert clone.add_sequence_edge(a, b)
+        txn.commit()
+        # The original's masks are untouched by the copy's edits ...
+        assert dag.closure_masks()[0] == snapshot
+        # ... and the copy's incrementally kept closure is exact.
+        rebuilt = clone.copy()
+        rebuilt._invalidate()
+        for uid in order:
+            assert clone.descendants(uid) == rebuilt.descendants(uid)
 
     def test_measurement_identical_before_and_after_rollback(self):
         dag = self._dag(seed=13)

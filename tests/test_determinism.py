@@ -5,8 +5,15 @@ the same kernel carry different absolute uids.  Nothing in the pipeline
 may depend on absolute uid values (set iteration order, hash order,
 spill-slot numbers leaking into decisions); these tests rebuild the same
 logical input repeatedly within one process and demand bit-identical
-outcomes.
+outcomes.  The same must hold across processes whose string hashing
+differs (``PYTHONHASHSEED``): set iteration order may never leak into
+a decision.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +73,28 @@ class TestCompileDeterminism:
             kernel("matvec"), machine, assignment="color", seed=2
         )
         assert signature(first) == signature(second)
+
+
+class TestHashSeedIndependence:
+    SCRIPT = (
+        "from repro.machine.model import MachineModel\n"
+        "from repro.pipeline import compile_trace\n"
+        "from repro.serve.cache import program_signature\n"
+        "from repro.workloads.kernels import kernel\n"
+        "result = compile_trace(kernel('matmul'), "
+        "MachineModel.homogeneous(2, 6), verify=False)\n"
+        "print(result.stats.cycles, program_signature(result.program))\n"
+    )
+
+    def test_matmul_identical_across_hash_seeds(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = set()
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            env["PYTHONHASHSEED"] = str(hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, sorted(outputs)

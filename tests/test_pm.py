@@ -9,14 +9,17 @@ The load-bearing suites:
   ``edges_only`` but inserts nodes is caught by the transaction's
   mutation guard, surfaced as :class:`VerifyError` under
   ``verify_each`` and scored honestly on the clone path otherwise;
-* bit-identity of the incremental allocator against the legacy
-  clone-and-remeasure path (same process, uid counter reset before
-  each build, so tie-breaks see identical instruction identities).
+* bit-identity of the incremental allocator against the
+  clone-and-remeasure reference (every candidate forced onto the clone
+  path by declaring it ``INVALIDATES_ALL``; same process, uid counter
+  reset before each build, so tie-breaks see identical instruction
+  identities).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -32,6 +35,7 @@ from repro.core.measure import (
 )
 from repro.core.transforms.base import (
     EDGES_ONLY,
+    INVALIDATES_ALL,
     TransformCandidate,
     TransformError,
 )
@@ -108,30 +112,9 @@ class TestAnalysisManager:
 
 
 # ======================================================================
-# DagCheckpoint over an open transaction.
+# DagCheckpoint: copy-on-write commits make restore a reference swap.
 # ======================================================================
 class TestTransactionalCheckpoint:
-    def test_restore_rolls_back_txn_and_version(self, fig2_dag):
-        manager = AnalysisManager()
-        cached = manager.asap(fig2_dag)
-        version = fig2_dag.version
-        edges_before = set(fig2_dag.graph.edges)
-
-        txn = fig2_dag.begin_transaction()
-        checkpoint = DagCheckpoint.capture(fig2_dag, [], label="t", txn=txn)
-        order = fig2_dag.topological_order()
-        fig2_dag.add_sequence_edge(order[0], order[-1], reason="test")
-        assert fig2_dag.version != version
-
-        restored, _ = checkpoint.restore()
-        assert restored is fig2_dag
-        assert fig2_dag.version == version
-        assert set(fig2_dag.graph.edges) == edges_before
-        assert not txn.active
-        # The rollback restored the cache generation: the pre-capture
-        # analysis is served without recomputation.
-        assert manager.asap(fig2_dag) is cached
-
     def test_restore_without_txn_is_identity(self, fig2_dag):
         checkpoint = DagCheckpoint.capture(fig2_dag, [], label="t")
         restored, _ = checkpoint.restore()
@@ -279,9 +262,7 @@ class TestLyingTransform:
     def test_verify_each_surfaces_the_lie(self, monkeypatch):
         from repro.verify import VerifyError
 
-        alloc = self._lying_allocator(
-            monkeypatch, verify_each=True, incremental=True
-        )
+        alloc = self._lying_allocator(monkeypatch, verify_each=True)
         with pytest.raises(VerifyError, match="invalidation contract"):
             alloc.run(DependenceDAG.from_trace(kernel("figure2")))
 
@@ -291,7 +272,7 @@ class TestLyingTransform:
             DependenceDAG.from_trace(kernel("figure2"))
         )
         _reset_uids()
-        alloc = self._lying_allocator(monkeypatch, incremental=True)
+        alloc = self._lying_allocator(monkeypatch)
         lied = alloc.run(DependenceDAG.from_trace(kernel("figure2")))
         assert lied.converged == honest.converged
         assert [
@@ -300,50 +281,123 @@ class TestLyingTransform:
 
 
 # ======================================================================
-# Bit-identity: incremental == legacy clone-and-remeasure.
+# Bit-identity: incremental == clone-and-remeasure reference.
 # ======================================================================
-def _assert_bit_identical(source, machine) -> None:
-    """Legacy and incremental paths must agree bit for bit — including
-    on workloads this machine cannot schedule at all, where both must
-    fail with the same diagnostic."""
+def _force_clone_scoring(monkeypatch) -> None:
+    """Declare every candidate ``INVALIDATES_ALL`` so the allocator
+    scores (and commits) it on the clone-and-remeasure path."""
+    original = URSAAllocator._best_candidate
+
+    def clone_scored(self, dag, candidates, current_excess):
+        for candidate in candidates:
+            candidate.invalidation = INVALIDATES_ALL
+        return original(self, dag, candidates, current_excess)
+
+    monkeypatch.setattr(URSAAllocator, "_best_candidate", clone_scored)
+
+
+def _assert_bit_identical(monkeypatch, source, machine) -> None:
+    """The clone reference and the incremental path must agree bit for
+    bit — including on workloads this machine cannot schedule at all,
+    where both must fail with the same diagnostic."""
     from repro.pipeline import compile_trace
 
     results = {}
-    for incremental in (False, True):
+    for reference in (True, False):
         _reset_uids()
-        try:
-            result = compile_trace(
-                source, machine, method="ursa", verify=False,
-                incremental=incremental,
-            )
-        except Exception as exc:
-            results[incremental] = ("error", type(exc).__name__, str(exc))
-            continue
+        with monkeypatch.context() as patch:
+            if reference:
+                _force_clone_scoring(patch)
+            try:
+                result = compile_trace(
+                    source, machine, method="ursa", verify=False
+                )
+            except Exception as exc:
+                results[reference] = ("error", type(exc).__name__, str(exc))
+                continue
         records = tuple(
             (r.kind, r.description) for r in result.allocation.records
         )
-        results[incremental] = (
+        results[reference] = (
             str(result.program), result.stats.cycles, records
         )
-    assert results[False] == results[True]
+    assert results[True] == results[False]
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("name", ["figure2", "saxpy", "fft-butterfly"])
     @pytest.mark.parametrize("fus,regs", [(2, 3), (4, 6)])
-    def test_same_programs_and_records(self, name, fus, regs):
-        _assert_bit_identical(kernel(name), MachineModel.homogeneous(fus, regs))
+    def test_same_programs_and_records(self, monkeypatch, name, fus, regs):
+        _assert_bit_identical(
+            monkeypatch, kernel(name), MachineModel.homogeneous(fus, regs)
+        )
 
     EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "traces"
 
     @pytest.mark.parametrize(
         "example", sorted(p.name for p in EXAMPLES.glob("*.ursa"))
     )
-    def test_example_traces(self, example):
+    def test_example_traces(self, monkeypatch, example):
         from repro.ir.parser import parse_trace
 
         trace = parse_trace((self.EXAMPLES / example).read_text())
-        _assert_bit_identical(trace, MachineModel.homogeneous(2, 4))
+        _assert_bit_identical(
+            monkeypatch, trace, MachineModel.homogeneous(2, 4)
+        )
+
+
+# ======================================================================
+# One scoring path: deadline, transactional and chaos runs score
+# edges-only candidates in place exactly like a plain run.
+# ======================================================================
+def _scoring_modes():
+    """(mode, compile kwargs, scope factory) — one fresh Deadline each."""
+    from repro.resilience import ChaosMonkey, Deadline, chaos_scope
+
+    yield "plain", lambda: {}, nullcontext
+    yield "deadline", lambda: {"deadline": Deadline(seconds=3600)}, nullcontext
+    # Chaos in scope but firing nothing (rate 0): only the mode switch
+    # is under test, folded into the transactional run to save a pass.
+    yield "transactional+chaos", lambda: {"transactional": True}, (
+        lambda: chaos_scope(ChaosMonkey(seed=0, rate=0.0))
+    )
+
+
+def _one_path_corpus():
+    from repro.ir.parser import parse_trace
+
+    machines = [MachineModel.homogeneous(2, 3), MachineModel.homogeneous(3, 4)]
+    for index, trace in enumerate(_fuzz_traces()):
+        yield f"fuzz{index}", trace, machines[index % 2]
+    for path in sorted(TestBitIdentity.EXAMPLES.glob("*.ursa")):
+        yield path.stem, parse_trace(path.read_text()), (
+            MachineModel.homogeneous(2, 4)
+        )
+
+
+class TestOneScoringPath:
+    def test_every_mode_matches_plain_and_trials_in_place(self):
+        from repro import obs
+        from repro.pipeline import compile_trace
+        from repro.serve.cache import program_signature
+
+        totals: Dict[str, float] = {}
+        for name, trace, machine in _one_path_corpus():
+            seen = {}
+            for mode, kwargs, scope in _scoring_modes():
+                # No uid reset: the traces are built once, and output
+                # must not depend on absolute uids anyway.
+                with scope(), obs.capture() as observer:
+                    result = compile_trace(
+                        trace, machine, method="ursa", verify=False,
+                        **kwargs(),
+                    )
+                assert not result.degraded, (name, mode)
+                trials = observer.counters.get("pm.trial.incremental", 0)
+                totals[mode] = totals.get(mode, 0) + trials
+                seen[mode] = (program_signature(result.program), trials)
+            assert len(set(seen.values())) == 1, (name, seen)
+        assert all(total > 0 for total in totals.values()), totals
 
 
 # ======================================================================

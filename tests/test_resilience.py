@@ -276,12 +276,12 @@ class TestTransactionalRollback:
             out = real_step(dag, requirements, iteration)
             if out is None:
                 return None
-            new_dag, new_reqs, record, txn = out
+            new_dag, new_reqs, record = out
             victim = next(
                 name for name, uses in new_dag.value_uses.items() if uses
             )
             new_dag.value_uses[victim].append(new_dag.value_uses[victim][0])
-            return new_dag, new_reqs, record, txn
+            return new_dag, new_reqs, record
 
         monkeypatch.setattr(allocator, "_step", bad_step)
         with obs.capture() as observer:
@@ -436,6 +436,37 @@ class TestFallbackLadder:
         assert payload["degraded"] is False
         assert json.loads(json.dumps(payload)) == payload
         assert "degradation report" in result.degradation.render()
+
+
+class TestTrippedDeadlineIsDegraded:
+    """A deadline that trips may cut any search short, so the result
+    must say so: every output that differs from the unhurried compile
+    is marked degraded, with and without the ladder."""
+
+    MACHINE = MachineModel.homogeneous(2, 6)
+
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_work_budget_sweep(self, fig2_trace, resilient):
+        from repro.serve.cache import program_signature
+
+        def outcome(result):
+            return program_signature(result.program), result.cycles
+
+        plain = outcome(compile_trace(fig2_trace, self.MACHINE, verify=False))
+        differing = 0
+        for work in range(0, 200, 2):
+            result = compile_trace(
+                fig2_trace, self.MACHINE, verify=False,
+                resilient=resilient, deadline=Deadline(work=work),
+            )
+            if outcome(result) != plain:
+                differing += 1
+                assert result.degraded, f"work={work}: unmarked change"
+                if resilient:
+                    assert result.degradation.degraded, f"work={work}"
+                    assert result.degradation.deadline_tripped is not None
+        # The sweep must actually reach budgets that change the output.
+        assert differing > 0
 
 
 # ======================================================================

@@ -200,15 +200,25 @@ class TestCompileCache:
         assert again.cache_hits == 2
         assert cache.hot_hits >= 2
 
-    def test_deadline_bypasses_cache(self, cache):
-        compiled = compile_program(
+    def test_clean_deadline_compile_is_cached(self, cache):
+        # One scoring path in every mode: a deadline that never trips
+        # yields exactly the plain compile, so it is stored and served.
+        plain = compile_program(parse_program(PROGRAM_SRC), MACHINE)
+        first = compile_program(
             parse_program(PROGRAM_SRC), MACHINE,
-            cache=cache, deadline_ms=5000,
+            cache=cache, deadline_ms=60_000,
         )
-        # Deadline'd output is time-dependent: never read, never stored.
-        assert compiled.cache_hits == 0
-        assert cache.stats()["entries"] == 0
-        assert cache.hits == 0 and cache.misses == 0
+        assert first.cache_misses == 2
+        assert cache.stats()["entries"] == 2
+        again = compile_program(
+            parse_program(PROGRAM_SRC), MACHINE,
+            cache=cache, deadline_ms=60_000,
+        )
+        assert again.cache_hits == 2 and again.cache_misses == 0
+        for head, compiled in plain.traces.items():
+            assert program_signature(compiled.program) == program_signature(
+                again.traces[head].program
+            )
 
     def test_gc_and_clear(self, cache):
         compile_program(parse_program(PROGRAM_SRC), MACHINE, cache=cache)
@@ -409,6 +419,40 @@ class TestProtocolUnit:
             {"requests": [{"kind": "trace"}] * 5}, cache=None, max_batch=4
         )
         assert status == 400 and "max_batch" in body["error"]["message"]
+
+    def _deadline_request(self, deadline_ms):
+        from repro.workloads.kernels import kernel
+
+        source = "\n".join(str(inst) for inst in kernel("figure2"))
+        return {
+            "kind": "trace", "source": source,
+            "machine": {"fus": 2, "regs": 3},
+            "options": {"deadline_ms": deadline_ms},
+        }
+
+    def test_clean_deadline_request_hits_cache(self, cache):
+        from repro.serve.protocol import handle_payload
+
+        _, plain = handle_payload(
+            {**self._deadline_request(None), "options": {}}, cache=None
+        )
+        _, first = handle_payload(self._deadline_request(60_000), cache=cache)
+        _, second = handle_payload(self._deadline_request(60_000), cache=cache)
+        assert first["result"]["degradation"] is None
+        assert not first["result"]["cache"]["hit"]
+        assert second["result"]["cache"]["hit"]
+        assert second["result"]["program"] == plain["result"]["program"]
+
+    def test_tripped_deadline_request_is_not_stored(self, cache):
+        from repro.serve.protocol import handle_payload
+
+        # A zero budget trips at the allocator's first expiry check.
+        status, body = handle_payload(self._deadline_request(0), cache=cache)
+        assert status == 200 and body["ok"]
+        degradation = body["result"]["degradation"]
+        assert degradation["degraded"]
+        assert degradation["deadline_tripped"] == "time"
+        assert cache.stats()["entries"] == 0
 
     def test_machine_from_spec(self):
         from repro.serve.protocol import ProtocolError, machine_from_spec

@@ -484,10 +484,10 @@ def test_verify_each_raises_on_corrupt_step(monkeypatch):
         out = real_step(dag, requirements, iteration)
         if out is None:
             return None
-        new_dag, new_reqs, record, txn = out
+        new_dag, new_reqs, record = out
         victim = next(iter(new_dag.value_uses))
         new_dag.value_uses[victim].append(new_dag.value_uses[victim][0])
-        return new_dag, new_reqs, record, txn
+        return new_dag, new_reqs, record
 
     monkeypatch.setattr(allocator, "_step", bad_step)
     with pytest.raises(VerifyError) as err:
