@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.printer import format_table
 
@@ -54,6 +54,55 @@ def load_json(path: Path) -> Optional[dict]:
     if not path.exists():
         return None
     return json.loads(path.read_text())
+
+
+def gated_main(
+    argv: Optional[Sequence[str]],
+    *,
+    description: str,
+    baseline: Path,
+    quick_help: str,
+    check_help: str,
+    run: Callable[[bool], Tuple[Sequence[dict], dict]],
+    check: Callable[[Sequence[dict], Optional[dict]], List[str]],
+    passed: Callable[[Sequence[dict]], str],
+) -> int:
+    """The ``--quick/--check/--update`` CLI shared by the gated benchmarks.
+
+    ``run(quick)`` measures, prints its table, and returns the entries
+    plus the JSON payload.  Every run writes the payload to
+    ``results/<baseline stem minus BENCH_>.json``; ``--update`` also
+    rewrites the checked-in ``baseline``; ``--check`` prints each
+    failure ``check(entries, baseline)`` reports and exits 1 on any,
+    else prints ``passed(entries)``.
+    """
+    import argparse
+    import sys
+
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--quick", action="store_true", help=quick_help)
+    parser.add_argument("--check", action="store_true", help=check_help)
+    parser.add_argument(
+        "--update", action="store_true",
+        help=f"rewrite {baseline.name} from this run",
+    )
+    args = parser.parse_args(argv)
+
+    entries, payload = run(args.quick)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    emit_json(payload, RESULTS_DIR / f"{baseline.stem.removeprefix('BENCH_')}.json")
+    if args.update:
+        emit_json(payload, baseline)
+        print(f"baseline written: {baseline}")
+
+    if args.check:
+        failures = check(entries, load_json(baseline))
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print(passed(entries))
+    return 0
 
 
 def emit_profile(name: str, source, title: Optional[str] = None) -> str:

@@ -2,15 +2,16 @@
 
 Validates Dilworth's theorem (decomposition size == max antichain) on a
 size sweep of random DAGs, and records the bitset measurement core's
-speedup over the legacy (dict-of-sets) engine as a *checked-in perf
-trajectory*: ``BENCH_measurement_scaling.json`` at the repo root holds
-the per-N median wall times, the matcher each engine used, and the
-speedup, so a regression shows up as a diff.
+speedup over the dict-of-sets oracle (``repro.reference.measure_all``)
+as a *checked-in perf trajectory*: ``BENCH_measurement_scaling.json`` at
+the repo root holds the per-N median wall times, the matcher each side
+used, and the speedup, so a regression shows up as a diff (the oracle's
+fields keep their historical ``legacy_*`` names).
 
-Both engines run ``measure_all`` on the *same* DAG instance (uids come
-from a global counter, so two separately-built DAGs from one trace are
-not comparable) and must produce bit-identical results — same
-``required`` widths and the same chain decompositions.
+Both sides run on the *same* DAG instance (uids come from a global
+counter, so two separately-built DAGs from one trace are not comparable)
+and must produce bit-identical results — same ``required`` widths, the
+same chain decompositions and the same kill choices.
 
 Runs standalone for the CI smoke job::
 
@@ -18,20 +19,19 @@ Runs standalone for the CI smoke job::
 
 ``--check`` compares the measured speedups against the checked-in
 baseline and exits non-zero when any size regresses by more than 20%.
-Speedups (not wall times) are compared because the two engines share the
+Speedups (not wall times) are compared because the two sides share the
 run's machine: the ratio is stable across hosts while absolute times are
 not.  ``--update`` rewrites the baseline from the current run.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 if __package__ in (None, ""):  # standalone: find _common and (maybe) repro
     sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -41,9 +41,9 @@ if __package__ in (None, ""):  # standalone: find _common and (maybe) repro
 
 import pytest
 
-from _common import RESULTS_DIR, emit_json, emit_table, load_json
+from _common import emit_table, gated_main
+from repro import reference
 from repro.core.measure import measure_all
-from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import maximum_antichain
 from repro.machine.model import MachineModel
@@ -77,7 +77,7 @@ def _decomposition_key(requirements) -> list:
 
 
 def _median_ms(fn, repeats: int) -> float:
-    """Median wall milliseconds with the GC parked (both engines get the
+    """Median wall milliseconds with the GC parked (both sides get the
     same treatment, so the ratio is undistorted)."""
     samples = []
     gc.collect()
@@ -95,16 +95,17 @@ def _median_ms(fn, repeats: int) -> float:
 
 
 def measure_at(n_ops: int, repeats: int = 5) -> Dict[str, object]:
-    """Time both engines on one shared DAG; assert bit-identity."""
+    """Time the bitset core and the oracle on one shared DAG; assert
+    bit-identity."""
     dag = _build_dag(n_ops)
     fast_result = measure_all(dag, MACHINE)  # warm version-keyed caches
     fast_ms = _median_ms(lambda: measure_all(dag, MACHINE), repeats)
-    with bitset.engine("legacy"):
-        legacy_result = measure_all(dag, MACHINE)
-        legacy_ms = _median_ms(lambda: measure_all(dag, MACHINE), repeats)
-    if _decomposition_key(fast_result) != _decomposition_key(legacy_result):
+    oracle_result = reference.measure_all(dag, MACHINE)
+    oracle_ms = _median_ms(lambda: reference.measure_all(dag, MACHINE), repeats)
+    if _decomposition_key(fast_result) != _decomposition_key(oracle_result):
         raise AssertionError(
-            f"N={n_ops}: bitset and legacy engines disagree — bit-identity broken"
+            f"N={n_ops}: bitset core and reference oracle disagree — "
+            "bit-identity broken"
         )
     fu = next(r for r in fast_result if r.kind.value == "fu")
     reg = next(r for r in fast_result if r.kind.value == "reg")
@@ -114,8 +115,8 @@ def measure_at(n_ops: int, repeats: int = 5) -> Dict[str, object]:
         "fu_width": fu.required,
         "reg_width": reg.required,
         "fast_ms": round(fast_ms, 3),
-        "legacy_ms": round(legacy_ms, 3),
-        "speedup": round(legacy_ms / fast_ms, 2) if fast_ms else None,
+        "legacy_ms": round(oracle_ms, 3),
+        "speedup": round(oracle_ms / fast_ms, 2) if fast_ms else None,
         "matcher": "bitset-kuhn(levels)",
         "legacy_matcher": "prioritized-dict",
     }
@@ -154,14 +155,14 @@ def _emit(entries: Sequence[Dict[str, object]]) -> None:
     emit_table(
         "measurement_scaling",
         ("n_ops", "dag nodes", "FU width", "Reg width",
-         "bitset ms", "legacy ms", "speedup"),
+         "bitset ms", "reference ms", "speedup"),
         [
             (e["n_ops"], e["dag_nodes"], e["fu_width"], e["reg_width"],
              f"{e['fast_ms']:.1f}", f"{e['legacy_ms']:.1f}",
              f"{e['speedup']:.1f}x")
             for e in entries
         ],
-        "Theorem 1 / §3.1 — measurement scaling, bitset vs legacy engine",
+        "Theorem 1 / §3.1 — measurement scaling, bitset core vs reference oracle",
     )
 
 
@@ -178,7 +179,7 @@ def test_dilworth_equality_holds_across_sizes():
             )
 
 
-def test_engines_bit_identical_on_sweep():
+def test_oracle_bit_identical_on_sweep():
     # measure_at raises on any divergence; one repeat keeps this fast.
     for n_ops in QUICK_SIZES:
         measure_at(n_ops, repeats=1)
@@ -194,28 +195,11 @@ def test_measurement_scaling_benchmark(benchmark, n_ops):
 # ======================================================================
 # Standalone CLI (CI bench-smoke job).
 # ======================================================================
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small-size subset with fewer repeats for the CI smoke job",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail when any size's speedup regresses >20%% vs the "
-             "checked-in BENCH_measurement_scaling.json",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite BENCH_measurement_scaling.json from this run",
-    )
-    args = parser.parse_args(argv)
-
-    sizes = QUICK_SIZES if args.quick else SIZES
-    repeats = 3 if args.quick else 5
+def _run(quick: bool):
+    sizes = QUICK_SIZES if quick else SIZES
+    repeats = 3 if quick else 5
     entries = run_benchmark(sizes, repeats)
     _emit(entries)
-
     payload = {
         "benchmark": "measurement_scaling",
         "workload": "random_layered_trace(n, width=max(4, n//6), seed=n)",
@@ -223,25 +207,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "protocol": f"median of {repeats}, gc disabled, shared DAG",
         "entries": list(entries),
     }
-    # Every run regenerates the JSON as a results artifact; only
-    # --update rewrites the checked-in repo-root baseline.
-    RESULTS_DIR.mkdir(exist_ok=True)
-    emit_json(payload, RESULTS_DIR / "measurement_scaling.json")
-    if args.update:
-        emit_json(payload, BASELINE_PATH)
-        print(f"baseline written: {BASELINE_PATH}")
+    return entries, payload
 
-    if args.check:
-        failures = check_against_baseline(entries, load_json(BASELINE_PATH))
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return gated_main(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline=BASELINE_PATH,
+        quick_help="small-size subset with fewer repeats for the CI smoke job",
+        check_help="fail when any size's speedup regresses >20%% vs the "
+                   "checked-in BENCH_measurement_scaling.json",
+        run=_run,
+        check=check_against_baseline,
+        passed=lambda entries: (
             f"speedups within {REGRESSION_TOLERANCE:.0%} of baseline "
             f"for all {len(entries)} sizes"
-        )
-    return 0
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ Runs standalone for the CI smoke job::
 
 from __future__ import annotations
 
-import argparse
 import gc
 import statistics
 import sys
@@ -51,7 +50,7 @@ if __package__ in (None, ""):  # standalone: find _common and (maybe) repro
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from _common import RESULTS_DIR, emit_json, emit_table, load_json
+from _common import emit_table, gated_main
 from repro.machine.model import MachineModel
 from repro.serve.cache import program_signature, trace_key
 from repro.serve.pool import WorkerPool
@@ -225,28 +224,11 @@ def test_warm_pool_beats_cold_pool_on_small_batches():
 # ======================================================================
 # Standalone CLI (CI bench-smoke / serve-chaos jobs).
 # ======================================================================
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small batch subset with fewer repeats for the CI smoke job",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help=f"fail when the warm pool is under {MIN_SPEEDUP:.0f}x, or any "
-             "batch regresses >40%% vs the checked-in BENCH_serve_pool.json",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite BENCH_serve_pool.json from this run",
-    )
-    args = parser.parse_args(argv)
-
-    batch_sizes = QUICK_BATCH_SIZES if args.quick else BATCH_SIZES
-    repeats = 3 if args.quick else 5
+def _run(quick: bool):
+    batch_sizes = QUICK_BATCH_SIZES if quick else BATCH_SIZES
+    repeats = 3 if quick else 5
     entries = run_benchmark(batch_sizes, repeats)
     _emit(entries)
-
     payload = {
         "benchmark": "serve_pool",
         "workload": (
@@ -259,24 +241,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "warm = WorkerPool (forked once)",
         "entries": list(entries),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    emit_json(payload, RESULTS_DIR / "serve_pool.json")
-    if args.update:
-        emit_json(payload, BASELINE_PATH)
-        print(f"baseline written: {BASELINE_PATH}")
+    return entries, payload
 
-    if args.check:
-        failures = check_against_baseline(entries, load_json(BASELINE_PATH))
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return gated_main(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline=BASELINE_PATH,
+        quick_help="small batch subset with fewer repeats for the CI smoke job",
+        check_help=f"fail when the warm pool is under {MIN_SPEEDUP:.0f}x, or "
+                   "any batch regresses >40%% vs the checked-in "
+                   "BENCH_serve_pool.json",
+        run=_run,
+        check=check_against_baseline,
+        passed=lambda entries: (
             f"warm pool >= {MIN_SPEEDUP:.0f}x and within "
             f"{REGRESSION_TOLERANCE:.0%} of baseline for all "
             f"{len(entries)} batch sizes"
-        )
-    return 0
+        ),
+    )
 
 
 if __name__ == "__main__":

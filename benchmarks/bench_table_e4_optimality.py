@@ -22,14 +22,13 @@ Standalone CLI (CI ``analyze-smoke`` job)::
 that baseline from the current run.
 """
 
-import argparse
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from _common import emit_json, emit_table, load_json, RESULTS_DIR
+from _common import emit_table, gated_main
 from repro.analyze import length_lower_bound
 from repro.core.allocator import AllocationError
 from repro.graph.dag import DependenceDAG
@@ -215,27 +214,10 @@ def test_table_e4(benchmark):
 # ======================================================================
 # Standalone CLI (CI analyze-smoke job).
 # ======================================================================
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer seeds for the CI smoke job",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail when a method's gap vs the static bound regresses "
-             ">25%% against the checked-in BENCH_optimality_gap.json",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite BENCH_optimality_gap.json from this run",
-    )
-    args = parser.parse_args(argv)
-
-    seeds = QUICK_SEEDS if args.quick else SEEDS
+def _run(quick: bool):
+    seeds = QUICK_SEEDS if quick else SEEDS
     entries, skipped = run_quality(seeds)
     _emit(entries, skipped)
-
     payload = {
         "benchmark": "optimality_gap",
         "workload": f"random_layered_trace({N_OPS}, width=3, seed)",
@@ -244,20 +226,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "skipped": skipped,
         "entries": list(entries),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    emit_json(payload, RESULTS_DIR / "optimality_gap.json")
-    if args.update:
-        emit_json(payload, BASELINE_PATH)
-        print(f"baseline written: {BASELINE_PATH}")
+    return entries, payload
 
-    if args.check:
-        failures = check_against_baseline(entries, load_json(BASELINE_PATH))
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("optimality gap within baseline tolerance")
-    return 0
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return gated_main(
+        argv,
+        description=__doc__.splitlines()[0],
+        baseline=BASELINE_PATH,
+        quick_help="fewer seeds for the CI smoke job",
+        check_help="fail when a method's gap vs the static bound regresses "
+                   ">25%% against the checked-in BENCH_optimality_gap.json",
+        run=_run,
+        check=check_against_baseline,
+        passed=lambda entries: "optimality gap within baseline tolerance",
+    )
 
 
 if __name__ == "__main__":

@@ -14,17 +14,16 @@ cases: a value with no uses is killed by its own definition, and a value
 whose maximal uses are unique has a forced killer.
 
 The cover search runs on packed int bitmasks (one bit per contested
-value) shared with the rest of the measurement core; the set-based
-originals survive behind the ``legacy`` engine of
-:mod:`repro.graph.bitset` and both make byte-identical choices — the
-greedy tie-break (largest gain, then smallest node) and the
-branch-and-bound order, bounds, and budgets are preserved exactly.
+value) shared with the rest of the measurement core.  The frozenset
+originals live on in :mod:`repro.reference`; both make byte-identical
+choices — the greedy tie-break (largest gain, then smallest node) and
+the branch-and-bound order, bounds, and budgets are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro import obs
 from repro.core.reuse import ValueInfo
@@ -71,13 +70,6 @@ def candidate_killers(dag: DependenceDAG, value: ValueInfo) -> List[int]:
         # Zero or one use: trivially maximal, no reachability needed
         # (callers probe values whose uses may not even be in this DAG).
         return uses
-    if bitset.active_engine() == "legacy":
-        maximal = [
-            u
-            for u in uses
-            if not any(other != u and dag.reaches(u, other) for other in uses)
-        ]
-        return sorted(maximal)
     desc, node_index, _ = dag.closure_masks()
     use_mask = 0
     for u in uses:
@@ -121,38 +113,19 @@ def select_kill(
 
     universe = sorted(contested)
     candidate_nodes = sorted({c for cands in contested.values() for c in cands})
-    if bitset.active_engine() == "legacy":
-        covers: Dict[int, FrozenSet[str]] = {
-            node: frozenset(
-                name for name in universe if node in contested[name]
-            )
-            for node in candidate_nodes
-        }
-        greedy = lambda: _greedy_cover_sets(  # noqa: E731
-            universe, candidate_nodes, covers
-        )
-        exact_cover = lambda: _exact_cover_sets(  # noqa: E731
-            universe, candidate_nodes, covers
-        )
-    else:
-        value_bit = {name: i for i, name in enumerate(universe)}
-        cover_masks = {node: 0 for node in candidate_nodes}
-        for name, cands in contested.items():
-            bit = 1 << value_bit[name]
-            for node in cands:
-                cover_masks[node] |= bit
-        universe_mask = (1 << len(universe)) - 1
-        greedy = lambda: _greedy_cover_masks(  # noqa: E731
-            universe_mask, candidate_nodes, cover_masks
-        )
-        exact_cover = lambda: _exact_cover_masks(  # noqa: E731
-            universe_mask, candidate_nodes, cover_masks
-        )
+    value_bit = {name: i for i, name in enumerate(universe)}
+    cover_masks = {node: 0 for node in candidate_nodes}
+    for name, cands in contested.items():
+        bit = 1 << value_bit[name]
+        for node in cands:
+            cover_masks[node] |= bit
+    universe_mask = (1 << len(universe)) - 1
 
     if len(candidate_nodes) <= exact_limit:
-        chosen, complete = exact_cover()
-        exact = complete
-        if complete:
+        chosen, exact = _exact_cover_masks(
+            universe_mask, candidate_nodes, cover_masks
+        )
+        if exact:
             obs.count("kill.exact_covers")
         else:
             obs.count("resilience.kill_cover_truncated")
@@ -162,7 +135,7 @@ def select_kill(
                 candidates=len(candidate_nodes),
             )
     else:
-        chosen = greedy()
+        chosen = _greedy_cover_masks(universe_mask, candidate_nodes, cover_masks)
         exact = False
         obs.count("kill.greedy_covers")
 
@@ -219,76 +192,6 @@ def _greedy_cover_masks(
         chosen.append(node)
         uncovered &= ~gain_mask
     return chosen
-
-
-def _greedy_cover_sets(
-    universe: List[str],
-    nodes: List[int],
-    covers: Mapping[int, FrozenSet[str]],
-) -> List[int]:
-    """The original frozenset greedy cover (the ``legacy`` engine)."""
-    uncovered: Set[str] = set(universe)
-    chosen: List[int] = []
-    while uncovered:
-        best = max(nodes, key=lambda n: (len(covers[n] & uncovered), -n))
-        gain = covers[best] & uncovered
-        if not gain:  # pragma: no cover - every value has >= 1 candidate
-            raise AssertionError("uncoverable value in kill selection")
-        chosen.append(best)
-        uncovered -= gain
-    return chosen
-
-
-def _exact_cover_sets(
-    universe: List[str],
-    nodes: List[int],
-    covers: Mapping[int, FrozenSet[str]],
-    node_budget: int = EXACT_COVER_NODE_BUDGET,
-) -> Tuple[List[int], bool]:
-    """The original frozenset branch-and-bound (the ``legacy`` engine)."""
-    best_solution = _greedy_cover_sets(universe, nodes, covers)
-    best_size = len(best_solution)
-    universe_set = frozenset(universe)
-
-    ordered = sorted(nodes, key=lambda n: -len(covers[n]))
-    max_cover = max((len(covers[n]) for n in ordered), default=1)
-
-    deadline = budgets.active_deadline()
-    explored = 0
-    truncated = False
-
-    def search(index: int, chosen: List[int], covered: FrozenSet[str]) -> None:
-        nonlocal best_solution, best_size, explored, truncated
-        if truncated:
-            return
-        explored += 1
-        if explored > node_budget or (
-            deadline is not None
-            and explored % 256 == 0
-            and deadline.expired()
-        ):
-            truncated = True
-            return
-        if covered == universe_set:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_solution = list(chosen)
-            return
-        if index >= len(ordered) or len(chosen) >= best_size - 1:
-            return
-        remaining = len(universe_set - covered)
-        if len(chosen) + (remaining + max_cover - 1) // max_cover >= best_size:
-            return
-        node = ordered[index]
-        gain = covers[node] - covered
-        if gain:
-            chosen.append(node)
-            search(index + 1, chosen, covered | gain)
-            chosen.pop()
-        search(index + 1, chosen, covered)
-
-    search(0, [], frozenset())
-    return best_solution, not truncated
 
 
 def _exact_cover_masks(

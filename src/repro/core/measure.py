@@ -153,7 +153,7 @@ def measure_registers(
     element_node = {v.name: v.def_uid for v in values}
 
     # A value's nesting level is its defining node's; the hammock priority
-    # abs(level(a) - level(b)) then matches the legacy per-pair callback.
+    # abs(level(a) - level(b)) then matches the per-pair edge_priority.
     node_levels = analysis.nesting_levels()
     value_levels = {name: node_levels[uid] for name, uid in element_node.items()}
     decomposition = minimum_chain_decomposition(order, levels=value_levels)

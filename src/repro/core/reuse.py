@@ -21,20 +21,18 @@ The orders are built directly in bitmask form: one reverse-topological
 sweep (:func:`_element_reach`) computes, per DAG node, the *element
 bitmask* reachable below it, so each relation costs O(E) big-int ORs
 instead of one descendant-set expansion per element.  The original
-per-element loops survive as ``*_reference`` (and behind the ``legacy``
-engine of :mod:`repro.graph.bitset`) for the property fuzz and the
-benchmark baseline; both constructions produce the identical relation.
+per-element loops live on in :mod:`repro.reference`; both constructions
+produce the identical relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import PartialOrder
-from repro.ir.opcodes import Opcode
 from repro.machine.model import MachineModel
 
 
@@ -125,24 +123,9 @@ def can_reuse_fu(dag: DependenceDAG, elements: List[int]) -> PartialOrder:
     Reachability may pass through nodes outside ``elements`` (a multiply
     can reuse a unit freed by an op reached through ALU work).
     """
-    if bitset.active_engine() == "legacy":
-        return can_reuse_fu_reference(dag, elements)
     seed_bits = {uid: 1 << i for i, uid in enumerate(elements)}
     down = _element_reach(dag, seed_bits)
     return PartialOrder.from_masks(elements, [down[a] for a in elements])
-
-
-def can_reuse_fu_reference(
-    dag: DependenceDAG, elements: List[int]
-) -> PartialOrder:
-    """The original per-element construction (fuzz/benchmark reference)."""
-    element_set = set(elements)
-    pairs = []
-    for a in elements:
-        for b in sorted(dag.descendants(a)):
-            if b in element_set:
-                pairs.append((a, b))
-    return PartialOrder.from_pairs(elements, pairs)
 
 
 # ======================================================================
@@ -162,8 +145,6 @@ def can_reuse_registers_sound(
     width can fall below the true worst case (Theorem 2), which is the
     leakage the assignment phase must absorb.
     """
-    if bitset.active_engine() == "legacy":
-        return can_reuse_registers_sound_reference(dag, values)
     names = [v.name for v in values]
     def_bits_at: Dict[int, int] = {}
     for i, v in enumerate(values):
@@ -192,39 +173,6 @@ def can_reuse_registers_sound(
     return PartialOrder.from_masks(names, masks)
 
 
-def can_reuse_registers_sound_reference(
-    dag: DependenceDAG,
-    values: List[ValueInfo],
-) -> PartialOrder:
-    """The original per-value construction (fuzz/benchmark reference)."""
-    names = [v.name for v in values]
-    def_of = {v.name: v.def_uid for v in values}
-    pairs: List[Tuple[str, str]] = []
-    for u in values:
-        uses = list(u.use_uids)
-        maximal = [
-            m
-            for m in uses
-            if not any(other != m and dag.reaches(m, other) for other in uses)
-        ]
-        if not maximal:
-            # Dead value: free as soon as it is written.
-            reachable = dag.descendants(u.def_uid)
-            for w in values:
-                if w.name != u.name and def_of[w.name] in reachable:
-                    pairs.append((u.name, w.name))
-            continue
-        if dag.exit in maximal:
-            continue  # live-out: never reusable
-        for w in values:
-            if w.name == u.name:
-                continue
-            dw = def_of[w.name]
-            if all(m == dw or dag.reaches(m, dw) for m in maximal):
-                pairs.append((u.name, w.name))
-    return PartialOrder.from_pairs(names, pairs)
-
-
 # ======================================================================
 # CanReuse_Reg under a Kill() assignment.
 # ======================================================================
@@ -239,8 +187,6 @@ def can_reuse_registers(
     or a descendant of it: in no legal schedule can ``w`` be computed
     while ``u``'s register is still needed.
     """
-    if bitset.active_engine() == "legacy":
-        return can_reuse_registers_reference(dag, values, kill)
     names = [v.name for v in values]
     def_bits_at: Dict[int, int] = {}
     for i, v in enumerate(values):
@@ -259,30 +205,3 @@ def can_reuse_registers(
             mask = down[killer] | def_bits_at.get(killer, 0)
         masks.append(mask & ~(1 << i))
     return PartialOrder.from_masks(names, masks)
-
-
-def can_reuse_registers_reference(
-    dag: DependenceDAG,
-    values: List[ValueInfo],
-    kill: Mapping[str, int],
-) -> PartialOrder:
-    """The original per-value construction (fuzz/benchmark reference)."""
-    names = [v.name for v in values]
-    def_of = {v.name: v.def_uid for v in values}
-    pairs: List[Tuple[str, str]] = []
-    for u in values:
-        killer = kill[u.name]
-        if killer == u.def_uid:
-            reachable = dag.descendants(u.def_uid)
-            for w in values:
-                if w.name != u.name and def_of[w.name] in reachable:
-                    pairs.append((u.name, w.name))
-            continue
-        reachable = dag.descendants(killer)
-        for w in values:
-            if w.name == u.name:
-                continue
-            dw = def_of[w.name]
-            if dw == killer or dw in reachable:
-                pairs.append((u.name, w.name))
-    return PartialOrder.from_pairs(names, pairs)

@@ -13,12 +13,6 @@ from repro.graph.dilworth import (
     width,
 )
 from repro.graph.hammock import Hammock, HammockAnalysis
-from repro.graph.matching import (
-    PrioritizedMatcher,
-    hopcroft_karp,
-    maximum_matching,
-    minimum_vertex_cover,
-)
 
 __all__ = [
     "BitsetKuhn",
@@ -30,15 +24,11 @@ __all__ = [
     "HammockAnalysis",
     "PartialOrder",
     "PartialOrderError",
-    "PrioritizedMatcher",
     "bitset",
     "closure_from_dag_pairs",
-    "hopcroft_karp",
     "hopcroft_karp_masks",
     "koenig_cover_masks",
     "maximum_antichain",
-    "maximum_matching",
     "minimum_chain_decomposition",
-    "minimum_vertex_cover",
     "width",
 ]

@@ -12,33 +12,28 @@ big-int ops that the interpreter executes 64 bits at a time, which is
 where the measured ~10x over the dict-of-sets loops comes from (see
 ``docs/performance.md`` and ``BENCH_measurement_scaling.json``).
 
-Two matchers are provided, each an *index-space replica* of its
-dict-of-sets reference in :mod:`repro.graph.matching`:
+Two matchers are provided; each replicates, in index space, the
+dict-of-sets matcher kept in :mod:`repro.reference` (the oracle the
+property fuzz and the measurement benchmark compare against):
 
 * :class:`BitsetKuhn` — priority-batched Kuhn augmentation, mirroring
-  ``PrioritizedMatcher`` bit for bit: same left iteration order, same
-  DFS neighbour order, hence the *same matching* and the same chain
-  decomposition.  Used wherever the paper's hammock-priority scheme is
-  load-bearing (``core/measure.py``).
+  ``reference.PrioritizedMatcher`` bit for bit: same left iteration
+  order, same DFS neighbour order, hence the *same matching* and the
+  same chain decomposition.  Used wherever the paper's hammock-priority
+  scheme is load-bearing (``core/measure.py``).
 * :func:`hopcroft_karp_masks` — Hopcroft–Karp with bitmask adjacency
-  and batched BFS frontier masks, mirroring ``matching.hopcroft_karp``.
-  The default matcher when no priorities are requested, and the engine
+  and batched BFS frontier masks, mirroring ``reference.hopcroft_karp``.
+  The default matcher when no priorities are requested, and the kernel
   behind antichains/width via :func:`koenig_cover_masks`.
 
-Both honour the active :mod:`repro.resilience` deadline exactly like
-their references: stopping early leaves a valid (possibly non-maximum)
-matching, which overestimates chain counts — the conservative direction.
-
-The module-level *engine switch* selects between these kernels and the
-legacy dict-of-sets code paths repo-wide; the legacy engine is kept as
-the reference the property fuzz (``tests/test_bitset_kernels.py``) and
-the checked-in benchmark baseline compare against.
+Both honour the active :mod:`repro.resilience` deadline: stopping early
+leaves a valid (possibly non-maximum) matching, which overestimates
+chain counts — the conservative direction.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.resilience import budgets
@@ -71,46 +66,16 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
-# ======================================================================
-# Engine selection.
-# ======================================================================
-_ENGINE = "bitset"
-_ENGINES = ("bitset", "legacy")
-
-
-def active_engine() -> str:
-    """The measurement engine in effect: ``"bitset"`` or ``"legacy"``."""
-    return _ENGINE
-
-
-def set_engine(name: str) -> None:
-    global _ENGINE
-    if name not in _ENGINES:
-        raise ValueError(f"unknown engine {name!r}; expected one of {_ENGINES}")
-    _ENGINE = name
-
-
-@contextmanager
-def engine(name: str) -> Iterator[None]:
-    """Temporarily switch the measurement engine (fuzz + benchmarks)."""
-    previous = _ENGINE
-    set_engine(name)
-    try:
-        yield
-    finally:
-        set_engine(previous)
-
-
 def _degraded(site: str) -> None:
-    """An expired deadline stopped a matcher early (see matching.py:
-    fewer augmenting passes => more chains => requirement overestimated,
-    which is the conservative direction)."""
+    """An expired deadline stopped a matcher early: fewer augmenting
+    passes => more chains => requirement overestimated, which is the
+    conservative direction."""
     obs.count("resilience.matching_degraded")
     obs.event("resilience.degraded", site=site)
 
 
 # ======================================================================
-# Priority-batched Kuhn matching (PrioritizedMatcher replica).
+# Priority-batched Kuhn matching (reference.PrioritizedMatcher replica).
 # ======================================================================
 class BitsetKuhn:
     """Kuhn augmenting-path matching over bitmask adjacency, in priority
@@ -122,7 +87,7 @@ class BitsetKuhn:
     ``PrioritizedMatcher`` walks its adjacency lists (earlier batches
     first, ascending index within a batch) — the resulting matching is
     identical, which is what keeps chain decompositions bit-identical to
-    the legacy path.  Augmentation never unmatches a vertex, so edges
+    the reference.  Augmentation never unmatches a vertex, so edges
     matched in high-priority (intra-hammock) batches persist.
     """
 
@@ -368,7 +333,7 @@ def hopcroft_karp_masks(
     """Maximum matching over bitmask adjacency; returns ``(match_left,
     match_right)`` index arrays (-1 = unmatched).
 
-    Index-space replica of :func:`repro.graph.matching.hopcroft_karp`
+    Index-space replica of :func:`repro.reference.hopcroft_karp`
     for adjacency sorted ascending per left (which is how
     ``PartialOrder`` enumerates pairs), so both produce the same
     matching — and hence the same König cover and the same antichain.
@@ -479,7 +444,7 @@ def koenig_cover_masks(
 
     Returns ``(visited_left, visited_right)`` masks; the minimum vertex
     cover is (matched lefts not visited) ∪ (visited rights), exactly as
-    :func:`repro.graph.matching.minimum_vertex_cover` computes it — the
+    :func:`repro.reference.minimum_vertex_cover` computes it — the
     visited sets depend only on the matching, not on traversal order.
     """
     visited_l = 0

@@ -12,10 +12,9 @@ matchers run directly on those masks (:mod:`repro.graph.bitset`):
 Hopcroft–Karp for plain decompositions, antichains, and width; the
 priority-batched Kuhn replica wherever the paper's hammock-priority
 insertion order is load-bearing.  The dict-of-sets view (``above``) is
-materialized lazily for callers that still want it, and the original
-dict-based engine survives behind ``engine="legacy"`` /
-:func:`repro.graph.bitset.engine` as the reference the property fuzz and
-the checked-in benchmark baseline compare against.  Both engines produce
+materialized lazily for callers that still want it.  The original
+dict-based kernels live on in :mod:`repro.reference`, the oracle the
+property fuzz and the measurement benchmark compare against; both produce
 bit-identical decompositions, antichains, and widths.
 """
 
@@ -38,12 +37,6 @@ from typing import (
 
 from repro import obs
 from repro.graph import bitset
-from repro.graph.matching import (
-    PrioritizedMatcher,
-    hopcroft_karp,
-    maximum_matching,
-    minimum_vertex_cover,
-)
 
 Element = Hashable
 
@@ -229,6 +222,22 @@ class ChainDecomposition:
     #: the matching that produced the decomposition (element -> successor).
     successor: Dict[Element, Element] = field(default_factory=dict)
 
+    @classmethod
+    def from_successors(
+        cls, order: PartialOrder, successor: Mapping[Element, Element]
+    ) -> "ChainDecomposition":
+        """Follow matched successor links from every chain head."""
+        has_predecessor: Set[Element] = set(successor.values())
+        chains: List[List[Element]] = []
+        for element in order.elements:
+            if element in has_predecessor:
+                continue
+            chain = [element]
+            while chain[-1] in successor:
+                chain.append(successor[chain[-1]])
+            chains.append(chain)
+        return cls(order, chains, successor=dict(successor))
+
     @property
     def width(self) -> int:
         return len(self.chains)
@@ -267,7 +276,6 @@ def minimum_chain_decomposition(
     order: PartialOrder,
     priority: Optional[Callable[[Element, Element], int]] = None,
     levels: Optional[Mapping[Element, int]] = None,
-    engine: Optional[str] = None,
 ) -> ChainDecomposition:
     """Minimum chain decomposition via maximum bipartite matching [FoF65].
 
@@ -280,51 +288,14 @@ def minimum_chain_decomposition(
     for nested hammocks as well as the whole DAG.  ``levels`` is the fast
     spelling of the same scheme for the standard priority
     ``abs(level(a) - level(b))`` (hammock nesting depth): batches are
-    formed by mask intersection instead of one callback per pair.  Both
-    engines (``"bitset"``, the default, and ``"legacy"``) produce the
-    identical decomposition — the bitset Kuhn replica enumerates
-    neighbours in exactly the order ``PrioritizedMatcher`` does.
+    formed by mask intersection instead of one callback per pair.
     """
     if priority is not None and levels is not None:
         raise ValueError("pass either priority or levels, not both")
-    selected = engine or bitset.active_engine()
-    if selected == "legacy":
-        match = _legacy_match(order, priority, levels)
-    else:
-        match = _bitset_match(order, priority, levels)
-
-    has_predecessor: Set[Element] = set(match.values())
-    chains: List[List[Element]] = []
-    for element in order.elements:
-        if element in has_predecessor:
-            continue
-        chain = [element]
-        while chain[-1] in match:
-            chain.append(match[chain[-1]])
-        chains.append(chain)
+    match = _bitset_match(order, priority, levels)
     obs.count("dilworth.decompositions")
     obs.count("dilworth.matched_pairs", len(match))
-    return ChainDecomposition(order, chains, successor=dict(match))
-
-
-def _legacy_match(
-    order: PartialOrder,
-    priority: Optional[Callable[[Element, Element], int]],
-    levels: Optional[Mapping[Element, int]],
-) -> Dict[Element, Element]:
-    """The original dict-of-sets matching path (reference engine)."""
-    if priority is None and levels is not None:
-        priority = lambda a, b: abs(levels[a] - levels[b])  # noqa: E731
-    pairs = order.pairs()
-    if priority is None:
-        return maximum_matching(pairs)
-    matcher = PrioritizedMatcher()
-    batches: Dict[int, List[Tuple[Element, Element]]] = {}
-    for a, b in pairs:
-        batches.setdefault(priority(a, b), []).append((a, b))
-    for key in sorted(batches):
-        matcher.add_edges(batches[key])
-    return dict(matcher.match_left)
+    return ChainDecomposition.from_successors(order, match)
 
 
 def _bitset_match(
@@ -333,8 +304,7 @@ def _bitset_match(
     levels: Optional[Mapping[Element, int]],
 ) -> Dict[Element, Element]:
     """Mask-native matching: Hopcroft–Karp when unprioritized, the
-    batched Kuhn replica (identical matching to ``PrioritizedMatcher``)
-    otherwise."""
+    priority-batched Kuhn replica otherwise."""
     n = len(order.elements)
     elements = order.elements
     masks = order.masks
@@ -387,8 +357,8 @@ def _bitset_match(
                 if not pending:
                     break
     else:
-        # Arbitrary callable: batch in pairs() order, exactly as the
-        # legacy path does (the callable sees the same call sequence).
+        # Arbitrary callable: batch in pairs() order, so the callable
+        # sees one call per related pair in a deterministic sequence.
         index = order.index
         batches: Dict[int, Dict[int, int]] = {}
         for a, b in order.pairs():
@@ -404,28 +374,14 @@ def _bitset_match(
     }
 
 
-def maximum_antichain(
-    order: PartialOrder, engine: Optional[str] = None
-) -> Set[Element]:
+def maximum_antichain(order: PartialOrder) -> Set[Element]:
     """An antichain of maximum size, via König's theorem.
 
     By Dilworth, its size equals the width returned by
-    :func:`minimum_chain_decomposition`.  Both engines yield the *same*
-    antichain, not merely one of the same size — the allocator's
-    fallback candidates are built from its members.
+    :func:`minimum_chain_decomposition`.  The antichain is a deterministic
+    function of the order (the allocator's fallback candidates are built
+    from its members).
     """
-    selected = engine or bitset.active_engine()
-    if selected == "legacy":
-        pairs = order.pairs()
-        matching = hopcroft_karp(order.elements, pairs)
-        cover_left, cover_right = minimum_vertex_cover(
-            order.elements, order.elements, pairs, matching
-        )
-        return {
-            element
-            for element in order.elements
-            if element not in cover_left and element not in cover_right
-        }
     n = len(order.elements)
     masks = order.masks
     match_left, match_right = bitset.hopcroft_karp_masks(n, n, masks)
@@ -441,15 +397,11 @@ def maximum_antichain(
     }
 
 
-def width(order: PartialOrder, engine: Optional[str] = None) -> int:
+def width(order: PartialOrder) -> int:
     """The width (maximum antichain size) of the partial order."""
-    selected = engine or bitset.active_engine()
-    if selected == "legacy":
-        matching = hopcroft_karp(order.elements, order.pairs())
-        return len(order.elements) - len(matching)
     n = len(order.elements)
     match_left, _ = bitset.hopcroft_karp_masks(n, n, order.masks)
-    return n - (n - match_left.count(-1))
+    return match_left.count(-1)
 
 
 def transitive_reduction(order: PartialOrder) -> List[Tuple[Element, Element]]:

@@ -31,9 +31,6 @@ Capability flags
 ``anytime``          under an expiring :class:`~repro.resilience.Deadline`
                      the backend returns its best-so-far answer instead
                      of raising;
-``supports_engines`` the backend consults the bitset measurement/bounds
-                     kernels, so ``repro.graph.bitset.set_engine``
-                     affects it;
 ``can_spill``        the backend may insert spill code.  Backends with
                      ``can_spill=False`` are provably doomed whenever
                      the static register-pressure floor exceeds the
@@ -82,7 +79,6 @@ class Backend:
     exact: bool = False
     always_feasible: bool = False
     anytime: bool = False
-    supports_engines: bool = False
     can_spill: bool = True
     # -- registry tags --------------------------------------------------
     #: member of the default ``compare_methods`` / ``repro compare`` set.
@@ -128,7 +124,6 @@ class Backend:
             "exact": self.exact,
             "always_feasible": self.always_feasible,
             "anytime": self.anytime,
-            "supports_engines": self.supports_engines,
             "can_spill": self.can_spill,
         }
 

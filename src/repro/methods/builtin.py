@@ -87,7 +87,6 @@ register(Backend(
     name="ursa",
     summary="URSA integrated register+FU measurement/reduction allocator",
     anytime=True,
-    supports_engines=True,
     default_compare=True,
     fallback="ursa-phased",
     cost_hint=80,
@@ -97,7 +96,6 @@ register(Backend(
     name="ursa-phased",
     summary="URSA with registers reduced to feasibility before FUs",
     anytime=True,
-    supports_engines=True,
     fallback="ursa-spill",
     cost_hint=70,
     policy=Policy.PHASED,
@@ -106,7 +104,6 @@ register(Backend(
     name="ursa-seq",
     summary="URSA restricted to sequentialization transforms (no spills)",
     anytime=True,
-    supports_engines=True,
     can_spill=False,
     fallback="ursa-spill",
     cost_hint=60,
@@ -116,7 +113,6 @@ register(Backend(
     name="ursa-spill",
     summary="URSA restricted to spill transforms",
     anytime=True,
-    supports_engines=True,
     fallback="spill-everywhere",
     cost_hint=60,
     policy=Policy.SPILL_ONLY,

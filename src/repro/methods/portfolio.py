@@ -93,10 +93,7 @@ class _MemberOutcome:
 
 def _race_worker(payload: Tuple) -> Tuple:
     """Pool entry point; must stay module-level (pickled by name)."""
-    method, dag, machine, seconds, engine = payload
-    from repro.graph.bitset import set_engine
-
-    set_engine(engine)
+    method, dag, machine, seconds = payload
     from repro.pipeline import compile_trace
     from repro.resilience.budgets import Deadline
 
@@ -169,14 +166,10 @@ def _pool_race(
     Returns None when the pool cannot run at all (the caller degrades
     to the serial path under the same deadline).
     """
-    from repro.graph.bitset import active_engine
     from repro.serve.shard import POOL_ERRORS
 
     seconds = deadline.remaining_seconds()
-    payloads = [
-        (member, dag, machine, seconds, active_engine())
-        for member in members
-    ]
+    payloads = [(member, dag, machine, seconds) for member in members]
     try:
         pickle.dumps(payloads[0])
     except Exception:

@@ -189,7 +189,7 @@ class capture:
 
         with obs.capture() as trace:
             compile_trace(...)
-        print(trace.counters["matching.augments"])
+        print(trace.counters["matching.augmenting_paths"])
 
     Captures nest: the innermost one receives the records.  On exit the
     observer is finished (counter/peak totals appended) and popped.

@@ -4,8 +4,8 @@ Three layers, each usable alone (tour in ``docs/serving.md``):
 
 * :mod:`repro.serve.cache` — a content-addressed persistent compile
   cache (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``) keyed on
-  trace text + machine fingerprint + method + engine + pipeline
-  version.  Plug it into :func:`repro.program_compiler.compile_program`
+  trace text + machine fingerprint + method + pipeline version.
+  Plug it into :func:`repro.program_compiler.compile_program`
   via ``cache=True`` (or a path, or a :class:`CompileCache`).
 * :mod:`repro.serve.shard` — sharded parallel compilation: a program's
   traces fanned over a ``multiprocessing`` pool (``jobs=N``), bit-

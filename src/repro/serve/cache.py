@@ -13,8 +13,7 @@ compiled form —
   exotic callables),
 * the machine fingerprint (FU classes, latencies, pipelining, register
   files, classifier identity),
-* the compilation method, the active measurement engine
-  (``bitset``/``legacy``), and the pipeline cache version —
+* the compilation method and the pipeline cache version —
 
 keys a pickled :class:`TraceArtifact` (the VLIW program plus its
 schedule-length estimate) in an on-disk object store rooted at
@@ -43,7 +42,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.ir.instructions import Instruction
@@ -57,7 +56,7 @@ from repro.machine.vliw import VLIWProgram
 #: Bumped whenever compiled-artifact layout or pipeline output changes
 #: in a way that would make replaying an old artifact wrong.  Part of
 #: every cache key, so stale stores simply stop hitting.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment override for the store location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -125,7 +124,6 @@ def trace_key(
     instructions: Sequence[Instruction],
     machine: MachineModel,
     method: str,
-    engine: Optional[str] = None,
     extra: Iterable[object] = (),
 ) -> str:
     """The content address of one trace compilation.
@@ -135,10 +133,6 @@ def trace_key(
     what makes cross-run and cross-user hits possible.  ``extra``
     admits caller-specific discriminators (e.g. a resilience mode).
     """
-    if engine is None:
-        from repro.graph.bitset import active_engine
-
-        engine = active_engine()
     classes = {
         name: machine.reg_class_of(name)
         for name in _value_names(instructions)
@@ -149,7 +143,6 @@ def trace_key(
         "classes": classes,
         "machine": machine_fingerprint(machine),
         "method": method,
-        "engine": engine,
         "extra": [str(item) for item in extra],
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))

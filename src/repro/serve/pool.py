@@ -76,7 +76,7 @@ class ShardTask:
     chaos_sleep_s: float = 0.0
 
 
-def _pool_worker_main(worker_id: int, inbox, outbox, engine: str) -> None:
+def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
     """Long-lived worker loop: compile shards until the ``None`` sentinel.
 
     Runs in the forked child.  SIGINT is ignored (Ctrl-C belongs to the
@@ -87,10 +87,8 @@ def _pool_worker_main(worker_id: int, inbox, outbox, engine: str) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    from repro.graph.bitset import set_engine
     from repro.serve import shard as shard_mod
 
-    set_engine(engine)
     while True:
         try:
             task = inbox.get(timeout=HEARTBEAT_INTERVAL_S)
@@ -167,9 +165,6 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             self._ctx = multiprocessing.get_context()
-        from repro.graph.bitset import active_engine
-
-        self._engine = active_engine()
         self._outbox = self._ctx.Queue()
         self._handles: List[Optional[_WorkerHandle]] = [None] * self.size
         self._batch_lock = threading.Lock()
@@ -183,7 +178,7 @@ class WorkerPool:
         inbox = self._ctx.Queue()
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(worker_id, inbox, self._outbox, self._engine),
+            args=(worker_id, inbox, self._outbox),
             daemon=True,
         )
         process.start()
@@ -245,7 +240,6 @@ class WorkerPool:
             if state.alive and (handle is None or not handle.process.is_alive()):
                 state.alive = False
         snap = self.supervisor.snapshot()
-        snap["engine"] = self._engine
         snap["closed"] = self._closed
         return snap
 

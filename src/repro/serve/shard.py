@@ -106,10 +106,7 @@ def _compile_one(
 
 def _worker(payload: Tuple) -> Tuple[int, Optional[TraceArtifact], Optional[str]]:
     """Pool entry point; must stay module-level (pickled by name)."""
-    index, key, instructions, machine, method, deadline_ms, resilient, engine = payload
-    from repro.graph.bitset import set_engine
-
-    set_engine(engine)
+    index, key, instructions, machine, method, deadline_ms, resilient = payload
     try:
         artifact = _compile_one(
             instructions, machine, method, deadline_ms, resilient, key
@@ -134,12 +131,8 @@ def compile_shards(
     its worker is recompiled serially in the parent so its exception
     surfaces with the original type.
     """
-    from repro.graph.bitset import active_engine
-
-    engine = active_engine()
     payloads = [
-        (i, key, list(instructions), machine, method, deadline_ms,
-         resilient, engine)
+        (i, key, list(instructions), machine, method, deadline_ms, resilient)
         for i, (key, instructions) in enumerate(shards)
     ]
     try:

@@ -462,9 +462,14 @@ class TestContractLint:
                 "obs.count('BadName')\n"
                 "obs.span('ok.name', n=1)\n"
                 "TransformCandidate(kind='never-registered')\n"
+                "from repro.reference import measure_all\n"
+                "from repro import reference\n"
             )
+            # The oracle itself may import anything, including its own
+            # package; only other modules are held to C004.
+            (pkg / "reference.py").write_text("import repro.reference\n")
             findings = lint_contracts.run(tmp_path)
             codes = sorted(f.code for f in findings)
-            assert codes == ["C001", "C002", "C003"]
+            assert codes == ["C001", "C002", "C003", "C004", "C004"]
         finally:
             sys.path.pop(0)

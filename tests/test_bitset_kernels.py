@@ -1,14 +1,15 @@
 """Property fuzz and unit tests for the bitset measurement kernels.
 
-The bitset engine's contract is *bit-identity*: every kernel — chain
+The bitset kernels' contract is *bit-identity*: every kernel — chain
 decomposition, antichain extraction, reuse-relation construction, kill
 selection, the full ``measure_all`` — must produce exactly what the
-legacy (dict-of-sets) path produces, not merely results of equal size.
-These tests fuzz that claim over seeded random DAGs, and pin down the
-shared uid<->bit index table's stability under transaction rollback
-(the property ``repro.pm``'s warm re-measurement relies on).
+dict-of-sets oracle in :mod:`repro.reference` produces, not merely
+results of equal size.  These tests fuzz that claim over seeded random
+DAGs, and pin down the shared uid<->bit index table's stability under
+transaction rollback (the property ``repro.pm``'s warm re-measurement
+relies on).
 
-Engine comparisons always run both engines on the *same* DAG instance:
+Oracle comparisons always run both sides on the *same* DAG instance:
 uids come from a global counter, so two separately-built DAGs of the
 same trace get different uids and are not comparable.
 """
@@ -17,22 +18,22 @@ import random
 
 import pytest
 
+from repro import reference
 from repro.core.kill import select_kill
 from repro.core.measure import measure_all
 from repro.core.reuse import (
     can_reuse_fu,
-    can_reuse_fu_reference,
+    can_reuse_registers,
     can_reuse_registers_sound,
-    can_reuse_registers_sound_reference,
     collect_values,
 )
 from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import (
-    PartialOrder,
     closure_from_dag_pairs,
     maximum_antichain,
     minimum_chain_decomposition,
+    width as dilworth_width,
 )
 from repro.machine.model import MachineModel
 from repro.workloads.random_dags import random_layered_trace
@@ -83,12 +84,12 @@ class TestDecompositionIdentity:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_unprioritized_same_width_and_valid(self, seed):
         # The unprioritized path intentionally swaps matchers (batched
-        # Hopcroft-Karp vs legacy Kuhn): chain *sets* may differ, the
+        # Hopcroft-Karp vs the oracle's Kuhn): chain *sets* may differ, the
         # width may not — and bit-identity is reserved for the
         # prioritized paths the measurement core uses (below).
         order = random_order(6 + seed * 3, 0.2 + 0.04 * (seed % 5), seed)
-        fast = minimum_chain_decomposition(order, engine="bitset")
-        slow = minimum_chain_decomposition(order, engine="legacy")
+        fast = minimum_chain_decomposition(order)
+        slow = reference.minimum_chain_decomposition(order)
         assert len(fast.chains) == len(slow.chains)
         for decomposition in (fast, slow):
             seen = [e for chain in decomposition.chains for e in chain]
@@ -101,8 +102,8 @@ class TestDecompositionIdentity:
     def test_levels_matches_legacy(self, seed):
         order = random_order(6 + seed * 3, 0.25, seed)
         levels = random_levels(order, seed)
-        fast = minimum_chain_decomposition(order, levels=levels, engine="bitset")
-        slow = minimum_chain_decomposition(order, levels=levels, engine="legacy")
+        fast = minimum_chain_decomposition(order, levels=levels)
+        slow = reference.minimum_chain_decomposition(order, levels=levels)
         assert decomposition_key(fast) == decomposition_key(slow)
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
@@ -110,18 +111,19 @@ class TestDecompositionIdentity:
         order = random_order(6 + seed * 2, 0.3, seed)
         levels = random_levels(order, seed + 99)
         priority = lambda a, b: abs(levels[a] - levels[b])  # noqa: E731
-        fast = minimum_chain_decomposition(order, priority=priority, engine="bitset")
-        slow = minimum_chain_decomposition(order, priority=priority, engine="legacy")
+        fast = minimum_chain_decomposition(order, priority=priority)
+        slow = reference.minimum_chain_decomposition(order, priority=priority)
         assert decomposition_key(fast) == decomposition_key(slow)
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_antichain_identical_not_just_equal_sized(self, seed):
         order = random_order(8 + seed * 3, 0.22, seed)
-        fast = maximum_antichain(order, engine="bitset")
-        slow = maximum_antichain(order, engine="legacy")
+        fast = maximum_antichain(order)
+        slow = reference.maximum_antichain(order)
         assert fast == slow
         width = len(minimum_chain_decomposition(order).chains)
-        assert len(fast) == width  # Dilworth, both engines
+        assert len(fast) == width  # Dilworth, both sides
+        assert dilworth_width(order) == reference.width(order) == width
 
 
 class TestReuseRelationIdentity:
@@ -137,16 +139,20 @@ class TestReuseRelationIdentity:
         elements = sorted(dag.op_nodes())
         assert (
             can_reuse_fu(dag, elements).pairs()
-            == can_reuse_fu_reference(dag, elements).pairs()
+            == reference.can_reuse_fu(dag, elements).pairs()
         )
         values = collect_values(dag, machine)
         assert (
             can_reuse_registers_sound(dag, values).pairs()
-            == can_reuse_registers_sound_reference(dag, values).pairs()
+            == reference.can_reuse_registers_sound(dag, values).pairs()
         )
-        with bitset.engine("legacy"):
-            legacy_kill = select_kill(dag, values)
-        assert dict(select_kill(dag, values).items()) == dict(legacy_kill.items())
+        oracle_kill = reference.select_kill(dag, values)
+        kill = select_kill(dag, values)
+        assert dict(kill.items()) == dict(oracle_kill.items())
+        assert (
+            can_reuse_registers(dag, values, kill.kill).pairs()
+            == reference.can_reuse_registers(dag, values, kill.kill).pairs()
+        )
 
 
 class TestMeasurementIdentity:
@@ -163,8 +169,7 @@ class TestMeasurementIdentity:
             rng.choice([1, 2, 4]), rng.choice([4, 8])
         )
         fast = measure_all(dag, machine)
-        with bitset.engine("legacy"):
-            slow = measure_all(dag, machine)
+        slow = reference.measure_all(dag, machine)
         assert measurement_key(fast) == measurement_key(slow)
 
 

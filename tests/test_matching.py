@@ -1,4 +1,4 @@
-"""Unit and property tests for the bipartite matching engines."""
+"""Unit and property tests for the reference bipartite matchers."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.matching import (
+from repro.reference import (
     PrioritizedMatcher,
     hopcroft_karp,
     maximum_matching,

@@ -15,7 +15,7 @@ from repro.core.kill import (
     _greedy_min_cover,
 )
 from repro.core.measure import measure_all
-from repro.graph.matching import hopcroft_karp
+from repro.graph import bitset
 from repro.machine.model import MachineModel
 from repro.pipeline import METHODS, PipelineError, build_dag, compile_trace
 from repro.resilience import (
@@ -188,19 +188,48 @@ def kernel_big():
 # Deadline-aware matching.
 # ======================================================================
 class TestMatchingDeadline:
-    EDGES = [(f"l{i}", f"r{j}") for i in range(8) for j in range(8)]
-    LEFT = [f"l{i}" for i in range(8)]
+    """The production matchers (Hopcroft–Karp on masks and the batched
+    Kuhn replica) stop early on an expired deadline, keep a valid
+    matching, and count the degradation."""
+
+    N = 8
+    ADJ = [(1 << N) - 1] * N  # complete 8x8 bipartite graph
+
+    def hopcroft_karp(self):
+        match_left, match_right = bitset.hopcroft_karp_masks(
+            self.N, self.N, self.ADJ
+        )
+        return match_left, match_right
+
+    def kuhn(self):
+        # Warm start with half the lefts matched, as incremental
+        # re-measurement resumes a cached matching.
+        half = self.N // 2
+        match = list(range(half)) + [-1] * (self.N - half)
+        matcher = bitset.BitsetKuhn.from_state(self.ADJ, match, list(match))
+        matcher.maximize()
+        return matcher.match_left, matcher.match_right
 
     def test_unbudgeted_matching_is_maximum(self):
-        matching = hopcroft_karp(self.LEFT, self.EDGES)
-        assert len(matching) == 8
+        for run in (self.hopcroft_karp, self.kuhn):
+            match_left, _ = run()
+            assert -1 not in match_left, run.__name__
 
     def test_expired_deadline_returns_partial_valid_matching(self):
-        with deadline_scope(expired_deadline()):
-            matching = hopcroft_karp(self.LEFT, self.EDGES)
-        # Possibly non-maximum, but structurally a matching.
-        assert len(set(matching.values())) == len(matching)
-        assert len(matching) <= 8
+        for run in (self.hopcroft_karp, self.kuhn):
+            with obs.capture() as observer:
+                with deadline_scope(expired_deadline()):
+                    match_left, match_right = run()
+            rights = [r for r in match_left if r >= 0]
+            # Possibly non-maximum, but structurally a matching: no right
+            # vertex matched twice, and both directions agree.
+            assert len(set(rights)) == len(rights), run.__name__
+            for left, right in enumerate(match_left):
+                if right >= 0:
+                    assert match_right[right] == left, run.__name__
+            assert observer.counters.get("resilience.matching_degraded") == 1, (
+                run.__name__
+            )
 
     def test_measurement_survives_expired_deadline(self, fig2_dag, machine44):
         honest = measure_all(fig2_dag, machine44)

@@ -96,7 +96,6 @@ class TestTraceKey:
         trace = parse_trace(TRACE_SRC)
         key = trace_key(trace, MACHINE, "ursa")
         assert key != trace_key(trace, MACHINE, "postpass")
-        assert key != trace_key(trace, MACHINE, "ursa", engine="legacy")
         assert key != trace_key(
             trace, MACHINE, "ursa", extra=("resilient",)
         )

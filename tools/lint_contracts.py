@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Three rules, each guarding an invariant the test suite cannot easily
-see because violations only bite in another process or another run:
+Four rules, each guarding an invariant the test suite cannot easily
+see because violations only bite in another process, another run, or
+only on the path a test does not take:
 
 C001  MachineModel classifiers must be named module-level functions.
       A ``lambda`` (or a function nested inside another function)
@@ -24,6 +25,12 @@ C003  Every ``TransformCandidate(kind="...")`` literal must have a
       INVALIDATES_ALL contract silently falls back to the
       conservative default and defeats incremental trial measurement
       (see ``src/repro/core/transforms/base.py`` and docs/passes.md).
+
+C004  No module under ``src/repro`` except ``reference.py`` itself may
+      import ``repro.reference``.  That module is the dict-of-sets
+      oracle the bitset measurement core is tested against; a
+      production import would bring back a second measurement engine
+      (see docs/performance.md).
 
 Usage::
 
@@ -232,6 +239,38 @@ def lint_transform_kinds(
 
 
 # ----------------------------------------------------------------------
+# C004: production imports of the reference oracle.
+# ----------------------------------------------------------------------
+ORACLE_MODULE = "repro.reference"
+
+
+def lint_oracle_imports(path: Path, tree: ast.Module) -> List[Finding]:
+    if path.as_posix().endswith("src/repro/reference.py"):
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        if any(
+            module == ORACLE_MODULE or module.startswith(ORACLE_MODULE + ".")
+            for module in modules
+        ):
+            findings.append(Finding(
+                path, node.lineno, "C004",
+                "production code imports repro.reference; that module is "
+                "the test-only oracle for the bitset measurement core, "
+                "and importing it brings back a second engine",
+            ))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
     registered = collect_registered_kinds(root)
@@ -242,6 +281,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_classifiers(rel, tree))
         findings.extend(lint_obs_names(rel, tree, schema))
         findings.extend(lint_transform_kinds(rel, tree, registered))
+        findings.extend(lint_oracle_imports(rel, tree))
     return findings
 
 
