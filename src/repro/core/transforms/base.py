@@ -122,19 +122,19 @@ class TransformCandidate:
 
 def maximal_nodes(dag: DependenceDAG, nodes: List[int]) -> List[int]:
     """Nodes in ``nodes`` with no descendant also in ``nodes``."""
+    desc, index, _ = dag.closure_masks()
     node_set = set(nodes)
-    return sorted(
-        n
-        for n in node_set
-        if not any(m != n and dag.reaches(n, m) for m in node_set)
-    )
+    set_mask = 0
+    for n in node_set:
+        set_mask |= 1 << index[n]
+    return sorted(n for n in node_set if not desc[n] & set_mask)
 
 
 def minimal_nodes(dag: DependenceDAG, nodes: List[int]) -> List[int]:
     """Nodes in ``nodes`` with no ancestor also in ``nodes``."""
+    desc, index, _ = dag.closure_masks()
     node_set = set(nodes)
-    return sorted(
-        n
-        for n in node_set
-        if not any(m != n and dag.reaches(m, n) for m in node_set)
-    )
+    below = 0  # every proper descendant of some node in the set
+    for n in node_set:
+        below |= desc[n]
+    return sorted(n for n in node_set if not below >> index[n] & 1)

@@ -18,6 +18,7 @@ spill code it synthesized) plus a physical register for every value.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -194,8 +195,7 @@ class ListScheduler:
     # ==================================================================
     def run(self) -> Schedule:
         dag, machine = self.dag, self.machine
-        ops_todo = set(dag.op_nodes())
-        issued_cycle: Dict[int, int] = {dag.entry: -1}
+        ops = dag.op_nodes()
         values: Dict[str, _ValueState] = {}
         current_name: Dict[str, str] = {}
         free_regs: Dict[str, List[int]] = {
@@ -212,16 +212,15 @@ class ListScheduler:
         spill_count = 0
 
         # ------------------------------------------------------------------
+        # Each pool is a min-heap: the lowest free register is bound first.
         def alloc_reg(cls: str) -> Optional[RegRef]:
             pool = free_regs.get(cls)
             if not pool:
                 return None
-            return RegRef(pool.pop(0), cls)
+            return RegRef(heapq.heappop(pool), cls)
 
         def release_reg(ref: RegRef) -> None:
-            pool = free_regs[ref.cls]
-            pool.append(ref.index)
-            pool.sort()
+            heapq.heappush(free_regs[ref.cls], ref.index)
 
         # Initialize value bookkeeping from the DAG.
         for name, def_uid in dag.value_defs.items():
@@ -252,39 +251,52 @@ class ListScheduler:
                 reg_assignment[name] = reg
                 live_in_regs[name] = reg
 
-        def_name_of: Dict[int, Optional[str]] = {
-            uid: dag.instruction(uid).dest for uid in ops_todo
-        }
-
-        # ------------------------------------------------------------------
-        def node_ready_cycle(uid: int) -> Optional[int]:
-            """Earliest legal issue cycle, or None when preds unissued or
-            an input is spilled (needs a reload first)."""
-            earliest = 0
-            for pred in dag.preds(uid):
-                if pred not in issued_cycle:
-                    return None
-                data = dag.graph.get_edge_data(pred, uid)
-                if data["kind"] is EdgeKind.SEQ:
-                    if data.get("reason") == "reg-reuse":
-                        # Register-reuse (anti/output) edges added by the
-                        # postpass allocator: the successor overwrites the
-                        # predecessor's register, so it must wait for the
-                        # predecessor's writeback, not just its issue.
-                        delay = max(
-                            1,
-                            self.machine.latency_of(dag.instruction(pred)),
-                        )
-                    else:
-                        delay = 1
-                    earliest = max(earliest, issued_cycle[pred] + delay)
+        def_name_of: Dict[int, Optional[str]] = {}
+        uses_of: Dict[int, Tuple[str, ...]] = {}
+        for uid in ops:
             inst = dag.instruction(uid)
-            for name in inst.uses():
-                state = values[name]
-                if self.respect_registers and state.reg is None:
-                    return None  # spilled: reload must run first
-                earliest = max(earliest, state.ready_cycle)
-            return earliest
+            def_name_of[uid] = inst.dest
+            uses_of[uid] = tuple(inst.uses())
+
+        # Dependence readiness is event-driven: each edge is read once
+        # here, and issuing an op wakes its successors.  ``dep_earliest``
+        # is the cycle every SEQ predecessor's delay has elapsed by (a
+        # DATA predecessor only has to be issued; its value's
+        # ``ready_cycle`` covers the latency), ``waiting`` counts the
+        # unissued op predecessors, and ``frontier`` holds the unissued
+        # ops whose count reached zero.
+        dep_earliest: Dict[int, int] = dict.fromkeys(ops, 0)
+        waiting: Dict[int, int] = dict.fromkeys(ops, 0)
+        wakes: Dict[int, List[Tuple[int, int]]] = {uid: [] for uid in ops}
+        for pred, uid, data in dag.edges():
+            if uid == dag.exit:
+                continue
+            if data["kind"] is not EdgeKind.SEQ:
+                delay = 0
+            elif data.get("reason") == "reg-reuse":
+                # Register-reuse (anti/output) edges added by the postpass
+                # allocator: the successor overwrites the predecessor's
+                # register, so it must wait for the predecessor's
+                # writeback, not just its issue.
+                delay = max(1, self.machine.latency_of(dag.instruction(pred)))
+            else:
+                delay = 1
+            if pred == dag.entry:  # issued at cycle -1
+                dep_earliest[uid] = max(dep_earliest[uid], delay - 1)
+            else:
+                waiting[uid] += 1
+                wakes[pred].append((uid, delay))
+        frontier: Set[int] = {uid for uid in ops if not waiting[uid]}
+
+        def wake_successors(uid: int, issued_at: int) -> None:
+            for succ, delay in wakes[uid]:
+                if delay:
+                    dep_earliest[succ] = max(
+                        dep_earliest[succ], issued_at + delay
+                    )
+                waiting[succ] -= 1
+                if not waiting[succ]:
+                    frontier.add(succ)
 
         def free_count(cls: str) -> int:
             return len(free_regs.get(cls, ()))
@@ -292,7 +304,7 @@ class ListScheduler:
         def frees_registers(uid: int) -> int:
             """How many registers issuing ``uid`` would release."""
             count = 0
-            for name in dict.fromkeys(dag.instruction(uid).uses()):
+            for name in dict.fromkeys(uses_of[uid]):
                 state = values[name]
                 if state.pending_users == {uid} and state.reg is not None:
                     count += 1
@@ -303,13 +315,14 @@ class ListScheduler:
         max_latency = max(fu.latency for fu in machine.fu_classes)
         cycle_bound = min(
             self.MAX_SCHEDULE_CYCLES,
-            64 + 20 * max_latency * (len(ops_todo) + len(values) + 4),
+            64 + 20 * max_latency * (len(ops) + len(values) + 4),
         )
-        while ops_todo:
+        ops_left = len(ops)
+        while ops_left:
             if cycle > cycle_bound:
                 raise ScheduleError(
                     f"schedule did not converge (cycle bound {cycle_bound} "
-                    f"hit with {len(ops_todo)} ops left)"
+                    f"hit with {ops_left} ops left)"
                 )
 
             # Process deferred register frees (dead defs after writeback).
@@ -322,24 +335,30 @@ class ListScheduler:
             deferred_frees = still_deferred
 
             obs.count("sched.cycles")
+            # Only dependence-ready ops are checked; the value checks stay
+            # per cycle because spills and reloads change them.
+            obs.count("sched.ready_checks", len(frontier))
             ready: List[Tuple[int, int]] = []  # (uid, earliest)
             blocked_spilled: List[int] = []
-            for uid in ops_todo:
-                earliest = node_ready_cycle(uid)
-                if earliest is None:
-                    preds_done = all(p in issued_cycle for p in dag.preds(uid))
-                    if preds_done:
+            for uid in frontier:
+                earliest = dep_earliest[uid]
+                for name in uses_of[uid]:
+                    state = values[name]
+                    if self.respect_registers and state.reg is None:
+                        # Spilled: a reload must run first.
                         blocked_spilled.append(uid)
-                    continue
-                if earliest <= cycle:
-                    ready.append((uid, earliest))
+                        break
+                    earliest = max(earliest, state.ready_cycle)
+                else:
+                    if earliest <= cycle:
+                        ready.append((uid, earliest))
             obs.count("sched.ready_total", len(ready))
             obs.peak("sched.ready_peak", len(ready))
 
             # Reload requests for spilled inputs of otherwise-ready nodes.
             reload_candidates: List[str] = []
             for uid in blocked_spilled:
-                for name in dag.instruction(uid).uses():
+                for name in uses_of[uid]:
                     state = values[name]
                     if state.reg is None and state.spill_addr is not None:
                         if state.spill_ready <= cycle:
@@ -359,7 +378,7 @@ class ListScheduler:
             # drops value X for op P and immediately reloads X for op Q.
             best_uid = self._best_blocked_uid(ready, blocked_spilled)
             best_sources = (
-                set(dag.instruction(best_uid).uses())
+                set(uses_of[best_uid])
                 if best_uid is not None
                 else set()
             )
@@ -405,19 +424,25 @@ class ListScheduler:
                     )
                 return (-self.priority.get(uid, 0), self._rank[uid])
 
+            ready.sort(key=sort_key)
             progress = True
             while progress:
                 progress = False
-                ready.sort(key=sort_key)
                 for index, (uid, _) in enumerate(ready):
                     op_issued = self._try_issue_node(
                         uid, cycle, fu_free_at, values, current_name,
                         alloc_reg, release_reg, deferred_frees,
-                        reg_assignment, scheduled, issued_cycle,
+                        reg_assignment, scheduled,
                     )
                     if op_issued:
-                        ops_todo.discard(uid)
+                        ops_left -= 1
+                        frontier.discard(uid)
+                        wake_successors(uid, cycle)
                         ready.pop(index)
+                        if mode_csr:
+                            # The issue changed which registers the
+                            # remaining ops would free.
+                            ready.sort(key=sort_key)
                         issued_this_cycle = True
                         progress = True
                         break
@@ -446,7 +471,8 @@ class ListScheduler:
                 print(
                     f"[{cycle}] ready={[u for u, _ in ready]} "
                     f"blocked={blocked_spilled} reloads={reload_candidates} "
-                    f"free={free_regs} issued={issued_this_cycle} live={live}"
+                    f"free={ {c: sorted(p) for c, p in free_regs.items()} } "
+                    f"issued={issued_this_cycle} live={live}"
                 )
 
             if not issued_this_cycle:
@@ -582,12 +608,12 @@ class ListScheduler:
         deferred_frees,
         reg_assignment: Dict[str, RegRef],
         scheduled: List[ScheduledOp],
-        issued_cycle: Dict[int, int],
     ) -> bool:
         inst = self.dag.instruction(uid)
         slot = self._find_fu(inst.op, cycle, fu_free_at)
         if slot is None:
             return False
+        uses = tuple(dict.fromkeys(inst.uses()))  # distinct, in order
 
         # Sources whose last use is this op: their registers free at issue
         # and may be reused by this op's own destination (reads happen at
@@ -598,7 +624,7 @@ class ListScheduler:
         droppable: List[_ValueState] = []
         drop: Optional[_ValueState] = None
         if self.respect_registers:
-            for name in dict.fromkeys(inst.uses()):
+            for name in uses:
                 state = values[name]
                 if state.reg is None:
                     continue
@@ -619,14 +645,13 @@ class ListScheduler:
         # Commit.
         rename = {
             name: values[name].current
-            for name in inst.uses()
+            for name in uses
             if values[name].current != name
         }
         final_inst = inst.with_renamed_uses(rename) if rename else inst
 
         self._occupy_fu(slot, cycle, inst.op, fu_free_at)
         scheduled.append(ScheduledOp(final_inst, cycle, slot[0], slot[1], uid))
-        issued_cycle[uid] = cycle
 
         if self.respect_registers:
             latency = self.machine.fu_class_for(inst.op).latency
@@ -636,7 +661,7 @@ class ListScheduler:
             if drop is not None:
                 release_reg(drop.reg)
                 drop.reg = None
-            for name in dict.fromkeys(inst.uses()):
+            for name in uses:
                 values[name].pending_users.discard(uid)
             if inst.dest is not None:
                 state = values[inst.dest]
@@ -655,7 +680,7 @@ class ListScheduler:
                 state.ready_cycle = (
                     cycle + self.machine.fu_class_for(inst.op).latency
                 )
-            for name in dict.fromkeys(inst.uses()):
+            for name in uses:
                 values[name].pending_users.discard(uid)
         return True
 

@@ -393,7 +393,8 @@ def color_registers(
         rewritten: List[Instruction] = []
         current: Dict[str, str] = {}
         addr_of: Dict[str, Addr] = {
-            name: Addr(SPILL_BASE, next(slot_counter)) for name in victims
+            name: Addr(SPILL_BASE, next(slot_counter))
+            for name in sorted(victims)
         }
         for inst in work:
             rename = {}

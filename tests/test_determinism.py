@@ -86,15 +86,38 @@ class TestHashSeedIndependence:
         "print(result.stats.cycles, program_signature(result.program))\n"
     )
 
-    def test_matmul_identical_across_hash_seeds(self):
+    #: Postpass on a starved machine: the coloring allocator spills, so
+    #: spill-slot numbering is exercised.
+    POSTPASS_SCRIPT = (
+        "from repro.machine.model import MachineModel\n"
+        "from repro.pipeline import compile_trace\n"
+        "from repro.serve.cache import program_signature\n"
+        "from repro.workloads.kernels import kernel\n"
+        "for name in ('matmul', 'fir'):\n"
+        "    result = compile_trace(kernel(name), "
+        "MachineModel.homogeneous(2, 4), method='postpass', verify=False)\n"
+        "    print(name, result.stats.cycles, "
+        "program_signature(result.program))\n"
+    )
+
+    @staticmethod
+    def _outputs(script):
         src = Path(__file__).resolve().parent.parent / "src"
         outputs = set()
         for hash_seed in range(4):
             env = dict(os.environ, PYTHONPATH=str(src))
             env["PYTHONHASHSEED"] = str(hash_seed)
             proc = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT],
+                [sys.executable, "-c", script],
                 capture_output=True, text=True, check=True, env=env,
             )
             outputs.add(proc.stdout)
+        return outputs
+
+    def test_matmul_identical_across_hash_seeds(self):
+        outputs = self._outputs(self.SCRIPT)
+        assert len(outputs) == 1, sorted(outputs)
+
+    def test_postpass_identical_across_hash_seeds(self):
+        outputs = self._outputs(self.POSTPASS_SCRIPT)
         assert len(outputs) == 1, sorted(outputs)

@@ -1,9 +1,12 @@
 """Tests for the shared list scheduler / assignment engine."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.codegen import lower_schedule
 from repro.graph.dag import DependenceDAG
 from repro.ir.interp import run_trace
@@ -13,6 +16,8 @@ from repro.machine.model import FUClass, MachineModel
 from repro.machine.simulator import VLIWSimulator
 from repro.pipeline import synthesize_memory
 from repro.scheduling.list_scheduler import ListScheduler, ScheduleError
+from repro.scheduling.postpass import add_register_reuse_edges
+from repro.scheduling.regalloc import color_registers
 from repro.workloads.random_dags import random_layered_trace
 
 
@@ -165,3 +170,117 @@ def test_property_schedules_are_semantically_correct(seed, n_ops, n_fus, n_regs)
     trace = random_layered_trace(n_ops=n_ops, width=4, seed=seed, n_inputs=3)
     machine = MachineModel.homogeneous(n_fus, n_regs)
     schedule_and_verify(trace, machine, seed=seed)
+
+
+def schedule_digest(schedule):
+    """A short stable digest of everything a schedule decides."""
+    ops = tuple(
+        (op.cycle, op.fu_class, op.fu_index, str(op.inst))
+        for op in schedule.ops
+    )
+    regs = tuple(
+        sorted((name, ref.cls, ref.index)
+               for name, ref in schedule.reg_assignment.items())
+    )
+    payload = repr((ops, regs, schedule.spill_count, schedule.length))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class TestSchedulePins:
+    """Exact schedules pinned across every scheduler mode.
+
+    Selection orders ops by total keys, so how readiness is tracked
+    (rescanning every op each cycle, or waking an op when its last
+    predecessor issues) must not move any digest.
+    """
+
+    STARVED = MachineModel.homogeneous(2, 4)
+    LAT2 = MachineModel(
+        "lat2", (FUClass("any", 3, latency=2),), {"gpr": 20}
+    )
+
+    @staticmethod
+    def _dag(seed, n_ops=40, width=6):
+        trace = random_layered_trace(n_ops=n_ops, width=width, seed=seed)
+        return DependenceDAG.from_trace(trace)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "f87a7ee70d12b3ad"),
+        (2, "7d75761324cf0b9e"),
+        (3, "fab579c1e969dadd"),
+    ])
+    def test_starved_binding_with_spills(self, seed, digest):
+        schedule = ListScheduler(self._dag(seed), self.STARVED).run()
+        assert schedule.spill_count >= 1
+        assert any(op.inst.op is Opcode.RELOAD for op in schedule.ops)
+        assert schedule_digest(schedule) == digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "d1b41e8c1d440895"),
+        (2, "ac624820171427a1"),
+        (3, "78a97b87c2704e3d"),
+    ])
+    def test_unbound_registers(self, seed, digest):
+        schedule = ListScheduler(
+            self._dag(seed), self.LAT2, respect_registers=False
+        ).run()
+        assert schedule_digest(schedule) == digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "d5299088392b6d55"),
+        (2, "7885ab3ad29be0db"),
+        (3, "dafac16a27ebd7bb"),
+    ])
+    def test_csr_mode(self, seed, digest):
+        machine = MachineModel.homogeneous(3, 6)
+        schedule = ListScheduler(
+            self._dag(seed), machine, pressure_threshold=3
+        ).run()
+        assert schedule_digest(schedule) == digest
+        # The threshold is low enough that CSR mode changes decisions.
+        default = ListScheduler(self._dag(seed), machine).run()
+        assert schedule_digest(default) != digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "6b54ee31f3949c98"),
+        (2, "c40acd6bf1046e09"),
+        (3, "f3630230c5eb77d8"),
+    ])
+    def test_postpass_reg_reuse_edges(self, seed, digest):
+        trace = random_layered_trace(n_ops=40, width=6, seed=seed)
+        allocation = color_registers(trace, self.LAT2)
+        assert allocation.spill_stores == 0
+        dag = DependenceDAG.from_trace(allocation.instructions, rename=False)
+        assert add_register_reuse_edges(
+            dag, allocation.instructions, allocation.binding
+        ) > 0
+        schedule = ListScheduler(dag, self.LAT2, respect_registers=False).run()
+        assert schedule_digest(schedule) == digest
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_spilling_disabled_still_raises(self, seed):
+        with pytest.raises(ScheduleError):
+            ListScheduler(
+                self._dag(seed), self.STARVED, allow_spill=False
+            ).run()
+
+
+class TestReadinessWork:
+    def test_serial_chain_checks_each_op_a_bounded_number_of_times(self):
+        """Readiness work is linear: an op is checked only once all its
+        predecessors have issued (a rescan of every unissued op each
+        cycle would make about ops**2 / 2 checks on a chain)."""
+        lines = ["v0 = load [A]"]
+        lines += [f"v{i} = v{i - 1} + 1" for i in range(1, 255)]
+        lines.append("store [B], v254")
+        dag = DependenceDAG.from_trace(parse_trace("\n".join(lines)))
+        ops = len(dag.op_nodes())
+        assert ops == 256
+        with obs.capture() as trace:
+            schedule = ListScheduler(
+                dag, MachineModel.homogeneous(128, 512)
+            ).run()
+        assert schedule.length == ops
+        assert trace.counters["sched.cycles"] == ops
+        assert trace.counters["sched.ready_total"] == ops
+        assert ops <= trace.counters["sched.ready_checks"] <= 2 * ops

@@ -5,6 +5,8 @@ the measured requirement drops to the figure's number, then checks that
 URSA's own heuristics find an edit achieving the same target.
 """
 
+import random
+
 import pytest
 
 from repro.core.allocator import Policy, allocate
@@ -14,13 +16,18 @@ from repro.core.measure import (
     measure_fu,
     measure_registers,
 )
-from repro.core.transforms.base import TransformError
+from repro.core.transforms.base import (
+    TransformError,
+    maximal_nodes,
+    minimal_nodes,
+)
 from repro.core.transforms.fu_seq import propose_fu_sequencing
 from repro.core.transforms.reg_seq import propose_register_sequencing
 from repro.core.transforms.spill import propose_spills
 from repro.graph.dag import DependenceDAG
 from repro.ir.instructions import Addr
 from repro.machine.model import MachineModel
+from repro.workloads.random_dags import random_layered_trace
 
 
 class TestFigure3aFUSequencing:
@@ -191,3 +198,27 @@ class TestFigure3dCombined:
         before = fig2_dag.graph.number_of_edges()
         allocate(fig2_dag, MachineModel.homogeneous(2, 3))
         assert fig2_dag.graph.number_of_edges() == before
+
+
+class TestFrontierNodes:
+    """``maximal_nodes``/``minimal_nodes`` against pairwise reachability."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_match_pairwise_reaches(self, seed):
+        dag = DependenceDAG.from_trace(
+            random_layered_trace(n_ops=40, width=5, seed=seed)
+        )
+        rng = random.Random(seed)
+        nodes = dag.op_nodes()
+        for size in (1, 2, 5, 12, len(nodes)):
+            subset = rng.sample(nodes, size)
+            expect_max = sorted(
+                n for n in set(subset)
+                if not any(m != n and dag.reaches(n, m) for m in subset)
+            )
+            expect_min = sorted(
+                n for n in set(subset)
+                if not any(m != n and dag.reaches(m, n) for m in subset)
+            )
+            assert maximal_nodes(dag, subset) == expect_max
+            assert minimal_nodes(dag, subset) == expect_min
