@@ -1,16 +1,18 @@
 """Experiment PM1: cache effectiveness of incremental re-measurement.
 
 Compiles a basket of kernels on register/FU-starved machines twice —
-once with every candidate forced onto the clone-and-``measure_all``
-reference path (declared ``INVALIDATES_ALL`` for the run) and once as
-the allocator runs by default, scoring edges-only candidates with
-``repro.pm`` trials — and compares the number of
-*measure_all-equivalent* recomputations:
+once with every candidate scored by the clone-and-``measure_all``
+oracle (``repro.reference.clone_best_candidate`` patched over
+``URSAAllocator._best_candidate``) and once as the allocator runs by
+default, trying every candidate in place with ``repro.pm`` trials — and
+compares the number of *measure_all-equivalent* recomputations:
 
 * legacy work        = ``measure.calls`` (every candidate clone pays a
   full measurement);
 * incremental work   = ``measure.calls`` + ``pm.trial.cold`` /
-  *classes per measure*.  A *cold* class recompute (changed ``Kill()``
+  *classes per measure*.  ``measure.calls`` includes the full
+  in-place measurement of every node-inserting (spill, remat) trial.
+  A *cold* class recompute (changed ``Kill()``
   forcing a from-scratch relation + matching) is charged that fraction
   of a full measurement.  Cache hits are free, and *warm* updates —
   augmenting the cached maximum matching by the transaction's delta
@@ -86,19 +88,13 @@ def _measure_classes(name: str, fus: int, regs: int) -> int:
 
 @contextmanager
 def _clone_scoring():
-    """Score every candidate on the clone-and-remeasure path (the
-    reference the incremental trials are compared against)."""
+    """Score every candidate with the clone-and-remeasure oracle (the
+    reference the in-place trials are compared against)."""
     from repro.core.allocator import URSAAllocator
-    from repro.core.transforms.base import INVALIDATES_ALL
+    from repro.reference import clone_best_candidate
 
     original = URSAAllocator._best_candidate
-
-    def clone_scored(self, dag, candidates, current_excess):
-        for candidate in candidates:
-            candidate.invalidation = INVALIDATES_ALL
-        return original(self, dag, candidates, current_excess)
-
-    URSAAllocator._best_candidate = clone_scored
+    URSAAllocator._best_candidate = clone_best_candidate
     try:
         yield
     finally:

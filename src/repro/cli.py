@@ -312,8 +312,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_passes(args: argparse.Namespace) -> int:
-    import repro.core.allocator  # noqa: F401 — registers invalidation contracts
-    from repro.core.transforms.base import INVALIDATION_CONTRACTS
     from repro.pm import ANALYSES, PASS_REGISTRY
     from repro.pm.analysis import AnalysisManager
 
@@ -349,15 +347,6 @@ def cmd_passes(args: argparse.Namespace) -> int:
                 }
                 for spec in ANALYSES
             ],
-            "invalidation_contracts": {
-                kind: {
-                    "edges_only": inv.edges_only,
-                    "adds_nodes": inv.adds_nodes,
-                    "invalidates_all": inv.invalidates_all,
-                    "analyses": list(inv.analyses),
-                }
-                for kind, inv in sorted(INVALIDATION_CONTRACTS.items())
-            },
         }
         if cache_stats is not None:
             payload["cache"] = {"kernel": args.kernel, **cache_stats}
@@ -377,9 +366,6 @@ def cmd_passes(args: argparse.Namespace) -> int:
     for analysis in ANALYSES:
         print(f"  {analysis.name:<14} {analysis.description}")
         print(f"  {'':<14} invalidated by: {', '.join(analysis.invalidated_by)}")
-    print("\ntransform invalidation contracts:")
-    for kind, inv in sorted(INVALIDATION_CONTRACTS.items()):
-        print(f"  {kind:<22} {inv.describe()}")
     if cache_stats is not None:
         print(f"\nanalysis cache after compiling --kernel {args.kernel}:")
         for key, value in cache_stats.items():
@@ -566,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "passes",
-        help="list passes, analyses, and transform invalidation contracts",
+        help="list passes and analyses",
     )
     p.add_argument(
         "--kernel", choices=sorted(KERNELS),

@@ -4,12 +4,13 @@ units (paper Figure 1 and §5).
 Repeatedly measures every resource, locates excessive chain sets, asks
 each applicable transformation for candidates, *tentatively applies*
 each candidate, re-measures, and commits the candidate that best
-combines excess reduction with critical-path preservation.  Edges-only
-candidates are scored in place by
-:class:`~repro.pm.incremental.IncrementalMeasurer` in every mode
-(deadline, chaos and transactional runs included); node-inserting ones
-are scored on a clone.  The winner is always committed as a fresh DAG,
-so the pre-commit DAG is never mutated.  Policies:
+combines excess reduction with critical-path preservation.  Every
+candidate — sequencing, spill and remat alike, in every mode (deadline,
+chaos and transactional runs included) — is tried in place inside one
+journaled DAG transaction and scored by
+:class:`~repro.pm.incremental.IncrementalMeasurer`, then rolled back.
+The winner is committed one way: ``candidate.apply()`` builds it as a
+fresh DAG, so the pre-commit DAG is never mutated.  Policies:
 
 * ``INTEGRATED`` — all transformations compete each iteration (§5's
   multi-resource heuristic).
@@ -35,13 +36,7 @@ from repro.core.measure import (
     find_excessive_sets,
     measure_all,
 )
-from repro.core.transforms.base import (
-    EDGES_ONLY,
-    INVALIDATES_ALL,
-    TransformCandidate,
-    TransformError,
-    register_contract,
-)
+from repro.core.transforms.base import TransformCandidate, TransformError
 from repro.core.transforms.fu_seq import propose_fu_sequencing
 from repro.core.transforms.reg_seq import propose_register_sequencing
 from repro.core.transforms.remat import propose_rematerializations
@@ -50,21 +45,9 @@ from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import maximum_antichain
 from repro.machine.model import MachineModel
 from repro.pm.analysis import AnalysisManager
-from repro.pm.incremental import IncrementalMeasurer, InvalidationError
+from repro.pm.incremental import IncrementalMeasurer
 from repro.resilience import budgets
 from repro.resilience.checkpoint import DagCheckpoint
-
-# Invalidation contracts for the candidates the driver itself builds:
-# every one of them only adds sequence edges, except the antichain
-# spill fallback, which inserts SPILL/RELOAD nodes.
-register_contract("fu-seq-schedule", EDGES_ONLY)
-register_contract("fu-chain-merge", EDGES_ONLY)
-register_contract("reg-chain-merge", EDGES_ONLY)
-register_contract("fu-chain-weave", EDGES_ONLY)
-register_contract("reg-chain-weave", EDGES_ONLY)
-register_contract("fu-seq-fallback", EDGES_ONLY)
-register_contract("reg-seq-fallback", EDGES_ONLY)
-register_contract("spill-fallback", INVALIDATES_ALL)
 
 
 class Policy(enum.Enum):
@@ -399,15 +382,14 @@ class URSAAllocator:
         if best is None:
             obs.event("allocate.stuck", iteration=iteration)
             return None
-        score, new_dag, new_reqs, candidate = best
-        if new_dag is None:
-            # In-place winner (the trial rolled its edits back): commit
-            # it as a copy plus its edits, which also runs the chaos
-            # transform hook, and take one full measurement of it —
-            # decompositions and Kill() carried into the next iteration
-            # always come from a from-scratch measure.
-            new_dag = candidate.apply()
-            new_reqs = self._am.measure_all(new_dag, self.machine)
+        score, candidate = best
+        # The trial rolled its edits back: commit the winner as a copy
+        # plus its edits, which also runs the chaos transform hook, and
+        # take one full measurement of it — decompositions and Kill()
+        # carried into the next iteration always come from a
+        # from-scratch measure.
+        new_dag = candidate.apply()
+        new_reqs = self._am.measure_all(new_dag, self.machine)
         obs.event(
             "allocate.commit",
             iteration=iteration,
@@ -456,31 +438,20 @@ class URSAAllocator:
         dag: DependenceDAG,
         candidates: List[TransformCandidate],
         current_excess: int,
-    ) -> Optional[
-        Tuple[
-            Tuple,
-            Optional[DependenceDAG],
-            Optional[List[ResourceRequirement]],
-            TransformCandidate,
-        ]
-    ]:
+    ) -> Optional[Tuple[Tuple, TransformCandidate]]:
         """Tentatively apply every candidate; keep the best improver.
 
-        Edges-only candidates are scored *in place* by the incremental
-        measurer (checkpoint/rollback, no DAG copy, no ``measure_all``);
-        the winner's DAG/requirements slots come back ``None`` and are
-        materialized by the caller.  Clone-and-remeasure scores only
-        node-inserting candidates and candidates caught breaking their
-        edges-only contract.
+        Every candidate is scored *in place* by the incremental measurer
+        (journaled transaction, rollback, no DAG copy); the caller
+        commits the winner.  Returns ``(score, candidate)``, where the
+        score is ``(weighted_excess, critical_path, spills_added,
+        preference)``, or None when nothing strictly improves
+        ``current_excess``.  The measurer was rebased on ``dag`` and its
+        weighted excess, so the trials read both from there; the
+        signature is the one the clone-scoring test oracle
+        (``repro.reference.clone_best_candidate``) shares.
         """
-        best: Optional[
-            Tuple[
-                Tuple,
-                Optional[DependenceDAG],
-                Optional[List[ResourceRequirement]],
-                TransformCandidate,
-            ]
-        ] = None
+        best: Optional[Tuple[Tuple, TransformCandidate]] = None
         obs.count("allocate.candidates", len(candidates))
         deadline = budgets.active_deadline()
         for candidate in candidates:
@@ -492,62 +463,21 @@ class URSAAllocator:
                 break
             if (candidate.kind, candidate.description) in self._banned:
                 continue
-            if (
-                candidate.invalidation.edges_only
-                and not candidate.invalidation.invalidates_all
-            ):
-                try:
-                    outcome = self._measurer.trial(candidate)
-                except TransformError:
-                    obs.count("allocate.candidates_illegal")
-                    continue
-                except InvalidationError as exc:
-                    if self.verify_each:
-                        from repro.verify import VerifyError  # lazy
-                        from repro.verify.alloc_rules import (
-                            invalidation_contract_report,
-                        )
-
-                        raise VerifyError(
-                            invalidation_contract_report(
-                                candidate.kind, str(exc)
-                            ),
-                            context="invalidation contract violation",
-                        ) from exc
-                    # The transform lied about being edges-only; the
-                    # trial rolled back cleanly — relabel it and score
-                    # it honestly on the clone path instead.
-                    candidate.invalidation = INVALIDATES_ALL
-                else:
-                    if outcome is None:
-                        continue  # must make progress
-                    score = (
-                        outcome.weighted_excess,
-                        outcome.critical_path,
-                        candidate.spills_added,
-                        candidate.preference,
-                    )
-                    if best is None or score < best[0]:
-                        best = (score, None, None, candidate)
-                    continue
             try:
-                new_dag = candidate.apply()
+                outcome = self._measurer.trial(candidate)
             except TransformError:
                 obs.count("allocate.candidates_illegal")
                 continue
-            new_reqs = measure_all(new_dag, self.machine)
-            new_excess = self._weighted_excess(new_reqs)
-            if new_excess >= current_excess:
+            if outcome is None:
                 continue  # must make progress
-            new_cp = new_dag.critical_path_length(self.machine.latency_of)
             score = (
-                new_excess,
-                new_cp,
+                outcome.weighted_excess,
+                outcome.critical_path,
                 candidate.spills_added,
                 candidate.preference,
             )
             if best is None or score < best[0]:
-                best = (score, new_dag, new_reqs, candidate)
+                best = (score, candidate)
         return best
 
     def _active_requirements(
@@ -625,7 +555,6 @@ class URSAAllocator:
                 base_dag=dag,
                 edits=edits,
                 preference=1,
-                invalidation=EDGES_ONLY,
             )
         ]
 
@@ -715,7 +644,6 @@ class URSAAllocator:
                     base_dag=dag,
                     edits=make_edits(edges),
                     preference=1,
-                    invalidation=EDGES_ONLY,
                 )
             )
 
@@ -731,7 +659,6 @@ class URSAAllocator:
                     base_dag=dag,
                     edits=make_edits(weave),
                     preference=2,
-                    invalidation=EDGES_ONLY,
                 )
             )
         return results
@@ -854,7 +781,6 @@ class URSAAllocator:
                         base_dag=dag,
                         edits=make_edits(src, dst),
                         preference=2,
-                        invalidation=EDGES_ONLY,
                     )
                 )
             return candidates
@@ -881,7 +807,6 @@ class URSAAllocator:
                     base_dag=dag,
                     edits=make_edits(killer, target_def),
                     preference=2,
-                    invalidation=EDGES_ONLY,
                 )
             )
 

@@ -14,16 +14,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.measure import ExcessiveChainSet
-from repro.core.transforms.base import (
-    EDGES_ONLY,
-    TransformCandidate,
-    register_contract,
-)
+from repro.core.transforms.base import TransformCandidate
 
 from repro.graph.dag import DependenceDAG
 from repro.scheduling.priorities import latency_weighted_height
-
-register_contract("fu-seq", EDGES_ONLY)
 
 
 def _merge_edges(
@@ -128,7 +122,6 @@ def propose_fu_sequencing(
                 base_dag=dag,
                 edits=make_edits(edges),
                 preference=0,
-                invalidation=EDGES_ONLY,
             )
         )
     obs.count("transform.fu_seq.proposed", len(candidates))

@@ -16,16 +16,12 @@ from typing import Dict, List, Sequence, Tuple
 from repro import obs
 from repro.core.measure import ExcessiveChainSet, ResourceKind
 from repro.core.transforms.base import (
-    EDGES_ONLY,
     TransformCandidate,
     maximal_nodes,
     minimal_nodes,
-    register_contract,
 )
 
 from repro.graph.dag import DependenceDAG
-
-register_contract("reg-seq", EDGES_ONLY)
 
 #: Enumerate all SD2 subsets when the chain count is at most this.
 MAX_ENUMERATED_SUBSETS = 40
@@ -150,7 +146,6 @@ def _component_candidates(
                 base_dag=dag,
                 edits=make_edits(edges),
                 preference=0,
-                invalidation=EDGES_ONLY,
             )
         )
     return candidates
@@ -218,7 +213,6 @@ def propose_register_sequencing(
                 base_dag=dag,
                 edits=make_edits(edges),
                 preference=0,
-                invalidation=EDGES_ONLY,
             )
         )
     obs.count("transform.reg_seq.proposed", len(candidates))

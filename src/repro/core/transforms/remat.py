@@ -15,17 +15,11 @@ from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.core.measure import ExcessiveChainSet, ResourceKind
-from repro.core.transforms.base import (
-    INVALIDATES_ALL,
-    TransformCandidate,
-    register_contract,
-)
+from repro.core.transforms.base import TransformCandidate
 
 from repro.core.transforms.spill import _frontier_after
 from repro.graph.dag import DependenceDAG
 from repro.ir.opcodes import Opcode
-
-register_contract("remat", INVALIDATES_ALL)
 
 #: At most this many remat victims proposed per excessive set.
 MAX_REMAT_CANDIDATES = 4

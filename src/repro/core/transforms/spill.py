@@ -14,17 +14,14 @@ from typing import Dict, List, Sequence, Tuple
 from repro import obs
 from repro.core.measure import ExcessiveChainSet, ResourceKind
 from repro.core.transforms.base import (
-    INVALIDATES_ALL,
     TransformCandidate,
     maximal_nodes,
     minimal_nodes,
-    register_contract,
 )
 
 from repro.graph.dag import DependenceDAG
 from repro.ir.instructions import Addr
 
-register_contract("spill", INVALIDATES_ALL)
 #: Memory base for transformation-introduced spill slots.  Distinct
 #: from the assignment-phase scheduler's ``%spill`` base so the two slot
 #: numberings can never alias each other's cells.

@@ -41,37 +41,55 @@ class CycleError(Exception):
 
 
 class TransactionError(Exception):
-    """A mutation violated the active transaction's edge-only contract."""
+    """A transaction was opened twice or closed twice."""
+
+
+#: ``value_defs`` snapshot marker for a name the transaction introduced.
+_ABSENT = object()
 
 
 class DagTransaction:
-    """An undo journal for *sequence-edge-only* mutations of one DAG.
+    """An undo journal for every mutation :class:`DependenceDAG` offers.
 
-    While a transaction is active, ``add_sequence_edge`` appends to the
-    journal instead of throwing the transitive-closure cache away: the
-    closure masks are updated in place and the old mask of every touched
-    node is recorded, so ``rollback`` restores the exact pre-transaction
-    structure, closure, *and* ``version`` — any analysis cached against
-    the old version becomes valid again.  Mutations the journal cannot
-    undo (node insertion, instruction rewrites, edge removal) raise
-    :class:`TransactionError` *before* touching the DAG; this is how a
-    transform that lies about an edges-only invalidation contract is
-    caught (see ``repro.pm``).
+    While a transaction is active the DAG records, on first touch, what
+    each mutation is about to change: every adjacency row (successor and
+    predecessor dicts, with their edge insertion order), every rewritten
+    instruction, every ``value_defs``/``value_uses`` entry, ``live_out``
+    and the length of ``source_order``.  Added nodes are listed so
+    ``rollback`` can drop them.
 
-    Because rolled-back edges were appended last to the adjacency dicts,
-    removing them restores dict insertion order exactly: a trial that is
-    applied and rolled back leaves the DAG bit-identical to one that was
-    never tried.
+    The transitive closure is handled in two regimes.  Sequence-edge
+    additions update the closure masks in place and journal the old
+    mask of every touched node, which lets the incremental measurer
+    read exactly which reachability grew (:meth:`new_descendants`).  A
+    node insertion instead sets the closure caches aside by reference
+    and lets the grown DAG rebuild its own; masks are no longer
+    journaled after that point.
+
+    ``rollback`` restores structure, edge order in every row,
+    instructions, value tables, closure and ``version`` exactly, so any
+    analysis cached against the old version becomes valid again and a
+    rolled-back trial is indistinguishable from one that never ran.
     """
 
     def __init__(self, dag: "DependenceDAG") -> None:
         self.dag = dag
         self._base_version = dag.version
-        #: (src, dst) of every edge added, in application order.
+        #: (src, dst) of every sequence edge added, in application order.
         self._edges: List[Tuple[int, int]] = []
-        #: first-touch (uid, old_mask) closure deltas, in touch order.
-        self._masks: List[Tuple[int, int]] = []
-        self._touched: Set[int] = set()
+        #: first-touch old closure mask per uid, in touch order.
+        self._masks: Dict[int, int] = {}
+        #: id(row) -> (row, snapshot) for every adjacency row changed.
+        self._rows: Dict[int, Tuple[dict, dict]] = {}
+        #: uid -> instruction before its first rewrite.
+        self._insts: Dict[int, Instruction] = {}
+        #: value name -> (old def or _ABSENT, old uses list, its contents).
+        self._values: Dict[str, Tuple[object, Optional[list], list]] = {}
+        self._nodes: List[int] = []
+        self._live_out: Optional[FrozenSet[str]] = None
+        self._source_len = len(dag.source_order)
+        #: the closure caches set aside at the first node insertion.
+        self._closure: Optional[tuple] = None
         self.active = True
 
     # -- journal recording (called by DependenceDAG) -------------------
@@ -79,54 +97,106 @@ class DagTransaction:
         self._edges.append((src, dst))
 
     def record_mask(self, uid: int, old_mask: int) -> None:
-        if uid not in self._touched:
-            self._touched.add(uid)
-            self._masks.append((uid, old_mask))
+        if self._closure is None and uid not in self._masks:
+            self._masks[uid] = old_mask
+
+    def record_row(self, row: dict) -> None:
+        if id(row) not in self._rows:
+            self._rows[id(row)] = (row, dict(row))
+
+    def record_instruction(self, uid: int, old: Instruction) -> None:
+        self._insts.setdefault(uid, old)
+
+    def record_value(self, name: str) -> None:
+        if name not in self._values:
+            dag = self.dag
+            uses = dag.value_uses.get(name)
+            self._values[name] = (
+                dag.value_defs.get(name, _ABSENT),
+                uses,
+                list(uses) if uses is not None else [],
+            )
+
+    def record_live_out(self) -> None:
+        if self._live_out is None:
+            self._live_out = self.dag.live_out
+
+    def record_node(self, uid: int) -> None:
+        self._nodes.append(uid)
+
+    def set_aside_closure(self) -> None:
+        """Keep the pre-insertion closure caches for ``rollback``."""
+        if self._closure is None:
+            dag = self.dag
+            self._closure = (dag._desc_cache, dag._mask_index, dag._mask_order)
 
     # -- queries -------------------------------------------------------
     @property
     def base_version(self) -> int:
         return self._base_version
 
+    @property
+    def adds_nodes(self) -> bool:
+        """True once a node was inserted: the closure journal stopped,
+        so the trial must be measured from scratch."""
+        return bool(self._nodes)
+
     def added_edges(self) -> List[Tuple[int, int]]:
         return list(self._edges)
 
     def changed_nodes(self) -> Set[int]:
         """Nodes whose descendant set grew during this transaction."""
-        return set(self._touched)
-
-    def old_mask(self, uid: int) -> Optional[int]:
-        for touched, old in self._masks:
-            if touched == uid:
-                return old
-        return None
+        return set(self._masks)
 
     def new_descendants(self, uid: int) -> Set[int]:
         """Nodes reachable from ``uid`` now but not at transaction start."""
-        dag = self.dag
-        desc = dag._closure()
-        old = self.old_mask(uid)
+        old = self._masks.get(uid)
         if old is None:
             return set()
-        return dag._expand_mask(desc[uid] & ~old)
+        dag = self.dag
+        return dag._expand_mask(dag._closure()[uid] & ~old)
 
     # -- lifecycle -----------------------------------------------------
     def rollback(self) -> None:
-        """Undo every journaled edge; restore closure and version."""
+        """Undo every journaled mutation; restore closure and version."""
         if not self.active:
             raise TransactionError("transaction already closed")
         dag = self.dag
-        for src, dst in reversed(self._edges):
-            dag.graph.remove_edge(src, dst)
+        graph = dag.graph
+        for uid, inst in self._insts.items():
+            graph.nodes[uid]["inst"] = inst
+        for uid in reversed(self._nodes):
+            graph.remove_node(uid)
+        # In place: networkx appends, so refilling each changed row from
+        # its snapshot restores edge insertion order and the shared
+        # per-edge attribute dicts.
+        for row, snapshot in self._rows.values():
+            row.clear()
+            row.update(snapshot)
+        for name, (old_def, uses, contents) in self._values.items():
+            if old_def is _ABSENT:
+                dag.value_defs.pop(name, None)
+            else:
+                dag.value_defs[name] = old_def
+            if uses is None:
+                dag.value_uses.pop(name, None)
+            else:
+                uses[:] = contents
+                dag.value_uses[name] = uses
+        if self._live_out is not None:
+            dag.live_out = self._live_out
+        del dag.source_order[self._source_len:]
+        if self._closure is not None:
+            dag._desc_cache, dag._mask_index, dag._mask_order = self._closure
         if dag._desc_cache is not None:
-            for uid, old in reversed(self._masks):
+            for uid, old in self._masks.items():
                 dag._desc_cache[uid] = old
         dag.version = self._base_version
         dag._txn = None
         self.active = False
 
     def commit(self) -> None:
-        """Keep the journaled edges; the bumped version stands."""
+        """Keep every journaled mutation; the bumped version stands."""
         if not self.active:
             raise TransactionError("transaction already closed")
         self.dag._txn = None
@@ -329,7 +399,35 @@ class DependenceDAG:
             if existing["kind"] is EdgeKind.SEQ and kind is EdgeKind.DATA:
                 self.graph.edges[src, dst].update(kind=kind, **attrs)
             return
-        self.graph.add_edge(src, dst, kind=kind, **attrs)
+        self._link(src, dst, kind=kind, **attrs)
+
+    def _link(self, src: int, dst: int, **attrs) -> None:
+        """``graph.add_edge``, journaled in an active transaction."""
+        txn = self._txn
+        if txn is not None:
+            txn.record_row(self.graph._succ[src])
+            txn.record_row(self.graph._pred[dst])
+        self.graph.add_edge(src, dst, **attrs)
+
+    def _unlink(self, src: int, dst: int) -> None:
+        """``graph.remove_edge``, journaled in an active transaction."""
+        txn = self._txn
+        if txn is not None:
+            txn.record_row(self.graph._succ[src])
+            txn.record_row(self.graph._pred[dst])
+        self.graph.remove_edge(src, dst)
+
+    def _add_node(self, inst: Instruction) -> int:
+        self.graph.add_node(inst.uid, inst=inst)
+        if self._txn is not None:
+            self._txn.record_node(inst.uid)
+        return inst.uid
+
+    def _journal_values(self, *names: str) -> None:
+        txn = self._txn
+        if txn is not None:
+            for name in names:
+                txn.record_value(name)
 
     # ==================================================================
     # Queries.
@@ -435,9 +533,10 @@ class DependenceDAG:
         The table is stable for a given ``version``; mutations outside a
         transaction rebuild it (possibly with a different bit layout), so
         callers must not cache index-space masks across versions.  Inside
-        a :class:`DagTransaction` the masks are maintained in place and
-        ``rollback`` restores them exactly — the table survives a trial
-        unchanged.
+        a :class:`DagTransaction` sequence edges maintain the masks in
+        place, a node insertion sets the table aside for a rebuild, and
+        ``rollback`` restores the original exactly — the table survives
+        a trial unchanged.
         """
         desc = self._closure()
         assert self._mask_index is not None and self._mask_order is not None
@@ -481,16 +580,18 @@ class DependenceDAG:
         return result
 
     def _invalidate(self) -> None:
+        if self._txn is not None:
+            self._txn.set_aside_closure()
         self.version = DependenceDAG._next_version()
         self._desc_cache = None
         self._mask_index = None
         self._mask_order = None
 
     # ------------------------------------------------------------------
-    # Transactions (edge-only undo journal; see DagTransaction).
+    # Transactions (undo journal; see DagTransaction).
     # ------------------------------------------------------------------
     def begin_transaction(self) -> DagTransaction:
-        """Open an edge-only transaction; nesting is not allowed.
+        """Open a transaction; nesting is not allowed.
 
         The transitive closure is warmed first so every subsequent
         ``add_sequence_edge`` can maintain it incrementally and record
@@ -592,7 +693,7 @@ class DependenceDAG:
         if self.graph.has_edge(src, dst):
             return False
         redundant = self.reaches(src, dst)
-        self.graph.add_edge(src, dst, kind=EdgeKind.SEQ, reason=reason)
+        self._link(src, dst, kind=EdgeKind.SEQ, reason=reason)
         txn = self._txn
         if txn is not None:
             # Journaled: maintain the closure in place (a redundant edge
@@ -609,23 +710,48 @@ class DependenceDAG:
     def would_cycle(self, src: int, dst: int) -> bool:
         return src == dst or self.reaches(dst, src)
 
-    def _reject_impure_mutation(self, what: str) -> None:
-        """Transactions journal sequence-edge additions only; anything
-        else is refused *before* mutating, so the DAG stays rollbackable
-        (this is the tripwire for transforms that lie about an
-        edges-only invalidation contract)."""
-        if self._txn is not None:
-            raise TransactionError(
-                f"{what} inside an edge-only transaction: the journal "
-                "cannot undo it"
-            )
-
     def replace_instruction(self, uid: int, new_inst: Instruction) -> None:
         """Swap the instruction stored at ``uid`` (uid must be unchanged)."""
-        self._reject_impure_mutation("instruction rewrite")
         if new_inst.uid != uid:
             raise ValueError("replacement must preserve the uid")
-        self.graph.nodes[uid]["inst"] = new_inst
+        attrs = self.graph.nodes[uid]
+        if self._txn is not None:
+            self._txn.record_instruction(uid, attrs["inst"])
+        attrs["inst"] = new_inst
+
+    def _retarget_uses(
+        self, value: str, new_uid: int, new_name: str, late: List[int]
+    ) -> None:
+        """Make every use in ``late`` read ``new_name`` (defined by
+        ``new_uid``) instead of ``value``."""
+        def_uid = self.value_defs[value]
+        self._journal_values(value, new_name)
+        for use_uid in late:
+            if use_uid == self.exit:
+                # Live-out read: retarget the EXIT data edge.
+                if self.graph.has_edge(def_uid, self.exit):
+                    self._unlink(def_uid, self.exit)
+            else:
+                old = self.instruction(use_uid)
+                rewritten = old.with_renamed_uses({value: new_name})
+                self.replace_instruction(use_uid, rewritten)
+                data = self.graph.get_edge_data(def_uid, use_uid)
+                if (
+                    data is not None
+                    and data["kind"] is EdgeKind.DATA
+                    and data.get("value") == value
+                ):
+                    self._unlink(def_uid, use_uid)
+            self._link(new_uid, use_uid, kind=EdgeKind.DATA, value=new_name)
+            self.value_uses[value] = [
+                u for u in self.value_uses.get(value, []) if u != use_uid
+            ]
+            self.value_uses.setdefault(new_name, []).append(use_uid)
+
+        if value in self.live_out and self.exit in late:
+            if self._txn is not None:
+                self._txn.record_live_out()
+            self.live_out = (self.live_out - {value}) | {new_name}
 
     def insert_spill(
         self,
@@ -644,7 +770,6 @@ class DependenceDAG:
 
         Returns ``(spill_uid, reload_uid, reload_name)``.
         """
-        self._reject_impure_mutation("spill insertion")
         def_uid = self.value_defs[value]
         # Normalize once: tolerate generators and repeated use uids
         # (retargeting the same use twice would double-count it).
@@ -660,50 +785,24 @@ class DependenceDAG:
         if new_name in self.value_defs:
             raise ValueError(f"reload name {new_name!r} already defined")
 
-        spill_inst = Instruction(Opcode.SPILL, srcs=(Var(value),), addr=spill_addr)
-        reload_inst = Instruction(Opcode.RELOAD, dest=new_name, addr=spill_addr)
-        self.graph.add_node(spill_inst.uid, inst=spill_inst)
-        self.graph.add_node(reload_inst.uid, inst=reload_inst)
-
-        self.graph.add_edge(def_uid, spill_inst.uid, kind=EdgeKind.DATA, value=value)
-        # True memory dependence spill -> reload (same cell).
-        self.graph.add_edge(
-            spill_inst.uid, reload_inst.uid, kind=EdgeKind.SEQ, reason="spill-mem"
+        spill_uid = self._add_node(
+            Instruction(Opcode.SPILL, srcs=(Var(value),), addr=spill_addr)
         )
-        self.value_uses.setdefault(value, []).append(spill_inst.uid)
-        self.value_defs[new_name] = reload_inst.uid
+        reload_uid = self._add_node(
+            Instruction(Opcode.RELOAD, dest=new_name, addr=spill_addr)
+        )
+        self._link(def_uid, spill_uid, kind=EdgeKind.DATA, value=value)
+        # True memory dependence spill -> reload (same cell).
+        self._link(spill_uid, reload_uid, kind=EdgeKind.SEQ, reason="spill-mem")
+        self._journal_values(value, new_name)
+        self.value_uses.setdefault(value, []).append(spill_uid)
+        self.value_defs[new_name] = reload_uid
 
-        for use_uid in late:
-            if use_uid == self.exit:
-                # Live-out read: retarget the EXIT data edge.
-                if self.graph.has_edge(def_uid, self.exit):
-                    self.graph.remove_edge(def_uid, self.exit)
-                self.graph.add_edge(
-                    reload_inst.uid, self.exit, kind=EdgeKind.DATA, value=new_name
-                )
-            else:
-                old = self.instruction(use_uid)
-                rewritten = old.with_renamed_uses({value: new_name})
-                self.replace_instruction(use_uid, rewritten)
-                if self.graph.has_edge(def_uid, use_uid):
-                    data = self.graph.get_edge_data(def_uid, use_uid)
-                    if data["kind"] is EdgeKind.DATA and data.get("value") == value:
-                        self.graph.remove_edge(def_uid, use_uid)
-                self.graph.add_edge(
-                    reload_inst.uid, use_uid, kind=EdgeKind.DATA, value=new_name
-                )
-            self.value_uses[value] = [
-                u for u in self.value_uses.get(value, []) if u != use_uid
-            ]
-            self.value_uses.setdefault(new_name, []).append(use_uid)
-
-        if value in self.live_out and self.exit in late:
-            self.live_out = (self.live_out - {value}) | {new_name}
-
-        self.source_order.extend((spill_inst.uid, reload_inst.uid))
+        self._retarget_uses(value, reload_uid, new_name, late)
+        self.source_order.extend((spill_uid, reload_uid))
         self._connect_entry_exit()
         self._invalidate()
-        return spill_inst.uid, reload_inst.uid, new_name
+        return spill_uid, reload_uid, new_name
 
     def insert_remat(
         self,
@@ -723,7 +822,6 @@ class DependenceDAG:
 
         Returns ``(remat_uid, remat_name)``.
         """
-        self._reject_impure_mutation("rematerialization")
         def_uid = self.value_defs[value]
         original = self.instruction(def_uid)
         if original.dest != value:
@@ -740,7 +838,8 @@ class DependenceDAG:
                 remat_name = f"{value}@m{suffix}"
 
         clone = replace(original, dest=remat_name).fresh_copy()
-        self.graph.add_node(clone.uid, inst=clone)
+        self._add_node(clone)
+        self._journal_values(remat_name, *clone.uses())
         self.value_defs[remat_name] = clone.uid
         for name in dict.fromkeys(clone.uses()):
             src_uid = self.value_defs[name]
@@ -759,32 +858,7 @@ class DependenceDAG:
                 ):
                     self._add_edge(uid, clone.uid, EdgeKind.SEQ, reason="mem")
 
-        for use_uid in late:
-            if use_uid == self.exit:
-                if self.graph.has_edge(def_uid, self.exit):
-                    self.graph.remove_edge(def_uid, self.exit)
-                self.graph.add_edge(
-                    clone.uid, self.exit, kind=EdgeKind.DATA, value=remat_name
-                )
-            else:
-                old = self.instruction(use_uid)
-                rewritten = old.with_renamed_uses({value: remat_name})
-                self.replace_instruction(use_uid, rewritten)
-                if self.graph.has_edge(def_uid, use_uid):
-                    data = self.graph.get_edge_data(def_uid, use_uid)
-                    if data["kind"] is EdgeKind.DATA and data.get("value") == value:
-                        self.graph.remove_edge(def_uid, use_uid)
-                self.graph.add_edge(
-                    clone.uid, use_uid, kind=EdgeKind.DATA, value=remat_name
-                )
-            self.value_uses[value] = [
-                u for u in self.value_uses.get(value, []) if u != use_uid
-            ]
-            self.value_uses.setdefault(remat_name, []).append(use_uid)
-
-        if value in self.live_out and self.exit in late:
-            self.live_out = (self.live_out - {value}) | {remat_name}
-
+        self._retarget_uses(value, clone.uid, remat_name, late)
         self.source_order.append(clone.uid)
         self._connect_entry_exit()
         self._invalidate()

@@ -15,8 +15,10 @@ finish inside the budget (ties broken by declared ``cost_hint``, then
 member order).  A member that proves optimality — its cycle count
 matches the static ``analyze.bounds`` length bound, or the exact
 backend certifies its search — ends the race immediately: nothing can
-beat it.  Attribution (who won, every member's outcome, whether the
-exact result landed in time) is recorded in the compilation's
+beat it.  Either way the member's result counts as exact, and its
+report entry says how it was proved (``proof: "bound"`` or
+``"search"``).  Attribution (who won, every member's outcome, whether
+an exact result landed in time) is recorded in the compilation's
 ``backend_report`` and surfaces in the ``DegradationReport`` and
 ``repro compare --json``.
 """
@@ -71,7 +73,9 @@ def _recoverable():
 class _MemberOutcome:
     """One member's race result (parent-side bookkeeping)."""
 
-    __slots__ = ("method", "outcome", "cycles", "reason", "report", "result")
+    __slots__ = (
+        "method", "outcome", "cycles", "reason", "report", "result", "proof",
+    )
 
     def __init__(self, method: str):
         self.method = method
@@ -80,6 +84,18 @@ class _MemberOutcome:
         self.reason = ""
         self.report: Optional[Dict] = None
         self.result = None  # (schedule, final_dag, allocation)
+        #: how an ok result was proved optimal: "search" (the backend
+        #: certified it), "bound" (it meets the static length bound)
+        #: or None.
+        self.proof: Optional[str] = None
+
+    def prove(self, length_bound: int) -> Optional[str]:
+        if self.outcome == "ok":
+            if self.report and self.report.get("proved"):
+                self.proof = "search"
+            elif self.cycles == length_bound:
+                self.proof = "bound"
+        return self.proof
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -88,6 +104,7 @@ class _MemberOutcome:
             "cycles": self.cycles,
             "reason": self.reason,
             "report": self.report,
+            "proof": self.proof,
         }
 
 
@@ -215,8 +232,7 @@ def _pool_race(
                     outcome.cycles = cycles
                     outcome.report = report
                     outcome.result = (schedule, final_dag, None)
-                    proved = bool(report and report.get("proved"))
-                    if cycles == length_bound or proved:
+                    if outcome.prove(length_bound):
                         # A certified-optimal answer ends the race.
                         obs.count("portfolio.early_finish")
                         pending = {}
@@ -277,10 +293,10 @@ def run_portfolio_pass(state) -> None:
     state.schedule = schedule
     state.final_dag = final_dag
     state.allocation = allocation
-    exact_delivered = any(
-        o.outcome == "ok" and o.report and o.report.get("proved")
-        for o in outcomes
-    )
+    # A finisher that meets the sound length bound is as exact as a
+    # certified search: nothing can beat it.
+    proofs = [o.prove(length_bound) for o in outcomes]
+    exact_delivered = any(proofs)
     state.backend_report = {
         "backend": "portfolio",
         "mode": mode,

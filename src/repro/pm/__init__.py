@@ -5,18 +5,14 @@ Three pieces (see ``docs/passes.md``):
 * :mod:`repro.pm.analysis` — :class:`AnalysisManager`, a cache of
   derived artifacts keyed by the DAG's monotone version;
 * :mod:`repro.pm.incremental` — :class:`IncrementalMeasurer`, scoring
-  edges-only transform candidates in place under a DAG transaction
-  instead of copy + ``measure_all``;
+  every transform candidate in place under a journaled DAG
+  transaction;
 * :mod:`repro.pm.passes` — :class:`PassManager` composing the pipeline
   as explicit, instrumented passes.
 """
 
 from repro.pm.analysis import ANALYSES, AnalysisManager, AnalysisSpec
-from repro.pm.incremental import (
-    IncrementalMeasurer,
-    InvalidationError,
-    TrialOutcome,
-)
+from repro.pm.incremental import IncrementalMeasurer, TrialOutcome
 from repro.pm.passes import (
     PASS_REGISTRY,
     Pass,
@@ -32,7 +28,6 @@ __all__ = [
     "AnalysisManager",
     "AnalysisSpec",
     "IncrementalMeasurer",
-    "InvalidationError",
     "TrialOutcome",
     "PASS_REGISTRY",
     "Pass",

@@ -32,7 +32,7 @@ class AnalysisSpec:
 
     name: str
     description: str
-    #: transform effects that dirty it (matches ``Invalidation.analyses``).
+    #: kinds of DAG change that dirty it.
     invalidated_by: Tuple[str, ...] = ("*",)
 
 

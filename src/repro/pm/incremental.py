@@ -1,11 +1,17 @@
-"""Region-scoped incremental re-measurement of candidate transforms.
+"""In-place trial scoring of candidate transforms.
 
-Clone scoring copies the whole DAG per candidate and reruns
-``measure_all`` from scratch; the allocator keeps it only for
-node-inserting candidates.  :class:`IncrementalMeasurer` instead
-applies an *edges-only* candidate — in every allocator mode — inside a
-:class:`~repro.graph.dag.DagTransaction`, scores it against per-class
-snapshots taken at the last committed measurement, and rolls back:
+:class:`IncrementalMeasurer` is the allocator's one way to try a
+candidate, in every allocator mode: it applies the candidate's edits
+inside a :class:`~repro.graph.dag.DagTransaction` on the live DAG,
+scores the result, and rolls back.  What the journal recorded picks
+how the score is computed.
+
+A journal that inserted nodes (spill, remat) is measured cold, in
+place, by a plain ``measure_all``.  It does not go through the
+analysis cache: a trial version is never seen again after rollback.
+
+An edges-only journal is scored against per-class snapshots taken at
+the last committed measurement:
 
 * **Functional units** — adding sequence edges only grows reachability,
   so the reuse relation gains pairs and its width never increases.  A
@@ -24,10 +30,6 @@ Widths are what the driver's score needs; the decompositions and
 priorities that committed measurements carry are *not* recomputed here —
 a committed winner always gets a full ``measure_all`` at its new
 version, so trial shortcuts can never leak into downstream state.
-
-A transform that lies about an edges-only contract trips the
-transaction's mutation guard; the trial rolls back cleanly and raises
-:class:`InvalidationError` (surfaced as ``pm.invalidation_violations``).
 """
 
 from __future__ import annotations
@@ -37,22 +39,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.core.kill import candidate_killers, select_kill
-from repro.core.measure import ResourceKind, ResourceRequirement
+from repro.core.measure import ResourceKind, ResourceRequirement, measure_all
 from repro.core.reuse import can_reuse_registers
 from repro.core.transforms.base import TransformCandidate, TransformError
 from repro.graph import bitset
-from repro.graph.dag import (
-    CycleError,
-    DagTransaction,
-    DependenceDAG,
-    TransactionError,
-)
+from repro.graph.dag import CycleError, DagTransaction, DependenceDAG
 from repro.graph.dilworth import width as order_width
 from repro.machine.model import MachineModel
-
-
-class InvalidationError(Exception):
-    """A transform violated its declared invalidation contract."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +85,7 @@ class _ClassBase:
 
 
 class IncrementalMeasurer:
-    """Scores edges-only candidates in place against a rebased snapshot."""
+    """Scores candidates in place against a rebased snapshot."""
 
     def __init__(self, machine: MachineModel, register_weight: int = 1) -> None:
         self.machine = machine
@@ -166,9 +159,8 @@ class IncrementalMeasurer:
 
         Returns ``None`` when the candidate does not strictly improve
         the weighted excess (the driver's progress filter).  Raises
-        :class:`TransformError` for illegal edits and
-        :class:`InvalidationError` when the edits violate the declared
-        edges-only contract.
+        :class:`TransformError` for illegal edits; the rollback runs
+        either way, also when the edits failed partway.
         """
         dag = self.dag
         assert dag is not None, "rebase() before trial()"
@@ -178,39 +170,13 @@ class IncrementalMeasurer:
                 candidate.edits(dag)
             except CycleError as exc:
                 raise TransformError(f"{candidate.kind}: {exc}") from exc
-            except TransactionError as exc:
-                obs.count("pm.invalidation_violations")
-                obs.event(
-                    "pm.invalidation_violation",
-                    kind=candidate.kind,
-                    description=candidate.description,
-                    detail=str(exc),
-                )
-                raise InvalidationError(
-                    f"{candidate.kind} declared "
-                    f"{candidate.invalidation.describe()} but: {exc}"
-                ) from exc
 
-            obs.count("pm.trial.incremental")
-            widths: List[int] = []
-            reused = warm = cold = 0
-            for base in self._bases:
-                if base.req.kind is ResourceKind.FUNCTIONAL_UNIT:
-                    width, mode = self._fu_width(dag, txn, base)
-                else:
-                    width, mode = self._reg_width(dag, txn, base)
-                widths.append(width)
-                if mode == "hit":
-                    reused += 1
-                elif mode == "warm":
-                    warm += 1
-                else:
-                    cold += 1
-            recomputed = warm + cold
-            obs.count("pm.trial.hits", reused)
-            obs.count("pm.trial.warm", warm)
-            obs.count("pm.trial.cold", cold)
-            obs.count("pm.trial.recomputed", recomputed)
+            if txn.adds_nodes:
+                obs.count("pm.trial.full")
+                widths = [r.required for r in measure_all(dag, self.machine)]
+                reused, recomputed = 0, len(widths)
+            else:
+                widths, reused, recomputed = self._incremental_widths(dag, txn)
 
             weighted = sum(
                 self._weigh(base.req.kind, max(0, w - base.available))
@@ -229,6 +195,33 @@ class IncrementalMeasurer:
         finally:
             if txn.active:
                 txn.rollback()
+
+    def _incremental_widths(
+        self, dag: DependenceDAG, txn: DagTransaction
+    ) -> Tuple[List[int], int, int]:
+        """Per-class widths of an edges-only journal, reusing the base
+        widths and matchings wherever the journal allows."""
+        obs.count("pm.trial.incremental")
+        widths: List[int] = []
+        reused = warm = cold = 0
+        for base in self._bases:
+            if base.req.kind is ResourceKind.FUNCTIONAL_UNIT:
+                width, mode = self._fu_width(dag, txn, base)
+            else:
+                width, mode = self._reg_width(dag, txn, base)
+            widths.append(width)
+            if mode == "hit":
+                reused += 1
+            elif mode == "warm":
+                warm += 1
+            else:
+                cold += 1
+        recomputed = warm + cold
+        obs.count("pm.trial.hits", reused)
+        obs.count("pm.trial.warm", warm)
+        obs.count("pm.trial.cold", cold)
+        obs.count("pm.trial.recomputed", recomputed)
+        return widths, reused, recomputed
 
     # ------------------------------------------------------------------
     def _warm_width(

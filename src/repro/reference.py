@@ -10,7 +10,16 @@ be *bit-identical* — the same matchings, chains, antichains, relations
 and kill choices, not merely results of equal size.
 ``tests/test_bitset_kernels.py`` fuzzes that claim and
 ``benchmarks/bench_measurement_scaling.py`` times this module as its
-baseline.  Production code never imports it (lint rule C004): it is an
+baseline.
+
+It also keeps the allocator's original candidate scorer,
+:func:`clone_best_candidate`: every candidate applied to its own DAG
+copy and re-measured from scratch.  ``tests/test_pm.py`` and
+``benchmarks/bench_pm_cache.py`` patch it over
+``URSAAllocator._best_candidate`` to check that in-place trials pick the
+same winners.
+
+Production code never imports this module (lint rule C004): it is an
 oracle, not a second engine.
 """
 
@@ -27,8 +36,10 @@ from repro import obs
 from repro.core.kill import (
     EXACT_COVER_LIMIT, EXACT_COVER_NODE_BUDGET, KillAssignment,
 )
+from repro.core import measure as core_measure
 from repro.core.measure import ResourceKind, ResourceRequirement
 from repro.core.reuse import ValueInfo, collect_values, fu_elements
+from repro.core.transforms.base import TransformError
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import ChainDecomposition, PartialOrder
 from repro.graph.hammock import HammockAnalysis
@@ -592,3 +603,39 @@ def measure_all(
             values={v.name: v for v in values},
         ))
     return results
+
+
+# ======================================================================
+# The clone-and-remeasure candidate scorer.
+# ======================================================================
+def clone_best_candidate(alloc, dag: DependenceDAG, candidates, current_excess: int):
+    """``URSAAllocator._best_candidate`` as it was before in-place trials.
+
+    Each candidate is applied to a private copy of ``dag`` and measured
+    with the production :func:`repro.core.measure.measure_all`.  Returns
+    ``(score, candidate)`` for the best strict improver of
+    ``current_excess``, or None; ``alloc`` supplies the machine, the
+    banned set and the weighted-excess rule.
+    """
+    best = None
+    for candidate in candidates:
+        if (candidate.kind, candidate.description) in alloc._banned:
+            continue
+        try:
+            new_dag = candidate.apply()
+        except TransformError:
+            continue
+        new_excess = alloc._weighted_excess(
+            core_measure.measure_all(new_dag, alloc.machine)
+        )
+        if new_excess >= current_excess:
+            continue  # must make progress
+        score = (
+            new_excess,
+            new_dag.critical_path_length(alloc.machine.latency_of),
+            candidate.spills_added,
+            candidate.preference,
+        )
+        if best is None or score < best[0]:
+            best = (score, candidate)
+    return best

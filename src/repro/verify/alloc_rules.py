@@ -63,20 +63,6 @@ R_RECORDS = register(
     "the transformation record chain must be consistent "
     "(excess_after[i] == excess_before[i+1], iterations increasing)",
 )
-R_INVALIDATION_CONTRACT = register(
-    "alloc.invalidation-contract", Severity.ERROR,
-    "a transform declaring an edges-only invalidation contract must "
-    "not perform node-inserting mutations",
-)
-
-
-def invalidation_contract_report(kind: str, detail: str) -> VerifyReport:
-    """A one-finding report for a transform that lied about its
-    invalidation contract (tripped by the transaction mutation guard
-    during an incremental trial)."""
-    report = VerifyReport(artifact="allocation-step", packs=[PACK])
-    report.add(R_INVALIDATION_CONTRACT.diag(detail, location=kind))
-    return report
 
 
 def verify_allocation(allocation, remeasure: bool = True) -> VerifyReport:

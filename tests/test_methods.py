@@ -292,10 +292,31 @@ class TestPortfolio:
         assert result.verified
         report = result.backend_report
         assert report["winner"] == "prepass"
-        assert not report["exact_delivered"]
         outcomes = {m["method"]: m["outcome"] for m in report["members"]}
         assert outcomes["bnb-exact"] == "failed"
         assert outcomes["prepass"] == "ok"
+        # The exact backend delivered nothing; prepass happens to meet
+        # the static length bound here, so its answer is exact anyway.
+        proofs = {m["method"]: m["proof"] for m in report["members"]}
+        assert proofs == {"bnb-exact": None, "prepass": "bound"}
+        assert result.stats.cycles == report["length_lower_bound"]
+        assert report["exact_delivered"]
+
+    def test_bound_matching_finisher_counts_as_exact(self):
+        # Serial and deterministic: prepass runs first and meets the
+        # static bound; bnb-exact then certifies the same length by
+        # search.  Both are exact, each marked with how it was proved.
+        result = compile_trace(
+            kernel("figure2"), self.MACHINE, method="portfolio",
+            backend_options={"portfolio_members": ("prepass", "bnb-exact")},
+        )
+        report = result.backend_report
+        assert report["mode"] == "serial"
+        assert report["exact_delivered"]
+        proofs = {m["method"]: m["proof"] for m in report["members"]}
+        assert proofs == {"prepass": "bound", "bnb-exact": "search"}
+        assert report["winner"] == "prepass"
+        assert result.stats.cycles == report["length_lower_bound"] == 6
 
     def test_portfolio_cannot_race_itself(self):
         from repro.core.allocator import AllocationError

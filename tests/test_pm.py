@@ -2,17 +2,16 @@
 
 The load-bearing suites:
 
-* a seeded fuzz comparing the incremental trial path against
-  from-scratch ``measure_all`` on 50 random DAGs across every
-  edges-only transform family;
-* the lying-transform tripwire: a candidate that declares
-  ``edges_only`` but inserts nodes is caught by the transaction's
-  mutation guard, surfaced as :class:`VerifyError` under
-  ``verify_each`` and scored honestly on the clone path otherwise;
-* bit-identity of the incremental allocator against the
-  clone-and-remeasure reference (every candidate forced onto the clone
-  path by declaring it ``INVALIDATES_ALL``; same process, uid counter
-  reset before each build, so tie-breaks see identical instruction
+* a seeded fuzz comparing in-place trials against from-scratch
+  ``measure_all`` of an ``apply()`` copy on 50 random DAGs, across
+  every transform family (sequencing, spill, remat, fallbacks);
+* rollback exactness over the same corpus: after every trial, also one
+  that fails partway through its edits, the DAG's rows, instructions,
+  value tables, version and closure are exactly as before;
+* bit-identity of the allocator against the clone-and-remeasure
+  oracle ``repro.reference.clone_best_candidate`` patched over
+  ``URSAAllocator._best_candidate`` (same process, uid counter rewound
+  before each compile, so tie-breaks see identical instruction
   identities).
 """
 
@@ -33,15 +32,10 @@ from repro.core.measure import (
     find_excessive_sets,
     measure_all,
 )
-from repro.core.transforms.base import (
-    EDGES_ONLY,
-    INVALIDATES_ALL,
-    TransformCandidate,
-    TransformError,
-)
-from repro.graph.dag import CycleError, DependenceDAG, TransactionError
+from repro.core.transforms.base import TransformCandidate, TransformError
+from repro.graph.dag import DependenceDAG
 from repro.machine.model import MachineModel
-from repro.pm import AnalysisManager, IncrementalMeasurer, InvalidationError
+from repro.pm import AnalysisManager, IncrementalMeasurer
 from repro.resilience.checkpoint import DagCheckpoint
 from repro.workloads.kernels import kernel
 from repro.workloads.random_dags import (
@@ -49,10 +43,6 @@ from repro.workloads.random_dags import (
     random_series_parallel,
     random_wide_trace,
 )
-
-
-def _reset_uids() -> None:
-    instructions_mod._UID_COUNTER[0] = 0
 
 
 def _excesses(
@@ -122,9 +112,9 @@ class TestTransactionalCheckpoint:
 
 
 # ======================================================================
-# Fuzz: incremental trials == from-scratch measure_all.
+# Fuzz: in-place trials == from-scratch measure_all of an apply() copy.
 # ======================================================================
-def _edges_only_candidates(
+def _all_candidates(
     alloc: URSAAllocator,
     dag: DependenceDAG,
     requirements: List[ResourceRequirement],
@@ -138,10 +128,7 @@ def _edges_only_candidates(
         out.extend(alloc._schedule_guided_fu_candidates(dag, req))
         out.extend(alloc._global_merge_candidates(dag, req))
         out.extend(alloc._fallback_candidates(dag, req))
-    return [
-        c for c in out
-        if c.invalidation.edges_only and not c.invalidation.invalidates_all
-    ]
+    return out
 
 
 def _fuzz_traces():
@@ -155,34 +142,49 @@ def _fuzz_traces():
         yield random_wide_trace(n_chains=5, chain_length=3, seed=seed)
 
 
+def _fuzz_cases(live_outs: int = 0):
+    """(index, dag, machine, requirements, candidates) per excessive DAG.
+
+    ``live_outs`` makes EXIT read that many of the trace's last-defined
+    values, so spills and remats retarget live-out reads too."""
+    machines = [
+        MachineModel.homogeneous(2, 3),
+        MachineModel.homogeneous(3, 4),
+    ]
+    for index, trace in enumerate(_fuzz_traces()):
+        machine = machines[index % len(machines)]
+        defined = [inst.dest for inst in trace if inst.dest is not None]
+        dag = DependenceDAG.from_trace(
+            trace, live_out=defined[len(defined) - live_outs:]
+        )
+        requirements = measure_all(dag, machine)
+        if sum(_excesses(requirements).values()) == 0:
+            continue
+        alloc = URSAAllocator(machine)
+        yield index, dag, machine, requirements, _all_candidates(
+            alloc, dag, requirements
+        )
+
+
+NODE_KINDS = {"spill", "remat", "spill-fallback"}
+
+
 class TestIncrementalTrialFuzz:
     def test_trials_match_from_scratch_measurement(self):
-        machines = [
-            MachineModel.homogeneous(2, 3),
-            MachineModel.homogeneous(3, 4),
-        ]
         kinds_seen = set()
         compared = 0
-        for index, trace in enumerate(_fuzz_traces()):
-            machine = machines[index % len(machines)]
-            dag = DependenceDAG.from_trace(trace)
-            requirements = measure_all(dag, machine)
+        for index, dag, machine, requirements, candidates in _fuzz_cases():
             base_excess = sum(_excesses(requirements).values())
-            if base_excess == 0:
-                continue
-            alloc = URSAAllocator(machine)
-            candidates = _edges_only_candidates(alloc, dag, requirements)[:10]
-
             measurer = IncrementalMeasurer(machine)
             measurer.rebase(dag, requirements)
             version = dag.version
             edge_count = len(dag.graph.edges)
+            node_count = len(dag)
             for candidate in candidates:
                 kinds_seen.add(candidate.kind)
-                clone = dag.copy()
                 try:
-                    candidate.edits(clone)
-                except CycleError:
+                    clone = candidate.apply()
+                except TransformError:
                     with pytest.raises(TransformError):
                         measurer.trial(candidate)
                     continue
@@ -205,106 +207,107 @@ class TestIncrementalTrialFuzz:
                 # Trials never leak state into the base DAG.
                 assert dag.version == version
                 assert len(dag.graph.edges) == edge_count
+                assert len(dag) == node_count
         assert compared >= 50, f"only {compared} comparisons ran"
         assert any(k.startswith("fu-") for k in kinds_seen)
         assert any(k.startswith("reg-") for k in kinds_seen)
-        assert len(kinds_seen) >= 4, kinds_seen
+        assert NODE_KINDS <= kinds_seen, kinds_seen
 
 
-# ======================================================================
-# The lying transform.
-# ======================================================================
-def _lying_spill_candidate(dag, machine) -> TransformCandidate:
-    """A real spill candidate relabelled as edges-only (a lie)."""
-    from repro.core.transforms.spill import propose_spills
+def _dag_state(dag: DependenceDAG):
+    """Everything a rollback must restore, edge order in every row
+    included."""
+    graph = dag.graph
+    return (
+        [
+            (
+                uid,
+                graph.nodes[uid]["inst"],
+                [(s, dict(d)) for s, d in graph.succ[uid].items()],
+                list(graph.pred[uid]),
+            )
+            for uid in graph.nodes
+        ],
+        list(dag.value_defs.items()),
+        [(name, list(uses)) for name, uses in dag.value_uses.items()],
+        dag.live_out,
+        list(dag.source_order),
+        dag.version,
+    )
 
-    for req in measure_all(dag, machine):
-        if req.kind is not ResourceKind.REGISTER or not req.is_excessive:
-            continue
-        for ecs in find_excessive_sets(dag, req):
-            for candidate in propose_spills(dag, ecs):
-                candidate.invalidation = EDGES_ONLY
-                return candidate
-    raise AssertionError("workload proposed no spill candidate")
+
+def _failing_partway(candidate: TransformCandidate) -> List[bool]:
+    """Wrap ``candidate.edits``; the returned list gets one flag per
+    failed run, True when the DAG had already grown by then."""
+    failures: List[bool] = []
+    inner = candidate.edits
+
+    def edits(target: DependenceDAG) -> None:
+        size = len(target)
+        try:
+            inner(target)
+        except Exception:
+            failures.append(len(target) > size)
+            raise
+
+    candidate.edits = edits
+    return failures
 
 
-class TestLyingTransform:
-    MACHINE = MachineModel.homogeneous(2, 3)
-
-    def test_trial_raises_invalidation_error(self):
-        dag = DependenceDAG.from_trace(kernel("figure2"))
-        requirements = measure_all(dag, self.MACHINE)
-        liar = _lying_spill_candidate(dag, self.MACHINE)
-
-        measurer = IncrementalMeasurer(self.MACHINE)
-        measurer.rebase(dag, requirements)
-        version = dag.version
-        node_count = len(dag)
-        with pytest.raises(InvalidationError):
-            measurer.trial(liar)
-        # The guard fired before any mutation; rollback left no trace.
-        assert dag.version == version
-        assert len(dag) == node_count
-
-    def _lying_allocator(self, monkeypatch, **kwargs) -> URSAAllocator:
-        original = URSAAllocator._proposals
-
-        def lying(self, dag, ecs):
-            candidates = original(self, dag, ecs)
+class TestRollbackExactness:
+    @pytest.mark.parametrize("live_outs", [0, 2])
+    def test_every_trial_rolls_back_exactly(self, live_outs):
+        succeeded = failed_partway = 0
+        for index, dag, machine, requirements, candidates in _fuzz_cases(
+            live_outs
+        ):
+            measurer = IncrementalMeasurer(machine)
+            measurer.rebase(dag, requirements)
+            before = _dag_state(dag)
+            closure = dag.closure_masks()
             for candidate in candidates:
-                if candidate.kind == "spill":
-                    candidate.invalidation = EDGES_ONLY
-            return candidates
-
-        monkeypatch.setattr(URSAAllocator, "_proposals", lying)
-        return URSAAllocator(self.MACHINE, **kwargs)
-
-    def test_verify_each_surfaces_the_lie(self, monkeypatch):
-        from repro.verify import VerifyError
-
-        alloc = self._lying_allocator(monkeypatch, verify_each=True)
-        with pytest.raises(VerifyError, match="invalidation contract"):
-            alloc.run(DependenceDAG.from_trace(kernel("figure2")))
-
-    def test_without_verify_each_falls_back_to_clone_path(self, monkeypatch):
-        _reset_uids()
-        honest = URSAAllocator(self.MACHINE).run(
-            DependenceDAG.from_trace(kernel("figure2"))
-        )
-        _reset_uids()
-        alloc = self._lying_allocator(monkeypatch)
-        lied = alloc.run(DependenceDAG.from_trace(kernel("figure2")))
-        assert lied.converged == honest.converged
-        assert [
-            (r.kind, r.description) for r in lied.records
-        ] == [(r.kind, r.description) for r in honest.records]
+                failures = _failing_partway(candidate)
+                try:
+                    measurer.trial(candidate)
+                except TransformError:
+                    failed_partway += any(failures)
+                else:
+                    succeeded += 1
+                label = f"dag {index} [{candidate.kind}] {candidate.description}"
+                assert _dag_state(dag) == before, label
+                assert dag.closure_masks() == closure, label
+                rebuilt = dag.copy()
+                rebuilt._invalidate()  # drop the carried-over closure
+                assert rebuilt.closure_masks() == closure, label
+        assert succeeded > 0 and failed_partway > 0, (succeeded, failed_partway)
 
 
 # ======================================================================
 # Bit-identity: incremental == clone-and-remeasure reference.
 # ======================================================================
 def _force_clone_scoring(monkeypatch) -> None:
-    """Declare every candidate ``INVALIDATES_ALL`` so the allocator
-    scores (and commits) it on the clone-and-remeasure path."""
-    original = URSAAllocator._best_candidate
+    """Score every candidate with the clone-and-remeasure oracle."""
+    from repro.reference import clone_best_candidate
 
-    def clone_scored(self, dag, candidates, current_excess):
-        for candidate in candidates:
-            candidate.invalidation = INVALIDATES_ALL
-        return original(self, dag, candidates, current_excess)
-
-    monkeypatch.setattr(URSAAllocator, "_best_candidate", clone_scored)
+    monkeypatch.setattr(
+        URSAAllocator, "_best_candidate", clone_best_candidate
+    )
 
 
 def _assert_bit_identical(monkeypatch, source, machine) -> None:
     """The clone reference and the incremental path must agree bit for
     bit — including on workloads this machine cannot schedule at all,
-    where both must fail with the same diagnostic."""
+    where both must fail with the same diagnostic.
+
+    Both runs start from the same uid counter value, taken after
+    ``source`` was built: new instructions then get identical uids in
+    both runs and never collide with the source's own."""
     from repro.pipeline import compile_trace
 
     results = {}
+    start = instructions_mod._UID_COUNTER[0]
     for reference in (True, False):
-        _reset_uids()
+        instructions_mod._UID_COUNTER[0] = start
         with monkeypatch.context() as patch:
             if reference:
                 _force_clone_scoring(patch)
@@ -347,8 +350,9 @@ class TestBitIdentity:
 
 
 # ======================================================================
-# One scoring path: deadline, transactional and chaos runs score
-# edges-only candidates in place exactly like a plain run.
+# One scoring path: deadline, transactional and chaos runs score every
+# candidate in place exactly like a plain run, and commit each winner
+# with exactly one apply().
 # ======================================================================
 def _scoring_modes():
     """(mode, compile kwargs, scope factory) — one fresh Deadline each."""
@@ -376,15 +380,25 @@ def _one_path_corpus():
 
 
 class TestOneScoringPath:
-    def test_every_mode_matches_plain_and_trials_in_place(self):
+    def test_every_mode_matches_plain_and_trials_in_place(self, monkeypatch):
         from repro import obs
         from repro.pipeline import compile_trace
         from repro.serve.cache import program_signature
+
+        applies = [0]
+        original_apply = TransformCandidate.apply
+
+        def counted_apply(candidate):
+            applies[0] += 1
+            return original_apply(candidate)
+
+        monkeypatch.setattr(TransformCandidate, "apply", counted_apply)
 
         totals: Dict[str, float] = {}
         for name, trace, machine in _one_path_corpus():
             seen = {}
             for mode, kwargs, scope in _scoring_modes():
+                applies[0] = 0
                 # No uid reset: the traces are built once, and output
                 # must not depend on absolute uids anyway.
                 with scope(), obs.capture() as observer:
@@ -393,8 +407,15 @@ class TestOneScoringPath:
                         **kwargs(),
                     )
                 assert not result.degraded, (name, mode)
-                trials = observer.counters.get("pm.trial.incremental", 0)
-                totals[mode] = totals.get(mode, 0) + trials
+                committed = len(result.allocation.records)
+                assert applies[0] == committed, (name, mode, applies[0])
+                counters = observer.counters
+                trials = (
+                    counters.get("pm.trial.incremental", 0),
+                    counters.get("pm.trial.full", 0),
+                )
+                for key, count in zip(("incremental", "full"), trials):
+                    totals[key] = totals.get(key, 0) + count
                 seen[mode] = (program_signature(result.program), trials)
             assert len(set(seen.values())) == 1, (name, seen)
         assert all(total > 0 for total in totals.values()), totals
@@ -432,8 +453,7 @@ class TestPassesCLI:
         out = capsys.readouterr().out
         assert "build_dag" in out
         assert "reachability" in out
-        assert "fu-seq" in out
-        assert "invalidates-all" in out
+        assert "invalidation contracts" not in out
 
     def test_json_listing_with_cache_stats(self, capsys):
         from repro.cli import main
@@ -443,13 +463,8 @@ class TestPassesCLI:
             "--fus", "2", "--regs", "3",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert {"passes", "analyses", "invalidation_contracts", "cache"} <= (
-            set(payload)
-        )
+        assert set(payload) == {"passes", "analyses", "cache"}
         assert payload["cache"]["hits"] > 0
-        kinds = payload["invalidation_contracts"]
-        assert kinds["spill"]["invalidates_all"] is True
-        assert kinds["fu-seq"]["edges_only"] is True
 
 
 # ======================================================================

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Four rules, each guarding an invariant the test suite cannot easily
+Three rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -18,13 +18,6 @@ C002  Instrumentation names must match the schema regex published in
       ``obs.span`` / ``obs.count`` / ``obs.peak`` / ``obs.event``;
       f-string placeholders are replaced with ``x`` before matching,
       so ``f"serve.error.{code}"`` is checked as ``serve.error.x``.
-
-C003  Every ``TransformCandidate(kind="...")`` literal must have a
-      matching ``register_contract("...", ...)`` somewhere in the
-      tree.  A kind without a registered EDGES_ONLY /
-      INVALIDATES_ALL contract silently falls back to the
-      conservative default and defeats incremental trial measurement
-      (see ``src/repro/core/transforms/base.py`` and docs/passes.md).
 
 C004  No module under ``src/repro`` except ``reference.py`` itself may
       import ``repro.reference``.  That module is the dict-of-sets
@@ -190,55 +183,6 @@ def lint_obs_names(
 
 
 # ----------------------------------------------------------------------
-# C003: transform kinds without a registered invalidation contract.
-# ----------------------------------------------------------------------
-def collect_registered_kinds(root: Path) -> set:
-    kinds = set()
-    for path in python_files(root):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and _call_name(node) == "register_contract"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                kinds.add(node.args[0].value)
-    return kinds
-
-
-def lint_transform_kinds(
-    path: Path, tree: ast.Module, registered: set
-) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if (
-            not isinstance(node, ast.Call)
-            or _call_name(node) != "TransformCandidate"
-        ):
-            continue
-        for kw in node.keywords:
-            if kw.arg != "kind":
-                continue
-            if not (
-                isinstance(kw.value, ast.Constant)
-                and isinstance(kw.value.value, str)
-            ):
-                continue  # dynamic kind; not statically checkable
-            kind = kw.value.value
-            if kind not in registered:
-                findings.append(Finding(
-                    path, node.lineno, "C003",
-                    f"TransformCandidate kind {kind!r} has no "
-                    "register_contract(...) registration; without an "
-                    "EDGES_ONLY/INVALIDATES_ALL contract the pass "
-                    "manager falls back to full invalidation",
-                ))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # C004: production imports of the reference oracle.
 # ----------------------------------------------------------------------
 ORACLE_MODULE = "repro.reference"
@@ -273,14 +217,12 @@ def lint_oracle_imports(path: Path, tree: ast.Module) -> List[Finding]:
 # ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
-    registered = collect_registered_kinds(root)
     findings: List[Finding] = []
     for path in python_files(root):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         rel = path.relative_to(root)
         findings.extend(lint_classifiers(rel, tree))
         findings.extend(lint_obs_names(rel, tree, schema))
-        findings.extend(lint_transform_kinds(rel, tree, registered))
         findings.extend(lint_oracle_imports(rel, tree))
     return findings
 
