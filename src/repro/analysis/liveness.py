@@ -45,7 +45,7 @@ def block_live_sets(
         for block in reversed(program.blocks):
             label = block.label
             out: Set[str] = set()
-            for succ in cfg.successors(label):
+            for succ in cfg[label]:
                 out |= live_in[succ]
             new_in = use[label] | (out - define[label])
             if out != live_out[label] or new_in != live_in[label]:

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro import obs
 from repro.analysis.liveness import block_live_sets, block_use_def
 from repro.analyze.diagnostics import (
@@ -150,7 +148,13 @@ def _check_reachability(
     """A103: blocks with no CFG path from the entry block."""
     cfg = program.cfg()
     entry = program.entry.label
-    reachable = {entry} | nx.descendants(cfg, entry)
+    reachable = {entry}
+    work = [entry]
+    while work:
+        for succ in cfg[work.pop()]:
+            if succ not in reachable:
+                reachable.add(succ)
+                work.append(succ)
     out: List[Diagnostic] = []
     for block in program:
         if block.label not in reachable:

@@ -81,11 +81,11 @@ def collect_values(
 
 def fu_elements(dag: DependenceDAG, machine: MachineModel, fu_class: str) -> List[int]:
     """Op nodes that execute on ``fu_class`` under ``machine``."""
-    node_attr = dag.graph.nodes
+    instruction = dag.instruction
     fu_class_for = machine.fu_class_for
     result = []
     for uid in dag.op_nodes():
-        if fu_class_for(node_attr[uid]["inst"].op).name == fu_class:
+        if fu_class_for(instruction(uid).op).name == fu_class:
             result.append(uid)
     return result
 
@@ -100,14 +100,14 @@ def _element_reach(
     attaches element bits (in whatever element universe the caller is
     building) to the nodes that carry them.
     """
-    succ_of = dag.graph.succ
+    succs = dag.succs
     get_seed = seed_bits.get
     down: Dict[int, int] = {}
     # carry[v] = down[v] | seed(v), folded once per node, not per edge.
     carry: Dict[int, int] = {}
     for uid in reversed(dag.topological_order()):
         mask = 0
-        for succ in succ_of[uid]:
+        for succ in succs(uid):
             mask |= carry[succ]
         down[uid] = mask
         carry[uid] = mask | get_seed(uid, 0)

@@ -83,11 +83,21 @@ def _component_candidates(
     earlier ones is the cleanest register sequentialization available —
     nonsupport holds trivially and no cycles are possible.
     """
-    import networkx as nx
-
-    op_nodes = set(dag.op_nodes())
-    sub = dag.graph.subgraph(op_nodes).to_undirected(as_view=True)
-    components = [sorted(c) for c in nx.connected_components(sub)]
+    op_nodes = dag.op_nodes()
+    op_set = set(op_nodes)
+    seen = set()
+    components: List[List[int]] = []
+    for start in op_nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for uid in comp:  # grows while scanned: a BFS over op-op edges
+            for other in dag.succs(uid) + dag.preds(uid):
+                if other in op_set and other not in seen:
+                    seen.add(other)
+                    comp.append(other)
+        components.append(sorted(comp))
     if len(components) < 2:
         return []
 

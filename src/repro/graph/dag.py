@@ -10,6 +10,15 @@ URSA's transformations add.
 Instructions stored in the DAG are treated as immutable; rewrites (e.g.
 retargeting a use at a reloaded value) replace the stored instruction
 with a modified copy that keeps the same uid.
+
+The store is plain dicts owned by this module: ``_succ``/``_pred`` map
+each uid to an insertion-ordered row ``{neighbour uid: attributes}``
+(both rows of an edge share one attribute dict) and ``_inst`` maps each
+uid to its instruction.  Attribute dicts are never changed after they
+are linked, so copies and transaction snapshots share them; changing an
+edge links a new dict.  Other modules read the store through the
+accessors (``nodes``, ``preds``, ``succs``, ``edges``, ``edge_data``,
+``has_edge``, ``in``).
 """
 
 from __future__ import annotations
@@ -28,8 +37,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-import networkx as nx
 
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
@@ -52,11 +59,12 @@ class DagTransaction:
     """An undo journal for every mutation :class:`DependenceDAG` offers.
 
     While a transaction is active the DAG records, on first touch, what
-    each mutation is about to change: every adjacency row (successor and
-    predecessor dicts, with their edge insertion order), every rewritten
-    instruction, every ``value_defs``/``value_uses`` entry, ``live_out``
-    and the length of ``source_order``.  Added nodes are listed so
-    ``rollback`` can drop them.
+    each mutation is about to change: every adjacency row of the DAG's
+    store (successor and predecessor dicts, with their edge insertion
+    order), every rewritten instruction, every ``value_defs``/
+    ``value_uses`` entry, ``live_out`` and the length of
+    ``source_order``.  Added nodes are listed so ``rollback`` can drop
+    them.
 
     The transitive closure is handled in two regimes.  Sequence-edge
     additions update the closure masks in place and journal the old
@@ -162,14 +170,13 @@ class DagTransaction:
         if not self.active:
             raise TransactionError("transaction already closed")
         dag = self.dag
-        graph = dag.graph
         for uid, inst in self._insts.items():
-            graph.nodes[uid]["inst"] = inst
+            dag._inst[uid] = inst
         for uid in reversed(self._nodes):
-            graph.remove_node(uid)
-        # In place: networkx appends, so refilling each changed row from
-        # its snapshot restores edge insertion order and the shared
-        # per-edge attribute dicts.
+            dag._remove_node(uid)
+        # In place: rows append new neighbours, so refilling each changed
+        # row from its snapshot restores edge insertion order and the
+        # shared per-edge attribute dicts.
         for row, snapshot in self._rows.values():
             row.clear()
             row.update(snapshot)
@@ -228,13 +235,17 @@ class DependenceDAG:
         return cls._version_counter
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
+        #: uid -> {successor uid: edge attributes}, rows insertion-ordered.
+        self._succ: Dict[int, Dict[int, dict]] = {}
+        #: uid -> {predecessor uid: the same attribute dict}.
+        self._pred: Dict[int, Dict[int, dict]] = {}
+        #: uid -> the instruction stored at that node.
+        self._inst: Dict[int, Instruction] = {}
+        self._txn: Optional[DagTransaction] = None
         self._entry_inst = Instruction(Opcode.ENTRY)
         self._exit_inst = Instruction(Opcode.EXIT)
-        self.entry: int = self._entry_inst.uid
-        self.exit: int = self._exit_inst.uid
-        self.graph.add_node(self.entry, inst=self._entry_inst)
-        self.graph.add_node(self.exit, inst=self._exit_inst)
+        self.entry: int = self._add_node(self._entry_inst)
+        self.exit: int = self._add_node(self._exit_inst)
         #: value name -> defining node uid (ENTRY for live-in values).
         self.value_defs: Dict[str, int] = {}
         #: value name -> uids of instructions that read it (may include EXIT).
@@ -245,7 +256,6 @@ class DependenceDAG:
         self.source_order: List[int] = []
         #: monotone structure version; bumped on every mutation.
         self.version: int = DependenceDAG._next_version()
-        self._txn: Optional[DagTransaction] = None
         self._desc_cache: Optional[Dict[int, int]] = None
         self._mask_index: Optional[Dict[int, int]] = None
         self._mask_order: Optional[List[int]] = None
@@ -298,7 +308,7 @@ class DependenceDAG:
         live_out_set = frozenset(live_out or ())
 
         for inst in body:
-            dag.graph.add_node(inst.uid, inst=inst)
+            dag._add_node(inst)
         dag.source_order = [inst.uid for inst in body]
 
         # Value definitions and data edges.
@@ -378,50 +388,70 @@ class DependenceDAG:
     def _connect_entry_exit(self) -> None:
         """Give every source an ENTRY predecessor and every sink an EXIT
         successor (ignoring the pseudo nodes themselves)."""
-        for uid in list(self.graph.nodes):
+        for uid in list(self._succ):
             if uid in (self.entry, self.exit):
                 continue
-            preds = [p for p in self.graph.predecessors(uid) if p != self.entry]
-            if not preds and not self.graph.has_edge(self.entry, uid):
+            if not self._pred[uid]:
                 self._add_edge(self.entry, uid, EdgeKind.SEQ, reason="root")
-            succs = [s for s in self.graph.successors(uid) if s != self.exit]
-            if not succs and not self.graph.has_edge(uid, self.exit):
+            if not self._succ[uid]:
                 self._add_edge(uid, self.exit, EdgeKind.SEQ, reason="leaf")
-        if self.graph.out_degree(self.entry) == 0:
+        if not self._succ[self.entry]:
             self._add_edge(self.entry, self.exit, EdgeKind.SEQ, reason="root")
 
     def _add_edge(self, src: int, dst: int, kind: EdgeKind, **attrs) -> None:
         if src == dst:
             raise CycleError(f"self edge on {src}")
-        existing = self.graph.get_edge_data(src, dst)
+        existing = self._succ[src].get(dst)
         if existing is not None:
-            # DATA dominates SEQ; keep the stronger kind.
+            # DATA dominates SEQ; keep the stronger kind.  The upgrade
+            # links a new dict: the old one is shared with copies and
+            # with transaction snapshots.
             if existing["kind"] is EdgeKind.SEQ and kind is EdgeKind.DATA:
-                self.graph.edges[src, dst].update(kind=kind, **attrs)
+                self._link(src, dst, **{**existing, "kind": kind, **attrs})
             return
         self._link(src, dst, kind=kind, **attrs)
 
     def _link(self, src: int, dst: int, **attrs) -> None:
-        """``graph.add_edge``, journaled in an active transaction."""
+        """Store edge ``src -> dst`` with ``attrs`` (an existing edge keeps
+        its row positions), journaled in an active transaction."""
         txn = self._txn
         if txn is not None:
-            txn.record_row(self.graph._succ[src])
-            txn.record_row(self.graph._pred[dst])
-        self.graph.add_edge(src, dst, **attrs)
+            txn.record_row(self._succ[src])
+            txn.record_row(self._pred[dst])
+        self._succ[src][dst] = self._pred[dst][src] = attrs
 
     def _unlink(self, src: int, dst: int) -> None:
-        """``graph.remove_edge``, journaled in an active transaction."""
+        """Delete edge ``src -> dst``, journaled in an active transaction."""
         txn = self._txn
         if txn is not None:
-            txn.record_row(self.graph._succ[src])
-            txn.record_row(self.graph._pred[dst])
-        self.graph.remove_edge(src, dst)
+            txn.record_row(self._succ[src])
+            txn.record_row(self._pred[dst])
+        del self._succ[src][dst]
+        del self._pred[dst][src]
 
     def _add_node(self, inst: Instruction) -> int:
-        self.graph.add_node(inst.uid, inst=inst)
+        uid = inst.uid
+        self._succ[uid] = {}
+        self._pred[uid] = {}
+        self._inst[uid] = inst
         if self._txn is not None:
-            self._txn.record_node(inst.uid)
-        return inst.uid
+            self._txn.record_node(uid)
+        return uid
+
+    def _remove_node(self, uid: int) -> None:
+        """Drop ``uid`` and every edge touching it.  Not journaled:
+        ``rollback`` uses it to drop the nodes a transaction added."""
+        for succ in self._succ.pop(uid):
+            del self._pred[succ][uid]
+        for pred in self._pred.pop(uid):
+            del self._succ[pred][uid]
+        del self._inst[uid]
+
+    def _set_instruction(self, uid: int, inst: Instruction) -> None:
+        """Store ``inst`` at ``uid``, journaled in an active transaction."""
+        if self._txn is not None:
+            self._txn.record_instruction(uid, self._inst[uid])
+        self._inst[uid] = inst
 
     def _journal_values(self, *names: str) -> None:
         txn = self._txn
@@ -433,10 +463,14 @@ class DependenceDAG:
     # Queries.
     # ==================================================================
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._inst)
+
+    def __contains__(self, uid: object) -> bool:
+        return uid in self._inst
 
     def nodes(self) -> Iterator[int]:
-        return iter(self.graph.nodes)
+        """Every uid (ENTRY and EXIT included), in insertion order."""
+        return iter(self._inst)
 
     def op_nodes(self) -> List[int]:
         """Real instruction nodes, excluding ENTRY/EXIT, in topo order."""
@@ -446,26 +480,40 @@ class DependenceDAG:
         ]
 
     def instruction(self, uid: int) -> Instruction:
-        return self.graph.nodes[uid]["inst"]
+        return self._inst[uid]
 
     def instructions(self) -> List[Instruction]:
         return [self.instruction(u) for u in self.op_nodes()]
 
-    def edges(self) -> Iterator[Tuple[int, int, dict]]:
-        return self.graph.edges(data=True)  # type: ignore[return-value]
+    def edges(self) -> Iterator[Tuple[int, int, Mapping[str, object]]]:
+        """Every edge as ``(src, dst, attributes)``: sources in node
+        order, each source's successors in edge insertion order.  The
+        attribute dicts are shared with copies; treat them as read-only."""
+        for src, row in self._succ.items():
+            for dst, attrs in row.items():
+                yield src, dst, attrs
+
+    def edge_data(self, src: int, dst: int) -> Optional[Mapping[str, object]]:
+        """The (read-only) attributes of edge ``src -> dst``, or None."""
+        row = self._succ.get(src)
+        return None if row is None else row.get(dst)
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        row = self._succ.get(src)
+        return row is not None and dst in row
 
     def data_edges(self) -> List[Tuple[int, int, str]]:
         return [
             (u, v, d.get("value", ""))
-            for u, v, d in self.graph.edges(data=True)
+            for u, v, d in self.edges()
             if d["kind"] is EdgeKind.DATA
         ]
 
     def preds(self, uid: int) -> List[int]:
-        return list(self.graph.predecessors(uid))
+        return list(self._pred[uid])
 
     def succs(self, uid: int) -> List[int]:
-        return list(self.graph.successors(uid))
+        return list(self._succ[uid])
 
     def topological_order(self) -> List[int]:
         """A deterministic topological order (by uid among ready nodes).
@@ -484,7 +532,7 @@ class DependenceDAG:
         return list(order)
 
     def _topological_order_uncached(self) -> List[int]:
-        indegree = {u: self.graph.in_degree(u) for u in self.graph.nodes}
+        indegree = {u: len(row) for u, row in self._pred.items()}
         ready = sorted(u for u, d in indegree.items() if d == 0)
         order: List[int] = []
         import heapq
@@ -493,11 +541,11 @@ class DependenceDAG:
         while ready:
             u = heapq.heappop(ready)
             order.append(u)
-            for v in self.graph.successors(u):
+            for v in self._succ[u]:
                 indegree[v] -= 1
                 if indegree[v] == 0:
                     heapq.heappush(ready, v)
-        if len(order) != self.graph.number_of_nodes():
+        if len(order) != len(indegree):
             raise CycleError("dependence graph contains a cycle")
         return order
 
@@ -511,7 +559,7 @@ class DependenceDAG:
             desc: Dict[int, int] = {uid: 0 for uid in order}
             for uid in reversed(order):
                 mask = 0
-                for succ in self.graph.successors(uid):
+                for succ in self._succ[uid]:
                     mask |= desc[succ] | (1 << index[succ])
                 desc[uid] = mask
             self._desc_cache = desc
@@ -635,8 +683,8 @@ class DependenceDAG:
         lat = latency or (lambda inst: 0 if inst.is_pseudo else 1)
         order = self.topological_order()
         # One latency lookup per node (not per edge), then a plain dict DP.
-        pred_of = self.graph.pred
-        node_attr = self.graph.nodes
+        pred_of = self._pred
+        inst_of = self._inst
         ready: Dict[int, int] = {}
         start: Dict[int, int] = {}
         for uid in order:
@@ -646,7 +694,7 @@ class DependenceDAG:
                 if r > best:
                     best = r
             start[uid] = best
-            ready[uid] = best + lat(node_attr[uid]["inst"])
+            ready[uid] = best + lat(inst_of[uid])
         if latency is None:
             self._asap_cache = start
             self._asap_version = self.version
@@ -662,7 +710,7 @@ class DependenceDAG:
         horizon = asap[self.exit]
         late: Dict[int, int] = {}
         for uid in reversed(self.topological_order()):
-            succs = list(self.graph.successors(uid))
+            succs = self._succ[uid]
             own = lat(self.instruction(uid))
             if not succs:
                 late[uid] = horizon - own
@@ -690,7 +738,7 @@ class DependenceDAG:
             raise CycleError("cannot sequence a node after itself")
         if self.reaches(dst, src):
             raise CycleError(f"edge {src}->{dst} would create a cycle")
-        if self.graph.has_edge(src, dst):
+        if dst in self._succ[src]:
             return False
         redundant = self.reaches(src, dst)
         self._link(src, dst, kind=EdgeKind.SEQ, reason=reason)
@@ -714,10 +762,7 @@ class DependenceDAG:
         """Swap the instruction stored at ``uid`` (uid must be unchanged)."""
         if new_inst.uid != uid:
             raise ValueError("replacement must preserve the uid")
-        attrs = self.graph.nodes[uid]
-        if self._txn is not None:
-            self._txn.record_instruction(uid, attrs["inst"])
-        attrs["inst"] = new_inst
+        self._set_instruction(uid, new_inst)
 
     def _retarget_uses(
         self, value: str, new_uid: int, new_name: str, late: List[int]
@@ -729,13 +774,13 @@ class DependenceDAG:
         for use_uid in late:
             if use_uid == self.exit:
                 # Live-out read: retarget the EXIT data edge.
-                if self.graph.has_edge(def_uid, self.exit):
+                if self.exit in self._succ[def_uid]:
                     self._unlink(def_uid, self.exit)
             else:
                 old = self.instruction(use_uid)
                 rewritten = old.with_renamed_uses({value: new_name})
                 self.replace_instruction(use_uid, rewritten)
-                data = self.graph.get_edge_data(def_uid, use_uid)
+                data = self._succ[def_uid].get(use_uid)
                 if (
                     data is not None
                     and data["kind"] is EdgeKind.DATA
@@ -868,7 +913,8 @@ class DependenceDAG:
     # Copying and verification.
     # ==================================================================
     def copy(self) -> "DependenceDAG":
-        """A structural copy sharing (immutable) Instruction objects.
+        """A structural copy sharing the (immutable) Instruction objects
+        and edge-attribute dicts; only the rows are new.
 
         A warm transitive closure is carried over (the masks are copied;
         the uid<->bit tables are never mutated, so they are shared), so
@@ -876,7 +922,9 @@ class DependenceDAG:
         incrementally instead of rebuilding it from scratch.
         """
         clone = DependenceDAG.__new__(DependenceDAG)
-        clone.graph = self.graph.copy()
+        clone._succ = {uid: dict(row) for uid, row in self._succ.items()}
+        clone._pred = {uid: dict(row) for uid, row in self._pred.items()}
+        clone._inst = dict(self._inst)
         clone._entry_inst = self._entry_inst
         clone._exit_inst = self._exit_inst
         clone.entry = self.entry
@@ -901,10 +949,9 @@ class DependenceDAG:
     def check_invariants(self) -> None:
         """Raise AssertionError when internal structure is inconsistent."""
         self.topological_order()  # raises on cycles
-        for uid in self.graph.nodes:
-            inst = self.instruction(uid)
+        for uid, inst in self._inst.items():
             assert inst.uid == uid, f"uid mismatch at {uid}"
-        for u, v, data in self.graph.edges(data=True):
+        for u, v, data in self.edges():
             if data["kind"] is EdgeKind.DATA and v != self.exit:
                 value = data["value"]
                 inst = self.instruction(v)
@@ -926,8 +973,8 @@ class DependenceDAG:
         lines = [f"DAG with {len(self.op_nodes())} ops"]
         for uid in self.op_nodes():
             succs = ", ".join(
-                f"{s}{'*' if self.graph.edges[uid, s]['kind'] is EdgeKind.SEQ else ''}"
-                for s in self.graph.successors(uid)
+                f"{s}{'*' if data['kind'] is EdgeKind.SEQ else ''}"
+                for s, data in self._succ[uid].items()
                 if s != self.exit
             )
             lines.append(f"  [{uid}] {self.instruction(uid)} -> {succs}")

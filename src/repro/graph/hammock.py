@@ -15,7 +15,7 @@ minimal for every nested hammock, not just the whole DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.graph.dag import DependenceDAG
@@ -47,7 +47,7 @@ class Hammock:
 def _dominator_masks(
     order: List[int],
     index: Dict[int, int],
-    preds: "Mapping[int, Iterable[int]]",
+    preds: Callable[[int], Iterable[int]],
     root: int,
 ) -> Dict[int, int]:
     """Dominator sets as bitmasks, exact in one topological pass on a DAG:
@@ -59,7 +59,7 @@ def _dominator_masks(
             dom[uid] = 1 << index[uid]
             continue
         mask = full
-        for p in preds[uid]:
+        for p in preds(uid):
             mask &= dom[p]
         dom[uid] = mask | (1 << index[uid])
     return dom
@@ -73,10 +73,10 @@ class HammockAnalysis:
         self.order = dag.topological_order()
         self.index = {uid: i for i, uid in enumerate(self.order)}
         self.dom = _dominator_masks(
-            self.order, self.index, dag.graph.pred, dag.entry
+            self.order, self.index, dag.preds, dag.entry
         )
         self.pdom = _dominator_masks(
-            list(reversed(self.order)), self.index, dag.graph.succ, dag.exit
+            list(reversed(self.order)), self.index, dag.succs, dag.exit
         )
         self._hammocks: Optional[List[Hammock]] = None
         self._levels: Optional[Dict[int, int]] = None

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import Instruction
 
@@ -67,30 +65,32 @@ class Program:
                 return None
         raise KeyError(label)
 
-    def cfg(self, allow_external_targets: bool = True) -> "nx.DiGraph":
-        """Build the control-flow graph as a networkx digraph.
+    def cfg(
+        self, allow_external_targets: bool = True
+    ) -> Dict[str, Dict[str, float]]:
+        """Build the control-flow graph as ``{label: {successor: weight}}``.
 
-        Nodes are block labels.  Edges carry a ``weight`` attribute taken
-        from :attr:`edge_weights` (default 1.0).  Branches to labels not
-        defined in this program are *external exits* (a trace may jump to
-        code outside the region under compilation); they produce no edge
-        unless ``allow_external_targets`` is False, in which case they
-        raise :class:`IRError`.
+        There is one row per block label, in program order; each row
+        lists the block's successors in branch order (taken target
+        before fallthrough).  Weights come from :attr:`edge_weights`
+        (default 1.0).  Branches to labels not defined in this program
+        are *external exits* (a trace may jump to code outside the region
+        under compilation); they produce no edge unless
+        ``allow_external_targets`` is False, in which case they raise
+        :class:`IRError`.
         """
-        graph = nx.DiGraph()
-        for b in self.blocks:
-            graph.add_node(b.label)
+        graph: Dict[str, Dict[str, float]] = {b.label: {} for b in self.blocks}
         for b in self.blocks:
             fall = self.fallthrough_label(b.label)
+            row = graph[b.label]
             for succ in b.successor_labels(fall):
-                if not graph.has_node(succ):
+                if succ not in graph:
                     if allow_external_targets:
                         continue
                     raise IRError(
                         f"block {b.label!r} branches to unknown label {succ!r}"
                     )
-                weight = self.edge_weights.get((b.label, succ), 1.0)
-                graph.add_edge(b.label, succ, weight=weight)
+                row[succ] = self.edge_weights.get((b.label, succ), 1.0)
         return graph
 
     def set_edge_weight(self, src: str, dst: str, weight: float) -> None:

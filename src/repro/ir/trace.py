@@ -143,14 +143,20 @@ def select_traces(
     the *mutually* most likely continuation, and symmetrically backward.
     Loop back-edges never join a trace (a block is visited at most once).
     """
-    cfg = program.cfg()
+    succ_weights = program.cfg()
+    # label -> {predecessor: weight}, predecessors in program order.
+    pred_weights: Dict[str, Dict[str, float]] = {
+        label: {} for label in succ_weights
+    }
+    for src, row in succ_weights.items():
+        for dst, weight in row.items():
+            pred_weights[dst][src] = weight
     block_weight: Dict[str, float] = {}
-    for label in cfg.nodes:
-        incoming = sum(cfg.edges[p, label]["weight"] for p in cfg.predecessors(label))
-        block_weight[label] = max(incoming, 1.0)
+    for label in succ_weights:
+        block_weight[label] = max(sum(pred_weights[label].values()), 1.0)
     # The entry block has no incoming edges; seed it with the outgoing mass.
     entry = program.entry.label
-    outgoing = sum(cfg.edges[entry, s]["weight"] for s in cfg.successors(entry))
+    outgoing = sum(succ_weights[entry].values())
     block_weight[entry] = max(block_weight[entry], outgoing, 1.0)
 
     visited: Set[str] = set()
@@ -158,36 +164,26 @@ def select_traces(
 
     def best_successor(label: str) -> Optional[str]:
         candidates = [
-            (cfg.edges[label, s]["weight"], s)
-            for s in cfg.successors(label)
-            if s not in visited
+            (w, s) for s, w in succ_weights[label].items() if s not in visited
         ]
         if not candidates:
             return None
         weight, succ = max(candidates)
         # Mutual check: `label` must also be succ's most likely predecessor.
-        pred_weights = [
-            (cfg.edges[p, succ]["weight"], p) for p in cfg.predecessors(succ)
-        ]
-        _, best_pred = max(pred_weights)
+        _, best_pred = max((w, p) for p, w in pred_weights[succ].items())
         return succ if best_pred == label else None
 
     def best_predecessor(label: str) -> Optional[str]:
         candidates = [
-            (cfg.edges[p, label]["weight"], p)
-            for p in cfg.predecessors(label)
-            if p not in visited
+            (w, p) for p, w in pred_weights[label].items() if p not in visited
         ]
         if not candidates:
             return None
         weight, pred = max(candidates)
-        succ_weights = [
-            (cfg.edges[pred, s]["weight"], s) for s in cfg.successors(pred)
-        ]
-        _, best_succ = max(succ_weights)
+        _, best_succ = max((w, s) for s, w in succ_weights[pred].items())
         return pred if best_succ == label else None
 
-    order = sorted(cfg.nodes, key=lambda l: (-block_weight[l], l))
+    order = sorted(succ_weights, key=lambda l: (-block_weight[l], l))
     for seed in order:
         if seed in visited:
             continue

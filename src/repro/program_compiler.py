@@ -72,9 +72,10 @@ def entry_safe_traces(
         for earlier, later in zip(trace.labels, trace.labels[1:]):
             in_trace_pred[later] = earlier
         in_trace_pred.setdefault(trace.labels[0], None)
-    for src, dst in cfg.edges:
-        if in_trace_pred.get(dst) != src:
-            forced_heads.add(dst)
+    for src, succs in cfg.items():
+        for dst in succs:
+            if in_trace_pred.get(dst) != src:
+                forced_heads.add(dst)
 
     split: List[Trace] = []
     for trace in traces:

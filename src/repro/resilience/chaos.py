@@ -132,14 +132,14 @@ class ChaosMonkey:
         if mode == "drop-seq":
             mem_edges = sorted(
                 (u, v)
-                for u, v, data in dag.graph.edges(data=True)
+                for u, v, data in dag.edges()
                 if data.get("kind") is EdgeKind.SEQ
                 and data.get("reason") == "mem"
             )
             if not mem_edges:
                 return False
             u, v = self.rng.choice(mem_edges)
-            dag.graph.remove_edge(u, v)
+            dag._unlink(u, v)
             dag._invalidate()
             self._log("transform", mode=mode, edge=[u, v])
             return True

@@ -17,8 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
 from repro.machine.model import MachineModel
@@ -288,8 +286,8 @@ def color_registers(
         ranges = _live_ranges(work, live_ins, live_outs)
         classes = {name: machine.reg_class_of(name) for name in ranges}
 
-        graph = nx.Graph()
-        graph.add_nodes_from(ranges)
+        # Interference graph: value name -> names it interferes with.
+        neighbours: Dict[str, Set[str]] = {name: set() for name in ranges}
         names = sorted(ranges)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
@@ -301,14 +299,15 @@ def color_registers(
                 # the exact cycle another value dies may share (read
                 # before write), hence strict inequalities.
                 if sa < eb and sb < ea:
-                    graph.add_edge(a, b)
+                    neighbours[a].add(b)
+                    neighbours[b].add(a)
 
         colors: Dict[str, int] = {}
         spilled: List[str] = []
         # Chaitin simplification: repeatedly remove low-degree nodes.
         stack: List[str] = []
-        degrees = dict(graph.degree())
-        remaining = set(graph.nodes)
+        degrees = {name: len(adj) for name, adj in neighbours.items()}
+        remaining = set(neighbours)
         while remaining:
             k_limited = [
                 n
@@ -329,7 +328,7 @@ def color_registers(
                 )
             stack.append(node)
             remaining.discard(node)
-            for neighbor in graph.neighbors(node):
+            for neighbor in neighbours[node]:
                 if neighbor in remaining:
                     degrees[neighbor] -= 1
 
@@ -340,7 +339,7 @@ def color_registers(
         color_last_end: Dict[Tuple[str, int], int] = {}
         for node in reversed(stack):
             used = {
-                colors[n] for n in graph.neighbors(node) if n in colors
+                colors[n] for n in neighbours[node] if n in colors
             }
             available = [
                 c

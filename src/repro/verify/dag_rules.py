@@ -109,14 +109,14 @@ def _structural(dag: DependenceDAG, report: VerifyReport) -> None:
         dag.topological_order()
     except CycleError as exc:
         report.add(R_CYCLE.diag(f"dependence graph is cyclic: {exc}"))
-    for u, v in dag.graph.edges():
+    for u, v, _ in dag.edges():
         if u == v:
             report.add(
                 R_SELF_EDGE.diag(f"node {u} has a self edge", location=f"n{u}")
             )
     # Raw node iteration: op_nodes() topo-sorts, which raises on the
     # very cyclic graphs this pass must survive to report on.
-    for uid in dag.graph.nodes():
+    for uid in dag.nodes():
         if uid in (dag.entry, dag.exit):
             continue
         inst = dag.instruction(uid)
@@ -127,7 +127,7 @@ def _structural(dag: DependenceDAG, report: VerifyReport) -> None:
                     location=f"n{uid}",
                 )
             )
-    for uid in dag.graph.nodes():
+    for uid in dag.nodes():
         if uid != dag.entry and not dag.preds(uid):
             report.add(
                 R_ENTRY_EXIT.diag(
@@ -147,7 +147,7 @@ def _structural(dag: DependenceDAG, report: VerifyReport) -> None:
 def _values(dag: DependenceDAG, report: VerifyReport) -> None:
     # value_defs side: the recorded definer must exist and define it.
     for name, def_uid in dag.value_defs.items():
-        if def_uid not in dag.graph:
+        if def_uid not in dag:
             report.add(
                 R_VALUE_DEF.diag(
                     f"value {name!r} maps to missing definer node {def_uid}",
@@ -177,7 +177,7 @@ def _values(dag: DependenceDAG, report: VerifyReport) -> None:
                     )
                 )
             seen.add(uid)
-            if uid not in dag.graph:
+            if uid not in dag:
                 report.add(
                     R_VALUE_USE.diag(
                         f"value {name!r} lists missing user node {uid}",
@@ -209,7 +209,7 @@ def _values(dag: DependenceDAG, report: VerifyReport) -> None:
         inst = dag.instruction(uid)
         for name in set(inst.uses()):
             def_uid = dag.value_defs.get(name)
-            if def_uid is None or def_uid not in dag.graph:
+            if def_uid is None or def_uid not in dag:
                 report.add(
                     R_DEF_BEFORE_USE.diag(
                         f"node {uid} reads {name!r} which has no definition",
@@ -217,7 +217,7 @@ def _values(dag: DependenceDAG, report: VerifyReport) -> None:
                     )
                 )
                 continue
-            data = dag.graph.get_edge_data(def_uid, uid)
+            data = dag.edge_data(def_uid, uid)
             if data is None or data.get("kind") is not EdgeKind.DATA:
                 report.add(
                     R_MISSING_DATA_EDGE.diag(
@@ -247,7 +247,7 @@ def _values(dag: DependenceDAG, report: VerifyReport) -> None:
                 )
 
     # Data-edge side: each must connect a definer to one of its users.
-    for u, v, data in dag.graph.edges(data=True):
+    for u, v, data in dag.edges():
         if data.get("kind") is not EdgeKind.DATA:
             continue
         name = data.get("value")
@@ -282,7 +282,7 @@ def _hammocks(
     dag: DependenceDAG, report: VerifyReport, regions: bool = True
 ) -> None:
     disconnected = set()
-    for uid in dag.graph.nodes():
+    for uid in dag.nodes():
         # Direct reachability first: the dataflow masks behind
         # dominates()/postdominates() are vacuously true for nodes cut
         # off from ENTRY or EXIT, so check connectivity explicitly.
@@ -308,7 +308,7 @@ def _hammocks(
         # the region cross-check skipped here anyway.
         return
     analysis = HammockAnalysis(dag)
-    for uid in dag.graph.nodes():
+    for uid in dag.nodes():
         if uid in disconnected:
             continue
         if not analysis.dominates(dag.entry, uid):

@@ -115,7 +115,7 @@ def _constant_branches(dag: DependenceDAG, report: VerifyReport) -> None:
 def _zero_latency_edges(
     dag: DependenceDAG, machine: MachineModel, report: VerifyReport
 ) -> None:
-    for u, v, data in dag.graph.edges(data=True):
+    for u, v, data in dag.edges():
         if data.get("kind") is not EdgeKind.DATA or u == dag.entry:
             continue
         try:
@@ -133,7 +133,7 @@ def _zero_latency_edges(
 
 
 def _redundant_seq_edges(dag: DependenceDAG, report: VerifyReport) -> None:
-    for u, v, data in dag.graph.edges(data=True):
+    for u, v, data in dag.edges():
         if data.get("kind") is not EdgeKind.SEQ:
             continue
         if u == dag.entry or v == dag.exit:

@@ -321,7 +321,7 @@ def _dependence_rules(
         uid: ops[0].cycle for uid, ops in placed.items() if len(ops) == 1
     }
     pseudo = (dag.entry, dag.exit)
-    for u, v, data in dag.graph.edges(data=True):
+    for u, v, data in dag.edges():
         if u in pseudo or v in pseudo:
             continue
         if u not in cycle_of or v not in cycle_of:

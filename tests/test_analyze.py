@@ -463,12 +463,15 @@ class TestContractLint:
                 "obs.span('ok.name', n=1)\n"
                 "from repro.reference import measure_all\n"
                 "from repro import reference\n"
+                "import os, networkx as nx\n"
+                "from numpy.linalg import norm\n"
+                "from .networkx import shim\n"
             )
             # The oracle itself may import anything, including its own
             # package; only other modules are held to C004.
             (pkg / "reference.py").write_text("import repro.reference\n")
             findings = lint_contracts.run(tmp_path)
             codes = sorted(f.code for f in findings)
-            assert codes == ["C001", "C002", "C004", "C004"]
+            assert codes == ["C001", "C002", "C004", "C004", "C005", "C005"]
         finally:
             sys.path.pop(0)

@@ -96,7 +96,7 @@ class TestPostpass:
         dag.topological_order()  # still acyclic
         reuse_edges = [
             (u, v)
-            for u, v, d in dag.graph.edges(data=True)
+            for u, v, d in dag.edges()
             if d.get("reason") == "reg-reuse"
         ]
         assert len(reuse_edges) == added

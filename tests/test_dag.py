@@ -10,15 +10,15 @@ from repro.ir.parser import parse_trace
 class TestConstruction:
     def test_data_edges_follow_values(self, fig2_dag, fig2_uid_of):
         a, b = fig2_uid_of["A"], fig2_uid_of["B"]
-        data = fig2_dag.graph.get_edge_data(a, b)
+        data = fig2_dag.edge_data(a, b)
         assert data["kind"] is EdgeKind.DATA
 
     def test_single_root_and_leaf(self, fig2_dag):
-        assert fig2_dag.graph.in_degree(fig2_dag.entry) == 0
-        assert fig2_dag.graph.out_degree(fig2_dag.exit) == 0
+        assert len(fig2_dag.preds(fig2_dag.entry)) == 0
+        assert len(fig2_dag.succs(fig2_dag.exit)) == 0
         for uid in fig2_dag.op_nodes():
-            assert fig2_dag.graph.in_degree(uid) > 0
-            assert fig2_dag.graph.out_degree(uid) > 0
+            assert len(fig2_dag.preds(uid)) > 0
+            assert len(fig2_dag.succs(uid)) > 0
 
     def test_invariants_hold(self, fig2_dag):
         fig2_dag.check_invariants()
@@ -69,7 +69,7 @@ class TestConstruction:
         insts = parse_trace("a = 1\nb = a + 1")
         dag = DependenceDAG.from_trace(insts, live_out=["b"])
         def_b = dag.value_defs["b"]
-        assert dag.graph.has_edge(def_b, dag.exit)
+        assert dag.has_edge(def_b, dag.exit)
         assert dag.live_out == frozenset({"b"})
 
     def test_live_in_values_defined_by_entry(self):
@@ -102,7 +102,7 @@ class TestQueries:
     def test_topological_order_valid(self, fig2_dag):
         order = fig2_dag.topological_order()
         position = {uid: i for i, uid in enumerate(order)}
-        for u, v in fig2_dag.graph.edges:
+        for u, v, _ in fig2_dag.edges():
             assert position[u] < position[v]
 
     def test_asap_alap_bounds(self, fig2_dag):
@@ -141,6 +141,16 @@ class TestMutation:
         assert clone.reaches(fig2_uid_of["G"], fig2_uid_of["H"])
         assert fig2_dag.independent(fig2_uid_of["G"], fig2_uid_of["H"])
 
+    def test_edge_upgrade_on_copy_leaves_original(self, fig2_dag):
+        src, dst = next(
+            (u, v) for u, v, d in fig2_dag.edges() if d["kind"] is EdgeKind.SEQ
+        )
+        original = dict(fig2_dag.edge_data(src, dst))
+        clone = fig2_dag.copy()
+        clone._add_edge(src, dst, EdgeKind.DATA, value="A")
+        assert clone.edge_data(src, dst)["kind"] is EdgeKind.DATA
+        assert fig2_dag.edge_data(src, dst) == original
+
     def test_insert_spill_rewires_uses(self, fig2_dag, fig2_uid_of):
         d = fig2_uid_of["D"]
         uses = [fig2_uid_of["G"], fig2_uid_of["H"]]
@@ -152,7 +162,7 @@ class TestMutation:
         assert fig2_dag.reaches(spill, reload)
         for use in uses:
             assert new_name in set(fig2_dag.instruction(use).uses())
-            assert fig2_dag.graph.has_edge(reload, use)
+            assert fig2_dag.has_edge(reload, use)
 
     def test_insert_spill_keeps_acyclic(self, fig2_dag, fig2_uid_of):
         fig2_dag.insert_spill(
@@ -208,4 +218,4 @@ class TestVerifierSurfacedRegressions:
         dag.check_invariants()
         # The rematerialized value must take over the live-out role.
         assert new_name in dag.live_out and "k" not in dag.live_out
-        assert dag.graph.has_edge(new_uid, dag.exit)
+        assert dag.has_edge(new_uid, dag.exit)

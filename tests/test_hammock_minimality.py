@@ -47,7 +47,7 @@ class TestTransitiveReduction:
         covers = set(transitive_reduction(requirement.order))
         dag_edges = {
             (u, v)
-            for u, v, d in fig2_dag.graph.edges(data=True)
+            for u, v, d in fig2_dag.edges()
             if u not in (fig2_dag.entry, fig2_dag.exit)
             and v not in (fig2_dag.entry, fig2_dag.exit)
         }

@@ -135,7 +135,7 @@ class TestPrograms:
             "L0:\nc = 1\nif c goto L2\nL1:\nhalt\nL2:\nhalt"
         )
         cfg = prog.cfg()
-        assert set(cfg.successors("L0")) == {"L1", "L2"}
+        assert set(cfg["L0"]) == {"L1", "L2"}
 
     def test_roundtrip_through_str(self):
         source = "v = load [a]\nw = v * 2\nstore [z], w"

@@ -33,7 +33,8 @@ from repro.core.measure import (
     measure_all,
 )
 from repro.core.transforms.base import TransformCandidate, TransformError
-from repro.graph.dag import DependenceDAG
+from repro.graph.dag import DependenceDAG, EdgeKind
+from repro.ir.parser import parse_trace
 from repro.machine.model import MachineModel
 from repro.pm import AnalysisManager, IncrementalMeasurer
 from repro.resilience.checkpoint import DagCheckpoint
@@ -178,7 +179,7 @@ class TestIncrementalTrialFuzz:
             measurer = IncrementalMeasurer(machine)
             measurer.rebase(dag, requirements)
             version = dag.version
-            edge_count = len(dag.graph.edges)
+            edge_count = len(list(dag.edges()))
             node_count = len(dag)
             for candidate in candidates:
                 kinds_seen.add(candidate.kind)
@@ -206,7 +207,7 @@ class TestIncrementalTrialFuzz:
                     )
                 # Trials never leak state into the base DAG.
                 assert dag.version == version
-                assert len(dag.graph.edges) == edge_count
+                assert len(list(dag.edges())) == edge_count
                 assert len(dag) == node_count
         assert compared >= 50, f"only {compared} comparisons ran"
         assert any(k.startswith("fu-") for k in kinds_seen)
@@ -217,16 +218,15 @@ class TestIncrementalTrialFuzz:
 def _dag_state(dag: DependenceDAG):
     """Everything a rollback must restore, edge order in every row
     included."""
-    graph = dag.graph
     return (
         [
             (
                 uid,
-                graph.nodes[uid]["inst"],
-                [(s, dict(d)) for s, d in graph.succ[uid].items()],
-                list(graph.pred[uid]),
+                dag.instruction(uid),
+                [(s, dict(dag.edge_data(uid, s))) for s in dag.succs(uid)],
+                dag.preds(uid),
             )
-            for uid in graph.nodes
+            for uid in dag.nodes()
         ],
         list(dag.value_defs.items()),
         [(name, list(uses)) for name, uses in dag.value_uses.items()],
@@ -280,6 +280,21 @@ class TestRollbackExactness:
                 rebuilt._invalidate()  # drop the carried-over closure
                 assert rebuilt.closure_masks() == closure, label
         assert succeeded > 0 and failed_partway > 0, (succeeded, failed_partway)
+
+    def test_seq_to_data_upgrade_rolls_back(self):
+        dag = DependenceDAG.from_trace(
+            parse_trace("a = load [A]\nb = a + 1\nstore [B], b")
+        )
+        src, dst = next(
+            (u, v) for u, v, d in dag.edges() if d["kind"] is EdgeKind.SEQ
+        )
+        before = _dag_state(dag)
+        txn = dag.begin_transaction()
+        dag._add_edge(src, dst, EdgeKind.DATA, value="a")
+        assert dag.edge_data(src, dst)["kind"] is EdgeKind.DATA
+        txn.rollback()
+        assert dag.edge_data(src, dst) == {"kind": EdgeKind.SEQ, "reason": "root"}
+        assert _dag_state(dag) == before
 
 
 # ======================================================================

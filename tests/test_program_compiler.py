@@ -81,9 +81,10 @@ class TestTraceFormation:
         for trace in traces:
             for earlier, later in zip(trace.labels, trace.labels[1:]):
                 in_trace_pred[later] = earlier
-        for src, dst in program.cfg().edges:
-            if in_trace_pred.get(dst) != src:
-                assert dst in heads, f"{dst} entered mid-trace from {src}"
+        for src, succs in program.cfg().items():
+            for dst in succs:
+                if in_trace_pred.get(dst) != src:
+                    assert dst in heads, f"{dst} entered mid-trace from {src}"
 
     def test_entry_heads_a_trace(self):
         program = parse_program(LOOP_SOURCE)

@@ -82,7 +82,7 @@ class TestDagRules:
 
     def test_cycle(self):
         dag = make_dag()
-        dag.graph.add_edge(
+        dag._link(
             uid_of(dag, "e"), uid_of(dag, "c"), kind=EdgeKind.SEQ, reason="bad"
         )
         dag._invalidate()
@@ -90,7 +90,7 @@ class TestDagRules:
 
     def test_self_edge(self):
         dag = make_dag()
-        dag.graph.add_edge(
+        dag._link(
             uid_of(dag, "c"), uid_of(dag, "c"), kind=EdgeKind.SEQ, reason="bad"
         )
         dag._invalidate()
@@ -99,12 +99,12 @@ class TestDagRules:
     def test_uid_mismatch(self):
         dag = make_dag()
         uid = uid_of(dag, "c")
-        dag.graph.nodes[uid]["inst"] = dag.instruction(uid).fresh_copy()
+        dag._set_instruction(uid, dag.instruction(uid).fresh_copy())
         assert "dag.uid-mismatch" in error_rules(verify_dag(dag))
 
     def test_entry_exit(self):
         dag = make_dag()
-        dag.graph.remove_edge(dag.entry, uid_of(dag, "a"))
+        dag._unlink(dag.entry, uid_of(dag, "a"))
         dag._invalidate()
         assert "dag.entry-exit" in error_rules(verify_dag(dag))
 
@@ -115,13 +115,13 @@ class TestDagRules:
 
     def test_missing_data_edge(self):
         dag = make_dag()
-        dag.graph.remove_edge(uid_of(dag, "a"), uid_of(dag, "c"))
+        dag._unlink(uid_of(dag, "a"), uid_of(dag, "c"))
         dag._invalidate()
         assert "dag.missing-data-edge" in error_rules(verify_dag(dag))
 
     def test_dangling_data_edge(self):
         dag = make_dag()
-        dag.graph.add_edge(
+        dag._link(
             uid_of(dag, "c"), uid_of(dag, "d"), kind=EdgeKind.DATA, value="a"
         )
         dag._invalidate()
@@ -145,7 +145,7 @@ class TestDagRules:
     def test_hammock(self):
         dag = make_dag()
         store_uid = dag.value_uses["e"][0]
-        dag.graph.remove_edge(store_uid, dag.exit)
+        dag._unlink(store_uid, dag.exit)
         dag._invalidate()
         assert "dag.hammock" in error_rules(verify_dag(dag))
 
@@ -243,7 +243,7 @@ class TestAllocRules:
         spill_uid, _, _ = dag.insert_spill(
             "c", [uid_of(dag, "e")], Addr("%t", 0)
         )
-        dag.graph.remove_node(spill_uid)
+        dag._remove_node(spill_uid)
         dag._invalidate()
         report = verify_allocation_step(dag, [])
         assert "alloc.spill-pairing" in error_rules(report)
@@ -416,7 +416,7 @@ class TestLintRules:
         _, reload_uid, _ = dag.insert_spill(
             "c", [uid_of(dag, "e")], Addr("%t", 0)
         )
-        dag.graph.remove_node(reload_uid)
+        dag._remove_node(reload_uid)
         dag._invalidate()
         assert "lint.dead-spill-slot" in fired(lint_dag(dag))
 

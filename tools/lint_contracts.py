@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Three rules, each guarding an invariant the test suite cannot easily
+Four rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -24,6 +24,12 @@ C004  No module under ``src/repro`` except ``reference.py`` itself may
       oracle the bitset measurement core is tested against; a
       production import would bring back a second measurement engine
       (see docs/performance.md).
+
+C005  No module under ``src/repro`` may import ``networkx`` or
+      ``numpy``.  The compiler, the analyzer and the service run on
+      the standard library alone (``pyproject.toml`` declares no
+      runtime dependencies); networkx is a test-only dependency of the
+      ``tests/test_dilworth.py`` cross-check.
 
 Usage::
 
@@ -188,19 +194,23 @@ def lint_obs_names(
 ORACLE_MODULE = "repro.reference"
 
 
+def _imports(tree: ast.Module) -> Iterator[Tuple[ast.stmt, List[str]]]:
+    """Each absolute import statement with the dotted names it binds
+    (``from a import b`` yields ``a`` and ``a.b``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node, [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+
+
 def lint_oracle_imports(path: Path, tree: ast.Module) -> List[Finding]:
     if path.as_posix().endswith("src/repro/reference.py"):
         return []
     findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            modules = [node.module] + [
-                f"{node.module}.{alias.name}" for alias in node.names
-            ]
-        else:
-            continue
+    for node, modules in _imports(tree):
         if any(
             module == ORACLE_MODULE or module.startswith(ORACLE_MODULE + ".")
             for module in modules
@@ -215,6 +225,26 @@ def lint_oracle_imports(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# C005: third-party graph/array libraries in the runtime.
+# ----------------------------------------------------------------------
+FORBIDDEN_PACKAGES = ("networkx", "numpy")
+
+
+def lint_runtime_dependencies(path: Path, tree: ast.Module) -> List[Finding]:
+    findings: List[Finding] = []
+    for node, modules in _imports(tree):
+        for package in sorted(
+            {module.split(".")[0] for module in modules} & set(FORBIDDEN_PACKAGES)
+        ):
+            findings.append(Finding(
+                path, node.lineno, "C005",
+                f"src/repro imports {package}; the runtime has no "
+                "third-party dependencies (networkx is test-only)",
+            ))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
     findings: List[Finding] = []
@@ -224,6 +254,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_classifiers(rel, tree))
         findings.extend(lint_obs_names(rel, tree, schema))
         findings.extend(lint_oracle_imports(rel, tree))
+        findings.extend(lint_runtime_dependencies(rel, tree))
     return findings
 
 
