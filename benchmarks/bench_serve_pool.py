@@ -1,16 +1,17 @@
-"""Serving perf: warm supervised pool vs per-request process pool.
+"""Serving perf: warm supervised pool vs a short-lived pool per request.
 
-PR 7's ``compile_shards`` pays a full ``multiprocessing.Pool`` fork +
-interpreter warm-up on *every* request — a fixed tax that dwarfs the
-compile time of small-program batches.  PR 9's persistent
-:class:`~repro.serve.pool.WorkerPool` forks once at server start and
-keeps the workers warm, so that tax is paid once per server lifetime
-instead of once per request.
+``compile_program(jobs=N)`` forks a short-lived
+:class:`~repro.serve.pool.WorkerPool` per call (fork, map, shut down),
+paying the fork + interpreter warm-up on *every* request — a fixed tax
+that dwarfs the compile time of small-program batches.  ``repro serve
+--workers`` forks one ``WorkerPool`` at server start and keeps the
+workers warm, so that tax is paid once per server lifetime instead of
+once per request.
 
 This benchmark times both paths on batches of small random traces and
 records the speedup as a *checked-in perf trajectory*:
 ``BENCH_serve_pool.json`` at the repo root holds per-batch-size median
-wall times for the cold (per-request pool) and warm (persistent pool)
+wall times for the cold (pool per request) and warm (persistent pool)
 paths, so a regression shows up as a diff.  Both paths must produce
 artifacts with identical ``program_signature`` renderings — the same
 bit-identity contract the serving layer promises.
@@ -22,7 +23,7 @@ Runs standalone for the CI smoke job::
 ``--check`` enforces two gates and exits non-zero on either:
 
 * the warm pool must be at least ``MIN_SPEEDUP``× faster than the
-  per-request pool on every batch of at most ``SMALL_BATCH_MAX``
+  pool-per-request path on every batch of at most ``SMALL_BATCH_MAX``
   traces (the PR's acceptance floor for small-program batches; larger
   batches amortize the fork tax and are trajectory-gated only);
 * no batch size's speedup may regress more than 40% below the
@@ -54,7 +55,6 @@ from _common import emit_table, gated_main
 from repro.machine.model import MachineModel
 from repro.serve.cache import program_signature, trace_key
 from repro.serve.pool import WorkerPool
-from repro.serve.shard import compile_shards
 from repro.workloads.random_dags import random_layered_trace
 
 #: Batch sizes (traces per request).  Small batches are the point: the
@@ -111,15 +111,21 @@ def _median_ms(fn, repeats: int) -> float:
     return statistics.median(samples) * 1000.0
 
 
+def _cold_map(shards):
+    """The ``compile_program(jobs=WORKERS)`` path: fork, map, shut down."""
+    with WorkerPool(workers=min(WORKERS, len(shards))) as pool:
+        return pool.map_shards(shards, MACHINE, METHOD)
+
+
 def measure_batch(
     pool: WorkerPool, batch: int, repeats: int = 5
 ) -> Dict[str, object]:
-    """Time cold (per-request pool) vs warm (persistent pool) on one
+    """Time cold (pool per request) vs warm (persistent pool) on one
     batch size; assert the two paths agree bit-for-bit."""
     shards = _make_shards(batch)
 
     warm = pool.map_shards(shards, MACHINE, METHOD)  # warm-up + identity run
-    cold = compile_shards(shards, MACHINE, METHOD, jobs=WORKERS)
+    cold = _cold_map(shards)
     if warm is None or cold is None:
         raise AssertionError(f"batch={batch}: a compile path degraded to None")
     if _signatures(warm) != _signatures(cold):
@@ -130,9 +136,7 @@ def measure_batch(
     warm_ms = _median_ms(
         lambda: pool.map_shards(shards, MACHINE, METHOD), repeats
     )
-    cold_ms = _median_ms(
-        lambda: compile_shards(shards, MACHINE, METHOD, jobs=WORKERS), repeats
-    )
+    cold_ms = _median_ms(lambda: _cold_map(shards), repeats)
     return {
         "batch": batch,
         "trace_ops": TRACE_OPS,
@@ -165,7 +169,7 @@ def check_against_baseline(
         if entry["batch"] <= SMALL_BATCH_MAX and entry["speedup"] < min_speedup:
             failures.append(
                 f"batch={entry['batch']}: warm pool only "
-                f"{entry['speedup']:.2f}x faster than per-request pool "
+                f"{entry['speedup']:.2f}x faster than a pool per request "
                 f"(floor {min_speedup:.1f}x)"
             )
     if baseline is None:
@@ -195,7 +199,7 @@ def _emit(entries: Sequence[Dict[str, object]]) -> None:
              f"{e['cold_ms']:.1f}", f"{e['speedup']:.1f}x")
             for e in entries
         ],
-        "Serving — persistent supervised pool vs per-request pool",
+        "Serving — persistent supervised pool vs a pool per request",
     )
 
 
@@ -237,8 +241,8 @@ def _run(quick: bool):
         ),
         "machine": "homogeneous(2 FUs, 4 regs)",
         "protocol": f"median of {repeats}, gc disabled, shared shards; "
-                    "cold = compile_shards (fork per call), "
-                    "warm = WorkerPool (forked once)",
+                    "cold = short-lived WorkerPool per call (fork, map, "
+                    "shut down), warm = WorkerPool (forked once)",
         "entries": list(entries),
     }
     return entries, payload

@@ -7,7 +7,7 @@ Subcommands:
 * ``verify``   — static invariant/lint report for a trace's compilation;
 * ``compare``  — compare all methods on one trace;
 * ``program``  — compile a whole multi-block program and execute it
-  (``--jobs`` shards traces over a process pool, ``--cache`` reuses
+  (``--jobs`` shards traces over a worker pool, ``--cache`` reuses
   the persistent compile cache);
 * ``pipeline`` — unroll-and-allocate sweep for a canonical loop;
 * ``passes``   — list registered passes, analyses, and invalidation
@@ -381,7 +381,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=cache,
-        jobs=args.jobs,
         deadline_ms=args.deadline_ms,
         max_batch=args.max_batch,
         quiet=not args.verbose,
@@ -530,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mem", action="append", help="base[+off]=value")
     p.add_argument(
         "--jobs", type=int, metavar="N",
-        help="shard traces over N worker processes (default: serial)",
+        help="shard traces over a pool of up to N worker processes "
+             "(default: serial)",
     )
     p.add_argument(
         "--cache", action="store_true",
@@ -577,11 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-cache", action="store_true", help="disable the persistent cache"
-    )
-    p.add_argument(
-        "--jobs", type=int, metavar="N",
-        help="per-request worker processes for program requests "
-             "(default: serial; superseded by --workers)",
     )
     p.add_argument(
         "--workers", type=int, metavar="N",

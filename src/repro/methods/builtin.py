@@ -176,8 +176,8 @@ register(Backend(
 ))
 register(Backend(
     name="portfolio",
-    summary="race a backend set under a shared deadline; first verified "
-    "answer wins",
+    summary="run a backend set serially, cheapest first, under a shared "
+    "deadline; fewest cycles wins",
     anytime=True,
     fallback="spill-everywhere",
     cost_hint=500,

@@ -274,9 +274,10 @@ def compile_program(
       a path, or a :class:`repro.serve.CompileCache`.  Identical traces
       hit across runs, processes, and users; duplicate traces *within*
       the program compile once.
-    * ``jobs`` — fan cache-missing traces across a ``multiprocessing``
-      pool of this many workers (deterministic, input-order results;
-      degrades to serial if the pool cannot run).
+    * ``jobs`` — fan cache-missing traces across a short-lived
+      :class:`repro.serve.pool.WorkerPool` of up to this many workers,
+      forked only when at least two traces miss (deterministic,
+      input-order results; degrades to serial if the pool cannot run).
     * ``deadline_ms`` / ``resilient`` — per-trace deadline and the
       ``repro.resilience`` fallback ladder inside each shard.  A
       deadline compile that did not degrade equals the plain compile,
@@ -284,9 +285,9 @@ def compile_program(
       degraded (e.g. deadline-tripped) answer is never stored.
     * ``pool`` — a persistent :class:`repro.serve.pool.WorkerPool`:
       cache-missing traces are dispatched to its warm supervised
-      workers instead of forking a fresh per-request pool (preferred
-      over ``jobs`` when both are given; degrades to the ``jobs`` /
-      serial path if the pool cannot run).
+      workers instead of forking a short-lived one (preferred over
+      ``jobs`` when both are given; degrades to the ``jobs`` / serial
+      path if the pool cannot run).
 
     Both paths are bit-identical to the plain serial compile (compare
     :func:`repro.serve.program_signature` per trace).
@@ -344,7 +345,7 @@ def _compile_program_serve(
     from repro import obs
     from repro.pm.analysis import AnalysisManager
     from repro.serve.cache import resolve_cache, trace_key
-    from repro.serve.shard import _compile_one, compile_shards
+    from repro.serve.pool import WorkerPool, _compile_one
 
     store = resolve_cache(cache)
     extra = ("resilient",) if resilient else ()
@@ -379,10 +380,17 @@ def _compile_program_serve(
                 deadline_ms=deadline_ms, resilient=resilient,
             )
         if shards is None and jobs is not None and jobs > 1 and len(pending) > 1:
-            shards = compile_shards(
-                pending, machine, method, jobs,
-                deadline_ms=deadline_ms, resilient=resilient,
-            )
+            try:
+                ephemeral = WorkerPool(workers=min(jobs, len(pending)))
+            except OSError as exc:  # no process spawning here
+                obs.count("serve.pool.unavailable")
+                obs.event("serve.pool.unavailable", reason=str(exc))
+            else:
+                with ephemeral:
+                    shards = ephemeral.map_shards(
+                        pending, machine, method,
+                        deadline_ms=deadline_ms, resilient=resilient,
+                    )
         if shards is None:
             manager = AnalysisManager()
             shards = [

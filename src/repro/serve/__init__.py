@@ -7,20 +7,18 @@ Three layers, each usable alone (tour in ``docs/serving.md``):
   trace text + machine fingerprint + method + pipeline version.
   Plug it into :func:`repro.program_compiler.compile_program`
   via ``cache=True`` (or a path, or a :class:`CompileCache`).
-* :mod:`repro.serve.shard` — sharded parallel compilation: a program's
-  traces fanned over a ``multiprocessing`` pool (``jobs=N``), bit-
-  identical to the serial path and degrading to it gracefully.
-* :mod:`repro.serve.pool` / :mod:`repro.serve.supervisor` — the
-  persistent supervised :class:`WorkerPool` behind ``repro serve
-  --workers``: forked once, kept warm, crash/hang/memory-recovered,
-  with poisoned-trace quarantine.
+* :mod:`repro.serve.pool` / :mod:`repro.serve.supervisor` — the one
+  process executor, the supervised :class:`WorkerPool`: kept warm
+  behind ``repro serve --workers``, forked per call for
+  ``compile_program(jobs=N)``; crash/hang/memory-recovered, with
+  poisoned-trace quarantine, bit-identical to the serial path.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — a long-lived
   stdlib-HTTP compile service (``repro serve``) and its client, with
   admission control, graceful drain, and client-side retry/backoff.
 
-Server/client/protocol are imported lazily so that importing
+Server/client/protocol/pool are imported lazily so that importing
 ``repro.serve`` from inside the compiler (``program_compiler`` uses
-the cache and shards) never drags HTTP machinery along.
+the cache) never drags HTTP or process machinery along.
 """
 
 from repro.serve.cache import (
@@ -33,7 +31,6 @@ from repro.serve.cache import (
     resolve_cache,
     trace_key,
 )
-from repro.serve.shard import compile_shards
 
 __all__ = [
     "CACHE_VERSION",
@@ -44,7 +41,6 @@ __all__ = [
     "program_signature",
     "resolve_cache",
     "trace_key",
-    "compile_shards",
     "ServeApp",
     "ServeClient",
     "ServeError",

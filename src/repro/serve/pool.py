@@ -1,12 +1,11 @@
-"""Persistent supervised worker pool for ``repro serve``.
+"""The one process executor: a supervised shard-compilation pool.
 
-PR 7's ``compile_shards`` forks a fresh ``multiprocessing.Pool`` per
-request — ~30 ms of startup tax that dwarfs the compile time of small
-programs, and a crashed worker silently degrades the whole request to
-serial mode.  :class:`WorkerPool` replaces it for long-lived servers:
+Every parallel compile in the repo runs here.  ``repro serve
+--workers`` forks one :class:`WorkerPool` at server start and keeps it
+warm across requests; ``compile_program(jobs=N)`` forks a short-lived
+one per call (only when at least two traces miss the cache) and shuts
+it down when the batch is done.  Either way:
 
-* workers are forked **once** (at server start) and kept warm across
-  requests, so sharding small programs finally wins;
 * each worker is **supervised**: liveness is checked every poll tick,
   idle workers emit heartbeats, and a worker that crashes, hangs past
   its shard deadline, or exceeds a memory watermark is killed and
@@ -29,11 +28,11 @@ contended across the fork boundary in a surprising way.  Batches are
 serialized by a parent-side lock (`ThreadingHTTPServer` handlers all
 funnel through the same pool).
 
-``map_shards`` mirrors the ``compile_shards`` contract: it returns
-in-order :class:`~repro.serve.cache.TraceArtifact` objects, or
-``None`` when the pool cannot run at all (unpicklable payload, pool
-closed, every slot exhausted) — callers degrade to their serial path
-exactly as they do for a per-request pool failure.
+``map_shards`` returns in-order
+:class:`~repro.serve.cache.TraceArtifact` objects, or ``None`` when the
+pool cannot run at all (unpicklable payload, pool closed, every slot
+exhausted) — callers then compile serially with :func:`_compile_one`,
+the same function the workers run.
 """
 
 from __future__ import annotations
@@ -46,9 +45,10 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
-
 from repro import obs
+from repro.ir.instructions import Instruction
+from repro.machine.model import MachineModel
+from repro.serve.cache import TraceArtifact
 from repro.serve.supervisor import RestartPolicy, Supervisor
 
 # Outbox message kinds (plain tuples; must stay picklable and tiny).
@@ -76,6 +76,59 @@ class ShardTask:
     chaos_sleep_s: float = 0.0
 
 
+def _compile_one(
+    instructions: Sequence[Instruction],
+    machine: MachineModel,
+    method: str,
+    deadline_ms: Optional[float],
+    resilient: bool,
+    key: str,
+    analysis_manager=None,
+) -> TraceArtifact:
+    """Compile one prepared trace into a :class:`TraceArtifact`.
+
+    Shared by the pool workers, the in-parent fallbacks, the serial
+    ``compile_program`` path and the server's trace route, so every
+    route produces identical artifacts for identical inputs.
+    """
+    from repro.pipeline import compile_trace
+
+    deadline = None
+    if deadline_ms is not None:
+        from repro.resilience import Deadline
+
+        deadline = Deadline(seconds=deadline_ms / 1000.0)
+    result = compile_trace(
+        instructions,
+        machine,
+        method=method,
+        verify=False,
+        resilient=resilient,
+        deadline=deadline,
+        analysis_manager=analysis_manager,
+    )
+    if result.degradation is not None:
+        degradation = result.degradation.to_dict()
+    elif result.degraded:
+        # Non-resilient compiles carry the flag too, so no route can
+        # memoize an answer a tripped deadline cut short.
+        degradation = {
+            "requested_method": method,
+            "final_method": method,
+            "degraded": True,
+            "deadline_tripped": result.deadline_tripped,
+        }
+    else:
+        degradation = None
+    return TraceArtifact(
+        key=key,
+        method=method,
+        program=result.program,
+        cycles_estimate=result.schedule.length,
+        degradation=degradation,
+    )
+
+
 def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
     """Long-lived worker loop: compile shards until the ``None`` sentinel.
 
@@ -87,8 +140,6 @@ def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    from repro.serve import shard as shard_mod
-
     while True:
         try:
             task = inbox.get(timeout=HEARTBEAT_INTERVAL_S)
@@ -108,7 +159,7 @@ def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
             ensure_uid_floor(
                 max((inst.uid for inst in task.instructions), default=0)
             )
-            artifact = shard_mod._compile_one(
+            artifact = _compile_one(
                 list(task.instructions),
                 task.machine,
                 task.method,
@@ -144,7 +195,7 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """Forked-once, supervised shard-compilation pool (see module docs)."""
+    """Supervised shard-compilation pool (see module docs)."""
 
     def __init__(
         self,
@@ -161,6 +212,8 @@ class WorkerPool:
             self.size, restart_policy, quarantine_threshold
         )
         self._rss_reader = _read_rss_kb
+        import multiprocessing  # lazy: the serial path never pays for it
+
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
@@ -169,8 +222,12 @@ class WorkerPool:
         self._handles: List[Optional[_WorkerHandle]] = [None] * self.size
         self._batch_lock = threading.Lock()
         self._closed = False
-        for worker_id in range(self.size):
-            self._spawn(worker_id)
+        try:
+            for worker_id in range(self.size):
+                self._spawn(worker_id)
+        except BaseException:
+            self.shutdown()  # don't leak the workers already started
+            raise
         obs.peak("serve.pool.workers", self.supervisor.alive_count())
 
     # -- lifecycle -----------------------------------------------------
@@ -231,6 +288,12 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
     # -- observation ---------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Pool state for ``/v1/stats`` and ``/healthz``."""
@@ -272,7 +335,7 @@ class WorkerPool:
         """Compile ``[(key, instructions), ...]`` → in-order artifacts.
 
         Returns ``None`` when the pool cannot run at all (caller falls
-        back to its serial path, like a ``compile_shards`` failure).
+        back to its serial path).
         Worker deaths mid-shard are recovered internally: the shard is
         requeued, the worker restarted under backoff, and quarantined
         keys are compiled in-parent — so a non-``None`` return is
@@ -416,8 +479,7 @@ class WorkerPool:
             return  # stale duplicate from a pre-restart incarnation
         if error is not None:
             # The shard raised *inside* the worker.  Reproduce in-parent
-            # so the genuine exception type propagates to the caller —
-            # same contract as compile_shards' failed-shard recompile.
+            # so the genuine exception type propagates to the caller.
             obs.count("serve.pool.shard_errors")
             obs.event(
                 "serve.pool.shard_error", key=tasks[task_id].key, error=error
@@ -510,12 +572,10 @@ class WorkerPool:
             self._restart(worker_id, reason="memory")
 
     def _compile_in_parent(self, task: ShardTask, quarantined: bool = False):
-        from repro.serve import shard as shard_mod
-
         self.supervisor.parent_compiles += 1
         obs.count("serve.pool.parent_compiles")
         if not quarantined:
-            return shard_mod._compile_one(
+            return _compile_one(
                 list(task.instructions),
                 task.machine,
                 task.method,
@@ -526,7 +586,7 @@ class WorkerPool:
         # Quarantined key: always compile under the resilient fallback
         # ladder and stamp the DegradationReport so the outcome is
         # explicit (and never cached — degraded artifacts are skipped).
-        artifact = shard_mod._compile_one(
+        artifact = _compile_one(
             list(task.instructions),
             task.machine,
             task.method,

@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import obs
 from repro.machine.model import MachineModel
 from repro.serve.cache import CompileCache, TraceArtifact, trace_key
-from repro.serve.shard import _compile_one
+from repro.serve.pool import _compile_one
 
 #: Maps protocol error codes to HTTP statuses.
 ERROR_STATUS = {
@@ -331,7 +331,6 @@ def handle_program_request(
     request: Dict[str, Any],
     cache: Optional[CompileCache],
     default_deadline_ms: Optional[float] = None,
-    jobs: Optional[int] = None,
     pool: Optional[object] = None,
 ) -> Dict[str, Any]:
     """Compile (and run) a whole multi-block program."""
@@ -351,7 +350,7 @@ def handle_program_request(
 
     compiled = compile_program(
         program, machine, method=method,
-        jobs=jobs, cache=cache, deadline_ms=deadline_ms,
+        cache=cache, deadline_ms=deadline_ms,
         resilient=bool(options.get("resilient", False)),
         pool=pool,
     )
@@ -416,7 +415,6 @@ def handle_single(
     request: Dict[str, Any],
     cache: Optional[CompileCache],
     default_deadline_ms: Optional[float] = None,
-    jobs: Optional[int] = None,
     pool: Optional[object] = None,
 ) -> Dict[str, Any]:
     """Dispatch one request dict; never raises."""
@@ -432,7 +430,7 @@ def handle_single(
                 )
             elif kind == "program":
                 response = handle_program_request(
-                    request, cache, default_deadline_ms, jobs, pool
+                    request, cache, default_deadline_ms, pool
                 )
             elif kind == "analyze":
                 response = handle_analyze_request(request)
@@ -462,7 +460,6 @@ def handle_payload(
     payload: Any,
     cache: Optional[CompileCache],
     default_deadline_ms: Optional[float] = None,
-    jobs: Optional[int] = None,
     max_batch: int = DEFAULT_MAX_BATCH,
     pool: Optional[object] = None,
 ) -> Tuple[int, Dict[str, Any]]:
@@ -489,12 +486,12 @@ def handle_payload(
         obs.count("serve.batch_requests")
         obs.count("serve.batched_entries", len(requests))
         responses: List[Dict[str, Any]] = [
-            handle_single(entry, cache, default_deadline_ms, jobs, pool)
+            handle_single(entry, cache, default_deadline_ms, pool)
             for entry in requests
         ]
         return 200, {"responses": responses}
 
-    response = handle_single(payload, cache, default_deadline_ms, jobs, pool)
+    response = handle_single(payload, cache, default_deadline_ms, pool)
     if response.get("ok"):
         return 200, response
     return ERROR_STATUS.get(response["error"]["code"], 500), response

@@ -84,7 +84,6 @@ class ServeApp:
     def __init__(
         self,
         cache: Union[None, bool, str, Path, CompileCache] = True,
-        jobs: Optional[int] = None,
         deadline_ms: Optional[float] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
         workers: Optional[int] = None,
@@ -94,7 +93,6 @@ class ServeApp:
         pool_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.cache = resolve_cache(cache)
-        self.jobs = jobs
         self.deadline_ms = deadline_ms
         self.max_batch = max_batch
         self.queue_depth = max(1, int(queue_depth))
@@ -202,7 +200,6 @@ class ServeApp:
             payload,
             self.cache,
             default_deadline_ms=self.deadline_ms,
-            jobs=self.jobs,
             max_batch=self.max_batch,
             pool=self.pool,
         )
@@ -269,7 +266,6 @@ class ServeApp:
                 "draining": self.draining,
             },
             "config": {
-                "jobs": self.jobs,
                 "deadline_ms": self.deadline_ms,
                 "max_batch": self.max_batch,
                 "caching": self.cache is not None,
@@ -402,7 +398,6 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 8377,
     cache: Union[None, bool, str, Path, CompileCache] = True,
-    jobs: Optional[int] = None,
     deadline_ms: Optional[float] = None,
     max_batch: int = DEFAULT_MAX_BATCH,
     quiet: bool = True,
@@ -420,7 +415,6 @@ def make_server(
     """
     app = ServeApp(
         cache=cache,
-        jobs=jobs,
         deadline_ms=deadline_ms,
         max_batch=max_batch,
         workers=workers,

@@ -1,6 +1,6 @@
-"""Supervision policy for the persistent worker pool (no processes here).
+"""Supervision policy for the worker pool (no processes here).
 
-:mod:`repro.serve.pool` owns the ``multiprocessing`` mechanics; this
+:mod:`repro.serve.pool` owns the process mechanics; this
 module owns every *decision* the pool makes about its workers, so the
 policy is unit-testable without forking anything:
 

@@ -466,12 +466,20 @@ class TestContractLint:
                 "import os, networkx as nx\n"
                 "from numpy.linalg import norm\n"
                 "from .networkx import shim\n"
+                "import sys, multiprocessing\n"
+                "from multiprocessing.pool import Pool\n"
+                "from .multiprocessing import shim\n"
             )
             # The oracle itself may import anything, including its own
             # package; only other modules are held to C004.
             (pkg / "reference.py").write_text("import repro.reference\n")
+            # The worker pool is the one module allowed to fork.
+            (pkg / "serve").mkdir()
+            (pkg / "serve" / "pool.py").write_text("import multiprocessing\n")
             findings = lint_contracts.run(tmp_path)
             codes = sorted(f.code for f in findings)
-            assert codes == ["C001", "C002", "C004", "C004", "C005", "C005"]
+            assert codes == [
+                "C001", "C002", "C004", "C004", "C005", "C005", "C006", "C006",
+            ]
         finally:
             sys.path.pop(0)

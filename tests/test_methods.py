@@ -277,7 +277,6 @@ class TestPortfolio:
         )
         assert result.verified
         report = result.backend_report
-        assert report["mode"] in ("race", "serial")  # pool may be denied
         assert report["exact_delivered"]
         assert result.stats.cycles == report["length_lower_bound"] == 6
 
@@ -311,12 +310,45 @@ class TestPortfolio:
             backend_options={"portfolio_members": ("prepass", "bnb-exact")},
         )
         report = result.backend_report
-        assert report["mode"] == "serial"
         assert report["exact_delivered"]
         proofs = {m["method"]: m["proof"] for m in report["members"]}
         assert proofs == {"prepass": "bound", "bnb-exact": "search"}
         assert report["winner"] == "prepass"
         assert result.stats.cycles == report["length_lower_bound"] == 6
+
+    @pytest.mark.parametrize("case", ["figure2", "dot-product", "random20"])
+    def test_same_answer_whatever_the_deadline(self, case):
+        from repro.serve.cache import program_signature
+
+        if case == "random20":
+            trace = random_layered_trace(n_ops=20, width=3, seed=1, n_inputs=2)
+            machine = MachineModel.homogeneous(4, 10)
+        else:
+            trace, machine = kernel(case), self.MACHINE
+
+        def answer(seconds):
+            deadline = None if seconds is None else Deadline(seconds=seconds)
+            result = compile_trace(
+                trace, machine, method="portfolio", deadline=deadline
+            )
+            report = result.backend_report
+            return (
+                report["winner"],
+                report["winner_cycles"],
+                report["exact_delivered"],
+                [
+                    (m["method"], m["outcome"], m["cycles"], m["proof"])
+                    for m in report["members"]
+                ],
+                program_signature(result.program),
+            )
+
+        unbounded = answer(None)
+        assert [m[0] for m in unbounded[3]] == [
+            "bnb-exact", "ursa", "prepass", "goodman-hsu",
+        ]  # reported in declared order
+        assert answer(0.020) == unbounded
+        assert answer(5.0) == unbounded
 
     def test_portfolio_cannot_race_itself(self):
         from repro.core.allocator import AllocationError

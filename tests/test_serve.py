@@ -279,16 +279,31 @@ class TestParallelCompile:
         self._identical(first, second)
 
     def test_pool_failure_degrades_to_serial(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
+        from repro import obs
+
+        def broken_spawn(self, worker_id):
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(
-            "multiprocessing.Pool", broken_pool
+            "repro.serve.pool.WorkerPool._spawn", broken_spawn
         )
         program = parse_program(PROGRAM_SRC)
-        compiled = compile_program(program, MACHINE, jobs=2)
+        with obs.capture() as observer:
+            compiled = compile_program(program, MACHINE, jobs=2)
+        assert observer.counters["serve.pool.unavailable"] == 1
         serial = compile_program(program, MACHINE)
         self._identical(serial, compiled)
+
+    def test_no_pool_when_fewer_than_two_traces_miss(self, cache, monkeypatch):
+        program = parse_program(PROGRAM_SRC)
+        compile_program(program, MACHINE, jobs=2, cache=cache)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("forked a pool for a warm-cache compile")
+
+        monkeypatch.setattr("repro.serve.pool.WorkerPool.__init__", no_fork)
+        second = compile_program(program, MACHINE, jobs=2, cache=cache)
+        assert second.cache_misses == 0
 
 
 # ======================================================================
@@ -298,7 +313,7 @@ class TestParallelCompile:
 def server(tmp_path):
     from repro.serve.server import make_server
 
-    srv = make_server(port=0, cache=tmp_path / "store", jobs=None)
+    srv = make_server(port=0, cache=tmp_path / "store")
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv

@@ -203,6 +203,24 @@ class TestWorkerPool:
         key = trace_key(trace, MACHINE, "ursa")
         assert worker_pool.map_shards([(key, trace)], MACHINE, "ursa") is None
 
+    def test_spawn_failure_stops_started_workers(self, monkeypatch):
+        import multiprocessing.context
+
+        real_start = multiprocessing.context.ForkProcess.start
+        started = []
+
+        def start_once(process):
+            if started:
+                raise OSError("no more processes")
+            real_start(process)
+            started.append(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_once)
+        with pytest.raises(OSError):
+            WorkerPool(workers=2, **FAST)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
     def test_snapshot_shape(self, pool):
         snapshot = pool.snapshot()
         assert snapshot["size"] == 2 and snapshot["alive"] == 2
@@ -304,9 +322,9 @@ class TestCrashRecovery:
 # ======================================================================
 class TestQuarantine:
     def test_poisoned_trace_is_quarantined_not_crash_looped(self, monkeypatch):
-        import repro.serve.shard as shard_mod
+        import repro.serve.pool as pool_mod
 
-        real = shard_mod._compile_one
+        real = pool_mod._compile_one
         parent_pid = os.getpid()
 
         def poisoned(instructions, machine, method, deadline_ms, resilient,
@@ -321,7 +339,7 @@ class TestQuarantine:
             return real(instructions, machine, method, deadline_ms,
                         resilient, key, analysis_manager=analysis_manager)
 
-        monkeypatch.setattr(shard_mod, "_compile_one", poisoned)
+        monkeypatch.setattr(pool_mod, "_compile_one", poisoned)
         worker_pool = WorkerPool(workers=2, quarantine_threshold=2, **FAST)
         try:
             poison = parse_trace(POISON_SRC)
@@ -723,7 +741,7 @@ class TestCacheGC:
         for index in range(count):
             trace = parse_trace(TRACE_SRC.replace("a + b", f"a + {index}"))
             key = trace_key(trace, MACHINE, "ursa")
-            from repro.serve.shard import _compile_one
+            from repro.serve.pool import _compile_one
 
             cache.put(_compile_one(trace, MACHINE, "ursa", None, False, key))
             path = cache._object_path(key)

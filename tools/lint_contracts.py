@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Four rules, each guarding an invariant the test suite cannot easily
+Five rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -30,6 +30,12 @@ C005  No module under ``src/repro`` may import ``networkx`` or
       the standard library alone (``pyproject.toml`` declares no
       runtime dependencies); networkx is a test-only dependency of the
       ``tests/test_dilworth.py`` cross-check.
+
+C006  No module under ``src/repro`` except ``serve/pool.py`` may
+      import ``multiprocessing``.  ``WorkerPool`` is the one process
+      executor: the server's warm pool and ``compile_program(jobs=N)``
+      both run on it, so a second pool would bring back a second
+      supervision, fallback and cost model (see docs/serving.md).
 
 Usage::
 
@@ -245,6 +251,27 @@ def lint_runtime_dependencies(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# C006: process executors outside the worker pool.
+# ----------------------------------------------------------------------
+PROCESS_EXECUTOR = "src/repro/serve/pool.py"
+
+
+def lint_process_executors(path: Path, tree: ast.Module) -> List[Finding]:
+    if path.as_posix().endswith(PROCESS_EXECUTOR):
+        return []
+    findings: List[Finding] = []
+    for node, modules in _imports(tree):
+        if any(module.split(".")[0] == "multiprocessing" for module in modules):
+            findings.append(Finding(
+                path, node.lineno, "C006",
+                "src/repro imports multiprocessing outside serve/pool.py; "
+                "WorkerPool is the one process executor — run parallel "
+                "work through it",
+            ))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
     findings: List[Finding] = []
@@ -255,6 +282,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_obs_names(rel, tree, schema))
         findings.extend(lint_oracle_imports(rel, tree))
         findings.extend(lint_runtime_dependencies(rel, tree))
+        findings.extend(lint_process_executors(rel, tree))
     return findings
 
 
