@@ -9,9 +9,12 @@ compares the number of *measure_all-equivalent* recomputations:
 
 * legacy work        = ``measure.calls`` (every candidate clone pays a
   full measurement);
-* incremental work   = ``measure.calls`` + ``pm.trial.cold`` /
-  *classes per measure*.  ``measure.calls`` includes the full
-  in-place measurement of every node-inserting (spill, remat) trial.
+* incremental work   = ``measure.calls`` + ``pm.trial.full`` +
+  ``pm.trial.cold`` / *classes per measure*.  ``measure.calls`` counts
+  the committed measurements only.  A node-inserting (spill, remat)
+  trial, counted by ``pm.trial.full``, measures widths only — no
+  hammock analysis, no chains — but still rebuilds every class's
+  relation and matching, so it is charged one full measurement.
   A *cold* class recompute (changed ``Kill()``
   forcing a from-scratch relation + matching) is charged that fraction
   of a full measurement.  Cache hits are free, and *warm* updates —
@@ -147,6 +150,7 @@ def run_benchmark(
         legacy_work = legacy.get("measure.calls", 0.0)
         incr_work = (
             incr.get("measure.calls", 0.0)
+            + incr.get("pm.trial.full", 0.0)
             + incr.get("pm.trial.cold", 0.0) / classes
         )
         total_legacy += legacy_work

@@ -9,6 +9,10 @@ For every resource class this module computes:
   allocation subchains whose heads are mutually independent and whose
   tails are mutually independent, which the transformations of §4
   consume directly.
+
+:func:`measure_widths` is the requirement alone: the width of each
+reuse order, with no hammock analysis and no chain decomposition.  Trial
+scoring reads nothing else.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.graph.dilworth import (
     ChainDecomposition,
     PartialOrder,
     minimum_chain_decomposition,
+    width,
 )
 from repro.graph.hammock import Hammock, HammockAnalysis
 from repro.machine.model import MachineModel
@@ -182,8 +187,6 @@ def sound_register_width(
     ``Kill()`` choice; realized pressure can exceed the paper's measured
     requirement (Theorem 2 leakage) but never this bound.
     """
-    from repro.graph.dilworth import width
-
     values = [
         v for v in collect_values(dag, machine) if v.reg_class == reg_class
     ]
@@ -210,6 +213,32 @@ def measure_all(
         )
         chaos.corrupt_measurements(results)
     return results
+
+
+def measure_widths(dag: DependenceDAG, machine: MachineModel) -> List[int]:
+    """Every class's requirement, in :func:`measure_all`'s order.
+
+    The requirement is the width of the reuse order, ``n`` minus the
+    size of *any* maximum matching (Theorem 1).  The hammock priority
+    only picks which maximum matching, so that the chains are minimal
+    inside every nested hammock too; a width does not need it, nor the
+    chains.  The relations and ``Kill()`` choices are those
+    :func:`measure_all` builds, so the widths are its ``required``s.
+    """
+    fu_names = [fu.name for fu in machine.fu_classes]
+    elements: Dict[str, List[int]] = {name: [] for name in fu_names}
+    instruction = dag.instruction
+    fu_class_for = machine.fu_class_for
+    for uid in dag.op_nodes():
+        elements[fu_class_for(instruction(uid).op).name].append(uid)
+    widths = [width(can_reuse_fu(dag, elements[name])) for name in fu_names]
+    values = collect_values(dag, machine)
+    for reg_class in sorted(machine.registers):
+        class_values = [v for v in values if v.reg_class == reg_class]
+        kill = select_kill(dag, class_values)
+        order = can_reuse_registers(dag, class_values, kill.kill)
+        widths.append(width(order))
+    return widths
 
 
 # ======================================================================

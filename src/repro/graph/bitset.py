@@ -20,11 +20,12 @@ property fuzz and the measurement benchmark compare against):
   ``reference.PrioritizedMatcher`` bit for bit: same left iteration
   order, same DFS neighbour order, hence the *same matching* and the
   same chain decomposition.  Used wherever the paper's hammock-priority
-  scheme is load-bearing (``core/measure.py``).
+  scheme is load-bearing (``core/measure.py``), and as one unprioritized
+  batch for ``dilworth.width``.
 * :func:`hopcroft_karp_masks` — Hopcroft–Karp with bitmask adjacency
   and batched BFS frontier masks, mirroring ``reference.hopcroft_karp``.
-  The default matcher when no priorities are requested, and the kernel
-  behind antichains/width via :func:`koenig_cover_masks`.
+  The default matcher for unprioritized decompositions, and the kernel
+  behind antichains via :func:`koenig_cover_masks`.
 
 Both honour the active :mod:`repro.resilience` deadline: stopping early
 leaves a valid (possibly non-maximum) matching, which overestimates

@@ -9,10 +9,10 @@ into a minimum set of allocation chains via bipartite matching [FoF65].
 The relation itself is stored as packed int bitmasks — one bit per
 element, positions given by :attr:`PartialOrder.index` — and the default
 matchers run directly on those masks (:mod:`repro.graph.bitset`):
-Hopcroft–Karp for plain decompositions, antichains, and width; the
-priority-batched Kuhn replica wherever the paper's hammock-priority
-insertion order is load-bearing.  The dict-of-sets view (``above``) is
-materialized lazily for callers that still want it.  The original
+Hopcroft–Karp for plain decompositions and antichains; the batched Kuhn
+matcher for width (one unprioritized batch) and wherever the paper's
+hammock-priority insertion order is load-bearing.  The dict-of-sets
+view (``above``) is materialized lazily for callers that still want it.  The original
 dict-based kernels live on in :mod:`repro.reference`, the oracle the
 property fuzz and the measurement benchmark compare against; both produce
 bit-identical decompositions, antichains, and widths.
@@ -398,10 +398,17 @@ def maximum_antichain(order: PartialOrder) -> Set[Element]:
 
 
 def width(order: PartialOrder) -> int:
-    """The width (maximum antichain size) of the partial order."""
+    """The width (maximum antichain size) of the partial order.
+
+    ``n`` minus the size of a maximum matching, found by one
+    unprioritized Kuhn batch: every maximum matching has the same size,
+    and on the reuse orders the allocator measures Kuhn's augmenting
+    DFS beats Hopcroft–Karp's layered phases.
+    """
     n = len(order.elements)
-    match_left, _ = bitset.hopcroft_karp_masks(n, n, order.masks)
-    return match_left.count(-1)
+    matcher = bitset.BitsetKuhn(n)
+    matcher.add_batch((i, mask) for i, mask in enumerate(order.masks) if mask)
+    return n - matcher.size
 
 
 def transitive_reduction(order: PartialOrder) -> List[Tuple[Element, Element]]:

@@ -7,8 +7,11 @@ scores the result, and rolls back.  What the journal recorded picks
 how the score is computed.
 
 A journal that inserted nodes (spill, remat) is measured cold, in
-place, by a plain ``measure_all``.  It does not go through the
-analysis cache: a trial version is never seen again after rollback.
+place, by :func:`~repro.core.measure.measure_widths`: every class's
+relation and maximum matching are rebuilt, but no hammock analysis and
+no chain decomposition, which only the committed measurement's
+Definition 6 sets need.  It does not go through the analysis cache: a
+trial version is never seen again after rollback.
 
 An edges-only journal is scored against per-class snapshots taken at
 the last committed measurement:
@@ -39,7 +42,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.core.kill import candidate_killers, select_kill
-from repro.core.measure import ResourceKind, ResourceRequirement, measure_all
+from repro.core.measure import ResourceKind, ResourceRequirement, measure_widths
 from repro.core.reuse import can_reuse_registers
 from repro.core.transforms.base import TransformCandidate, TransformError
 from repro.graph import bitset
@@ -173,7 +176,7 @@ class IncrementalMeasurer:
 
             if txn.adds_nodes:
                 obs.count("pm.trial.full")
-                widths = [r.required for r in measure_all(dag, self.machine)]
+                widths = measure_widths(dag, self.machine)
                 reused, recomputed = 0, len(widths)
             else:
                 widths, reused, recomputed = self._incremental_widths(dag, txn)

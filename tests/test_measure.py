@@ -8,13 +8,21 @@ from repro.core.measure import (
     measure_all,
     measure_fu,
     measure_registers,
+    measure_widths,
     trim_excessive_chains,
 )
+from repro.core.transforms.spill import spill_slot_for
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import closure_from_dag_pairs
 from repro.graph.hammock import HammockAnalysis
 from repro.ir.parser import parse_trace
+from repro.machine import preset
 from repro.machine.model import MachineModel
+from repro.workloads.random_dags import (
+    random_layered_trace,
+    random_series_parallel,
+    random_wide_trace,
+)
 
 
 class TestFigure2Measurement:
@@ -145,3 +153,71 @@ class TestMultiClassMeasurement:
         by_class = {r.cls: r.required for r in reqs}
         assert set(by_class) == {"int", "flt"}
         assert by_class["int"] >= 1 and by_class["flt"] >= 1
+
+
+# ======================================================================
+# measure_widths: the requirements alone, equal to measure_all's.
+# ======================================================================
+def _fuzz_traces():
+    for seed in range(8):
+        yield random_layered_trace(n_ops=20, width=5, seed=seed)
+    for seed in range(4):
+        yield random_series_parallel(
+            n_blocks=3, block_width=3, block_depth=2, seed=seed
+        )
+    for seed in range(4):
+        yield random_wide_trace(n_chains=5, chain_length=3, seed=seed)
+
+
+WIDTH_MACHINES = {
+    "h2x6": lambda: MachineModel.homogeneous(2, 6),
+    "narrow": lambda: preset("narrow"),
+    "cydra": lambda: preset("cydra"),
+    "dsp": lambda: preset("dsp"),
+}
+
+
+def _required(dag, machine):
+    return [r.required for r in measure_all(dag, machine)]
+
+
+class TestMeasureWidths:
+    @pytest.mark.parametrize("machine_name", sorted(WIDTH_MACHINES))
+    def test_widths_equal_measure_all(self, machine_name):
+        machine = WIDTH_MACHINES[machine_name]()
+        for index, trace in enumerate(_fuzz_traces()):
+            dag = DependenceDAG.from_trace(trace)
+            assert measure_widths(dag, machine) == _required(dag, machine), index
+
+    @pytest.mark.parametrize("machine_name", sorted(WIDTH_MACHINES))
+    def test_widths_equal_measure_all_after_spill_and_remat(self, machine_name):
+        machine = WIDTH_MACHINES[machine_name]()
+        edited = 0
+        for index, trace in enumerate(_fuzz_traces()):
+            dag = DependenceDAG.from_trace(trace)
+            version = dag.version
+            values = [
+                (name, uid)
+                for name, uid in sorted(dag.value_defs.items())
+                if uid != dag.entry
+                and len(set(dag.value_uses.get(name, ()))) >= 2
+            ]
+            if len(values) < 2:
+                continue
+            txn = dag.begin_transaction()
+            try:
+                (spilled, spill_def), (remat, _) = values[0], values[-1]
+                uses = sorted(set(dag.value_uses[spilled]))
+                dag.insert_spill(
+                    spilled, uses[1:], spill_slot_for(dag, spill_def)
+                )
+                assert txn.adds_nodes
+                assert measure_widths(dag, machine) == _required(dag, machine), index
+                uses = sorted(set(dag.value_uses[remat]))
+                dag.insert_remat(remat, uses[1:])
+                assert measure_widths(dag, machine) == _required(dag, machine), index
+                edited += 1
+            finally:
+                txn.rollback()
+            assert dag.version == version
+        assert edited >= 4, edited

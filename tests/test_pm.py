@@ -504,3 +504,56 @@ class TestCounters:
         assert recomputed == counters.get("pm.trial.warm", 0) + counters.get(
             "pm.trial.cold", 0
         )
+
+
+# ======================================================================
+# Widths-only trials: no hammocks, no chains, no measure_all.
+# ======================================================================
+class TestWidthsOnlyTrials:
+    COUNTED = ("dilworth.decompositions", "measure.calls")
+
+    @pytest.mark.parametrize(
+        "name,fus,regs,committed",
+        [("hydro", 2, 3, "spill"), ("figure2", 2, 3, "remat")],
+    )
+    def test_node_inserting_trials_build_no_hammocks_or_chains(
+        self, monkeypatch, name, fus, regs, committed
+    ):
+        from repro import obs
+        from repro.graph.hammock import HammockAnalysis
+        from repro.pipeline import compile_trace
+
+        inside = [False]
+        seen = dict.fromkeys(("hammock_analyses",) + self.COUNTED, 0)
+        observer = None
+
+        hammock_init = HammockAnalysis.__init__
+
+        def counting_init(analysis, dag):
+            if inside[0]:
+                seen["hammock_analyses"] += 1
+            hammock_init(analysis, dag)
+
+        trial = IncrementalMeasurer.trial
+
+        def watched_trial(measurer, candidate):
+            counters = observer.counters
+            before = {key: counters.get(key, 0) for key in self.COUNTED}
+            inside[0] = True
+            try:
+                return trial(measurer, candidate)
+            finally:
+                inside[0] = False
+                for key in self.COUNTED:
+                    seen[key] += counters.get(key, 0) - before[key]
+
+        monkeypatch.setattr(HammockAnalysis, "__init__", counting_init)
+        monkeypatch.setattr(IncrementalMeasurer, "trial", watched_trial)
+        with obs.capture() as observer:
+            result = compile_trace(
+                kernel(name), MachineModel.homogeneous(fus, regs),
+                method="ursa", verify=False,
+            )
+        assert observer.counters.get("pm.trial.full", 0) > 0
+        assert committed in [record.kind for record in result.allocation.records]
+        assert seen == dict.fromkeys(seen, 0), seen
