@@ -10,8 +10,7 @@ Subcommands:
   (``--jobs`` shards traces over a worker pool, ``--cache`` reuses
   the persistent compile cache);
 * ``pipeline`` — unroll-and-allocate sweep for a canonical loop;
-* ``passes``   — list registered passes, analyses, and invalidation
-  contracts (``--kernel`` adds live analysis-cache statistics);
+* ``passes``   — list the registered pipeline passes;
 * ``serve``    — long-lived HTTP compilation service (docs/serving.md);
 * ``cache``    — inspect/garbage-collect/clear the persistent compile
   cache (``stats`` / ``gc`` / ``clear``).
@@ -312,18 +311,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_passes(args: argparse.Namespace) -> int:
-    from repro.pm import ANALYSES, PASS_REGISTRY
-    from repro.pm.analysis import AnalysisManager
-
-    cache_stats: Optional[Dict[str, float]] = None
-    if args.kernel is not None:
-        machine = _machine_from_args(args)
-        manager = AnalysisManager()
-        compile_trace(
-            kernel(args.kernel), machine, method="ursa", verify=False,
-            analysis_manager=manager,
-        )
-        cache_stats = manager.stats()
+    from repro.pm import PASS_REGISTRY
 
     if args.json:
         import json as _json
@@ -339,17 +327,7 @@ def cmd_passes(args: argparse.Namespace) -> int:
                 }
                 for spec in PASS_REGISTRY
             ],
-            "analyses": [
-                {
-                    "name": spec.name,
-                    "description": spec.description,
-                    "invalidated_by": list(spec.invalidated_by),
-                }
-                for spec in ANALYSES
-            ],
         }
-        if cache_stats is not None:
-            payload["cache"] = {"kernel": args.kernel, **cache_stats}
         print(_json.dumps(payload, indent=2))
         return 0
 
@@ -362,14 +340,6 @@ def cmd_passes(args: argparse.Namespace) -> int:
                 f" -> {','.join(spec.provides) or '-'}]"
             )
         print(f"  {spec.name:<14} {spec.description}{wires}")
-    print("\nanalyses (cached by DAG version):")
-    for analysis in ANALYSES:
-        print(f"  {analysis.name:<14} {analysis.description}")
-        print(f"  {'':<14} invalidated by: {', '.join(analysis.invalidated_by)}")
-    if cache_stats is not None:
-        print(f"\nanalysis cache after compiling --kernel {args.kernel}:")
-        for key, value in cache_stats.items():
-            print(f"  {key:<14} {value}")
     return 0
 
 
@@ -550,17 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_program)
 
-    p = sub.add_parser(
-        "passes",
-        help="list passes and analyses",
-    )
-    p.add_argument(
-        "--kernel", choices=sorted(KERNELS),
-        help="also compile this kernel and report analysis-cache stats",
-    )
-    p.add_argument("--fus", type=int, default=4, help="functional units")
-    p.add_argument("--regs", type=int, default=8, help="registers")
-    p.add_argument("--classed", action="store_true")
+    p = sub.add_parser("passes", help="list the registered pipeline passes")
     p.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )

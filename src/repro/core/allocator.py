@@ -10,7 +10,9 @@ chaos and transactional runs included) — is tried in place inside one
 journaled DAG transaction and scored by
 :class:`~repro.pm.incremental.IncrementalMeasurer`, then rolled back.
 The winner is committed one way: ``candidate.apply()`` builds it as a
-fresh DAG, so the pre-commit DAG is never mutated.  Policies:
+fresh DAG, so the pre-commit DAG is never mutated, and is measured
+once (again only when a transactional audit rejects that measurement).
+Policies:
 
 * ``INTEGRATED`` — all transformations compete each iteration (§5's
   multi-resource heuristic).
@@ -44,7 +46,6 @@ from repro.core.transforms.spill import propose_spills, spill_slot_for
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import maximum_antichain
 from repro.machine.model import MachineModel
-from repro.pm.analysis import AnalysisManager
 from repro.pm.incremental import IncrementalMeasurer
 from repro.resilience import budgets
 from repro.resilience.checkpoint import DagCheckpoint
@@ -120,7 +121,6 @@ class URSAAllocator:
         max_iterations: Optional[int] = None,
         verify_each: bool = False,
         transactional: bool = False,
-        analysis_manager: Optional[AnalysisManager] = None,
     ) -> None:
         self.machine = machine
         self.policy = policy
@@ -135,10 +135,8 @@ class URSAAllocator:
         #: broke an invariant, banning that candidate for the rest of
         #: the run instead of raising.
         self.transactional = transactional
-        self.analysis_manager = analysis_manager
         self._excess_weight = 1  # set per run from the DAG size
         self._banned: set = set()
-        self._am: AnalysisManager = analysis_manager or AnalysisManager()
         self._measurer: Optional[IncrementalMeasurer] = None
 
     # ------------------------------------------------------------------
@@ -151,13 +149,12 @@ class URSAAllocator:
         # doubles it plus the merge budget, so this weight keeps register
         # excess lexicographically dominant for the whole run.
         self._excess_weight = 1 + 8 * (len(dag) + 16)
-        self._am = self.analysis_manager or AnalysisManager()
         self._measurer = IncrementalMeasurer(
             self.machine, register_weight=self._excess_weight
         )
 
         with obs.span("allocate.measure", iteration=0):
-            requirements = self._am.measure_all(dag, self.machine)
+            requirements = measure_all(dag, self.machine)
         if self.transactional and any(
             r.available != self._capacity(r.kind, r.cls)
             for r in requirements
@@ -337,7 +334,6 @@ class URSAAllocator:
 
         The returned DAG is always a fresh one: ``dag`` is never mutated.
         """
-        analysis = self._am.hammock(dag)
         excessive = [r for r in requirements if r.is_excessive]
         active = self._active_requirements(excessive)
         if not active:
@@ -350,7 +346,7 @@ class URSAAllocator:
         )
         candidates: List[TransformCandidate] = []
         for requirement in active:
-            for ecs in find_excessive_sets(dag, requirement, analysis):
+            for ecs in find_excessive_sets(dag, requirement):
                 candidates.extend(self._proposals(dag, ecs))
             if (
                 requirement.kind is ResourceKind.FUNCTIONAL_UNIT
@@ -364,7 +360,7 @@ class URSAAllocator:
                 )
 
         current_weighted = self._weighted_excess(requirements)
-        current_cp = self._am.critical_path(dag, self.machine)
+        current_cp = dag.critical_path_length(self.machine.latency_of)
         self._measurer.rebase(dag, requirements)
 
         best = self._best_candidate(dag, candidates, current_weighted)
@@ -374,10 +370,15 @@ class URSAAllocator:
             # the width when its edges are admissible, but blunter on the
             # critical path), then to direct antichain surgery — the
             # leftovers the paper hands to assignment.
+            depth = dag.asap()
             fallbacks: List[TransformCandidate] = []
             for requirement in active:
-                fallbacks.extend(self._global_merge_candidates(dag, requirement))
-                fallbacks.extend(self._fallback_candidates(dag, requirement))
+                fallbacks.extend(
+                    self._global_merge_candidates(dag, requirement, depth)
+                )
+                fallbacks.extend(
+                    self._fallback_candidates(dag, requirement, depth)
+                )
             best = self._best_candidate(dag, fallbacks, current_weighted)
         if best is None:
             obs.event("allocate.stuck", iteration=iteration)
@@ -385,11 +386,12 @@ class URSAAllocator:
         score, candidate = best
         # The trial rolled its edits back: commit the winner as a copy
         # plus its edits, which also runs the chaos transform hook, and
-        # take one full measurement of it — decompositions and Kill()
-        # carried into the next iteration always come from a
-        # from-scratch measure.
+        # take one full measurement of it — widths and Kill() carried
+        # into the next iteration always come from a from-scratch
+        # measure, and the chains of a class still excessive are built
+        # from that DAG when the next step first reads them.
         new_dag = candidate.apply()
-        new_reqs = self._am.measure_all(new_dag, self.machine)
+        new_reqs = measure_all(new_dag, self.machine)
         obs.event(
             "allocate.commit",
             iteration=iteration,
@@ -566,14 +568,16 @@ class URSAAllocator:
     # transformations cannot always promise.
     # ------------------------------------------------------------------
     def _global_merge_candidates(
-        self, dag: DependenceDAG, requirement: ResourceRequirement
+        self,
+        dag: DependenceDAG,
+        requirement: ResourceRequirement,
+        depth: Dict[int, int],
     ) -> List[TransformCandidate]:
         chains = [list(c) for c in requirement.decomposition.chains if c]
         excess = requirement.required - requirement.available
         if excess <= 0 or len(chains) < 2:
             return []
 
-        depth = self._am.asap(dag)
         kill = requirement.kill
 
         def tail_node(chain) -> Optional[int]:
@@ -647,7 +651,7 @@ class URSAAllocator:
                 )
             )
 
-        weave = self._interleaved_merge_edges(dag, requirement)
+        weave = self._interleaved_merge_edges(dag, requirement, depth)
         if weave:
             results.append(
                 TransformCandidate(
@@ -664,7 +668,10 @@ class URSAAllocator:
         return results
 
     def _interleaved_merge_edges(
-        self, dag: DependenceDAG, requirement: ResourceRequirement
+        self,
+        dag: DependenceDAG,
+        requirement: ResourceRequirement,
+        depth: Dict[int, int],
     ) -> List[Tuple[int, int]]:
         """Weave chains together element-by-element until only
         ``available`` chains remain.
@@ -678,7 +685,6 @@ class URSAAllocator:
         available = requirement.available
         if len(chains) <= available:
             return []
-        depth = self._am.asap(dag)
         kill = requirement.kill
 
         def element_depth(e) -> int:
@@ -740,9 +746,11 @@ class URSAAllocator:
     # surgery, then give up to assignment-phase spilling).
     # ------------------------------------------------------------------
     def _fallback_candidates(
-        self, dag: DependenceDAG, requirement: ResourceRequirement
+        self,
+        dag: DependenceDAG,
+        requirement: ResourceRequirement,
+        depth: Dict[int, int],
     ) -> List[TransformCandidate]:
-        depth = self._am.asap(dag)
         node = requirement.element_node
         # A total order: the antichain is a set, and its iteration order
         # must not leak into the output (it varies with PYTHONHASHSEED).

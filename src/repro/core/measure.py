@@ -3,23 +3,25 @@
 For every resource class this module computes:
 
 * the worst-case requirement over all legal schedules — the width of the
-  resource's reuse partial order, obtained as a minimum chain
-  decomposition via hammock-prioritized bipartite matching; and
-* the *excessive chain sets* (Definition 6): per hammock, the trimmed
-  allocation subchains whose heads are mutually independent and whose
-  tails are mutually independent, which the transformations of §4
+  resource's reuse partial order, ``n`` minus the size of a maximum
+  bipartite matching (Theorem 1); and
+* for an excessive class only, the *excessive chain sets* (Definition
+  6): per hammock, the trimmed subchains of the hammock-prioritized
+  minimum chain decomposition whose heads are mutually independent and
+  whose tails are mutually independent, which the transformations of §4
   consume directly.
 
-:func:`measure_widths` is the requirement alone: the width of each
-reuse order, with no hammock analysis and no chain decomposition.  Trial
-scoring reads nothing else.
+A class that fits never builds a hammock analysis or a decomposition:
+:attr:`ResourceRequirement.decomposition` is computed on first read.
+:func:`measure_widths` is the requirement alone, which is all trial
+scoring reads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro import obs
 from repro.core.kill import KillAssignment, select_kill
@@ -37,6 +39,7 @@ from repro.graph.dilworth import (
     PartialOrder,
     minimum_chain_decomposition,
     width,
+    width_matching,
 )
 from repro.graph.hammock import Hammock, HammockAnalysis
 from repro.machine.model import MachineModel
@@ -50,25 +53,72 @@ class ResourceKind(enum.Enum):
     REGISTER = "reg"
 
 
-@dataclass
-class ResourceRequirement:
-    """Measured worst-case requirement for one resource class."""
+class StaleMeasurementError(RuntimeError):
+    """A decomposition was read after its DAG moved on."""
 
-    kind: ResourceKind
-    cls: str
-    available: int
-    order: PartialOrder
-    decomposition: ChainDecomposition
-    #: element -> representative DAG node (itself for FU elements, the
-    #: defining node for register values).
-    element_node: Dict[Element, int]
-    #: for registers: the Kill() assignment used.
-    kill: Optional[KillAssignment] = None
-    values: Optional[Dict[str, ValueInfo]] = None
+
+class ResourceRequirement:
+    """Measured worst-case requirement for one resource class.
+
+    ``required`` is the width of the reuse ``order`` (Theorem 1), and
+    ``matching`` the maximum matching that proves it, as an index array
+    (entry ``i`` is the index matched to element ``i``, or -1).  The
+    hammock-prioritized chain ``decomposition`` only serves to locate
+    excess (Definition 6), so it is built on first read, from the
+    measured DAG at the version it was measured at; reading it once
+    that DAG has moved on raises :class:`StaleMeasurementError`.  A
+    requirement built with an explicit ``decomposition`` (the reference
+    oracle's) carries no DAG and is never stale.
+    """
+
+    def __init__(
+        self,
+        kind: ResourceKind,
+        cls: str,
+        available: int,
+        order: PartialOrder,
+        element_node: Dict[Element, int],
+        required: int,
+        matching: Optional[List[int]] = None,
+        dag: Optional[DependenceDAG] = None,
+        decomposition: Optional[ChainDecomposition] = None,
+        kill: Optional[KillAssignment] = None,
+        values: Optional[Dict[str, ValueInfo]] = None,
+    ) -> None:
+        self.kind = kind
+        self.cls = cls
+        self.available = available
+        self.order = order
+        #: element -> representative DAG node (itself for FU elements,
+        #: the defining node for register values).
+        self.element_node = element_node
+        self.required = required
+        self.matching = matching
+        self.dag = dag
+        self.version = dag.version if dag is not None else None
+        self._decomposition = decomposition
+        #: for registers: the Kill() assignment used.
+        self.kill = kill
+        self.values = values
 
     @property
-    def required(self) -> int:
-        return self.decomposition.width
+    def decomposition(self) -> ChainDecomposition:
+        dag = self.dag
+        if dag is not None and dag.version != self.version:
+            raise StaleMeasurementError(
+                f"{self.kind.value}:{self.cls} was measured at DAG version "
+                f"{self.version}, which is now {dag.version}"
+            )
+        if self._decomposition is None:
+            # An element's nesting level is its node's (a register
+            # value's is its definition's); the hammock priority
+            # abs(level(a) - level(b)) then matches edge_priority.
+            node_levels = HammockAnalysis.of(dag).nesting_levels()
+            levels = {e: node_levels[n] for e, n in self.element_node.items()}
+            self._decomposition = minimum_chain_decomposition(
+                self.order, levels=levels
+            )
+        return self._decomposition
 
     @property
     def excess(self) -> int:
@@ -113,67 +163,109 @@ class ExcessiveChainSet:
 # ======================================================================
 # Requirements.
 # ======================================================================
-def measure_fu(
+def _fu_requirement(
     dag: DependenceDAG,
     machine: MachineModel,
     fu_class: str,
-    analysis: Optional[HammockAnalysis] = None,
+    elements: List[int],
 ) -> ResourceRequirement:
-    """Worst-case number of ``fu_class`` units any schedule can use."""
-    analysis = analysis or HammockAnalysis.of(dag)
-    elements = fu_elements(dag, machine, fu_class)
     order = can_reuse_fu(dag, elements)
-    # levels= is the vectorized spelling of priority=analysis.edge_priority
-    # (abs nesting-level difference); the decomposition is identical.
-    decomposition = minimum_chain_decomposition(
-        order, levels=analysis.nesting_levels()
-    )
-    obs.count("measure.fu_requirements")
-    obs.peak("measure.fu_width_peak", decomposition.width)
+    required, matching = width_matching(order)
     return ResourceRequirement(
         kind=ResourceKind.FUNCTIONAL_UNIT,
         cls=fu_class,
         available=machine.fu_class(fu_class).count,
         order=order,
-        decomposition=decomposition,
         element_node={uid: uid for uid in elements},
+        required=required,
+        matching=matching,
+        dag=dag,
     )
+
+
+def _register_requirement(
+    dag: DependenceDAG,
+    machine: MachineModel,
+    reg_class: str,
+    values: List[ValueInfo],
+    kill: Optional[KillAssignment] = None,
+) -> ResourceRequirement:
+    if kill is None:
+        kill = select_kill(dag, values)
+    order = can_reuse_registers(dag, values, kill.kill)
+    required, matching = width_matching(order)
+    return ResourceRequirement(
+        kind=ResourceKind.REGISTER,
+        cls=reg_class,
+        available=machine.registers[reg_class],
+        order=order,
+        element_node={v.name: v.def_uid for v in values},
+        required=required,
+        matching=matching,
+        dag=dag,
+        kill=kill,
+        values={v.name: v for v in values},
+    )
+
+
+def _requirements(
+    dag: DependenceDAG, machine: MachineModel
+) -> List[ResourceRequirement]:
+    """Every FU class, then every register class in name order: the
+    one relation-building path under :func:`measure_all` and
+    :func:`measure_widths`."""
+    fu_names = [fu.name for fu in machine.fu_classes]
+    elements: Dict[str, List[int]] = {name: [] for name in fu_names}
+    instruction = dag.instruction
+    fu_class_for = machine.fu_class_for
+    for uid in dag.op_nodes():
+        elements[fu_class_for(instruction(uid).op).name].append(uid)
+    results = [
+        _fu_requirement(dag, machine, name, elements[name]) for name in fu_names
+    ]
+    values = collect_values(dag, machine)
+    results.extend(
+        _register_requirement(
+            dag, machine, reg_class,
+            [v for v in values if v.reg_class == reg_class],
+        )
+        for reg_class in sorted(machine.registers)
+    )
+    return results
+
+
+def _counted(requirement: ResourceRequirement) -> ResourceRequirement:
+    if requirement.kind is ResourceKind.FUNCTIONAL_UNIT:
+        obs.count("measure.fu_requirements")
+        obs.peak("measure.fu_width_peak", requirement.required)
+    else:
+        obs.count("measure.reg_requirements")
+        obs.peak("measure.reg_width_peak", requirement.required)
+    return requirement
+
+
+def measure_fu(
+    dag: DependenceDAG,
+    machine: MachineModel,
+    fu_class: str,
+) -> ResourceRequirement:
+    """Worst-case number of ``fu_class`` units any schedule can use."""
+    return _counted(_fu_requirement(
+        dag, machine, fu_class, fu_elements(dag, machine, fu_class)
+    ))
 
 
 def measure_registers(
     dag: DependenceDAG,
     machine: MachineModel,
     reg_class: str = "gpr",
-    analysis: Optional[HammockAnalysis] = None,
     kill: Optional[KillAssignment] = None,
 ) -> ResourceRequirement:
     """Worst-case number of ``reg_class`` registers any schedule can need."""
-    analysis = analysis or HammockAnalysis.of(dag)
     values = [
         v for v in collect_values(dag, machine) if v.reg_class == reg_class
     ]
-    if kill is None:
-        kill = select_kill(dag, values)
-    order = can_reuse_registers(dag, values, kill.kill)
-    element_node = {v.name: v.def_uid for v in values}
-
-    # A value's nesting level is its defining node's; the hammock priority
-    # abs(level(a) - level(b)) then matches the per-pair edge_priority.
-    node_levels = analysis.nesting_levels()
-    value_levels = {name: node_levels[uid] for name, uid in element_node.items()}
-    decomposition = minimum_chain_decomposition(order, levels=value_levels)
-    obs.count("measure.reg_requirements")
-    obs.peak("measure.reg_width_peak", decomposition.width)
-    return ResourceRequirement(
-        kind=ResourceKind.REGISTER,
-        cls=reg_class,
-        available=machine.registers[reg_class],
-        order=order,
-        decomposition=decomposition,
-        element_node=element_node,
-        kill=kill,
-        values={v.name: v for v in values},
-    )
+    return _counted(_register_requirement(dag, machine, reg_class, values, kill))
 
 
 def sound_register_width(
@@ -195,22 +287,12 @@ def sound_register_width(
 
 
 def measure_all(
-    dag: DependenceDAG,
-    machine: MachineModel,
-    analysis: Optional[HammockAnalysis] = None,
+    dag: DependenceDAG, machine: MachineModel
 ) -> List[ResourceRequirement]:
     """Measure every FU class and register class of the machine."""
     with obs.span("measure.all", nodes=len(dag)):
         obs.count("measure.calls")
-        analysis = analysis or HammockAnalysis.of(dag)
-        results = [
-            measure_fu(dag, machine, fu.name, analysis)
-            for fu in machine.fu_classes
-        ]
-        results.extend(
-            measure_registers(dag, machine, cls, analysis)
-            for cls in sorted(machine.registers)
-        )
+        results = [_counted(r) for r in _requirements(dag, machine)]
         chaos.corrupt_measurements(results)
     return results
 
@@ -219,26 +301,12 @@ def measure_widths(dag: DependenceDAG, machine: MachineModel) -> List[int]:
     """Every class's requirement, in :func:`measure_all`'s order.
 
     The requirement is the width of the reuse order, ``n`` minus the
-    size of *any* maximum matching (Theorem 1).  The hammock priority
-    only picks which maximum matching, so that the chains are minimal
-    inside every nested hammock too; a width does not need it, nor the
-    chains.  The relations and ``Kill()`` choices are those
-    :func:`measure_all` builds, so the widths are its ``required``s.
+    size of *any* maximum matching (Theorem 1), so trial scoring needs
+    no hammock analysis and no chains.  The relations and ``Kill()``
+    choices are the ones :func:`measure_all` builds, from the same
+    builder, but nothing is counted as a measurement.
     """
-    fu_names = [fu.name for fu in machine.fu_classes]
-    elements: Dict[str, List[int]] = {name: [] for name in fu_names}
-    instruction = dag.instruction
-    fu_class_for = machine.fu_class_for
-    for uid in dag.op_nodes():
-        elements[fu_class_for(instruction(uid).op).name].append(uid)
-    widths = [width(can_reuse_fu(dag, elements[name])) for name in fu_names]
-    values = collect_values(dag, machine)
-    for reg_class in sorted(machine.registers):
-        class_values = [v for v in values if v.reg_class == reg_class]
-        kill = select_kill(dag, class_values)
-        order = can_reuse_registers(dag, class_values, kill.kill)
-        widths.append(width(order))
-    return widths
+    return [r.required for r in _requirements(dag, machine)]
 
 
 # ======================================================================
@@ -359,7 +427,6 @@ def verify_excessive_set(
 def find_excessive_sets(
     dag: DependenceDAG,
     requirement: ResourceRequirement,
-    analysis: Optional[HammockAnalysis] = None,
     scope: str = "both",
 ) -> List[ExcessiveChainSet]:
     """Locate hammocks whose projected requirement exceeds availability.
@@ -376,7 +443,7 @@ def find_excessive_sets(
     """
     if not requirement.is_excessive:
         return []
-    analysis = analysis or HammockAnalysis.of(dag)
+    analysis = HammockAnalysis.of(dag)
     element_node = requirement.element_node
     results: List[ExcessiveChainSet] = []
 

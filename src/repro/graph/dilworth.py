@@ -398,17 +398,24 @@ def maximum_antichain(order: PartialOrder) -> Set[Element]:
 
 
 def width(order: PartialOrder) -> int:
-    """The width (maximum antichain size) of the partial order.
+    """The width (maximum antichain size) of the partial order."""
+    return width_matching(order)[0]
 
-    ``n`` minus the size of a maximum matching, found by one
-    unprioritized Kuhn batch: every maximum matching has the same size,
-    and on the reuse orders the allocator measures Kuhn's augmenting
-    DFS beats Hopcroft–Karp's layered phases.
+
+def width_matching(order: PartialOrder) -> Tuple[int, List[int]]:
+    """The width and the maximum matching that proves it.
+
+    The width is ``n`` minus the size of a maximum matching, found by
+    one unprioritized Kuhn batch: every maximum matching has the same
+    size, and on the reuse orders the allocator measures Kuhn's
+    augmenting DFS beats Hopcroft–Karp's layered phases.  The matching
+    is an index array: entry ``i`` is the index matched to element
+    ``i``'s left copy, or -1.
     """
     n = len(order.elements)
     matcher = bitset.BitsetKuhn(n)
     matcher.add_batch((i, mask) for i, mask in enumerate(order.masks) if mask)
-    return n - matcher.size
+    return n - matcher.size, matcher.match_left
 
 
 def transitive_reduction(order: PartialOrder) -> List[Tuple[Element, Element]]:

@@ -44,7 +44,6 @@ from repro.pm import (
     register_pass_spec,
     verify_instrument,
 )
-from repro.pm.analysis import AnalysisManager
 from repro.resilience.budgets import active_deadline, deadline_scope
 from repro.scheduling.list_scheduler import Schedule
 
@@ -130,7 +129,6 @@ def compile_trace(
     deadline: Optional[object] = None,
     hints: Optional[object] = None,
     transactional: bool = False,
-    analysis_manager: Optional[AnalysisManager] = None,
     backend_options: Optional[Dict[str, object]] = None,
 ) -> CompilationResult:
     """Compile one trace with the chosen method.
@@ -163,9 +161,6 @@ def compile_trace(
     analyzer; the ladder skips rungs the bounds prove doomed and fails
     fast on globally infeasible traces (``docs/analysis.md``).
 
-    ``analysis_manager`` shares one version-keyed analysis cache across
-    compiles (the whole-program compiler passes one per program).
-
     ``backend_options`` is passed through to the resolved backend's
     schedule pass (e.g. ``{"bnb_max_ops": 18}`` for ``bnb-exact``,
     ``{"portfolio_members": (...)}`` for ``portfolio``).
@@ -193,7 +188,6 @@ def compile_trace(
             static_checks=static_checks,
             verify_each=verify_each,
             transactional=transactional,
-            analysis_manager=analysis_manager,
             backend_options=backend_options,
         )
     if deadline is not None:
@@ -201,12 +195,12 @@ def compile_trace(
             return _compile_once(
                 source, machine, method, live_out, verify, memory, seed,
                 optimize, assignment, static_checks, verify_each,
-                transactional, analysis_manager, backend_options,
+                transactional, backend_options,
             )
     return _compile_once(
         source, machine, method, live_out, verify, memory, seed, optimize,
         assignment, static_checks, verify_each, transactional,
-        analysis_manager, backend_options,
+        backend_options,
     )
 
 
@@ -272,7 +266,6 @@ def _pass_allocate(state: PipelineState) -> None:
         resolve(state.method).policy,
         verify_each=opts["verify_each"],
         transactional=opts["transactional"],
-        analysis_manager=state.analysis_manager,
     ).run(state.dag)
     state.final_dag = state.allocation.dag
 
@@ -370,7 +363,6 @@ def _compile_once(
     static_checks: bool,
     verify_each: bool,
     transactional: bool,
-    analysis_manager: Optional[AnalysisManager] = None,
     backend_options: Optional[Dict[str, object]] = None,
 ) -> CompilationResult:
     """One rung of compilation; no ladder, deadline comes from scope."""
@@ -403,7 +395,6 @@ def _compile_once(
             "transactional": transactional,
             "backend": dict(backend_options or {}),
         },
-        analysis_manager=analysis_manager or AnalysisManager(),
     )
     build_pipeline(
         method,

@@ -1,9 +1,7 @@
-"""repro.pm — pass manager, analysis caching, incremental re-measurement.
+"""repro.pm — pass manager and incremental re-measurement.
 
-Three pieces (see ``docs/passes.md``):
+Two pieces (see ``docs/passes.md``):
 
-* :mod:`repro.pm.analysis` — :class:`AnalysisManager`, a cache of
-  derived artifacts keyed by the DAG's monotone version;
 * :mod:`repro.pm.incremental` — :class:`IncrementalMeasurer`, scoring
   every transform candidate in place under a journaled DAG
   transaction;
@@ -11,7 +9,6 @@ Three pieces (see ``docs/passes.md``):
   as explicit, instrumented passes.
 """
 
-from repro.pm.analysis import ANALYSES, AnalysisManager, AnalysisSpec
 from repro.pm.incremental import IncrementalMeasurer, TrialOutcome
 from repro.pm.passes import (
     PASS_REGISTRY,
@@ -24,9 +21,6 @@ from repro.pm.passes import (
 )
 
 __all__ = [
-    "ANALYSES",
-    "AnalysisManager",
-    "AnalysisSpec",
     "IncrementalMeasurer",
     "TrialOutcome",
     "PASS_REGISTRY",

@@ -10,8 +10,7 @@ A journal that inserted nodes (spill, remat) is measured cold, in
 place, by :func:`~repro.core.measure.measure_widths`: every class's
 relation and maximum matching are rebuilt, but no hammock analysis and
 no chain decomposition, which only the committed measurement's
-Definition 6 sets need.  It does not go through the analysis cache: a
-trial version is never seen again after rollback.
+Definition 6 sets need.
 
 An edges-only journal is scored against per-class snapshots taken at
 the last committed measurement:
@@ -20,8 +19,8 @@ the last committed measurement:
   so the reuse relation gains pairs and its width never increases.  A
   class with no excess stays excess-free (exact, no work); a class whose
   relevant reachability did not change keeps its width exactly; anything
-  else re-maximizes the base matching *warm-started* with only the delta
-  pairs the transaction's closure journal exposes.
+  else re-maximizes the committed width's matching *warm-started* with
+  only the delta pairs the transaction's closure journal exposes.
 * **Registers** — if no value's def or use changed reachability and no
   contested ``Kill()`` candidate could have moved in the ASAP order, the
   base width is exact.  Otherwise ``Kill()`` is re-selected: an
@@ -29,10 +28,10 @@ the last committed measurement:
   (warm-startable); a changed one forces a cold re-match of that class
   only.
 
-Widths are what the driver's score needs; the decompositions and
-priorities that committed measurements carry are *not* recomputed here —
-a committed winner always gets a full ``measure_all`` at its new
-version, so trial shortcuts can never leak into downstream state.
+Widths are what the driver's score needs; no chain decomposition is
+built here — a committed winner always gets a full ``measure_all`` at
+its new version, so trial shortcuts can never leak into downstream
+state.
 """
 
 from __future__ import annotations
@@ -74,8 +73,9 @@ class _ClassBase:
     #: base relation as successor bitmasks, one per element index — a
     #: *copy* of the order's masks, safe to grow with delta pairs.
     masks: List[int]
-    #: committed matching as an index array (-1 = chain tail).
-    succ_idx: List[int]
+    #: the committed width's maximum matching, an index array (-1 =
+    #: unmatched).  Read-only: trials copy it before augmenting.
+    match_left: List[int]
     width: int
     available: int
     # -- registers only -------------------------------------------------
@@ -119,18 +119,14 @@ class IncrementalMeasurer:
     def _snapshot(
         self, dag: DependenceDAG, req: ResourceRequirement
     ) -> _ClassBase:
-        elements = list(req.order.elements)
-        index = {e: i for i, e in enumerate(elements)}
-        succ_idx = [-1] * len(elements)
-        for a, b in req.decomposition.successor.items():
-            succ_idx[index[a]] = index[b]
+        elements = req.order.elements
         base = _ClassBase(
             req=req,
             elements=elements,
             element_set=set(elements),
-            eidx=index,
+            eidx=req.order.index,
             masks=list(req.order.masks),
-            succ_idx=succ_idx,
+            match_left=req.matching,
             width=req.required,
             available=req.available,
         )
@@ -234,13 +230,15 @@ class IncrementalMeasurer:
         augmenting the base maximum matching (never unmatching).
 
         The snapshot's masks are ORed with the journal-delta bits and the
-        committed matching is re-maximized in place — only the lefts the
-        base decomposition left unmatched are augmented from."""
+        committed width's matching is re-maximized — only the lefts it
+        left unmatched are augmented from.  Kuhn's algorithm started
+        from any valid matching ends at a maximum one, so the width does
+        not depend on which maximum matching the snapshot holds."""
         eidx = base.eidx
         adjacency = list(base.masks)
         for a, b in delta_pairs:
             adjacency[eidx[a]] |= 1 << eidx[b]
-        match_left = list(base.succ_idx)
+        match_left = base.match_left
         match_right = [-1] * len(match_left)
         for i, j in enumerate(match_left):
             if j >= 0:

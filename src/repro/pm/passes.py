@@ -8,9 +8,8 @@ observability span the dashboards already key on, and runs registered
 plug in as an inter-pass check (``verify_each``) without any pass
 knowing about them.
 
-Analyses are not passes: they are cached artifacts owned by the
-:class:`~repro.pm.analysis.AnalysisManager` carried in the state, keyed
-by the DAG's monotone version (see ``repro.pm.analysis``).
+Analyses are not passes: a derived artifact (ASAP depths, the hammock
+analysis) is cached on the DAG itself, keyed by its monotone version.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.pm.analysis import AnalysisManager
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class PipelineState:
     source: Any = None
     live_out: Tuple[str, ...] = ()
     options: Dict[str, Any] = field(default_factory=dict)
-    analysis_manager: AnalysisManager = field(default_factory=AnalysisManager)
     # -- artifacts, in the order passes produce them --------------------
     dag: Any = None
     allocation: Any = None

@@ -262,10 +262,7 @@ def compile_program(
 
     Per-trace compilation is not individually simulated (the whole
     program is verified end-to-end instead; see
-    :func:`verify_compiled_program`).  All traces share one
-    :class:`~repro.pm.analysis.AnalysisManager` — cache entries are
-    keyed by globally unique DAG versions, so a cross-trace cache is
-    sound, and the shared hit/miss counters describe the whole program.
+    :func:`verify_compiled_program`).
 
     Scaling knobs (see ``docs/serving.md``):
 
@@ -292,8 +289,6 @@ def compile_program(
     Both paths are bit-identical to the plain serial compile (compare
     :func:`repro.serve.program_signature` per trace).
     """
-    from repro.pm.analysis import AnalysisManager
-
     program.validate()
     traces = entry_safe_traces(program, max_trace_blocks=max_trace_blocks)
     prepared_list = [prepare_trace(program, trace) for trace in traces]
@@ -302,14 +297,9 @@ def compile_program(
     if cache is None and not parallel and deadline_ms is None and not resilient:
         # The classic serial path: no serve machinery touched at all.
         compiled: Dict[str, CompiledTrace] = {}
-        analysis_manager = AnalysisManager()
         for prepared in prepared_list:
             result = compile_trace(
-                prepared.instructions,
-                machine,
-                method=method,
-                verify=False,
-                analysis_manager=analysis_manager,
+                prepared.instructions, machine, method=method, verify=False,
             )
             compiled[prepared.head] = CompiledTrace(
                 prepared=prepared,
@@ -343,7 +333,6 @@ def _compile_program_serve(
 ) -> CompiledProgram:
     """The cached/sharded compile path (``docs/serving.md``)."""
     from repro import obs
-    from repro.pm.analysis import AnalysisManager
     from repro.serve.cache import resolve_cache, trace_key
     from repro.serve.pool import WorkerPool, _compile_one
 
@@ -392,11 +381,9 @@ def _compile_program_serve(
                         deadline_ms=deadline_ms, resilient=resilient,
                     )
         if shards is None:
-            manager = AnalysisManager()
             shards = [
                 _compile_one(
-                    instructions, machine, method, deadline_ms, resilient,
-                    key, analysis_manager=manager,
+                    instructions, machine, method, deadline_ms, resilient, key,
                 )
                 for key, instructions in pending
             ]

@@ -571,19 +571,24 @@ def measure_all(
     dag: DependenceDAG, machine: MachineModel
 ) -> List[ResourceRequirement]:
     """Every FU and register requirement, from the reference kernels, in
-    the order :func:`repro.core.measure.measure_all` produces them."""
+    the order :func:`repro.core.measure.measure_all` produces them.
+
+    Every decomposition is built eagerly, also for classes that fit:
+    production builds one on first read, and the two must agree."""
     levels = HammockAnalysis.of(dag).nesting_levels()
     results = []
     for fu in machine.fu_classes:
         elements = fu_elements(dag, machine, fu.name)
         order = can_reuse_fu(dag, elements)
+        decomposition = minimum_chain_decomposition(order, levels=levels)
         results.append(ResourceRequirement(
             kind=ResourceKind.FUNCTIONAL_UNIT,
             cls=fu.name,
             available=fu.count,
             order=order,
-            decomposition=minimum_chain_decomposition(order, levels=levels),
             element_node={uid: uid for uid in elements},
+            required=decomposition.width,
+            decomposition=decomposition,
         ))
     all_values = collect_values(dag, machine)
     for reg_class in sorted(machine.registers):
@@ -592,13 +597,15 @@ def measure_all(
         order = can_reuse_registers(dag, values, kill.kill)
         element_node = {v.name: v.def_uid for v in values}
         value_levels = {name: levels[uid] for name, uid in element_node.items()}
+        decomposition = minimum_chain_decomposition(order, levels=value_levels)
         results.append(ResourceRequirement(
             kind=ResourceKind.REGISTER,
             cls=reg_class,
             available=machine.registers[reg_class],
             order=order,
-            decomposition=minimum_chain_decomposition(order, levels=value_levels),
             element_node=element_node,
+            required=decomposition.width,
+            decomposition=decomposition,
             kill=kill,
             values={v.name: v for v in values},
         ))

@@ -1,8 +1,7 @@
 """Content-addressed persistent compile cache.
 
-The per-process :class:`repro.pm.AnalysisManager` makes *analyses*
-cheap within one compile; this module makes whole *compiles* free
-across runs, processes, and users.  The unit of caching is one
+This module makes whole *compiles* free across runs, processes, and
+users.  The unit of caching is one
 prepared trace: a canonical hash of everything that determines its
 compiled form —
 
@@ -20,10 +19,8 @@ schedule-length estimate) in an on-disk object store rooted at
 ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``).  Identical kernels
 therefore compile once per fleet, not once per process.
 
-Layering (see ``docs/serving.md``): the persistent cache sits *under*
-the :class:`~repro.pm.analysis.AnalysisManager` — a lookup is tried
-before any DAG is even built; only misses run the pass pipeline (which
-then shares its analysis cache across the program's other misses).
+Layering (see ``docs/serving.md``): a lookup is tried before any DAG
+is even built; only misses run the pass pipeline.
 
 Counters: ``serve.cache_hit`` / ``serve.cache_miss`` /
 ``serve.cache_put`` / ``serve.cache_evict`` (disk), ``serve.hot_hit``

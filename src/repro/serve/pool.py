@@ -83,7 +83,6 @@ def _compile_one(
     deadline_ms: Optional[float],
     resilient: bool,
     key: str,
-    analysis_manager=None,
 ) -> TraceArtifact:
     """Compile one prepared trace into a :class:`TraceArtifact`.
 
@@ -105,7 +104,6 @@ def _compile_one(
         verify=False,
         resilient=resilient,
         deadline=deadline,
-        analysis_manager=analysis_manager,
     )
     if result.degradation is not None:
         degradation = result.degradation.to_dict()

@@ -1,4 +1,4 @@
-"""Tests for repro.pm: analysis caching, incremental trials, pass specs.
+"""Tests for repro.pm: incremental trials, measurement on demand, pass specs.
 
 The load-bearing suites:
 
@@ -36,7 +36,7 @@ from repro.core.transforms.base import TransformCandidate, TransformError
 from repro.graph.dag import DependenceDAG, EdgeKind
 from repro.ir.parser import parse_trace
 from repro.machine.model import MachineModel
-from repro.pm import AnalysisManager, IncrementalMeasurer
+from repro.pm import IncrementalMeasurer
 from repro.resilience.checkpoint import DagCheckpoint
 from repro.workloads.kernels import kernel
 from repro.workloads.random_dags import (
@@ -50,56 +50,6 @@ def _excesses(
     requirements: List[ResourceRequirement],
 ) -> Dict[Tuple[ResourceKind, str], int]:
     return {(r.kind, r.cls): max(0, r.required - r.available) for r in requirements}
-
-
-# ======================================================================
-# AnalysisManager.
-# ======================================================================
-class TestAnalysisManager:
-    def test_hit_on_same_version(self, fig2_dag):
-        manager = AnalysisManager()
-        first = manager.asap(fig2_dag)
-        second = manager.asap(fig2_dag)
-        assert first is second
-        assert manager.hits == 1 and manager.misses == 1
-
-    def test_version_bump_invalidates(self, fig2_dag):
-        manager = AnalysisManager()
-        manager.asap(fig2_dag)
-        order = fig2_dag.topological_order()
-        fig2_dag.add_sequence_edge(order[0], order[-1], reason="test")
-        manager.asap(fig2_dag)
-        assert manager.misses == 2
-        assert manager.invalidations == 1
-
-    def test_rollback_revalidates_cached_entries(self, fig2_dag):
-        manager = AnalysisManager()
-        before = manager.asap(fig2_dag)
-        txn = fig2_dag.begin_transaction()
-        order = fig2_dag.topological_order()
-        fig2_dag.add_sequence_edge(order[0], order[-1], reason="test")
-        manager.asap(fig2_dag)  # miss at the new version
-        txn.rollback()
-        after = manager.asap(fig2_dag)
-        assert after is before  # old-version entry servable again
-        assert manager.hits == 1 and manager.misses == 2
-
-    def test_shared_across_dags(self, fig2_trace):
-        manager = AnalysisManager()
-        a = DependenceDAG.from_trace(fig2_trace)
-        b = DependenceDAG.from_trace(fig2_trace)
-        assert a.version != b.version
-        assert manager.asap(a) is not manager.asap(b)
-        assert manager.misses == 2 and manager.hits == 0
-
-    def test_stats_shape(self, fig2_dag):
-        manager = AnalysisManager()
-        manager.asap(fig2_dag)
-        stats = manager.stats()
-        assert set(stats) == {
-            "hits", "misses", "invalidations", "evictions", "hit_rate",
-            "entries",
-        }
 
 
 # ======================================================================
@@ -121,14 +71,15 @@ def _all_candidates(
     requirements: List[ResourceRequirement],
 ) -> List[TransformCandidate]:
     out: List[TransformCandidate] = []
+    depth = dag.asap()
     for req in requirements:
         if not req.is_excessive:
             continue
         for ecs in find_excessive_sets(dag, req):
             out.extend(alloc._proposals(dag, ecs))
         out.extend(alloc._schedule_guided_fu_candidates(dag, req))
-        out.extend(alloc._global_merge_candidates(dag, req))
-        out.extend(alloc._fallback_candidates(dag, req))
+        out.extend(alloc._global_merge_candidates(dag, req, depth))
+        out.extend(alloc._fallback_candidates(dag, req, depth))
     return out
 
 
@@ -467,19 +418,24 @@ class TestPassesCLI:
         assert main(["passes"]) == 0
         out = capsys.readouterr().out
         assert "build_dag" in out
-        assert "reachability" in out
-        assert "invalidation contracts" not in out
+        assert "analyses" not in out
 
-    def test_json_listing_with_cache_stats(self, capsys):
+    def test_json_listing(self, capsys):
+        from repro.cli import main
+        from repro.pm import PASS_REGISTRY
+
+        assert main(["passes", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"passes"}
+        assert [p["name"] for p in payload["passes"]] == [
+            spec.name for spec in PASS_REGISTRY
+        ]
+
+    def test_cache_options_are_gone(self):
         from repro.cli import main
 
-        assert main([
-            "passes", "--json", "--kernel", "figure2",
-            "--fus", "2", "--regs", "3",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"passes", "analyses", "cache"}
-        assert payload["cache"]["hits"] > 0
+        with pytest.raises(SystemExit):
+            main(["passes", "--kernel", "figure2"])
 
 
 # ======================================================================
@@ -491,15 +447,16 @@ class TestCounters:
         from repro.pipeline import compile_trace
 
         with obs.capture() as observer:
-            compile_trace(
+            result = compile_trace(
                 kernel("figure2"), MachineModel.homogeneous(2, 3),
                 method="ursa", verify=False,
             )
         counters = observer.counters
         assert counters.get("pm.trial.incremental", 0) > 0
-        assert counters.get("pm.cache_hit", 0) + counters.get(
-            "pm.cache_miss", 0
-        ) > 0
+        # Each committed DAG, the input included, is measured once.
+        commits = len(result.allocation.records)
+        assert commits > 0
+        assert counters.get("measure.calls", 0) == commits + 1
         recomputed = counters.get("pm.trial.recomputed", 0)
         assert recomputed == counters.get("pm.trial.warm", 0) + counters.get(
             "pm.trial.cold", 0
@@ -557,3 +514,56 @@ class TestWidthsOnlyTrials:
         assert observer.counters.get("pm.trial.full", 0) > 0
         assert committed in [record.kind for record in result.allocation.records]
         assert seen == dict.fromkeys(seen, 0), seen
+
+
+# ======================================================================
+# Chains on demand: only an excessive class builds its decomposition.
+# ======================================================================
+class TestChainsOnDemand:
+    def test_fitting_compile_builds_no_hammocks_or_chains(self, monkeypatch):
+        from repro import obs
+        from repro.graph.hammock import HammockAnalysis
+        from repro.pipeline import compile_trace
+
+        built = [0]
+        hammock_init = HammockAnalysis.__init__
+
+        def counting_init(analysis, dag):
+            built[0] += 1
+            hammock_init(analysis, dag)
+
+        monkeypatch.setattr(HammockAnalysis, "__init__", counting_init)
+        with obs.capture() as observer:
+            result = compile_trace(
+                kernel("figure2"), MachineModel.homogeneous(8, 64),
+                method="ursa",
+            )
+        assert result.verified is True
+        assert not result.allocation.records
+        assert built[0] == 0
+        assert observer.counters.get("dilworth.decompositions", 0) == 0
+        assert observer.counters.get("measure.calls", 0) == 1
+
+    def test_decomposition_is_read_at_the_measured_version(self, fig2_dag):
+        from repro.core.measure import StaleMeasurementError
+        from repro.graph.dilworth import minimum_chain_decomposition
+        from repro.graph.hammock import HammockAnalysis
+
+        requirements = measure_all(fig2_dag, MachineModel.homogeneous(2, 3))
+        order = fig2_dag.topological_order()
+        txn = fig2_dag.begin_transaction()
+        fig2_dag.add_sequence_edge(order[0], order[-1], reason="test")
+        for requirement in requirements:
+            with pytest.raises(StaleMeasurementError):
+                requirement.decomposition
+        txn.rollback()
+
+        node_levels = HammockAnalysis(fig2_dag).nesting_levels()
+        for requirement in requirements:
+            levels = {
+                e: node_levels[n] for e, n in requirement.element_node.items()
+            }
+            eager = minimum_chain_decomposition(requirement.order, levels=levels)
+            lazy = requirement.decomposition
+            assert lazy.chains == eager.chains
+            assert lazy.width == requirement.required

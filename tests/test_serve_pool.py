@@ -328,7 +328,7 @@ class TestQuarantine:
         parent_pid = os.getpid()
 
         def poisoned(instructions, machine, method, deadline_ms, resilient,
-                     key, analysis_manager=None):
+                     key):
             # Workers fork after this patch, so they inherit it; the
             # parent compiles the same trace fine — a genuine
             # "only dies in workers" poison.
@@ -337,7 +337,7 @@ class TestQuarantine:
             ):
                 os._exit(17)
             return real(instructions, machine, method, deadline_ms,
-                        resilient, key, analysis_manager=analysis_manager)
+                        resilient, key)
 
         monkeypatch.setattr(pool_mod, "_compile_one", poisoned)
         worker_pool = WorkerPool(workers=2, quarantine_threshold=2, **FAST)
