@@ -9,9 +9,12 @@ used, and the speedup, so a regression shows up as a diff (the oracle's
 fields keep their historical ``legacy_*`` names).
 
 Both sides run on the *same* DAG instance (uids come from a global
-counter, so two separately-built DAGs from one trace are not comparable)
-and must produce bit-identical results — same ``required`` widths, the
-same chain decompositions and the same kill choices.
+counter, so two separately-built DAGs from one trace are not comparable),
+do the same work — the production side reads every class's
+``decomposition``, which ``measure_all`` builds only on first read, as
+the oracle builds every decomposition eagerly — and must produce
+bit-identical results: same ``required`` widths, the same chain
+decompositions and the same kill choices.
 
 Runs standalone for the CI smoke job::
 
@@ -76,35 +79,50 @@ def _decomposition_key(requirements) -> list:
     ]
 
 
-def _median_ms(fn, repeats: int) -> float:
-    """Median wall milliseconds with the GC parked (both sides get the
-    same treatment, so the ratio is undistorted)."""
-    samples = []
+def _median_ms(fns, repeats: int) -> List[float]:
+    """Median wall milliseconds of each of ``fns``, with the GC parked
+    and the calls interleaved (one of each per repeat), so both sides
+    get the same treatment and host-load drift during the run hits them
+    alike: the ratio is undistorted."""
+    samples: List[List[float]] = [[] for _ in fns]
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
+            for fn, times in zip(fns, samples):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
     finally:
         if was_enabled:
             gc.enable()
-    return statistics.median(samples) * 1000.0
+    return [statistics.median(times) * 1000.0 for times in samples]
+
+
+def _measure_with_chains(dag: DependenceDAG):
+    """Production ``measure_all`` plus every class's chain decomposition,
+    the work ``reference.measure_all`` does."""
+    requirements = measure_all(dag, MACHINE)
+    for requirement in requirements:
+        requirement.decomposition
+    return requirements
 
 
 def measure_at(n_ops: int, repeats: int = 5) -> Dict[str, object]:
     """Time the bitset core and the oracle on one shared DAG; assert
     bit-identity."""
     dag = _build_dag(n_ops)
-    # Warms the DAG's version-keyed caches.  measure_all builds no chains
-    # (a decomposition is built on first read), so the timed bitset side
-    # is widths only; the bit-identity check below reads every chain.
-    fast_result = measure_all(dag, MACHINE)
-    fast_ms = _median_ms(lambda: measure_all(dag, MACHINE), repeats)
+    # The first calls warm the DAG's version-keyed caches.
+    fast_result = _measure_with_chains(dag)
     oracle_result = reference.measure_all(dag, MACHINE)
-    oracle_ms = _median_ms(lambda: reference.measure_all(dag, MACHINE), repeats)
+    fast_ms, oracle_ms = _median_ms(
+        (
+            lambda: _measure_with_chains(dag),
+            lambda: reference.measure_all(dag, MACHINE),
+        ),
+        repeats,
+    )
     if _decomposition_key(fast_result) != _decomposition_key(oracle_result):
         raise AssertionError(
             f"N={n_ops}: bitset core and reference oracle disagree — "
@@ -209,7 +227,8 @@ def _run(quick: bool):
         "benchmark": "measurement_scaling",
         "workload": "random_layered_trace(n, width=max(4, n//6), seed=n)",
         "machine": "homogeneous(4 FUs, 8 regs)",
-        "protocol": f"median of {repeats}, gc disabled, shared DAG",
+        "protocol": f"median of {repeats}, interleaved, gc disabled, "
+                    "shared DAG, chains read on both sides",
         "entries": list(entries),
     }
     return entries, payload

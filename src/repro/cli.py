@@ -10,7 +10,7 @@ Subcommands:
   (``--jobs`` shards traces over a worker pool, ``--cache`` reuses
   the persistent compile cache);
 * ``pipeline`` — unroll-and-allocate sweep for a canonical loop;
-* ``passes``   — list the registered pipeline passes;
+* ``passes``   — list the compile pipeline's phases;
 * ``serve``    — long-lived HTTP compilation service (docs/serving.md);
 * ``cache``    — inspect/garbage-collect/clear the persistent compile
   cache (``stats`` / ``gc`` / ``clear``).
@@ -311,35 +311,23 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_passes(args: argparse.Namespace) -> int:
-    from repro.pm import PASS_REGISTRY
+    from repro.pipeline import PHASES
 
     if args.json:
         import json as _json
 
         payload: Dict[str, object] = {
             "passes": [
-                {
-                    "name": spec.name,
-                    "description": spec.description,
-                    "requires": list(spec.requires),
-                    "provides": list(spec.provides),
-                    "emit_span": spec.emit_span,
-                }
-                for spec in PASS_REGISTRY
+                {"name": name, "description": description}
+                for name, description in PHASES
             ],
         }
         print(_json.dumps(payload, indent=2))
         return 0
 
-    print("passes (pipeline registration order):")
-    for spec in PASS_REGISTRY:
-        wires = ""
-        if spec.requires or spec.provides:
-            wires = (
-                f"  [{','.join(spec.requires) or '-'}"
-                f" -> {','.join(spec.provides) or '-'}]"
-            )
-        print(f"  {spec.name:<14} {spec.description}{wires}")
+    print("passes (pipeline order):")
+    for name, description in PHASES:
+        print(f"  {name:<14} {description}")
     return 0
 
 
@@ -520,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_program)
 
-    p = sub.add_parser("passes", help="list the registered pipeline passes")
+    p = sub.add_parser("passes", help="list the compile pipeline's phases")
     p.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )

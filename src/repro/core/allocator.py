@@ -48,7 +48,6 @@ from repro.graph.dilworth import maximum_antichain
 from repro.machine.model import MachineModel
 from repro.pm.incremental import IncrementalMeasurer
 from repro.resilience import budgets
-from repro.resilience.checkpoint import DagCheckpoint
 
 
 class Policy(enum.Enum):
@@ -196,17 +195,16 @@ class URSAAllocator:
                 break
             new_dag, new_reqs, record = step
             if self.transactional:
-                # Every winner is committed as a fresh DAG, so rolling
-                # back is just keeping the pre-commit references.
-                checkpoint = DagCheckpoint.capture(
-                    dag, requirements, label=f"iteration {iteration}"
-                )
+                # Every winner is committed as a fresh DAG, so the
+                # pre-commit ``dag, requirements`` are the checkpoint and
+                # rolling back is just keeping them.
+                obs.count("resilience.checkpoints")
                 failure, new_reqs = self._commit_failure(
                     new_dag, new_reqs, requirements
                 )
                 if failure is not None:
                     self._banned.add((record.kind, record.description))
-                    dag, requirements = checkpoint.restore()
+                    obs.count("resilience.rollbacks")
                     degradation_events.append(f"rollback:{record.kind}")
                     obs.event(
                         "resilience.rollback",

@@ -5,9 +5,9 @@ registered here, declaring in one place everything the five dispatch
 layers used to hard-code separately:
 
 * **pipeline** — ``repro.pipeline`` resolves a backend and runs either
-  its URSA :attr:`Backend.policy` (allocate + assign passes) or its
+  its URSA :attr:`Backend.policy` (the allocate + assign phases) or its
   :attr:`Backend.schedule_pass` (baselines, the exact solver, the
-  portfolio racer);
+  portfolio racer), which returns a :class:`ScheduleOutcome`;
 * **fallback** — ``repro.resilience.fallback`` derives its escalation
   ladder from each backend's declared :attr:`Backend.fallback`
   successor instead of a hard-coded tuple;
@@ -39,8 +39,10 @@ Capability flags
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 
 class UnknownMethodError(LookupError):
@@ -62,6 +64,20 @@ class UnknownMethodError(LookupError):
 
     def __str__(self) -> str:  # LookupError would repr() the args tuple
         return self.args[0]
+
+
+class ScheduleOutcome(NamedTuple):
+    """What a backend's schedule pass returns to the pipeline."""
+
+    schedule: Any
+    #: the DAG the schedule was built from (the input DAG unless the
+    #: backend rewrote it).
+    final_dag: Any
+    #: the URSA allocation behind the schedule, if any.
+    allocation: Any = None
+    #: backend-specific attribution (exact-search certificate,
+    #: portfolio win report), surfaced as ``backend_report``.
+    backend_report: Optional[Dict[str, Any]] = None
 
 
 @dataclass(frozen=True)
@@ -91,10 +107,11 @@ class Backend:
     # -- entrypoints ----------------------------------------------------
     #: URSA allocator policy (``repro.core.allocator.Policy``) or None.
     policy: Optional[object] = None
-    #: pipeline schedule pass: mutates a ``PipelineState`` in place,
-    #: filling ``schedule``/``final_dag`` (and optionally
-    #: ``allocation``/``backend_report``).
-    schedule_pass: Optional[Callable[[Any], None]] = None
+    #: pipeline schedule pass: ``(dag, machine, backend_options) ->``
+    #: :class:`ScheduleOutcome`.
+    schedule_pass: Optional[
+        Callable[[Any, Any, Dict[str, Any]], ScheduleOutcome]
+    ] = None
 
     def __post_init__(self) -> None:
         if (self.policy is None) == (self.schedule_pass is None):
@@ -222,6 +239,7 @@ def catalogue() -> List[Dict[str, Any]]:
 
 __all__ = [
     "Backend",
+    "ScheduleOutcome",
     "UnknownMethodError",
     "backends",
     "catalogue",

@@ -39,6 +39,7 @@ from repro.core.allocator import AllocationError
 from repro.graph.dag import DependenceDAG
 from repro.machine.model import MachineModel
 from repro.machine.vliw import RegRef
+from repro.methods import ScheduleOutcome
 from repro.resilience.budgets import DeadlineExpired, active_deadline
 from repro.scheduling.list_scheduler import (
     ListScheduler,
@@ -543,14 +544,12 @@ def bnb_compile(
     return schedule, certificate
 
 
-def run_bnb_pass(state) -> None:
+def run_bnb_pass(dag, machine, options) -> ScheduleOutcome:
     """Pipeline schedule pass for the ``bnb-exact`` backend."""
-    options = state.options.get("backend") or {}
     max_ops = int(options.get("bnb_max_ops", MAX_BNB_OPS))
-    schedule, certificate = bnb_compile(state.dag, state.machine, max_ops)
-    state.schedule = schedule
-    state.final_dag = state.dag
-    state.backend_report = {
-        "backend": "bnb-exact",
-        **certificate.to_dict(),
-    }
+    schedule, certificate = bnb_compile(dag, machine, max_ops)
+    return ScheduleOutcome(
+        schedule,
+        dag,
+        backend_report={"backend": "bnb-exact", **certificate.to_dict()},
+    )

@@ -14,69 +14,65 @@ this package).
 from __future__ import annotations
 
 from repro.core.allocator import Policy
-from repro.methods import Backend, register
+from repro.methods import Backend, ScheduleOutcome, register
 
 
 # ----------------------------------------------------------------------
-# Baseline schedule passes (moved here from the pipeline's old if/elif
-# chain; each fills state.schedule and state.final_dag).
+# Baseline schedule passes: (dag, machine, backend_options) ->
+# ScheduleOutcome; none of them rewrites the DAG.
 # ----------------------------------------------------------------------
-def _schedule_prepass(state) -> None:
+def _schedule_prepass(dag, machine, options) -> ScheduleOutcome:
     from repro.scheduling.prepass import compile_prepass
 
-    state.schedule = compile_prepass(state.dag, state.machine)
-    state.final_dag = state.dag
+    return ScheduleOutcome(compile_prepass(dag, machine), dag)
 
 
-def _schedule_postpass(state) -> None:
+def _schedule_postpass(dag, machine, options) -> ScheduleOutcome:
     from repro.scheduling.postpass import compile_postpass
 
-    state.schedule = compile_postpass(state.dag, state.machine)
-    state.final_dag = state.dag
+    return ScheduleOutcome(compile_postpass(dag, machine), dag)
 
 
-def _schedule_goodman_hsu(state) -> None:
+def _schedule_goodman_hsu(dag, machine, options) -> ScheduleOutcome:
     from repro.scheduling.goodman_hsu import compile_goodman_hsu
 
-    state.schedule = compile_goodman_hsu(state.dag, state.machine)
-    state.final_dag = state.dag
+    return ScheduleOutcome(compile_goodman_hsu(dag, machine), dag)
 
 
-def _schedule_naive(state) -> None:
+def _schedule_naive(dag, machine, options) -> ScheduleOutcome:
     # Allocate on source order, pack without reordering.
     from repro.scheduling.packer import pack_in_order
     from repro.scheduling.regalloc import LinearScanAllocator
 
-    dag = state.dag
     order = dag.source_order or sorted(dag.op_nodes())
     source_insts = [dag.instruction(uid) for uid in order]
     live_ins = sorted(
         name for name, d in dag.value_defs.items() if d == dag.entry
     )
-    outcome = LinearScanAllocator(state.machine).run(
+    outcome = LinearScanAllocator(machine).run(
         source_insts, live_ins=live_ins, live_outs=sorted(dag.live_out)
     )
-    state.schedule = pack_in_order(outcome.instructions, state.machine, outcome)
-    state.final_dag = dag
+    return ScheduleOutcome(
+        pack_in_order(outcome.instructions, machine, outcome), dag
+    )
 
 
-def _schedule_spill_everywhere(state) -> None:
+def _schedule_spill_everywhere(dag, machine, options) -> ScheduleOutcome:
     from repro.resilience.fallback import spill_everywhere_schedule
 
-    state.schedule = spill_everywhere_schedule(state.dag, state.machine)
-    state.final_dag = state.dag
+    return ScheduleOutcome(spill_everywhere_schedule(dag, machine), dag)
 
 
-def _schedule_bnb(state) -> None:
+def _schedule_bnb(dag, machine, options) -> ScheduleOutcome:
     from repro.methods.bnb import run_bnb_pass
 
-    run_bnb_pass(state)
+    return run_bnb_pass(dag, machine, options)
 
 
-def _schedule_portfolio(state) -> None:
+def _schedule_portfolio(dag, machine, options) -> ScheduleOutcome:
     from repro.methods.portfolio import run_portfolio_pass
 
-    run_portfolio_pass(state)
+    return run_portfolio_pass(dag, machine, options)
 
 
 # ----------------------------------------------------------------------

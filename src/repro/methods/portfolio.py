@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.allocator import AllocationError
+from repro.methods import ScheduleOutcome
 from repro.resilience.budgets import DeadlineExpired, active_deadline
 
 #: Run when the caller does not configure a member set.
@@ -144,21 +145,20 @@ def _run_members(
     return [outcomes[member] for member in members]
 
 
-def run_portfolio_pass(state) -> None:
+def run_portfolio_pass(dag, machine, options) -> ScheduleOutcome:
     """Pipeline schedule pass for the ``portfolio`` backend."""
     from repro.analyze.bounds import length_lower_bound
     from repro.methods import resolve
 
-    options = state.options.get("backend") or {}
     members = _validate_members(
         options.get("portfolio_members") or DEFAULT_MEMBERS
     )
     deadline = active_deadline()
-    length_bound = length_lower_bound(state.dag, state.machine)
+    length_bound = length_lower_bound(dag, machine)
 
     obs.count("portfolio.races")
     with obs.span("portfolio.race", members=len(members)):
-        outcomes = _run_members(members, state.dag, state.machine)
+        outcomes = _run_members(members, dag, machine)
 
     finishers = [o for o in outcomes if o.outcome == "ok"]
     if not finishers:
@@ -174,15 +174,11 @@ def run_portfolio_pass(state) -> None:
         finishers,
         key=lambda o: (o.cycles, resolve(o.method).cost_hint, order[o.method]),
     )
-    schedule, final_dag, allocation = winner.result
-    state.schedule = schedule
-    state.final_dag = final_dag
-    state.allocation = allocation
     # A finisher that meets the sound length bound is as exact as a
     # certified search: nothing can beat it.
     proofs = [o.prove(length_bound) for o in outcomes]
     exact_delivered = any(proofs)
-    state.backend_report = {
+    report = {
         "backend": "portfolio",
         "winner": winner.method,
         "winner_cycles": winner.cycles,
@@ -196,3 +192,4 @@ def run_portfolio_pass(state) -> None:
         cycles=winner.cycles,
         exact=exact_delivered,
     )
+    return ScheduleOutcome(*winner.result, backend_report=report)

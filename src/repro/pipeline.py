@@ -5,22 +5,24 @@ one of the baselines), compile a trace for a machine, and — by default —
 verify the generated VLIW program against the reference interpreter on
 synthesized inputs.
 
-The pipeline itself is composed as explicit passes over a
-:class:`repro.pm.PipelineState` (build_dag -> allocate -> assign ->
-codegen -> verify, or the baseline schedule pass in the middle), run by
-a :class:`repro.pm.PassManager` that owns the ``phase.*`` spans and the
-``verify_each`` inter-pass instrument.  ``repro passes`` lists them.
+One compile is a fixed sequence of phases (:data:`PHASES`, listed by
+``repro passes``): build_dag -> allocate -> assign -> codegen -> verify
+for a URSA method, or the backend's schedule pass in place of
+allocate + assign for every other method.  Each phase runs in its own
+``phase.*`` span; ``verify_each`` re-checks the DAG after each phase
+that produced or rewrote it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.analysis.metrics import ScheduleStats
 from repro.core.allocator import AllocationResult, URSAAllocator
+from repro.core.assignment import assign
 from repro.core.codegen import lower_schedule
 from repro.graph.dag import DependenceDAG
 from repro.ir.instructions import Instruction
@@ -36,13 +38,6 @@ from repro.methods import (
     default_compare_methods,
     method_names,
     resolve,
-)
-from repro.pm import (
-    PassManager,
-    PassSpec,
-    PipelineState,
-    register_pass_spec,
-    verify_instrument,
 )
 from repro.resilience.budgets import active_deadline, deadline_scope
 from repro.scheduling.list_scheduler import Schedule
@@ -204,150 +199,37 @@ def compile_trace(
     )
 
 
-# ----------------------------------------------------------------------
-# The pipeline's passes.  Each spec's name doubles as the ``phase.*``
-# span the dashboards key on; ``repro passes`` lists this registry.
-# ----------------------------------------------------------------------
-_SPEC_BUILD_DAG = register_pass_spec(PassSpec(
-    "build_dag",
-    "normalize the input (text, instructions, Trace, DAG) into a "
-    "dependence DAG",
-    provides=("dag",),
-))
-_SPEC_ALLOCATE = register_pass_spec(PassSpec(
-    "allocate",
-    "URSA measurement/transformation loop for registers and functional "
-    "units",
-    requires=("dag",),
-    provides=("allocation", "final_dag"),
-))
-_SPEC_ASSIGN = register_pass_spec(PassSpec(
-    "assign",
-    "bind the allocated DAG to concrete units/registers and a schedule",
-    requires=("allocation",),
-    provides=("schedule",),
-))
-_SPEC_SCHEDULE = register_pass_spec(PassSpec(
-    "schedule",
-    "the resolved backend's schedule pass (baselines, the exact "
-    "bnb solver, the portfolio racer; see repro.methods)",
-    requires=("dag",),
-    provides=("schedule", "final_dag"),
-))
-_SPEC_STATIC_CHECKS = register_pass_spec(PassSpec(
-    "static_checks",
-    "gate the schedule on the repro.verify rule pack before simulating",
-    requires=("schedule",),
-    emit_span=False,
-))
-_SPEC_CODEGEN = register_pass_spec(PassSpec(
-    "codegen",
-    "lower the schedule to a VLIW program",
-    requires=("schedule",),
-    provides=("program",),
-))
-_SPEC_VERIFY = register_pass_spec(PassSpec(
-    "verify",
-    "simulate the program and compare memory against the reference "
-    "interpreter",
-    requires=("program",),
-    provides=("simulation", "verified"),
-))
+#: The compile's phases in the order they run; ``repro passes`` lists
+#: them.  A method runs either allocate + assign (a backend with a URSA
+#: policy) or schedule (every other backend).  Every phase except
+#: ``static_checks`` runs inside its own ``phase.<name>`` span.
+PHASES: Tuple[Tuple[str, str], ...] = (
+    ("build_dag",
+     "normalize the input (text, instructions, Trace, DAG) into a "
+     "dependence DAG"),
+    ("allocate",
+     "URSA measurement/transformation loop for registers and functional "
+     "units"),
+    ("assign",
+     "bind the allocated DAG to concrete units/registers and a schedule"),
+    ("schedule",
+     "the resolved backend's schedule pass (baselines, the exact bnb "
+     "solver, the portfolio racer; see repro.methods)"),
+    ("static_checks",
+     "gate the schedule on the repro.verify rule pack before simulating"),
+    ("codegen", "lower the schedule to a VLIW program"),
+    ("verify",
+     "simulate the program and compare memory against the reference "
+     "interpreter"),
+)
 
 
-def _pass_build_dag(state: PipelineState) -> None:
-    state.dag = build_dag(state.source, live_out=state.live_out)
+def _verify_dag_after(phase: str, dag: DependenceDAG, machine: MachineModel) -> None:
+    """The ``verify_each`` check: the DAG rule packs after a phase that
+    produced or rewrote the DAG; raises on the first violation."""
+    from repro.verify import verify_dag
 
-
-def _pass_allocate(state: PipelineState) -> None:
-    opts = state.options
-    state.allocation = URSAAllocator(
-        state.machine,
-        resolve(state.method).policy,
-        verify_each=opts["verify_each"],
-        transactional=opts["transactional"],
-    ).run(state.dag)
-    state.final_dag = state.allocation.dag
-
-
-def _pass_assign(state: PipelineState) -> None:
-    from repro.core.assignment import assign
-
-    state.schedule = assign(
-        state.final_dag,
-        state.machine,
-        state.allocation,
-        backend=state.options["assignment"],
-    ).schedule
-
-
-def _pass_schedule(state: PipelineState) -> None:
-    # The backend's declared schedule pass owns the whole strategy
-    # (docs/backends.md); it fills state.schedule and state.final_dag.
-    resolve(state.method).schedule_pass(state)
-
-
-def _pass_static_checks(state: PipelineState) -> None:
-    from repro.verify import verify_schedule
-
-    report = verify_schedule(
-        state.schedule, dag=state.final_dag, machine=state.machine
-    )
-    if not report.ok:
-        raise PipelineError(
-            f"{state.method} on {state.machine.name}: static schedule "
-            f"verification failed\n{report.render()}"
-        )
-
-
-def _pass_codegen(state: PipelineState) -> None:
-    state.program = lower_schedule(state.schedule)
-
-
-def _pass_verify(state: PipelineState) -> None:
-    memory = state.options["memory"]
-    init_memory = (
-        memory
-        if memory is not None
-        else synthesize_memory(state.dag, state.options["seed"])
-    )
-    state.simulation, state.verified = _verify(
-        state.dag,
-        state.program,
-        state.machine,
-        init_memory,
-        state.schedule.live_out_regs,
-    )
-    if not state.verified:
-        raise PipelineError(
-            f"{state.method} on {state.machine.name}: simulated memory "
-            "diverges from the reference interpreter"
-        )
-
-
-def build_pipeline(
-    method: str,
-    *,
-    verify: bool = True,
-    static_checks: bool = True,
-    verify_each: bool = False,
-) -> PassManager:
-    """The pass pipeline ``compile_trace`` runs for ``method``."""
-    manager = PassManager()
-    manager.add(_SPEC_BUILD_DAG, _pass_build_dag)
-    if resolve(method).policy is not None:
-        manager.add(_SPEC_ALLOCATE, _pass_allocate)
-        manager.add(_SPEC_ASSIGN, _pass_assign)
-    else:
-        manager.add(_SPEC_SCHEDULE, _pass_schedule)
-    if static_checks:
-        manager.add(_SPEC_STATIC_CHECKS, _pass_static_checks)
-    manager.add(_SPEC_CODEGEN, _pass_codegen)
-    if verify:
-        manager.add(_SPEC_VERIFY, _pass_verify)
-    if verify_each:
-        manager.add_instrument(verify_instrument)
-    return manager
+    verify_dag(dag, machine).raise_if_errors(f"after pass {phase}")
 
 
 def _compile_once(
@@ -382,42 +264,82 @@ def _compile_once(
         )
         source, _ = _optimize(instructions, live_out=live_out)
 
-    state = PipelineState(
-        machine=machine,
-        method=method,
-        source=source,
-        live_out=tuple(live_out),
-        options={
-            "memory": memory,
-            "seed": seed,
-            "assignment": assignment,
-            "verify_each": verify_each,
-            "transactional": transactional,
-            "backend": dict(backend_options or {}),
-        },
-    )
-    build_pipeline(
-        method,
-        verify=verify,
-        static_checks=static_checks,
-        verify_each=verify_each,
-    ).run(state)
+    backend = resolve(method)
+    with obs.span("phase.build_dag", method=method):
+        dag = build_dag(source, live_out=live_out)
+    if verify_each:
+        _verify_dag_after("build_dag", dag, machine)
 
-    stats = ScheduleStats.collect(
-        method, state.schedule, state.program, state.simulation, state.verified
-    )
+    backend_report = None
+    if backend.policy is not None:
+        with obs.span("phase.allocate", method=method):
+            allocation = URSAAllocator(
+                machine,
+                backend.policy,
+                verify_each=verify_each,
+                transactional=transactional,
+            ).run(dag)
+        final_dag = allocation.dag
+        if verify_each:
+            _verify_dag_after("allocate", final_dag, machine)
+        with obs.span("phase.assign", method=method):
+            schedule = assign(
+                final_dag, machine, allocation, backend=assignment
+            ).schedule
+    else:
+        # The backend's schedule pass owns the whole strategy
+        # (docs/backends.md).
+        with obs.span("phase.schedule", method=method):
+            schedule, final_dag, allocation, backend_report = (
+                backend.schedule_pass(dag, machine, dict(backend_options or {}))
+            )
+        if verify_each:
+            _verify_dag_after("schedule", final_dag, machine)
+
+    if static_checks:
+        from repro.verify import verify_schedule
+
+        report = verify_schedule(schedule, dag=final_dag, machine=machine)
+        if not report.ok:
+            raise PipelineError(
+                f"{method} on {machine.name}: static schedule "
+                f"verification failed\n{report.render()}"
+            )
+
+    with obs.span("phase.codegen", method=method):
+        program = lower_schedule(schedule)
+
+    simulation: Optional[SimulationResult] = None
+    verified: Optional[bool] = None
+    if verify:
+        with obs.span("phase.verify", method=method):
+            simulation, verified = verify_program(
+                dag,
+                program,
+                machine,
+                memory if memory is not None else synthesize_memory(dag, seed),
+                schedule.live_out_regs,
+            )
+            if not verified:
+                raise PipelineError(
+                    f"{method} on {machine.name}: simulated memory "
+                    "diverges from the reference interpreter"
+                )
+
     deadline = active_deadline()
     return CompilationResult(
         method=method,
         machine=machine,
-        dag=state.final_dag,
-        schedule=state.schedule,
-        program=state.program,
-        allocation=state.allocation,
-        simulation=state.simulation,
-        verified=state.verified,
-        stats=stats,
-        backend_report=state.backend_report,
+        dag=final_dag,
+        schedule=schedule,
+        program=program,
+        allocation=allocation,
+        simulation=simulation,
+        verified=verified,
+        stats=ScheduleStats.collect(
+            method, schedule, program, simulation, verified
+        ),
+        backend_report=backend_report,
         deadline_tripped=deadline.tripped if deadline is not None else None,
     )
 
@@ -519,16 +441,6 @@ def verify_program(
                 ok = False
                 break
     return simulation, ok
-
-
-def _verify(
-    dag: DependenceDAG,
-    program: VLIWProgram,
-    machine: MachineModel,
-    memory: MemoryState,
-    live_out_regs: Optional[Dict[str, "object"]] = None,
-) -> Tuple[SimulationResult, bool]:
-    return verify_program(dag, program, machine, memory, live_out_regs)
 
 
 def _live_in_value(name: str, memory: MemoryState) -> int:

@@ -1,33 +1,14 @@
-"""repro.pm — pass manager and incremental re-measurement.
+"""repro.pm — incremental re-measurement of transform candidates.
 
-Two pieces (see ``docs/passes.md``):
-
-* :mod:`repro.pm.incremental` — :class:`IncrementalMeasurer`, scoring
-  every transform candidate in place under a journaled DAG
-  transaction;
-* :mod:`repro.pm.passes` — :class:`PassManager` composing the pipeline
-  as explicit, instrumented passes.
+:mod:`repro.pm.incremental` holds :class:`IncrementalMeasurer`, which
+scores every transform candidate in place under a journaled DAG
+transaction (see ``docs/passes.md``).  The compile's phases themselves
+are one straight-line function, ``repro.pipeline._compile_once``.
 """
 
 from repro.pm.incremental import IncrementalMeasurer, TrialOutcome
-from repro.pm.passes import (
-    PASS_REGISTRY,
-    Pass,
-    PassManager,
-    PassSpec,
-    PipelineState,
-    register_pass_spec,
-    verify_instrument,
-)
 
 __all__ = [
     "IncrementalMeasurer",
     "TrialOutcome",
-    "PASS_REGISTRY",
-    "Pass",
-    "PassManager",
-    "PassSpec",
-    "PipelineState",
-    "register_pass_spec",
-    "verify_instrument",
 ]

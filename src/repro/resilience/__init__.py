@@ -8,7 +8,7 @@ Public surface:
 * :mod:`repro.resilience.fallback` — the escalation ladder
   (:func:`compile_with_fallback`) ending in the always-feasible
   spill-everywhere baseline, plus :class:`DegradationReport`;
-* :mod:`repro.resilience.checkpoint` — transactional transform commits;
+* :mod:`repro.resilience.checkpoint` — rollback of rejected DAG edits;
 * :mod:`repro.resilience.chaos` — seeded fault injection proving every
   recovery path is exercised.
 
@@ -28,11 +28,10 @@ from repro.resilience.chaos import (
     ChaosMonkey,
     chaos_scope,
 )
-from repro.resilience.checkpoint import DagCheckpoint, RollbackError, guarded_apply
+from repro.resilience.checkpoint import RollbackError, guarded_apply
 
 __all__ = [
     "ChaosMonkey",
-    "DagCheckpoint",
     "Deadline",
     "DeadlineExpired",
     "DegradationReport",

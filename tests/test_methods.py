@@ -44,7 +44,7 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Backend(
                 name="x", summary="both", policy=object(),
-                schedule_pass=lambda state: None,
+                schedule_pass=lambda dag, machine, options: None,
             )
 
     def test_unknown_method_is_structured(self):
@@ -326,11 +326,11 @@ class TestPortfolio:
         else:
             trace, machine = kernel(case), self.MACHINE
 
-        def answer(seconds):
-            deadline = None if seconds is None else Deadline(seconds=seconds)
+        def answer(deadline):
             result = compile_trace(
                 trace, machine, method="portfolio", deadline=deadline
             )
+            assert result.deadline_tripped is None
             report = result.backend_report
             return (
                 report["winner"],
@@ -347,8 +347,10 @@ class TestPortfolio:
         assert [m[0] for m in unbounded[3]] == [
             "bnb-exact", "ursa", "prepass", "goodman-hsu",
         ]  # reported in declared order
-        assert answer(0.020) == unbounded
-        assert answer(5.0) == unbounded
+        # A 20 ms budget on a frozen clock is in scope for every
+        # member but cannot trip on a loaded host.
+        assert answer(Deadline(seconds=0.020, clock=lambda: 0.0)) == unbounded
+        assert answer(Deadline(seconds=5.0)) == unbounded
 
     def test_portfolio_cannot_race_itself(self):
         from repro.core.allocator import AllocationError

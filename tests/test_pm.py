@@ -1,4 +1,4 @@
-"""Tests for repro.pm: incremental trials, measurement on demand, pass specs.
+"""Tests for repro.pm (incremental trials, chains on demand) and the phases.
 
 The load-bearing suites:
 
@@ -37,7 +37,6 @@ from repro.graph.dag import DependenceDAG, EdgeKind
 from repro.ir.parser import parse_trace
 from repro.machine.model import MachineModel
 from repro.pm import IncrementalMeasurer
-from repro.resilience.checkpoint import DagCheckpoint
 from repro.workloads.kernels import kernel
 from repro.workloads.random_dags import (
     random_layered_trace,
@@ -50,16 +49,6 @@ def _excesses(
     requirements: List[ResourceRequirement],
 ) -> Dict[Tuple[ResourceKind, str], int]:
     return {(r.kind, r.cls): max(0, r.required - r.available) for r in requirements}
-
-
-# ======================================================================
-# DagCheckpoint: copy-on-write commits make restore a reference swap.
-# ======================================================================
-class TestTransactionalCheckpoint:
-    def test_restore_without_txn_is_identity(self, fig2_dag):
-        checkpoint = DagCheckpoint.capture(fig2_dag, [], label="t")
-        restored, _ = checkpoint.restore()
-        assert restored is fig2_dag
 
 
 # ======================================================================
@@ -388,27 +377,52 @@ class TestOneScoringPath:
 
 
 # ======================================================================
-# Pass registry and the `repro passes` CLI.
+# The compile's phases and the `repro passes` CLI.
 # ======================================================================
-class TestPassRegistry:
-    def test_pipeline_registers_core_passes(self):
-        import repro.pipeline  # noqa: F401 — registration side effect
-        from repro.pm import PASS_REGISTRY
+class TestPhases:
+    MACHINE = MachineModel.homogeneous(4, 6)
 
-        names = [spec.name for spec in PASS_REGISTRY]
-        for expected in (
-            "build_dag", "allocate", "assign", "schedule",
-            "static_checks", "codegen", "verify",
-        ):
-            assert expected in names
+    @pytest.mark.parametrize("method, expected", [
+        ("ursa", ["build_dag", "allocate", "assign", "codegen", "verify"]),
+        ("prepass", ["build_dag", "schedule", "codegen", "verify"]),
+        ("bnb-exact", ["build_dag", "schedule", "codegen", "verify"]),
+    ], ids=["ursa", "prepass", "bnb-exact"])
+    def test_phase_spans_follow_phases(self, method, expected):
+        from repro import obs
+        from repro.pipeline import PHASES, compile_trace
 
-    def test_build_pipeline_orders(self):
-        from repro.pipeline import build_pipeline
+        with obs.capture() as observer:
+            compile_trace(kernel("figure2"), self.MACHINE, method=method)
+        spans = [
+            event for event in observer.events
+            if event["type"] == "span" and event["name"].startswith("phase.")
+        ]
+        names = [event["name"][len("phase."):] for event in spans]
+        assert names == expected
+        assert all(event["method"] == method for event in spans)
+        # static_checks ran (on by default) but carries no span.
+        assert "static_checks" not in names
+        assert names == [name for name, _ in PHASES if name in names]
 
-        ursa = [p.spec.name for p in build_pipeline("ursa").passes]
-        assert ursa[:3] == ["build_dag", "allocate", "assign"]
-        baseline = [p.spec.name for p in build_pipeline("prepass").passes]
-        assert "schedule" in baseline and "allocate" not in baseline
+    def test_verify_each_names_the_phase_that_broke_the_dag(self, monkeypatch):
+        import repro.pipeline as pipeline
+        from repro.verify import VerifyError
+
+        real_build_dag = pipeline.build_dag
+
+        def corrupt_build_dag(source, live_out=()):
+            dag = real_build_dag(source, live_out=live_out)
+            victim = next(
+                name for name, uses in dag.value_uses.items() if uses
+            )
+            dag.value_uses[victim].append(dag.value_uses[victim][0])
+            return dag
+
+        monkeypatch.setattr(pipeline, "build_dag", corrupt_build_dag)
+        with pytest.raises(VerifyError, match="after pass build_dag"):
+            pipeline.compile_trace(
+                kernel("figure2"), self.MACHINE, verify_each=True
+            )
 
 
 class TestPassesCLI:
@@ -422,14 +436,16 @@ class TestPassesCLI:
 
     def test_json_listing(self, capsys):
         from repro.cli import main
-        from repro.pm import PASS_REGISTRY
+        from repro.pipeline import PHASES
 
         assert main(["passes", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"passes"}
-        assert [p["name"] for p in payload["passes"]] == [
-            spec.name for spec in PASS_REGISTRY
-        ]
+        assert payload == {
+            "passes": [
+                {"name": name, "description": description}
+                for name, description in PHASES
+            ]
+        }
 
     def test_cache_options_are_gone(self):
         from repro.cli import main

@@ -19,7 +19,6 @@ from repro.graph import bitset
 from repro.machine.model import MachineModel
 from repro.pipeline import METHODS, PipelineError, build_dag, compile_trace
 from repro.resilience import (
-    DagCheckpoint,
     Deadline,
     DeadlineExpired,
     RollbackError,
@@ -358,13 +357,6 @@ class TestCheckpointHelpers:
         clone = guarded_apply(fig2_dag, edit)
         assert clone is not fig2_dag
         assert len(clone) == len(fig2_dag)
-
-    def test_checkpoint_restore_returns_captured_state(self, fig2_dag):
-        reqs = ("a", "b")
-        checkpoint = DagCheckpoint.capture(fig2_dag, reqs, label="t")
-        dag, restored = checkpoint.restore()
-        assert dag is fig2_dag
-        assert restored == ["a", "b"]
 
 
 # ======================================================================
