@@ -447,9 +447,11 @@ class URSAAllocator:
         score is ``(weighted_excess, critical_path, spills_added,
         preference)``, or None when nothing strictly improves
         ``current_excess``.  The measurer was rebased on ``dag`` and its
-        weighted excess, so the trials read both from there; the
-        signature is the one the clone-scoring test oracle
-        (``repro.reference.clone_best_candidate``) shares.
+        weighted excess, so the trials read both from there.  Each trial
+        also gets the best weighted excess so far: a candidate above it
+        cannot win (the score must be strictly lower), so its trial may
+        stop scoring early.  The signature is the one the clone-scoring
+        test oracle (``repro.reference.clone_best_candidate``) shares.
         """
         best: Optional[Tuple[Tuple, TransformCandidate]] = None
         obs.count("allocate.candidates", len(candidates))
@@ -464,12 +466,14 @@ class URSAAllocator:
             if (candidate.kind, candidate.description) in self._banned:
                 continue
             try:
-                outcome = self._measurer.trial(candidate)
+                outcome = self._measurer.trial(
+                    candidate, None if best is None else best[0][0]
+                )
             except TransformError:
                 obs.count("allocate.candidates_illegal")
                 continue
             if outcome is None:
-                continue  # must make progress
+                continue  # no progress, or worse than the best so far
             score = (
                 outcome.weighted_excess,
                 outcome.critical_path,

@@ -23,7 +23,7 @@ the branch-and-bound order, bounds, and budgets are the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.reuse import ValueInfo
@@ -140,12 +140,16 @@ def select_kill(
         obs.count("kill.greedy_covers")
 
     chosen_set = set(chosen)
-    depth = dag.asap()
+    depth: Optional[Dict[int, int]] = None
     for name in universe:
         picks = [c for c in contested[name] if c in chosen_set]
-        # Prefer the deepest chosen killer: it extends the live range the
-        # furthest, which is the worst case the measurement looks for.
-        picks.sort(key=lambda uid: (depth.get(uid, 0), uid))
+        if len(picks) > 1:
+            # Prefer the deepest chosen killer: it extends the live range
+            # the furthest, which is the worst case the measurement looks
+            # for.  Depths are only built when such a tie exists.
+            if depth is None:
+                depth = dag.asap()
+            picks.sort(key=lambda uid: (depth.get(uid, 0), uid))
         kill[name] = picks[-1]
 
     chaos.corrupt_kill(dag, values, kill)

@@ -13,15 +13,15 @@ For every resource class this module computes:
 
 A class that fits never builds a hammock analysis or a decomposition:
 :attr:`ResourceRequirement.decomposition` is computed on first read.
-:func:`measure_widths` is the requirement alone, which is all trial
-scoring reads.
+:func:`reuse_orders` is the relations alone, which trial scoring
+matches itself (warm-started from the committed matchings).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.kill import KillAssignment, select_kill
@@ -208,28 +208,58 @@ def _register_requirement(
     )
 
 
-def _requirements(
+def _fu_classes(
     dag: DependenceDAG, machine: MachineModel
-) -> List[ResourceRequirement]:
-    """Every FU class, then every register class in name order: the
-    one relation-building path under :func:`measure_all` and
-    :func:`measure_widths`."""
+) -> List[Tuple[str, List[int]]]:
+    """Every FU class in machine order, with its op nodes (one pass
+    over the op nodes)."""
     fu_names = [fu.name for fu in machine.fu_classes]
     elements: Dict[str, List[int]] = {name: [] for name in fu_names}
     instruction = dag.instruction
     fu_class_for = machine.fu_class_for
     for uid in dag.op_nodes():
         elements[fu_class_for(instruction(uid).op).name].append(uid)
-    results = [
-        _fu_requirement(dag, machine, name, elements[name]) for name in fu_names
-    ]
+    return [(name, elements[name]) for name in fu_names]
+
+
+def _register_classes(
+    dag: DependenceDAG, machine: MachineModel
+) -> List[Tuple[str, List[ValueInfo]]]:
+    """Every register class in name order, with its values."""
     values = collect_values(dag, machine)
-    results.extend(
-        _register_requirement(
-            dag, machine, reg_class,
-            [v for v in values if v.reg_class == reg_class],
-        )
+    return [
+        (reg_class, [v for v in values if v.reg_class == reg_class])
         for reg_class in sorted(machine.registers)
+    ]
+
+
+def reuse_orders(
+    dag: DependenceDAG, machine: MachineModel, kind: ResourceKind
+) -> Iterator[PartialOrder]:
+    """The reuse order of every class of ``kind``, in :func:`measure_all`'s
+    order and from the same builder, each built when it is drawn, with
+    no matching and nothing counted as a measurement.  Drawn in full,
+    the register orders run ``select_kill`` once per class, in class
+    order, as :func:`measure_all` does."""
+    if kind is ResourceKind.FUNCTIONAL_UNIT:
+        for _, elements in _fu_classes(dag, machine):
+            yield can_reuse_fu(dag, elements)
+        return
+    for _, values in _register_classes(dag, machine):
+        yield can_reuse_registers(dag, values, select_kill(dag, values).kill)
+
+
+def _requirements(
+    dag: DependenceDAG, machine: MachineModel
+) -> List[ResourceRequirement]:
+    """Every FU class, then every register class in name order."""
+    results = [
+        _fu_requirement(dag, machine, name, elements)
+        for name, elements in _fu_classes(dag, machine)
+    ]
+    results.extend(
+        _register_requirement(dag, machine, reg_class, values)
+        for reg_class, values in _register_classes(dag, machine)
     )
     return results
 
@@ -295,18 +325,6 @@ def measure_all(
         results = [_counted(r) for r in _requirements(dag, machine)]
         chaos.corrupt_measurements(results)
     return results
-
-
-def measure_widths(dag: DependenceDAG, machine: MachineModel) -> List[int]:
-    """Every class's requirement, in :func:`measure_all`'s order.
-
-    The requirement is the width of the reuse order, ``n`` minus the
-    size of *any* maximum matching (Theorem 1), so trial scoring needs
-    no hammock analysis and no chains.  The relations and ``Kill()``
-    choices are the ones :func:`measure_all` builds, from the same
-    builder, but nothing is counted as a measurement.
-    """
-    return [r.required for r in _requirements(dag, machine)]
 
 
 # ======================================================================

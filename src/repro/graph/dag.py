@@ -77,7 +77,11 @@ class DagTransaction:
     ``rollback`` restores structure, edge order in every row,
     instructions, value tables, closure and ``version`` exactly, so any
     analysis cached against the old version becomes valid again and a
-    rolled-back trial is indistinguishable from one that never ran.
+    rolled-back trial is indistinguishable from one that never ran.  The
+    DAG's own version-keyed caches (topological order, latency-free
+    ASAP depths, collected values) are put back as they stood at
+    transaction start, so the trial's recomputations at its own versions
+    do not evict them.
     """
 
     def __init__(self, dag: "DependenceDAG") -> None:
@@ -98,6 +102,12 @@ class DagTransaction:
         self._source_len = len(dag.source_order)
         #: the closure caches set aside at the first node insertion.
         self._closure: Optional[tuple] = None
+        #: the version-keyed caches as they stood at transaction start.
+        self._caches = (
+            dag._topo_cache, dag._topo_version,
+            dag._asap_cache, dag._asap_version,
+            dag._values_cache,
+        )
         self.active = True
 
     # -- journal recording (called by DependenceDAG) -------------------
@@ -198,6 +208,11 @@ class DagTransaction:
         if dag._desc_cache is not None:
             for uid, old in self._masks.items():
                 dag._desc_cache[uid] = old
+        (
+            dag._topo_cache, dag._topo_version,
+            dag._asap_cache, dag._asap_version,
+            dag._values_cache,
+        ) = self._caches
         dag.version = self._base_version
         dag._txn = None
         self.active = False
@@ -263,6 +278,8 @@ class DependenceDAG:
         self._topo_version: int = -1
         self._asap_cache: Optional[Dict[int, int]] = None
         self._asap_version: int = -1
+        #: (version, machine, values) — populated by reuse.collect_values.
+        self._values_cache: Optional[tuple] = None
         #: (version, HammockAnalysis) — populated by HammockAnalysis.of.
         self._hammock_analysis = None
 
@@ -523,6 +540,9 @@ class DependenceDAG:
         version key keeps the cache safe inside transactions — every
         ``add_sequence_edge`` bumps the version, and a new edge can
         invalidate an existing order even without changing reachability.
+        An edge that points forward in the cached order leaves this
+        min-uid Kahn order unchanged, so ``add_sequence_edge`` carries
+        the cache over to the new version in that case.
         """
         if self._topo_cache is not None and self._topo_version == self.version:
             return list(self._topo_cache)
@@ -741,6 +761,12 @@ class DependenceDAG:
         if dst in self._succ[src]:
             return False
         redundant = self.reaches(src, dst)
+        order = self._topo_cache
+        keeps_order = (
+            order is not None
+            and self._topo_version == self.version
+            and order.index(src) < order.index(dst)
+        )
         self._link(src, dst, kind=EdgeKind.SEQ, reason=reason)
         txn = self._txn
         if txn is not None:
@@ -753,6 +779,11 @@ class DependenceDAG:
             self.version = DependenceDAG._next_version()
         else:
             self._invalidate()
+        if keeps_order:
+            # ``dst`` only becomes ready later than before, and it was
+            # never the smallest ready uid before ``src`` was taken, so
+            # the min-uid Kahn order is unchanged.
+            self._topo_version = self.version
         return not redundant
 
     def would_cycle(self, src: int, dst: int) -> bool:
@@ -919,7 +950,11 @@ class DependenceDAG:
         A warm transitive closure is carried over (the masks are copied;
         the uid<->bit tables are never mutated, so they are shared), so
         edits journaled in a transaction on the copy maintain it
-        incrementally instead of rebuilding it from scratch.
+        incrementally instead of rebuilding it from scratch.  A current
+        topological order and latency-free ASAP cache are carried to the
+        copy's version too: the copy has the same nodes and edges, so
+        min-uid Kahn gives the same order, and the caches are never
+        changed in place, so they are shared.
         """
         clone = DependenceDAG.__new__(DependenceDAG)
         clone._succ = {uid: dict(row) for uid, row in self._succ.items()}
@@ -939,10 +974,13 @@ class DependenceDAG:
         clone._desc_cache = dict(self._desc_cache) if warm else None
         clone._mask_index = self._mask_index
         clone._mask_order = self._mask_order
-        clone._topo_cache = None
-        clone._topo_version = -1
-        clone._asap_cache = None
-        clone._asap_version = -1
+        topo_current = self._topo_version == self.version
+        clone._topo_cache = self._topo_cache if topo_current else None
+        clone._topo_version = clone.version if topo_current else -1
+        asap_current = self._asap_version == self.version
+        clone._asap_cache = self._asap_cache if asap_current else None
+        clone._asap_version = clone.version if asap_current else -1
+        clone._values_cache = None
         clone._hammock_analysis = None
         return clone
 

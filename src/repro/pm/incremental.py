@@ -3,14 +3,24 @@
 :class:`IncrementalMeasurer` is the allocator's one way to try a
 candidate, in every allocator mode: it applies the candidate's edits
 inside a :class:`~repro.graph.dag.DagTransaction` on the live DAG,
-scores the result, and rolls back.  What the journal recorded picks
-how the score is computed.
+scores the result, and rolls back.  A trial costs what it changed:
 
-A journal that inserted nodes (spill, remat) is measured cold, in
-place, by :func:`~repro.core.measure.measure_widths`: every class's
-relation and maximum matching are rebuilt, but no hammock analysis and
-no chain decomposition, which only the committed measurement's
-Definition 6 sets need.
+* **Registers first, then a cutoff.**  Every register class is scored
+  first, in class order, so ``select_kill`` runs exactly as often and in
+  the same order whatever the outcome (the chaos ``kill`` fault draws
+  from one RNG stream).  The trial stops with ``None`` as soon as the
+  weighted excess is above ``min(base − 1, best)``: checked once after
+  the registers and again after each FU class.  A candidate stopped
+  there cannot win — a winner needs a strictly lower score — so the
+  cutoff never changes which candidate the driver keeps.  Only a
+  candidate that can still win gets its critical path computed.
+* **Node-inserting journals** (spill, remat) rebuild each class's
+  relation with :func:`~repro.core.measure.reuse_orders`, the builder
+  ``measure_all`` uses, and re-match it warm: the committed matching,
+  mapped by uid or value name and restricted to the pairs still in the
+  new relation, is a valid matching of it, and Kuhn's algorithm started
+  from any valid matching ends at a maximum one.  No hammock analysis
+  and no chain decomposition are built.
 
 An edges-only journal is scored against per-class snapshots taken at
 the last committed measurement:
@@ -25,8 +35,8 @@ the last committed measurement:
   contested ``Kill()`` candidate could have moved in the ASAP order, the
   base width is exact.  Otherwise ``Kill()`` is re-selected: an
   unchanged assignment means the reuse relation grew monotonically
-  (warm-startable); a changed one forces a cold re-match of that class
-  only.
+  (warm-startable); a changed one rebuilds that class's relation
+  (*cold*), re-matched from the restricted committed matching.
 
 Widths are what the driver's score needs; no chain decomposition is
 built here — a committed winner always gets a full ``measure_all`` at
@@ -37,28 +47,26 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.core.kill import candidate_killers, select_kill
-from repro.core.measure import ResourceKind, ResourceRequirement, measure_widths
+from repro.core.measure import ResourceKind, ResourceRequirement, reuse_orders
 from repro.core.reuse import can_reuse_registers
 from repro.core.transforms.base import TransformCandidate, TransformError
 from repro.graph import bitset
 from repro.graph.dag import CycleError, DagTransaction, DependenceDAG
-from repro.graph.dilworth import width as order_width
+from repro.graph.dilworth import PartialOrder
 from repro.machine.model import MachineModel
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Score of one improving in-place trial (already rolled back)."""
+    """Score of one trial that can still win (already rolled back)."""
 
     weighted_excess: int
     critical_path: int
     widths: Tuple[int, ...]
-    classes_reused: int
-    classes_recomputed: int
 
 
 @dataclass
@@ -87,6 +95,27 @@ class _ClassBase:
     contested_candidates: Optional[Set[int]] = None
 
 
+#: Counter bumped per class by an edges-only journal's scoring mode.
+_MODE_COUNTERS = {
+    "hit": ("pm.trial.hits",),
+    "warm": ("pm.trial.warm", "pm.trial.recomputed"),
+    "cold": ("pm.trial.cold", "pm.trial.recomputed"),
+}
+
+
+def _maximum_width(adjacency: List[int], match_left: List[int]) -> int:
+    """Width of the order with successor masks ``adjacency``: Kuhn's
+    algorithm warm-started from ``match_left``, a valid matching of it
+    (index array, -1 = unmatched), ends at a maximum matching."""
+    match_right = [-1] * len(match_left)
+    for i, j in enumerate(match_left):
+        if j >= 0:
+            match_right[j] = i
+    matcher = bitset.BitsetKuhn.from_state(adjacency, match_left, match_right)
+    matcher.maximize()
+    return len(adjacency) - matcher.size
+
+
 class IncrementalMeasurer:
     """Scores candidates in place against a rebased snapshot."""
 
@@ -95,6 +124,8 @@ class IncrementalMeasurer:
         self.register_weight = register_weight
         self.dag: Optional[DependenceDAG] = None
         self._bases: List[_ClassBase] = []
+        #: snapshot indices per resource kind, in snapshot order.
+        self._indices: Dict[ResourceKind, List[int]] = {}
         self._base_weighted = 0
 
     # ------------------------------------------------------------------
@@ -106,6 +137,12 @@ class IncrementalMeasurer:
         """Snapshot the committed measurements trials will diff against."""
         self.dag = dag
         self._bases = [self._snapshot(dag, req) for req in requirements]
+        self._indices = {
+            kind: [
+                i for i, base in enumerate(self._bases) if base.req.kind is kind
+            ]
+            for kind in ResourceKind
+        }
         self._base_weighted = sum(
             self._weigh(base.req.kind, max(0, base.width - base.available))
             for base in self._bases
@@ -153,16 +190,28 @@ class IncrementalMeasurer:
         return base
 
     # ------------------------------------------------------------------
-    def trial(self, candidate: TransformCandidate) -> Optional[TrialOutcome]:
+    def trial(
+        self, candidate: TransformCandidate, best: Optional[int] = None
+    ) -> Optional[TrialOutcome]:
         """Apply ``candidate`` in a transaction, score it, roll back.
 
-        Returns ``None`` when the candidate does not strictly improve
-        the weighted excess (the driver's progress filter).  Raises
+        Returns ``None`` when the weighted excess is above
+        ``min(base − 1, best)``: the candidate does not strictly improve
+        on the committed DAG (the driver's progress filter), or it
+        scores worse than ``best``, the lowest weighted excess the
+        driver has seen so far, and so cannot win.  Every register
+        class is scored first (``select_kill`` runs once per class, in
+        class order, whatever the outcome), then the cutoff is checked;
+        each FU class is followed by another check.  Only a candidate
+        that can still win gets its critical path computed.  Raises
         :class:`TransformError` for illegal edits; the rollback runs
         either way, also when the edits failed partway.
         """
         dag = self.dag
         assert dag is not None, "rebase() before trial()"
+        limit = self._base_weighted - 1
+        if best is not None:
+            limit = min(limit, best)
         txn = dag.begin_transaction()
         try:
             try:
@@ -170,57 +219,54 @@ class IncrementalMeasurer:
             except CycleError as exc:
                 raise TransformError(f"{candidate.kind}: {exc}") from exc
 
-            if txn.adds_nodes:
-                obs.count("pm.trial.full")
-                widths = measure_widths(dag, self.machine)
-                reused, recomputed = 0, len(widths)
-            else:
-                widths, reused, recomputed = self._incremental_widths(dag, txn)
-
-            weighted = sum(
-                self._weigh(base.req.kind, max(0, w - base.available))
-                for base, w in zip(self._bases, widths)
+            obs.count(
+                "pm.trial.full" if txn.adds_nodes else "pm.trial.incremental"
             )
-            if weighted >= self._base_weighted:
-                return None  # must make progress
+            widths = [0] * len(self._bases)
+            weighted = 0
+            for kind in (ResourceKind.REGISTER, ResourceKind.FUNCTIONAL_UNIT):
+                for index, width in self._class_widths(dag, txn, kind):
+                    widths[index] = width
+                    available = self._bases[index].available
+                    weighted += self._weigh(kind, max(0, width - available))
+                    if kind is ResourceKind.FUNCTIONAL_UNIT and weighted > limit:
+                        break
+                if weighted > limit:
+                    obs.count("pm.trial.cut")
+                    return None
             cp = dag.critical_path_length(self.machine.latency_of)
             return TrialOutcome(
                 weighted_excess=weighted,
                 critical_path=cp,
                 widths=tuple(widths),
-                classes_reused=reused,
-                classes_recomputed=recomputed,
             )
         finally:
             if txn.active:
                 txn.rollback()
 
-    def _incremental_widths(
-        self, dag: DependenceDAG, txn: DagTransaction
-    ) -> Tuple[List[int], int, int]:
-        """Per-class widths of an edges-only journal, reusing the base
-        widths and matchings wherever the journal allows."""
-        obs.count("pm.trial.incremental")
-        widths: List[int] = []
-        reused = warm = cold = 0
-        for base in self._bases:
-            if base.req.kind is ResourceKind.FUNCTIONAL_UNIT:
-                width, mode = self._fu_width(dag, txn, base)
-            else:
-                width, mode = self._reg_width(dag, txn, base)
-            widths.append(width)
-            if mode == "hit":
-                reused += 1
-            elif mode == "warm":
-                warm += 1
-            else:
-                cold += 1
-        recomputed = warm + cold
-        obs.count("pm.trial.hits", reused)
-        obs.count("pm.trial.warm", warm)
-        obs.count("pm.trial.cold", cold)
-        obs.count("pm.trial.recomputed", recomputed)
-        return widths, reused, recomputed
+    def _class_widths(
+        self, dag: DependenceDAG, txn: DagTransaction, kind: ResourceKind
+    ) -> Iterator[Tuple[int, int]]:
+        """``(snapshot index, width)`` of every class of ``kind``, in
+        snapshot order, each computed when it is drawn.
+
+        A journal that inserted nodes rebuilds each class's relation with
+        ``measure_all``'s builder; an edges-only journal is diffed class
+        by class against the snapshot, and counted by scoring mode."""
+        indices = self._indices[kind]
+        if txn.adds_nodes:
+            orders = reuse_orders(dag, self.machine, kind)
+            for index, order in zip(indices, orders):
+                yield index, self._restricted_width(self._bases[index], order)
+            return
+        score = self._fu_width if kind is ResourceKind.FUNCTIONAL_UNIT else (
+            self._reg_width
+        )
+        for index in indices:
+            width, mode = score(dag, txn, self._bases[index])
+            for counter in _MODE_COUNTERS[mode]:
+                obs.count(counter)
+            yield index, width
 
     # ------------------------------------------------------------------
     def _warm_width(
@@ -231,21 +277,35 @@ class IncrementalMeasurer:
 
         The snapshot's masks are ORed with the journal-delta bits and the
         committed width's matching is re-maximized — only the lefts it
-        left unmatched are augmented from.  Kuhn's algorithm started
-        from any valid matching ends at a maximum one, so the width does
-        not depend on which maximum matching the snapshot holds."""
+        left unmatched are augmented from."""
         eidx = base.eidx
         adjacency = list(base.masks)
         for a, b in delta_pairs:
             adjacency[eidx[a]] |= 1 << eidx[b]
-        match_left = base.match_left
-        match_right = [-1] * len(match_left)
-        for i, j in enumerate(match_left):
-            if j >= 0:
-                match_right[j] = i
-        matcher = bitset.BitsetKuhn.from_state(adjacency, match_left, match_right)
-        matcher.maximize()
-        return len(base.elements) - matcher.size
+        return _maximum_width(adjacency, base.match_left)
+
+    def _restricted_width(self, base: _ClassBase, order: PartialOrder) -> int:
+        """Width of a rebuilt relation, warm-started from the committed
+        matching restricted to the pairs still in it.
+
+        Elements are uids (FU classes) or value names (registers), so
+        the snapshot's pairs map onto the new relation by element; a
+        pair whose ends are both present and still related is kept.
+        What is kept is a valid matching of the new relation, and Kuhn's
+        algorithm started from any valid matching ends at a maximum
+        one, so the width is exact."""
+        index = order.index
+        masks = order.masks
+        old = base.elements
+        match_left = [-1] * len(order.elements)
+        for i, j in enumerate(base.match_left):
+            if j < 0:
+                continue
+            a = index.get(old[i])
+            b = index.get(old[j])
+            if a is not None and b is not None and masks[a] >> b & 1:
+                match_left[a] = b
+        return _maximum_width(masks, match_left)
 
     def _fu_width(
         self, dag: DependenceDAG, txn: DagTransaction, base: _ClassBase
@@ -283,7 +343,7 @@ class IncrementalMeasurer:
                 return base.width, "hit"
             return self._warm_width(base, delta_pairs), "warm"
         order = can_reuse_registers(dag, values, kill_new.kill)
-        return order_width(order), "cold"
+        return self._restricted_width(base, order), "cold"
 
     def _asap_sensitive(
         self, dag: DependenceDAG, txn: DagTransaction, base: _ClassBase

@@ -219,3 +219,138 @@ class TestVerifierSurfacedRegressions:
         # The rematerialized value must take over the live-out role.
         assert new_name in dag.live_out and "k" not in dag.live_out
         assert dag.has_edge(new_uid, dag.exit)
+
+
+# ======================================================================
+# Version-keyed caches: the topological order is kept across an edge
+# that points forward in it, and a rollback restores every cache.
+# ======================================================================
+def _asap_from_scratch(dag):
+    """Latency-free ASAP depths by a DP over a fresh min-uid Kahn order."""
+    start = {}
+    for uid in dag._topological_order_uncached():
+        start[uid] = max(
+            (
+                start[p] + (0 if dag.instruction(p).is_pseudo else 1)
+                for p in dag.preds(uid)
+            ),
+            default=0,
+        )
+    return start
+
+
+def _caches(dag):
+    return (
+        dag._topo_cache, dag._topo_version,
+        dag._asap_cache, dag._asap_version,
+        dag._values_cache,
+    )
+
+
+class TestKeptTopologicalOrder:
+    SEEDS = range(12)
+
+    @staticmethod
+    def _random_edges(dag, rng, count):
+        """Up to ``count`` legal sequence edges, each checked right after
+        it is added; returns (consistent, inconsistent, reordering)."""
+        from repro.core.reuse import collect_values
+
+        consistent = inconsistent = reordering = 0
+        for _ in range(count * 4):
+            if consistent + inconsistent >= count:
+                break
+            ops = dag.op_nodes()
+            src, dst = rng.sample(ops, 2)
+            if dag.would_cycle(src, dst) or dag.has_edge(src, dst):
+                continue
+            before = dag.topological_order()
+            forward = before.index(src) < before.index(dst)
+            dag.add_sequence_edge(src, dst)
+            after = dag.topological_order()
+            assert after == dag._topological_order_uncached(), (src, dst)
+            assert dag.asap() == _asap_from_scratch(dag), (src, dst)
+            collect_values(dag)  # warm the values cache too
+            if forward:
+                consistent += 1
+                assert after == before
+            else:
+                inconsistent += 1
+                reordering += after != before
+        return consistent, inconsistent, reordering
+
+    def test_order_and_depths_match_a_fresh_sort(self):
+        import random
+
+        from repro.core.reuse import collect_values
+        from repro.core.transforms.spill import spill_slot_for
+        from repro.workloads.random_dags import random_layered_trace
+
+        totals = [0, 0, 0]
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            dag = DependenceDAG.from_trace(
+                random_layered_trace(n_ops=16, width=5, seed=seed)
+            )
+            # Outside a transaction.
+            for i, n in enumerate(self._random_edges(dag, rng, 4)):
+                totals[i] += n
+            # Inside a transaction, rolled back: every cache as before.
+            dag.topological_order()
+            dag.asap()
+            collect_values(dag)
+            cached = _caches(dag)
+            version = dag.version
+            txn = dag.begin_transaction()
+            for i, n in enumerate(self._random_edges(dag, rng, 4)):
+                totals[i] += n
+            if seed % 2:
+                # A node insertion, then more edges on the grown DAG.
+                name, def_uid = next(
+                    (n, u) for n, u in sorted(dag.value_defs.items())
+                    if u != dag.entry and dag.value_uses.get(n)
+                )
+                dag.insert_spill(
+                    name, dag.value_uses[name][-1:],
+                    spill_slot_for(dag, def_uid),
+                )
+                assert dag.topological_order() == (
+                    dag._topological_order_uncached()
+                )
+                for i, n in enumerate(self._random_edges(dag, rng, 3)):
+                    totals[i] += n
+            txn.rollback()
+            assert dag.version == version
+            assert _caches(dag) == cached, seed
+            assert all(a is b for a, b in zip(_caches(dag), cached)), seed
+            assert dag.topological_order() == dag._topological_order_uncached()
+            assert dag.asap() == _asap_from_scratch(dag)
+        consistent, inconsistent, reordering = totals
+        # Both kinds of edge ran, and some inconsistent edges really
+        # moved the order (so keeping it for one would be caught).
+        assert consistent >= 20 and inconsistent >= 20, totals
+        assert reordering >= 5, totals
+
+    def test_copy_carries_a_current_order_and_depths(self):
+        from repro.workloads.random_dags import random_layered_trace
+
+        dag = DependenceDAG.from_trace(
+            random_layered_trace(n_ops=16, width=5, seed=3)
+        )
+        order, depths = dag.topological_order(), dag.asap()
+        clone = dag.copy()
+        assert clone.version != dag.version
+        assert clone._topo_version == clone.version
+        assert clone._asap_version == clone.version
+        assert clone.topological_order() == order
+        assert clone.topological_order() == clone._topological_order_uncached()
+        assert clone.asap() == depths == _asap_from_scratch(clone)
+        # A stale cache is not carried.
+        src, dst = next(
+            (a, b) for a in dag.op_nodes() for b in dag.op_nodes()
+            if a != b and not dag.would_cycle(a, b) and not dag.reaches(a, b)
+        )
+        dag.add_sequence_edge(src, dst)
+        dag._topo_version = dag._asap_version = -1
+        clone = dag.copy()
+        assert clone._topo_cache is None and clone._asap_cache is None

@@ -76,6 +76,48 @@ class TestSelectKill:
         assert not kill.exact
 
 
+class TestDepthsOnlyOnTies:
+    """``select_kill`` reads ASAP depths only to break a tie between two
+    chosen killers of one value."""
+
+    def test_single_pick_never_builds_depths(self, monkeypatch):
+        # ``a`` has two independent maximal uses; the cover picks one.
+        dag = DependenceDAG.from_trace(parse_trace(
+            "a = load [A]\nb = a + 1\nc = a + 2\n"
+            "store [B], b\nstore [C], c"
+        ))
+        values = collect_values(dag)
+
+        def no_depths(self, latency=None):
+            raise AssertionError("asap() built for a single-pick selection")
+
+        monkeypatch.setattr(DependenceDAG, "asap", no_depths)
+        kill = select_kill(dag, values)
+        assert kill.contested == frozenset({"a"})
+        assert kill["a"] in (dag.value_defs["b"], dag.value_defs["c"])
+
+    def test_multi_pick_matches_reference(self):
+        from repro import reference
+
+        # Every pair of a, b, c shares one use: a two-node cover leaves
+        # one value with both of its uses chosen.
+        dag = DependenceDAG.from_trace(parse_trace(
+            "a = load [A]\nb = load [B]\nc = load [C]\n"
+            "n1 = a + b\nn2 = a + c\nn3 = b + c\n"
+            "store [D], n1\nstore [E], n2\nstore [F], n3"
+        ))
+        values = collect_values(dag)
+        kill = select_kill(dag, values)
+        chosen = set(kill.kill[name] for name in kill.contested)
+        assert any(
+            sum(u in chosen for u in set(dag.value_uses[name])) >= 2
+            for name in kill.contested
+        )
+        oracle = reference.select_kill(dag, values)
+        assert kill.kill == oracle.kill
+        assert kill.contested == oracle.contested
+
+
 class TestMinCover:
     def test_exact_beats_or_ties_greedy(self):
         universe = ["u1", "u2", "u3", "u4"]

@@ -8,16 +8,17 @@ from repro.core.measure import (
     measure_all,
     measure_fu,
     measure_registers,
-    measure_widths,
+    reuse_orders,
     trim_excessive_chains,
 )
 from repro.core.transforms.spill import spill_slot_for
 from repro.graph.dag import DependenceDAG
-from repro.graph.dilworth import closure_from_dag_pairs
+from repro.graph.dilworth import closure_from_dag_pairs, width
 from repro.graph.hammock import HammockAnalysis
 from repro.ir.parser import parse_trace
 from repro.machine import preset
 from repro.machine.model import MachineModel
+from repro.pm import IncrementalMeasurer
 from repro.workloads.random_dags import (
     random_layered_trace,
     random_series_parallel,
@@ -156,7 +157,8 @@ class TestMultiClassMeasurement:
 
 
 # ======================================================================
-# measure_widths: the requirements alone, equal to measure_all's.
+# reuse_orders and the node-inserting trial's warm-started widths: the
+# requirements alone, equal to measure_all's.
 # ======================================================================
 def _fuzz_traces():
     for seed in range(8):
@@ -181,13 +183,38 @@ def _required(dag, machine):
     return [r.required for r in measure_all(dag, machine)]
 
 
+def _trial_widths(dag, machine, committed):
+    """Every class's width as a node-inserting trial computes it: each
+    relation rebuilt by ``reuse_orders`` (registers first, as the trial
+    does), re-matched from the ``committed`` measurement's matching
+    restricted to it."""
+    measurer = IncrementalMeasurer(machine)
+    measurer.rebase(dag, committed)
+    widths = [None] * len(committed)
+    for kind in (ResourceKind.REGISTER, ResourceKind.FUNCTIONAL_UNIT):
+        orders = reuse_orders(dag, machine, kind)
+        for index, order in zip(measurer._indices[kind], orders):
+            widths[index] = measurer._restricted_width(
+                measurer._bases[index], order
+            )
+    return widths
+
+
 class TestMeasureWidths:
     @pytest.mark.parametrize("machine_name", sorted(WIDTH_MACHINES))
     def test_widths_equal_measure_all(self, machine_name):
         machine = WIDTH_MACHINES[machine_name]()
         for index, trace in enumerate(_fuzz_traces()):
             dag = DependenceDAG.from_trace(trace)
-            assert measure_widths(dag, machine) == _required(dag, machine), index
+            committed = measure_all(dag, machine)
+            required = [r.required for r in committed]
+            built = [
+                width(order)
+                for kind in (ResourceKind.FUNCTIONAL_UNIT, ResourceKind.REGISTER)
+                for order in reuse_orders(dag, machine, kind)
+            ]
+            assert built == required, index
+            assert _trial_widths(dag, machine, committed) == required, index
 
     @pytest.mark.parametrize("machine_name", sorted(WIDTH_MACHINES))
     def test_widths_equal_measure_all_after_spill_and_remat(self, machine_name):
@@ -195,6 +222,7 @@ class TestMeasureWidths:
         edited = 0
         for index, trace in enumerate(_fuzz_traces()):
             dag = DependenceDAG.from_trace(trace)
+            committed = measure_all(dag, machine)
             version = dag.version
             values = [
                 (name, uid)
@@ -212,10 +240,14 @@ class TestMeasureWidths:
                     spilled, uses[1:], spill_slot_for(dag, spill_def)
                 )
                 assert txn.adds_nodes
-                assert measure_widths(dag, machine) == _required(dag, machine), index
+                assert _trial_widths(dag, machine, committed) == _required(
+                    dag, machine
+                ), index
                 uses = sorted(set(dag.value_uses[remat]))
                 dag.insert_remat(remat, uses[1:])
-                assert measure_widths(dag, machine) == _required(dag, machine), index
+                assert _trial_widths(dag, machine, committed) == _required(
+                    dag, machine
+                ), index
                 edited += 1
             finally:
                 txn.rollback()

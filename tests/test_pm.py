@@ -113,7 +113,7 @@ NODE_KINDS = {"spill", "remat", "spill-fallback"}
 class TestIncrementalTrialFuzz:
     def test_trials_match_from_scratch_measurement(self):
         kinds_seen = set()
-        compared = 0
+        compared = cut = 0
         for index, dag, machine, requirements, candidates in _fuzz_cases():
             base_excess = sum(_excesses(requirements).values())
             measurer = IncrementalMeasurer(machine)
@@ -132,10 +132,21 @@ class TestIncrementalTrialFuzz:
                 scratch = _excesses(measure_all(clone, machine))
                 outcome = measurer.trial(candidate)
                 compared += 1
+                weighted = sum(scratch.values())  # register weight 1
+                for best in (weighted - 1, weighted, weighted + 1):
+                    # The cutoff: None exactly when the weighted excess
+                    # is above min(base - 1, best), else the unbounded
+                    # trial's outcome.
+                    bounded = measurer.trial(candidate, best)
+                    if weighted > min(base_excess - 1, best):
+                        assert bounded is None, (index, candidate.kind, best)
+                        cut += outcome is not None
+                    else:
+                        assert bounded == outcome, (index, candidate.kind, best)
                 if outcome is None:
                     # Progress filter: the candidate must really not
                     # have improved the weighted excess.
-                    assert sum(scratch.values()) >= base_excess
+                    assert weighted >= base_excess
                 else:
                     trial = {
                         (b.req.kind, b.req.cls): max(0, w - b.available)
@@ -150,6 +161,8 @@ class TestIncrementalTrialFuzz:
                 assert len(list(dag.edges())) == edge_count
                 assert len(dag) == node_count
         assert compared >= 50, f"only {compared} comparisons ran"
+        # Some improving candidates were cut by ``best`` alone.
+        assert cut >= 50, cut
         assert any(k.startswith("fu-") for k in kinds_seen)
         assert any(k.startswith("reg-") for k in kinds_seen)
         assert NODE_KINDS <= kinds_seen, kinds_seen
@@ -509,12 +522,12 @@ class TestWidthsOnlyTrials:
 
         trial = IncrementalMeasurer.trial
 
-        def watched_trial(measurer, candidate):
+        def watched_trial(measurer, candidate, best=None):
             counters = observer.counters
             before = {key: counters.get(key, 0) for key in self.COUNTED}
             inside[0] = True
             try:
-                return trial(measurer, candidate)
+                return trial(measurer, candidate, best)
             finally:
                 inside[0] = False
                 for key in self.COUNTED:

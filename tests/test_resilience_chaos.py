@@ -16,6 +16,7 @@ from repro import obs
 from repro.machine.model import MachineModel
 from repro.pipeline import compile_trace
 from repro.resilience import ChaosMonkey, Deadline, chaos_scope
+from repro.resilience import chaos as chaos_module
 from repro.resilience.chaos import FAULT_CLASSES, active
 from repro.verify import verify_compilation
 
@@ -89,8 +90,12 @@ class TestPerFaultClass:
         assert_survived(result)
         assert monkey.injected("kill") >= 1
 
-    def test_forced_deadline_expiry(self, fig2_trace):
+    def test_forced_deadline_expiry(self, fig2_trace, monkeypatch):
         # The deadline itself is unlimited; only the chaos hook trips it.
+        # The hook is scaled down to fire on 5% of expiry checks, so
+        # whether a seeded run trips at all depends on how many checks
+        # the compile makes.  Unscaled, rate=1.0 fires at the first check.
+        monkeypatch.setattr(chaos_module, "_DEADLINE_CHECK_SCALE", 1.0)
         monkey, result = self.run_single_fault(
             fig2_trace, "deadline", deadline_seconds=None
         )
