@@ -137,6 +137,9 @@ class URSAAllocator:
         self._excess_weight = 1  # set per run from the DAG size
         self._banned: set = set()
         self._measurer: Optional[IncrementalMeasurer] = None
+        #: candidates the current round's trials found illegal; read to
+        #: say why a step fell back.
+        self._illegal = 0
 
     # ------------------------------------------------------------------
     def run(self, dag: DependenceDAG) -> AllocationResult:
@@ -342,10 +345,11 @@ class URSAAllocator:
             for r in requirements
             if r.kind is ResourceKind.REGISTER
         )
+        depth = dag.asap()
         candidates: List[TransformCandidate] = []
         for requirement in active:
             for ecs in find_excessive_sets(dag, requirement):
-                candidates.extend(self._proposals(dag, ecs))
+                candidates.extend(self._proposals(dag, ecs, depth))
             if (
                 requirement.kind is ResourceKind.FUNCTIONAL_UNIT
                 and registers_settled
@@ -361,6 +365,7 @@ class URSAAllocator:
         current_cp = dag.critical_path_length(self.machine.latency_of)
         self._measurer.rebase(dag, requirements)
 
+        self._illegal = 0
         best = self._best_candidate(dag, candidates, current_weighted)
         if best is None:
             # The chain-set proposals made no global progress; fall back
@@ -368,7 +373,13 @@ class URSAAllocator:
             # the width when its edges are admissible, but blunter on the
             # critical path), then to direct antichain surgery — the
             # leftovers the paper hands to assignment.
-            depth = dag.asap()
+            obs.count("allocate.fallback_rounds")
+            if not candidates:
+                obs.count("allocate.fallback.no_proposals")
+            elif self._illegal == len(candidates):
+                obs.count("allocate.fallback.all_illegal")
+            else:
+                obs.count("allocate.fallback.none_improved")
             fallbacks: List[TransformCandidate] = []
             for requirement in active:
                 fallbacks.extend(
@@ -471,6 +482,7 @@ class URSAAllocator:
                 )
             except TransformError:
                 obs.count("allocate.candidates_illegal")
+                self._illegal += 1
                 continue
             if outcome is None:
                 continue  # no progress, or worse than the best so far
@@ -496,16 +508,20 @@ class URSAAllocator:
         return excessive
 
     def _proposals(
-        self, dag: DependenceDAG, ecs: ExcessiveChainSet
+        self,
+        dag: DependenceDAG,
+        ecs: ExcessiveChainSet,
+        depth: Dict[int, int],
     ) -> List[TransformCandidate]:
+        """Every proposal for ``ecs``; ``depth`` is ``dag.asap()``."""
         if ecs.kind is ResourceKind.FUNCTIONAL_UNIT:
-            return propose_fu_sequencing(dag, ecs)
+            return propose_fu_sequencing(dag, ecs, depth)
         proposals: List[TransformCandidate] = []
         if self.policy is not Policy.SPILL_ONLY:
-            proposals.extend(propose_register_sequencing(dag, ecs))
+            proposals.extend(propose_register_sequencing(dag, ecs, depth))
         if self.policy is not Policy.SEQ_ONLY:
-            proposals.extend(propose_rematerializations(dag, ecs))
-            proposals.extend(propose_spills(dag, ecs))
+            proposals.extend(propose_rematerializations(dag, ecs, depth))
+            proposals.extend(propose_spills(dag, ecs, depth))
         return proposals
 
     # ------------------------------------------------------------------

@@ -340,25 +340,32 @@ def trim_excessive_chains(
     chain tail that follows another chain's tail, until all heads are
     mutually independent and all tails are mutually independent.  Chains
     that empty out vanish.
+
+    Each round is two OR-folds over ``order.masks``: a head goes when
+    its successor mask meets the mask of the round's heads, a tail when
+    its bit is in the union of the tails' successor masks.  The order is
+    strict, so no element is above itself and this is the pairwise test
+    ``repro.reference.trim_excessive_chains`` makes.
     """
+    index = order.index
+    masks = order.masks
     work = [list(chain) for chain in chains if chain]
     changed = True
     while changed:
         changed = False
-        heads = [chain[0] for chain in work if chain]
+        heads = 0
         for chain in work:
-            if not chain:
-                continue
-            head = chain[0]
-            if any(head != other and order.less(head, other) for other in heads):
+            heads |= 1 << index[chain[0]]
+        for chain in work:
+            if masks[index[chain[0]]] & heads:
                 chain.pop(0)
                 changed = True
-        tails = [chain[-1] for chain in work if chain]
+        after_tails = 0
         for chain in work:
-            if not chain:
-                continue
-            tail = chain[-1]
-            if any(tail != other and order.less(other, tail) for other in tails):
+            if chain:
+                after_tails |= masks[index[chain[-1]]]
+        for chain in work:
+            if chain and after_tails >> index[chain[-1]] & 1:
                 chain.pop()
                 changed = True
         work = [chain for chain in work if chain]

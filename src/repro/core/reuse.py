@@ -28,12 +28,16 @@ produce the identical relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import PartialOrder
 from repro.machine.model import MachineModel
+
+
+_BY_NAME = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,12 @@ def collect_values(
     """Enumerate every value in the DAG with its definition and uses.
 
     Values are classified into register classes via the machine model
-    (default: everything in ``"gpr"``).
+    (default: everything in ``"gpr"``).  Inside a transaction whose
+    start version had its values collected for the same machine, only
+    the values the transaction touched are collected again and merged
+    into that list by name.
     """
-    cached = getattr(dag, "_values_cache", None)
+    cached = dag._values_cache
     if (
         cached is not None
         and cached[0] == dag.version
@@ -67,10 +74,26 @@ def collect_values(
     ):
         return list(cached[2])
     classify = machine.reg_class_of if machine is not None else (lambda name: "gpr")
-    values: List[ValueInfo] = []
-    for name, def_uid in sorted(dag.value_defs.items()):
-        uses = tuple(sorted(set(dag.value_uses.get(name, ())) - {def_uid}))
-        values.append(ValueInfo(name, def_uid, uses, classify(name)))
+    value_defs = dag.value_defs
+    value_uses = dag.value_uses
+
+    def info(name: str) -> ValueInfo:
+        def_uid = value_defs[name]
+        uses = tuple(sorted(set(value_uses.get(name, ())) - {def_uid}))
+        return ValueInfo(name, def_uid, uses, classify(name))
+
+    txn = dag.transaction
+    base = None if txn is None else txn.base_values
+    if base is not None and base[0] == txn.base_version and base[1] is machine:
+        touched = txn.touched_values()
+        values = [v for v in base[2] if v.name not in touched]
+        values.extend(
+            info(name) for name in sorted(touched) if name in value_defs
+        )
+        # Two sorted runs with unique names: one merge pass.
+        values.sort(key=_BY_NAME)
+    else:
+        values = [info(name) for name in sorted(value_defs)]
     # ValueInfo is frozen and the enumeration is a pure function of the
     # DAG's def/use tables, so a version-keyed cache (invalidated by any
     # graph edit, like the topo/hammock caches) is safe; callers get a

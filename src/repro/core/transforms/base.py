@@ -11,7 +11,7 @@ rolled back.  Only the winner is materialized, by :meth:`apply`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.graph.dag import CycleError, DependenceDAG
 from repro.resilience import chaos
@@ -76,3 +76,32 @@ def minimal_nodes(dag: DependenceDAG, nodes: List[int]) -> List[int]:
     for n in node_set:
         below |= desc[n]
     return sorted(n for n in node_set if not below >> index[n] & 1)
+
+
+# ----------------------------------------------------------------------
+# Certain-cycle screens: a proposal whose edits would certainly raise
+# ``CycleError`` is dropped before it is built and trialled.
+# ----------------------------------------------------------------------
+def delay_closes_cycle(uses: Iterable[int], delays: Sequence[int]) -> bool:
+    """True when a retargeted use is itself a delay node.
+
+    Spill and remat retarget ``uses`` at a new definition (a reload or a
+    clone) and then sequence every delay node before it.  A use that is
+    also a delay node closes ``new def -> use -> new def``.  The uses
+    passed here reach no delay node, so the new definition's descendants
+    are the uses, their descendants and EXIT: this is the only way such
+    a candidate can be cyclic.
+    """
+    return not set(delays).isdisjoint(uses)
+
+
+def edges_close_cycle(dag: DependenceDAG, edges: Sequence[Tuple[int, int]]) -> bool:
+    """True when adding ``edges`` in order would certainly raise: some
+    edge is a self edge or runs against an existing path (its
+    destination already reaches its source).  For a frontier x roots
+    product less the implied pairs, this is also the only way a cycle
+    can form (see docs/algorithms.md)."""
+    desc, index, _ = dag.closure_masks()
+    return any(
+        src == dst or desc[dst] >> index[src] & 1 for src, dst in edges
+    )

@@ -70,19 +70,19 @@ def _merge_edges(
 def propose_fu_sequencing(
     dag: DependenceDAG,
     ecs: ExcessiveChainSet,
+    depth: Dict[int, int],
 ) -> List[TransformCandidate]:
     """Candidates that add ``excess`` sequence edges to the excessive set.
 
     Two orderings are proposed: the paper's optimality guidance (sources
     closest to the entry, sinks closest to the exit) and the literal
     ideal-sequence statement (both ranked from the entry); the driver
-    keeps whichever measures better.
+    keeps whichever measures better.  ``depth`` is ``dag.asap()``.
     """
     chains = [list(chain) for chain in ecs.chains]
     if ecs.excess <= 0 or len(chains) < 2:
         return []
 
-    depth = dag.asap()
     height = latency_weighted_height(dag)
 
     indices = list(range(len(chains)))

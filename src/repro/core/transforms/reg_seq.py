@@ -17,10 +17,11 @@ from repro import obs
 from repro.core.measure import ExcessiveChainSet, ResourceKind
 from repro.core.transforms.base import (
     TransformCandidate,
+    edges_close_cycle,
     maximal_nodes,
     minimal_nodes,
 )
-
+from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 
 #: Enumerate all SD2 subsets when the chain count is at most this.
@@ -46,9 +47,9 @@ def _kill_frontier(
 
 
 def _candidate_subsets(
-    dag: DependenceDAG,
     ecs: ExcessiveChainSet,
     size: int,
+    depth: Dict[int, int],
 ) -> List[Tuple[int, ...]]:
     """Index subsets of the excessive chains to try as SD2.
 
@@ -56,7 +57,6 @@ def _candidate_subsets(
     enumerate everything when small, otherwise combinations drawn from
     the deepest few chains.
     """
-    depth = dag.asap()
     indices = list(range(len(ecs.chains)))
 
     def chain_depth(i: int) -> int:
@@ -75,6 +75,7 @@ def _candidate_subsets(
 def _component_candidates(
     dag: DependenceDAG,
     ecs: ExcessiveChainSet,
+    depth: Dict[int, int],
 ) -> List[TransformCandidate]:
     """Stage whole weakly-connected components of the DAG.
 
@@ -101,7 +102,6 @@ def _component_candidates(
     if len(components) < 2:
         return []
 
-    depth = dag.asap()
     components.sort(key=lambda c: (min(depth[n] for n in c), c[0]))
     comp_values: List[List[str]] = []
     for comp in components:
@@ -164,17 +164,34 @@ def _component_candidates(
 def propose_register_sequencing(
     dag: DependenceDAG,
     ecs: ExcessiveChainSet,
+    depth: Dict[int, int],
 ) -> List[TransformCandidate]:
-    """Candidates delaying ``excess`` value chains behind the others."""
+    """Candidates delaying ``excess`` value chains behind the others.
+
+    A subset whose edges would certainly close a cycle
+    (:func:`edges_close_cycle`) is screened out and counted, not
+    returned.  ``depth`` is ``dag.asap()``.
+    """
     if ecs.kind is not ResourceKind.REGISTER or ecs.excess <= 0:
         return []
     if len(ecs.chains) < 2:
         return []
 
+    desc, index, _ = dag.closure_masks()
     element_node = ecs.requirement.element_node
-    candidates: List[TransformCandidate] = list(_component_candidates(dag, ecs))
+    candidates: List[TransformCandidate] = list(
+        _component_candidates(dag, ecs, depth)
+    )
+    screened = 0
 
-    for subset in _candidate_subsets(dag, ecs, ecs.excess):
+    def make_edits(edge_list: List[Tuple[int, int]]):
+        def edits(target: DependenceDAG) -> None:
+            for src, dst in edge_list:
+                target.add_sequence_edge(src, dst, reason="ursa-reg-seq")
+
+        return edits
+
+    for subset in _candidate_subsets(ecs, ecs.excess, depth):
         sd2_values = [v for i in subset for v in ecs.chains[i]]
         sd1_values = [
             v
@@ -183,13 +200,11 @@ def propose_register_sequencing(
             for v in chain
         ]
         sd2_nodes = sorted({element_node[v] for v in sd2_values})
-        sd1_nodes = sorted({element_node[v] for v in sd1_values})
 
         # Nonsupport (Definition 7): delaying SD2 must not cut a path it
         # feeds into SD1.
-        if any(
-            dag.reaches(a, b) for a in sd2_nodes for b in sd1_nodes
-        ):
+        sd1_mask = bitset.mask_of(index[element_node[v]] for v in sd1_values)
+        if any(desc[a] & sd1_mask for a in sd2_nodes):
             continue
 
         frontier = _kill_frontier(dag, sd1_values, ecs)
@@ -198,19 +213,13 @@ def propose_register_sequencing(
             (s, r)
             for s in frontier
             for r in roots
-            if not dag.reaches(s, r)
+            if not desc[s] >> index[r] & 1
         ]
-        # Any frontier node reachable *from* a root makes the candidate
-        # cyclic; add_sequence_edge will raise and the driver drops it.
         if not edges:
             continue
-
-        def make_edits(edge_list: List[Tuple[int, int]]):
-            def edits(target: DependenceDAG) -> None:
-                for src, dst in edge_list:
-                    target.add_sequence_edge(src, dst, reason="ursa-reg-seq")
-
-            return edits
+        if edges_close_cycle(dag, edges):
+            screened += 1
+            continue
 
         value_list = ",".join(sd2_values)
         candidates.append(
@@ -226,4 +235,5 @@ def propose_register_sequencing(
             )
         )
     obs.count("transform.reg_seq.proposed", len(candidates))
+    obs.count("transform.reg_seq.screened", screened)
     return candidates

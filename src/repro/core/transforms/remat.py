@@ -11,13 +11,13 @@ its reload.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List
 
 from repro import obs
 from repro.core.measure import ExcessiveChainSet, ResourceKind
-from repro.core.transforms.base import TransformCandidate
-
+from repro.core.transforms.base import TransformCandidate, delay_closes_cycle
 from repro.core.transforms.spill import _frontier_after
+from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 from repro.ir.opcodes import Opcode
 
@@ -54,8 +54,16 @@ def is_rematerializable(dag: DependenceDAG, value: str) -> bool:
 def propose_rematerializations(
     dag: DependenceDAG,
     ecs: ExcessiveChainSet,
+    depth: Dict[int, int],
 ) -> List[TransformCandidate]:
-    """Remat candidates for constant/reloadable values in the excess."""
+    """Remat candidates for constant/reloadable values in the excess.
+
+    A candidate that would certainly close a cycle
+    (:func:`delay_closes_cycle`) is screened out and counted, not
+    returned; it still counts toward :data:`MAX_REMAT_CANDIDATES`, so
+    screening never lets a later victim in.  ``depth`` is
+    ``dag.asap()``.
+    """
     if ecs.kind is not ResourceKind.REGISTER or ecs.excess <= 0:
         return []
     element_node = ecs.requirement.element_node
@@ -63,7 +71,7 @@ def propose_rematerializations(
 
     from repro.core.transforms.spill import _shallowest_other_kill
 
-    depth = dag.asap()
+    desc, index, _ = dag.closure_masks()
 
     def make_edits(victim: str, uses: List[int], delays: List[int]):
         def edits(target: DependenceDAG) -> None:
@@ -77,63 +85,71 @@ def propose_rematerializations(
         return edits
 
     candidates: List[TransformCandidate] = []
-    for chain in ecs.chains:
-        for name in chain:
-            if len(candidates) >= MAX_REMAT_CANDIDATES:
-                obs.count("transform.remat.proposed", len(candidates))
-                return candidates
-            if not is_rematerializable(dag, name):
-                continue
-            info = values.get(name)
-            if info is None or not info.use_uids:
-                continue
+    proposed = screened = 0
+    for name in (name for chain in ecs.chains for name in chain):
+        if proposed >= MAX_REMAT_CANDIDATES:
+            break
+        if not is_rematerializable(dag, name):
+            continue
+        info = values.get(name)
+        if info is None or not info.use_uids:
+            continue
 
-            # Heavy variant: clone after the whole kill frontier.
-            frontier = _frontier_after(dag, ecs, name)
-            late_uses = [
-                use
-                for use in info.use_uids
-                if not any(dag.reaches(use, s) for s in frontier)
-            ]
-            if late_uses:
-                candidates.append(
-                    TransformCandidate(
-                        kind="remat",
-                        description=(
-                            f"rematerialize {name} past the kill frontier "
-                            f"{frontier}"
-                        ),
-                        base_dag=dag,
-                        edits=make_edits(name, late_uses, frontier),
-                        spills_added=0,
-                        preference=1,
-                    )
-                )
-                continue
-
-            # Light variant: park the recomputation past a single other
-            # lifetime (needed for single-use values, whose only use is
-            # usually downstream of the full frontier).
-            single = _shallowest_other_kill(dag, ecs, name, depth)
-            if single is None:
-                continue
-            light_uses = [
-                use for use in info.use_uids if not dag.reaches(use, single)
-            ]
-            if not light_uses:
+        # Heavy variant: clone after the whole kill frontier.
+        frontier = _frontier_after(dag, ecs, name)
+        frontier_mask = bitset.mask_of(index[s] for s in frontier)
+        late_uses = [
+            use for use in info.use_uids if not desc[use] & frontier_mask
+        ]
+        if late_uses:
+            proposed += 1
+            if delay_closes_cycle(late_uses, frontier):
+                screened += 1
                 continue
             candidates.append(
                 TransformCandidate(
                     kind="remat",
                     description=(
-                        f"rematerialize {name} after the lifetime ending "
-                        f"at {single}"
+                        f"rematerialize {name} past the kill frontier "
+                        f"{frontier}"
                     ),
                     base_dag=dag,
-                    edits=make_edits(name, light_uses, [single]),
+                    edits=make_edits(name, late_uses, frontier),
                     spills_added=0,
                     preference=1,
                 )
             )
+            continue
+
+        # Light variant: park the recomputation past a single other
+        # lifetime (needed for single-use values, whose only use is
+        # usually downstream of the full frontier).
+        single = _shallowest_other_kill(dag, ecs, name, depth)
+        if single is None:
+            continue
+        single_bit = 1 << index[single]
+        light_uses = [
+            use for use in info.use_uids if not desc[use] & single_bit
+        ]
+        if not light_uses:
+            continue
+        proposed += 1
+        if delay_closes_cycle(light_uses, (single,)):
+            screened += 1
+            continue
+        candidates.append(
+            TransformCandidate(
+                kind="remat",
+                description=(
+                    f"rematerialize {name} after the lifetime ending "
+                    f"at {single}"
+                ),
+                base_dag=dag,
+                edits=make_edits(name, light_uses, [single]),
+                spills_added=0,
+                preference=1,
+            )
+        )
     obs.count("transform.remat.proposed", len(candidates))
+    obs.count("transform.remat.screened", screened)
     return candidates

@@ -166,6 +166,18 @@ class DagTransaction:
         """Nodes whose descendant set grew during this transaction."""
         return set(self._masks)
 
+    def touched_values(self) -> Set[str]:
+        """Names whose ``value_defs`` or ``value_uses`` entry this
+        transaction changed, names it introduced included.  Every other
+        value's definition and uses are as they stood at its start."""
+        return set(self._values)
+
+    @property
+    def base_values(self) -> Optional[tuple]:
+        """The DAG's collected-values cache as it stood at transaction
+        start: ``(version, machine, values)``, or None."""
+        return self._caches[4]
+
     def new_descendants(self, uid: int) -> Set[int]:
         """Nodes reachable from ``uid`` now but not at transaction start."""
         old = self._masks.get(uid)
@@ -674,6 +686,11 @@ class DependenceDAG:
     @property
     def in_transaction(self) -> bool:
         return self._txn is not None
+
+    @property
+    def transaction(self) -> Optional[DagTransaction]:
+        """The active transaction, or None."""
+        return self._txn
 
     def _closure_add_edge(self, src: int, dst: int, txn: DagTransaction) -> None:
         """Incrementally fold edge ``src -> dst`` into the warm closure:

@@ -12,6 +12,9 @@ and kill choices, not merely results of equal size.
 ``benchmarks/bench_measurement_scaling.py`` times this module as its
 baseline.
 
+The pairwise head/tail trim of excessive chain sets is kept as
+:func:`trim_excessive_chains`, the oracle for the production mask folds.
+
 It also keeps the allocator's original candidate scorer,
 :func:`clone_best_candidate`: every candidate applied to its own DAG
 copy and re-measured from scratch.  ``tests/test_pm.py`` and
@@ -565,6 +568,39 @@ def _exact_cover_sets(
 
 
 # ======================================================================
+# Excessive chain sets: the pairwise head/tail trim.
+# ======================================================================
+def trim_excessive_chains(
+    order: PartialOrder, chains: Sequence[Sequence[Element]]
+) -> List[List[Element]]:
+    """:func:`repro.core.measure.trim_excessive_chains` as it was before
+    the mask folds: every head and tail is tested against every other
+    with ``order.less``."""
+    work = [list(chain) for chain in chains if chain]
+    changed = True
+    while changed:
+        changed = False
+        heads = [chain[0] for chain in work if chain]
+        for chain in work:
+            if not chain:
+                continue
+            head = chain[0]
+            if any(head != other and order.less(head, other) for other in heads):
+                chain.pop(0)
+                changed = True
+        tails = [chain[-1] for chain in work if chain]
+        for chain in work:
+            if not chain:
+                continue
+            tail = chain[-1]
+            if any(tail != other and order.less(other, tail) for other in tails):
+                chain.pop()
+                changed = True
+        work = [chain for chain in work if chain]
+    return work
+
+
+# ======================================================================
 # The whole measurement step.
 # ======================================================================
 def measure_all(
@@ -631,6 +667,7 @@ def clone_best_candidate(alloc, dag: DependenceDAG, candidates, current_excess: 
         try:
             new_dag = candidate.apply()
         except TransformError:
+            alloc._illegal += 1
             continue
         new_excess = alloc._weighted_excess(
             core_measure.measure_all(new_dag, alloc.machine)

@@ -145,3 +145,61 @@ class TestInfeasibility:
         )
         with pytest.raises(AllocationError):
             allocate(dag, MachineModel.homogeneous(2, 2))
+
+
+class TestPinnedDecisions:
+    """Every transformation URSA commits on the kernels, pinned by digest.
+
+    A change that only makes the reduction loop cheaper must commit the
+    same transformations, in the same order, with the same excess and
+    critical-path scores.  Descriptions name node uids; each uid is
+    rewritten as its rank in the final DAG's ``source_order`` (trials
+    draw uids too, so absolute values depend on how many ran)."""
+
+    #: Taken before the proposal screens and the mask trim landed.
+    DIGEST = "d9c23b1e3beacf4305377cc27978a726ed1cebf42bc88bc98300cef159a77769"
+
+    @staticmethod
+    def _canonical(dag: DependenceDAG, text: str) -> str:
+        import re
+
+        rank = {uid: i for i, uid in enumerate(dag.source_order)}
+        named = {dag.entry: "entry", dag.exit: "exit"}
+
+        def rename(match) -> str:
+            uid = int(match.group(0))
+            if uid in named:
+                return named[uid]
+            return f"n{rank[uid]}" if uid in rank else match.group(0)
+
+        return re.sub(r"\b\d+\b", rename, text)
+
+    def test_committed_transformations_are_pinned(self):
+        import hashlib
+
+        import repro.ir.instructions as instructions_mod
+        from repro.machine import preset
+
+        digest = hashlib.sha256()
+        saved = instructions_mod._UID_COUNTER[0]
+        try:
+            for machine in (MachineModel.homogeneous(2, 6), preset("dsp")):
+                for name in sorted(KERNELS):
+                    # Far above any count a description prints.
+                    instructions_mod._UID_COUNTER[0] = 10**6
+                    result = allocate(
+                        DependenceDAG.from_trace(kernel(name)), machine
+                    )
+                    for record in result.records:
+                        digest.update(repr((
+                            machine.name, name, record.kind,
+                            self._canonical(result.dag, record.description),
+                            record.excess_before, record.excess_after,
+                            record.critical_path_before,
+                            record.critical_path_after,
+                        )).encode())
+        finally:
+            instructions_mod._UID_COUNTER[0] = max(
+                saved, instructions_mod._UID_COUNTER[0]
+            )
+        assert digest.hexdigest() == self.DIGEST

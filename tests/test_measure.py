@@ -96,6 +96,67 @@ class TestPaperTrimmingExample:
         )
 
 
+class TestMaskTrim:
+    """The OR-fold trim equals the pairwise trim it replaced."""
+
+    @staticmethod
+    def _random_order(rng, n, density):
+        """A strict partial order on ``e0 .. e{n-1}``: a random DAG whose
+        edges point to higher indices, transitively closed."""
+        from repro.graph.dilworth import PartialOrder
+
+        masks = [0] * n
+        for i in reversed(range(n)):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    masks[i] |= 1 << j | masks[j]
+        return PartialOrder.from_masks([f"e{i}" for i in range(n)], masks)
+
+    @staticmethod
+    def _random_chains(rng, order):
+        """Disjoint sequences over a random subset of the elements, each
+        in index order (a chain of some linear extension) or shuffled."""
+        picked = [e for e in order.elements if rng.random() < 0.8]
+        chains = [[] for _ in range(rng.randint(1, 6))]
+        for element in picked:
+            rng.choice(chains).append(element)
+        for chain in chains:
+            if rng.random() < 0.2:
+                rng.shuffle(chain)
+        return chains
+
+    def test_equals_pairwise_on_random_orders(self):
+        import random
+
+        from repro import reference
+
+        rng = random.Random(24)
+        popped = 0
+        for _ in range(400):
+            order = self._random_order(
+                rng, rng.randint(1, 20), rng.choice((0.05, 0.15, 0.4))
+            )
+            chains = self._random_chains(rng, order)
+            expected = reference.trim_excessive_chains(order, chains)
+            assert trim_excessive_chains(order, chains) == expected, chains
+            popped += sum(map(len, chains)) > sum(map(len, expected))
+        assert popped > 100
+
+    def test_equals_pairwise_on_measured_decompositions(self):
+        from repro import reference
+
+        machine = MachineModel.homogeneous(2, 3)
+        for seed in range(10):
+            dag = DependenceDAG.from_trace(
+                random_layered_trace(n_ops=20, width=5, seed=seed)
+            )
+            for requirement in measure_all(dag, machine):
+                chains = requirement.decomposition.chains
+                assert trim_excessive_chains(
+                    requirement.order, chains
+                ) == reference.trim_excessive_chains(requirement.order, chains)
+
+
 class TestExcessiveSets:
     def test_fig2_fu_excess_set(self, fig2_dag, fig2_names):
         machine = MachineModel.homogeneous(3, 8)

@@ -65,7 +65,7 @@ def _all_candidates(
         if not req.is_excessive:
             continue
         for ecs in find_excessive_sets(dag, req):
-            out.extend(alloc._proposals(dag, ecs))
+            out.extend(alloc._proposals(dag, ecs, depth))
         out.extend(alloc._schedule_guided_fu_candidates(dag, req))
         out.extend(alloc._global_merge_candidates(dag, req, depth))
         out.extend(alloc._fallback_candidates(dag, req, depth))
@@ -207,6 +207,34 @@ def _failing_partway(candidate: TransformCandidate) -> List[bool]:
     return failures
 
 
+def _spill_then_cycle(dag: DependenceDAG) -> TransformCandidate:
+    """A node-inserting candidate that fails partway: it spills the
+    first used value, then sequences the reload before its own spill.
+
+    The proposal screens drop every spill or remat that would close a
+    cycle, so the proposals themselves rarely fail after growing the
+    DAG; this candidate makes sure each fuzz case rolls one back."""
+    from repro.core.transforms.spill import spill_slot_for
+
+    name = next(
+        name for name in sorted(dag.value_uses)
+        if set(dag.value_uses[name]) - {dag.value_defs[name]}
+    )
+    def_uid = dag.value_defs[name]
+    uses = sorted(set(dag.value_uses[name]) - {def_uid})
+
+    def edits(target: DependenceDAG) -> None:
+        spill_uid, reload_uid, _ = target.insert_spill(
+            name, uses, spill_slot_for(target, def_uid)
+        )
+        target.add_sequence_edge(reload_uid, spill_uid, reason="test-cycle")
+
+    return TransformCandidate(
+        kind="spill", description=f"spill {name}, then a back edge",
+        base_dag=dag, edits=edits, spills_added=1,
+    )
+
+
 class TestRollbackExactness:
     @pytest.mark.parametrize("live_outs", [0, 2])
     def test_every_trial_rolls_back_exactly(self, live_outs):
@@ -218,7 +246,7 @@ class TestRollbackExactness:
             measurer.rebase(dag, requirements)
             before = _dag_state(dag)
             closure = dag.closure_masks()
-            for candidate in candidates:
+            for candidate in candidates + [_spill_then_cycle(dag)]:
                 failures = _failing_partway(candidate)
                 try:
                     measurer.trial(candidate)
@@ -248,6 +276,110 @@ class TestRollbackExactness:
         txn.rollback()
         assert dag.edge_data(src, dst) == {"kind": EdgeKind.SEQ, "reason": "root"}
         assert _dag_state(dag) == before
+
+
+# ======================================================================
+# Certain-cycle screens: a proposal is dropped exactly when it cannot
+# apply.
+# ======================================================================
+def _recorded_proposals(monkeypatch, dag, ecs, remat_cap=None):
+    """Per proposal function: ``(propose, every candidate, [(candidate,
+    screen verdict)])`` with the screens asked but overruled, so nothing
+    is dropped.  ``remat_cap`` overrides ``MAX_REMAT_CANDIDATES``."""
+    import repro.core.transforms.reg_seq as reg_seq_mod
+    import repro.core.transforms.remat as remat_mod
+    import repro.core.transforms.spill as spill_mod
+
+    out = []
+    for module, screen, propose in (
+        (reg_seq_mod, "edges_close_cycle", reg_seq_mod.propose_register_sequencing),
+        (remat_mod, "delay_closes_cycle", remat_mod.propose_rematerializations),
+        (spill_mod, "delay_closes_cycle", spill_mod.propose_spills),
+    ):
+        verdicts: List[bool] = []
+
+        def keep_all(*args, _real=getattr(module, screen), _out=verdicts):
+            _out.append(_real(*args))
+            return False
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, screen, keep_all)
+            if remat_cap is not None:
+                patch.setattr(remat_mod, "MAX_REMAT_CANDIDATES", remat_cap)
+            candidates = propose(dag, ecs, dag.asap())
+        # Screened proposals come last: reg-seq's component stagings are
+        # listed first and never ask the screen (they cannot cycle).
+        asked = candidates[len(candidates) - len(verdicts):]
+        out.append((propose, candidates, list(zip(asked, verdicts))))
+    return out
+
+
+def _register_sets(dag, requirements):
+    for requirement in requirements:
+        if requirement.is_excessive and (
+            requirement.kind is ResourceKind.REGISTER
+        ):
+            yield from find_excessive_sets(dag, requirement)
+
+
+class TestCertainCycleScreens:
+    @pytest.mark.parametrize("live_outs", [0, 2])
+    def test_screens_drop_exactly_the_cyclic_candidates(
+        self, monkeypatch, live_outs
+    ):
+        screened: Dict[str, int] = {}
+        kept: Dict[str, int] = {}
+        for index, dag, machine, requirements, _ in _fuzz_cases(live_outs):
+            measurer = IncrementalMeasurer(machine)
+            measurer.rebase(dag, requirements)
+            for ecs in _register_sets(dag, requirements):
+                for propose, candidates, verdicts in _recorded_proposals(
+                    monkeypatch, dag, ecs
+                ):
+                    dropped = {id(c) for c, cyclic in verdicts if cyclic}
+                    proposals = propose(dag, ecs, dag.asap())
+                    assert [c.description for c in proposals] == [
+                        c.description for c in candidates if id(c) not in dropped
+                    ]
+                    for candidate, cyclic in verdicts:
+                        label = f"dag {index}: {candidate}"
+                        tally = screened if cyclic else kept
+                        tally[candidate.kind] = tally.get(candidate.kind, 0) + 1
+                        if cyclic:
+                            with pytest.raises(TransformError):
+                                measurer.trial(candidate)
+                            continue
+                        try:
+                            measurer.trial(candidate)
+                        except TransformError as exc:
+                            pytest.fail(f"{label} passed the screen: {exc}")
+        for kind in ("spill", "remat", "reg-seq"):
+            assert screened.get(kind, 0) > 0 and kept.get(kind, 0) > 0, (
+                kind, screened, kept
+            )
+
+    def test_screened_remats_count_toward_the_cap(self, monkeypatch):
+        from repro.core.transforms.remat import (
+            MAX_REMAT_CANDIDATES,
+            propose_rematerializations,
+        )
+
+        cap_mattered = 0
+        for _, dag, _, requirements, _ in _fuzz_cases(live_outs=2):
+            for ecs in _register_sets(dag, requirements):
+                _, longer, verdicts = _recorded_proposals(
+                    monkeypatch, dag, ecs, remat_cap=MAX_REMAT_CANDIDATES + 1
+                )[1]
+                within_cap = verdicts[:MAX_REMAT_CANDIDATES]
+                assert [
+                    c.description
+                    for c in propose_rematerializations(dag, ecs, dag.asap())
+                ] == [c.description for c, cyclic in within_cap if not cyclic]
+                # A screen that did not count would have let this one in.
+                cap_mattered += len(longer) > MAX_REMAT_CANDIDATES and any(
+                    cyclic for _, cyclic in within_cap
+                )
+        assert cap_mattered > 0
 
 
 # ======================================================================
@@ -490,6 +622,46 @@ class TestCounters:
         assert recomputed == counters.get("pm.trial.warm", 0) + counters.get(
             "pm.trial.cold", 0
         )
+
+    FALLBACK_REASONS = ("no_proposals", "all_illegal", "none_improved")
+
+    @pytest.mark.parametrize("reason", FALLBACK_REASONS)
+    def test_fallback_rounds_say_why(self, monkeypatch, reason):
+        from repro import obs
+        from repro.graph.dag import CycleError
+        from repro.pipeline import compile_trace
+
+        def no_op(target: DependenceDAG) -> None:
+            pass
+
+        def cyclic(target: DependenceDAG) -> None:
+            raise CycleError("test")
+
+        def proposals(alloc, dag, ecs, depth):
+            if reason == "no_proposals":
+                return []
+            return [TransformCandidate(
+                kind="reg-seq", description="test", base_dag=dag,
+                edits=cyclic if reason == "all_illegal" else no_op,
+            )]
+
+        monkeypatch.setattr(URSAAllocator, "_proposals", proposals)
+        monkeypatch.setattr(
+            URSAAllocator, "_schedule_guided_fu_candidates",
+            lambda alloc, dag, requirement: [],
+        )
+        with obs.capture() as observer:
+            compile_trace(
+                kernel("figure2"), MachineModel.homogeneous(2, 3),
+                method="ursa", verify=False,
+            )
+        counters = observer.counters
+        rounds = counters.get("allocate.fallback_rounds", 0)
+        assert rounds > 0
+        assert {
+            why: counters.get(f"allocate.fallback.{why}", 0)
+            for why in self.FALLBACK_REASONS
+        } == {why: rounds if why == reason else 0 for why in self.FALLBACK_REASONS}
 
 
 # ======================================================================

@@ -47,6 +47,67 @@ class TestCollectValues:
         assert values["f0"].reg_class == "flt"
 
 
+class TestCollectValuesInTransaction:
+    """A trial re-collects only the values its journal touched."""
+
+    MACHINE = MachineModel.homogeneous(2, 3)
+
+    def _trial_edits(self, dag):
+        """One spill and one remat edit per used value, as callables."""
+        from repro.core.transforms.remat import is_rematerializable
+        from repro.core.transforms.spill import spill_slot_for
+
+        for name in sorted(dag.value_uses):
+            def_uid = dag.value_defs[name]
+            uses = sorted(set(dag.value_uses[name]) - {def_uid})
+            if not uses:
+                continue
+            yield name, lambda target, n=name, d=def_uid, u=uses: (
+                target.insert_spill(n, u[1:] or u, spill_slot_for(target, d))
+            )
+            if is_rematerializable(dag, name):
+                yield name, lambda target, n=name, u=uses: (
+                    target.insert_remat(n, u[:1])
+                )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merged_values_equal_a_fresh_collection(self, seed):
+        dag = DependenceDAG.from_trace(
+            random_layered_trace(n_ops=16, width=4, seed=seed),
+            live_out=["t3"],
+        )
+        base = collect_values(dag, self.MACHINE)
+        tried = 0
+        for name, edit in self._trial_edits(dag):
+            txn = dag.begin_transaction()
+            edit(dag)
+            touched = txn.touched_values()
+            assert name in touched
+            merged = collect_values(dag, self.MACHINE)
+            # A copy has no transaction and no cache: a fresh collection.
+            assert merged == collect_values(dag.copy(), self.MACHINE)
+            # Untouched values are the base list's own objects.
+            reused = {id(v) for v in base}
+            assert all(
+                (id(v) in reused) == (v.name not in touched) for v in merged
+            )
+            # Another machine object is not the cached one: full path.
+            assert collect_values(dag, MachineModel.homogeneous(2, 3)) == merged
+            txn.rollback()
+            assert collect_values(dag, self.MACHINE) == base
+            tried += 1
+        assert tried > 5
+
+    def test_edges_only_transaction_touches_no_value(self, fig2_dag):
+        base = collect_values(fig2_dag)
+        order = fig2_dag.topological_order()
+        txn = fig2_dag.begin_transaction()
+        fig2_dag.add_sequence_edge(order[1], order[-2], reason="test")
+        assert txn.touched_values() == set()
+        assert collect_values(fig2_dag) == base
+        txn.rollback()
+
+
 class TestCanReuseFU:
     def test_is_dag_reachability(self, fig2_dag, fig2_uid_of, machine44):
         elements = fu_elements(fig2_dag, machine44, "any")

@@ -42,7 +42,7 @@ class TestFigure3aFUSequencing:
         machine = MachineModel.homogeneous(3, 8)
         req = measure_fu(fig2_dag, machine, "any")
         (ecs, *_) = find_excessive_sets(fig2_dag, req)
-        candidates = propose_fu_sequencing(fig2_dag, ecs)
+        candidates = propose_fu_sequencing(fig2_dag, ecs, fig2_dag.asap())
         assert candidates
         reductions = []
         for candidate in candidates:
@@ -54,7 +54,7 @@ class TestFigure3aFUSequencing:
         machine = MachineModel.homogeneous(3, 8)
         req = measure_fu(fig2_dag, machine, "any")
         (ecs, *_) = find_excessive_sets(fig2_dag, req)
-        for candidate in propose_fu_sequencing(fig2_dag, ecs):
+        for candidate in propose_fu_sequencing(fig2_dag, ecs, fig2_dag.asap()):
             candidate.apply().topological_order()
 
     def test_reduction_to_two(self, fig2_dag):
@@ -96,14 +96,16 @@ class TestFigure3bRegisterSequencing:
         assert req.required == 5
         improved = []
         for ecs in find_excessive_sets(fig2_dag, req):
-            for candidate in propose_register_sequencing(fig2_dag, ecs):
+            for candidate in propose_register_sequencing(
+                fig2_dag, ecs, fig2_dag.asap()
+            ):
                 try:
                     new_dag = candidate.apply()
                 except TransformError:
                     continue
                 improved.append(measure_registers(new_dag, machine).required)
         for ecs in find_excessive_sets(fig2_dag, req):
-            for candidate in propose_spills(fig2_dag, ecs):
+            for candidate in propose_spills(fig2_dag, ecs, fig2_dag.asap()):
                 try:
                     new_dag = candidate.apply()
                 except TransformError:
@@ -154,7 +156,7 @@ class TestFigure3cSpill:
         req = measure_registers(fig2_dag, machine)
         improved = []
         for ecs in find_excessive_sets(fig2_dag, req):
-            for candidate in propose_spills(fig2_dag, ecs):
+            for candidate in propose_spills(fig2_dag, ecs, fig2_dag.asap()):
                 try:
                     new_dag = candidate.apply()
                 except TransformError:
