@@ -29,16 +29,12 @@ from repro.analyze.bounds import (
 )
 from repro.analyze.diagnostics import (
     CODES,
-    ERROR,
-    INFO,
-    WARNING,
     AnalyzeReport,
-    Diagnostic,
-    SourceSpan,
     parse_error_diagnostic,
     render_parse_error,
 )
 from repro.analyze.wellformed import check_program
+from repro.diagnostics import Diagnostic, SourceSpan
 from repro.ir.program import Program
 from repro.machine.model import MachineModel
 

@@ -1,74 +1,54 @@
 """Source-mapped diagnostics for the ahead-of-time analyzer.
 
 Every finding carries a stable code (``A1xx`` well-formedness, ``A9xx``
-parse), a severity, and — when the parser recorded one — a
-:class:`SourceSpan` rendered gcc-style with the offending line and a
-caret column::
+parse), the severity its :data:`CODES` entry fixes, and — when the
+parser recorded one — a :class:`~repro.diagnostics.SourceSpan` rendered
+gcc-style with the offending line and a caret column::
 
     trace.ursa:5: error[A101]: value 'x' may be used before definition
       5 | y = x + 1
         |     ^
 
-The code catalogue is documented in ``docs/analysis.md``; codes are
-append-only so downstream tooling can match on them.
+The records, severities and report base are the shared core in
+:mod:`repro.diagnostics`.  The code catalogue is documented in
+``docs/analysis.md``; codes are append-only so downstream tooling can
+match on them.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-ERROR = "error"
-WARNING = "warning"
-INFO = "info"
+from repro.diagnostics import (
+    Diagnostic,
+    DiagnosticCode,
+    Report,
+    Severity,
+    SourceSpan,
+)
 
 #: Stable diagnostic codes.  Append-only; never renumber.
-CODES: Dict[str, str] = {
-    "A001": "source does not parse",
-    "A101": "value may be used before its definition",
-    "A102": "branch to a label not defined in this program",
-    "A103": "basic block is unreachable from the entry block",
-    "A104": "store is dead (overwritten before any read)",
-    "A105": "value is defined but never used",
-    "A106": "opcode is not executable on the target machine",
+CODES: Dict[str, DiagnosticCode] = {
+    code: DiagnosticCode(code, severity, summary)
+    for code, severity, summary in (
+        ("A001", Severity.ERROR, "source does not parse"),
+        ("A101", Severity.ERROR, "value may be used before its definition"),
+        ("A102", Severity.WARNING,
+         "branch to a label not defined in this program"),
+        ("A103", Severity.WARNING,
+         "basic block is unreachable from the entry block"),
+        ("A104", Severity.WARNING,
+         "store is dead (overwritten before any read)"),
+        ("A105", Severity.INFO, "value is defined but never used"),
+        ("A106", Severity.ERROR,
+         "opcode is not executable on the target machine"),
+    )
 }
 
 #: Report JSON schema version (``docs/analysis.md``).
 REPORT_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    """A ``file:line`` location with optional caret column."""
-
-    line_no: int
-    line: str = ""
-    filename: Optional[str] = None
-    column: Optional[int] = None  # 1-based; None = no caret
-
-    def location(self) -> str:
-        return f"{self.filename or '<source>'}:{self.line_no}"
-
-    def caret_lines(self) -> List[str]:
-        """The quoted source line plus a caret marker, if any text."""
-        if not self.line.strip():
-            return []
-        stripped = self.line.rstrip()
-        gutter = f"{self.line_no:>4} | "
-        out = [f"{gutter}{stripped}"]
-        if self.column is not None and 1 <= self.column <= len(stripped) + 1:
-            out.append(" " * 4 + " | " + " " * (self.column - 1) + "^")
-        return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "file": self.filename,
-            "line": self.line_no,
-            "column": self.column,
-            "text": self.line.rstrip() or None,
-        }
 
 
 def span_for(
@@ -95,29 +75,17 @@ def span_for(
     return SourceSpan(line_no, line, filename, column)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One analyzer finding: code, severity, message, location."""
-
-    code: str
-    severity: str
-    message: str
-    span: Optional[SourceSpan] = None
-
-    def render(self) -> str:
-        prefix = f"{self.span.location()}: " if self.span else ""
-        lines = [f"{prefix}{self.severity}[{self.code}]: {self.message}"]
-        if self.span is not None:
-            lines.extend(f"  {text}" for text in self.span.caret_lines())
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "span": self.span.to_dict() if self.span else None,
-        }
+def _render(diagnostic: Diagnostic) -> str:
+    """gcc-style: location, severity[code], message, then the caret."""
+    span = diagnostic.span
+    prefix = f"{span.location()}: " if span else ""
+    lines = [
+        f"{prefix}{diagnostic.severity.value}[{diagnostic.code}]: "
+        f"{diagnostic.message}"
+    ]
+    if span is not None:
+        lines.extend(f"  {text}" for text in span.caret_lines())
+    return "\n".join(lines)
 
 
 def parse_error_diagnostic(
@@ -144,7 +112,7 @@ def parse_error_diagnostic(
         # redundant "line N: ...: 'text'" envelope ParseError carries.
         message = re.sub(rf"^line {line_no}: ", "", message)
         message = re.sub(r": '[^']*'$", "", message)
-    return Diagnostic("A001", ERROR, message, span)
+    return CODES["A001"].diag(message, span)
 
 
 def render_parse_error(
@@ -153,37 +121,30 @@ def render_parse_error(
     filename: Optional[str] = None,
 ) -> str:
     """Caret-rendered one-stop formatting for CLI ``ParseError`` paths."""
-    return parse_error_diagnostic(exc, source, filename).render()
+    return _render(parse_error_diagnostic(exc, source, filename))
 
 
 @dataclass
-class AnalyzeReport:
+class AnalyzeReport(Report):
     """Everything the analyzer found for one source: diagnostics plus
     (when the source was analyzable) per-trace feasibility reports."""
 
-    diagnostics: List[Diagnostic] = field(default_factory=list)
     #: Block label -> :class:`repro.analyze.bounds.FeasibilityReport`.
     feasibility: Dict[str, Any] = field(default_factory=dict)
     filename: Optional[str] = None
 
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == ERROR]
-
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == WARNING]
-
-    @property
-    def ok(self) -> bool:
-        """True when no error-severity diagnostic was produced."""
-        return not self.errors()
-
-    def add(self, diagnostic: Diagnostic) -> None:
-        self.diagnostics.append(diagnostic)
+    @staticmethod
+    def row(diagnostic: Diagnostic) -> Dict[str, Any]:
+        span = diagnostic.span
+        return {
+            "code": diagnostic.code,
+            "severity": diagnostic.severity.value,
+            "message": diagnostic.message,
+            "span": span.to_dict() if span else None,
+        }
 
     def render(self) -> str:
-        lines: List[str] = []
-        for diagnostic in self.diagnostics:
-            lines.append(diagnostic.render())
+        lines = [_render(diagnostic) for diagnostic in self.diagnostics]
         for label, report in sorted(self.feasibility.items()):
             lines.append(f"trace {label}:")
             lines.extend(f"  {row}" for row in report.render().splitlines())
@@ -200,12 +161,9 @@ class AnalyzeReport:
             "schema": REPORT_SCHEMA_VERSION,
             "ok": self.ok,
             "file": self.filename,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
+            "diagnostics": [self.row(d) for d in self.diagnostics],
             "feasibility": {
                 label: report.to_dict()
                 for label, report in sorted(self.feasibility.items())
             },
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

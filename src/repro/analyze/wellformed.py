@@ -25,13 +25,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.analysis.liveness import block_live_sets, block_use_def
-from repro.analyze.diagnostics import (
-    ERROR,
-    INFO,
-    WARNING,
-    Diagnostic,
-    span_for,
-)
+from repro.analyze.diagnostics import CODES, span_for
+from repro.diagnostics import Diagnostic
 from repro.ir.opcodes import Opcode
 from repro.ir.program import Program
 from repro.machine.model import MachineConfigError, MachineModel
@@ -93,9 +88,7 @@ def _check_use_before_def(
             anchor.line_no if anchor else None, lines, filename, anchor=name
         )
         out.append(
-            Diagnostic(
-                "A101",
-                ERROR,
+            CODES["A101"].diag(
                 f"value {name!r} may be used before its definition "
                 f"(live into entry block {program.entry.label!r})",
                 span,
@@ -129,9 +122,7 @@ def _check_branch_targets(
         for inst in block.instructions:
             if inst.target is not None and inst.target not in labels:
                 out.append(
-                    Diagnostic(
-                        "A102",
-                        WARNING,
+                    CODES["A102"].diag(
                         f"branch to undefined label {inst.target!r} "
                         "leaves the program (external exit)",
                         span_for(
@@ -159,9 +150,7 @@ def _check_reachability(
     for block in program:
         if block.label not in reachable:
             out.append(
-                Diagnostic(
-                    "A103",
-                    WARNING,
+                CODES["A103"].diag(
                     f"block {block.label!r} is unreachable from entry "
                     f"block {entry!r}",
                     span_for(
@@ -199,9 +188,7 @@ def _check_dead_stores(
                 earlier = pending.get(cell)
                 if earlier is not None:
                     out.append(
-                        Diagnostic(
-                            "A104",
-                            WARNING,
+                        CODES["A104"].diag(
                             f"store to {inst.addr} is dead: overwritten "
                             f"at line {inst.line_no or '?'} before any "
                             "read",
@@ -232,9 +219,7 @@ def _check_unused_values(
                 continue
             seen.add(name)
             out.append(
-                Diagnostic(
-                    "A105",
-                    INFO,
+                CODES["A105"].diag(
                     f"value {name!r} is defined but never used",
                     span_for(inst.line_no, lines, filename, anchor=name),
                 )
@@ -265,9 +250,7 @@ def _check_machine_ops(
             except MachineConfigError:
                 reported.add(inst.op)
                 out.append(
-                    Diagnostic(
-                        "A106",
-                        ERROR,
+                    CODES["A106"].diag(
                         f"no FU class of machine {machine.name!r} "
                         f"executes opcode {inst.op.value!r}",
                         span_for(inst.line_no, lines, filename),

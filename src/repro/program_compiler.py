@@ -34,7 +34,6 @@ from repro.ir.trace import Trace, select_traces
 from repro.machine.model import MachineModel
 from repro.machine.simulator import VLIWSimulator
 from repro.machine.vliw import VLIWProgram
-from repro.pipeline import compile_trace
 
 #: Prefix for the memory cells that carry values across traces.
 VAR_BASE_PREFIX = "%var:"
@@ -260,17 +259,16 @@ def compile_program(
 ) -> CompiledProgram:
     """Compile every trace of ``program`` for ``machine``.
 
-    Per-trace compilation is not individually simulated (the whole
-    program is verified end-to-end instead; see
-    :func:`verify_compiled_program`).
+    Duplicate traces compile once.  Per-trace compilation is not
+    individually simulated (the whole program is verified end-to-end
+    instead; see :func:`verify_compiled_program`).
 
     Scaling knobs (see ``docs/serving.md``):
 
     * ``cache`` — persistent content-addressed artifact cache: ``True``
       for the default store (``$REPRO_CACHE_DIR`` / ``~/.cache/repro``),
       a path, or a :class:`repro.serve.CompileCache`.  Identical traces
-      hit across runs, processes, and users; duplicate traces *within*
-      the program compile once.
+      hit across runs, processes, and users.
     * ``jobs`` — fan cache-missing traces across a short-lived
       :class:`repro.serve.pool.WorkerPool` of up to this many workers,
       forked only when at least two traces miss (deterministic,
@@ -286,56 +284,16 @@ def compile_program(
       ``jobs`` when both are given; degrades to the ``jobs`` / serial
       path if the pool cannot run).
 
-    Both paths are bit-identical to the plain serial compile (compare
-    :func:`repro.serve.program_signature` per trace).
+    Every knob is bit-identical to the serial compile with none set
+    (compare :func:`repro.serve.program_signature` per trace).
     """
-    program.validate()
-    traces = entry_safe_traces(program, max_trace_blocks=max_trace_blocks)
-    prepared_list = [prepare_trace(program, trace) for trace in traces]
-    parallel = (jobs is not None and jobs > 1) or pool is not None
-
-    if cache is None and not parallel and deadline_ms is None and not resilient:
-        # The classic serial path: no serve machinery touched at all.
-        compiled: Dict[str, CompiledTrace] = {}
-        for prepared in prepared_list:
-            result = compile_trace(
-                prepared.instructions, machine, method=method, verify=False,
-            )
-            compiled[prepared.head] = CompiledTrace(
-                prepared=prepared,
-                program=result.program,
-                cycles_estimate=result.schedule.length,
-            )
-        return CompiledProgram(
-            machine=machine,
-            source=program,
-            entry=program.entry.label,
-            traces=compiled,
-            method=method,
-        )
-    return _compile_program_serve(
-        program, machine, method, prepared_list,
-        jobs=jobs, cache=cache, deadline_ms=deadline_ms, resilient=resilient,
-        pool=pool,
-    )
-
-
-def _compile_program_serve(
-    program: Program,
-    machine: MachineModel,
-    method: str,
-    prepared_list: Sequence[PreparedTrace],
-    jobs: Optional[int],
-    cache: object,
-    deadline_ms: Optional[float],
-    resilient: bool,
-    pool: Optional[object] = None,
-) -> CompiledProgram:
-    """The cached/sharded compile path (``docs/serving.md``)."""
     from repro import obs
     from repro.serve.cache import resolve_cache, trace_key
     from repro.serve.pool import WorkerPool, _compile_one
 
+    program.validate()
+    traces = entry_safe_traces(program, max_trace_blocks=max_trace_blocks)
+    prepared_list = [prepare_trace(program, trace) for trace in traces]
     store = resolve_cache(cache)
     extra = ("resilient",) if resilient else ()
 
@@ -418,7 +376,7 @@ def _compile_program_serve(
         traces=compiled,
         method=method,
         cache_hits=hits,
-        cache_misses=len(fresh_keys),
+        cache_misses=len(fresh_keys) if store is not None else 0,
     )
 
 

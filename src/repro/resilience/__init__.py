@@ -8,7 +8,6 @@ Public surface:
 * :mod:`repro.resilience.fallback` — the escalation ladder
   (:func:`compile_with_fallback`) ending in the always-feasible
   spill-everywhere baseline, plus :class:`DegradationReport`;
-* :mod:`repro.resilience.checkpoint` — rollback of rejected DAG edits;
 * :mod:`repro.resilience.chaos` — seeded fault injection proving every
   recovery path is exercised.
 
@@ -28,7 +27,6 @@ from repro.resilience.chaos import (
     ChaosMonkey,
     chaos_scope,
 )
-from repro.resilience.checkpoint import RollbackError, guarded_apply
 
 __all__ = [
     "ChaosMonkey",
@@ -36,13 +34,11 @@ __all__ = [
     "DeadlineExpired",
     "DegradationReport",
     "FAULT_CLASSES",
-    "RollbackError",
     "SERVICE_FAULTS",
     "active_deadline",
     "chaos_scope",
     "compile_with_fallback",
     "deadline_scope",
-    "guarded_apply",
     "spill_everywhere_schedule",
 ]
 

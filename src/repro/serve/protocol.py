@@ -241,19 +241,19 @@ def _admit(program, machine: MachineModel, source: str) -> None:
     with structured diagnostics.  Warnings/info pass through: they are
     legal programs (docs/analysis.md).
     """
-    from repro.analyze import check_program
+    from repro.analyze import AnalyzeReport, check_program
 
-    diagnostics = [
-        d for d in check_program(program, machine=machine, source=source)
-        if d.severity == "error"
-    ]
-    if diagnostics:
+    report = AnalyzeReport(
+        check_program(program, machine=machine, source=source)
+    )
+    errors = report.errors()
+    if errors:
         obs.count("serve.analyze_reject")
-        head = diagnostics[0]
+        head = errors[0]
         raise IllFormedError(
             f"{head.code}: {head.message}"
-            + (f" (+{len(diagnostics) - 1} more)" if len(diagnostics) > 1 else ""),
-            [d.to_dict() for d in diagnostics],
+            + (f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""),
+            [report.row(d) for d in errors],
         )
 
 

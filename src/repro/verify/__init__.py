@@ -7,17 +7,15 @@ introduced them rather than by the end-to-end simulator (or not at
 all).  See ``docs/verification.md`` for the rule catalogue.
 """
 
+from repro.diagnostics import Diagnostic, Severity
 from repro.verify.alloc_rules import verify_allocation, verify_allocation_step
 from repro.verify.dag_rules import verify_dag
 from repro.verify.diagnostics import (
     REPORT_SCHEMA_VERSION,
-    Diagnostic,
     RuleInfo,
     RULES,
-    Severity,
     VerifyError,
     VerifyReport,
-    merge_reports,
     register,
 )
 from repro.verify.lint_rules import lint_dag
@@ -36,7 +34,6 @@ __all__ = [
     "Severity",
     "VerifyError",
     "VerifyReport",
-    "merge_reports",
     "register",
     "verify_dag",
     "verify_allocation",

@@ -90,7 +90,7 @@ def verify_dag(
     with obs.span("verify.dag"):
         report = VerifyReport(artifact="dag", packs=[PACK])
         _structural(dag, report)
-        if any(d.rule == R_CYCLE.rule_id for d in report.diagnostics):
+        if any(d.code == R_CYCLE.code for d in report.diagnostics):
             # Reachability, dominance and hammocks are meaningless on a
             # cyclic graph; bail out after the structural findings.
             obs.count("verify.diagnostics", len(report.diagnostics))

@@ -1,4 +1,4 @@
-"""Diagnostics core for the static verifier (``repro.verify``).
+"""The verifier's rule catalogue and report (``repro.verify``).
 
 Every check the verifier performs is a *rule* with a stable dotted
 identifier (``dag.cycle``, ``sched.fu-overlap``, ...), a default
@@ -8,33 +8,22 @@ behind ``docs/verification.md`` (a doc test asserts the two stay in
 sync).
 
 Running a rule pack produces a :class:`VerifyReport` — an ordered list
-of :class:`Diagnostic` records plus helpers for rendering (text or
-JSON) and for escalating error-severity findings into a
-:class:`VerifyError`.
+of :class:`~repro.diagnostics.Diagnostic` records (the core shared with
+the analyzer, :mod:`repro.diagnostics`) plus rendering (text or JSON)
+and escalation of error-severity findings into a :class:`VerifyError`.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
+
+from repro.diagnostics import Diagnostic, DiagnosticCode, Report, Severity
 
 #: Bumped whenever a consumer of ``repro verify --format json`` output
 #: would misinterpret newer reports.
 REPORT_SCHEMA_VERSION = 1
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.  Order: ERROR > WARNING > INFO."""
-
-    ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
 
 
 class VerifyError(Exception):
@@ -48,36 +37,22 @@ class VerifyError(Exception):
         self.report = report
         prefix = f"{context}: " if context else ""
         errors = report.errors()
-        detail = "; ".join(d.oneline() for d in errors[:4])
+        detail = "; ".join(
+            f"[{d.code}] {d.message}"
+            + (f" ({d.location})" if d.location else "")
+            for d in errors[:4]
+        )
         if len(errors) > 4:
             detail += f"; ... ({len(errors) - 4} more)"
         super().__init__(f"{prefix}{len(errors)} invariant violation(s): {detail}")
 
 
-@dataclass(frozen=True)
-class RuleInfo:
+class RuleInfo(DiagnosticCode):
     """One registered verifier rule (the catalogue entry)."""
 
-    rule_id: str
-    pack: str
-    severity: Severity
-    summary: str
-
-    def diag(
-        self,
-        message: str,
-        location: Optional[str] = None,
-        severity: Optional[Severity] = None,
-        **data: Any,
-    ) -> "Diagnostic":
-        """Instantiate a finding of this rule."""
-        return Diagnostic(
-            rule=self.rule_id,
-            severity=severity or self.severity,
-            message=message,
-            location=location,
-            data=dict(data),
-        )
+    @property
+    def pack(self) -> str:
+        return self.code.split(".", 1)[0]
 
 
 #: rule id -> catalogue entry; populated by the pack modules at import.
@@ -88,91 +63,28 @@ def register(rule_id: str, severity: Severity, summary: str) -> RuleInfo:
     """Register a rule id in the catalogue (idempotence is an error)."""
     if rule_id in RULES:
         raise ValueError(f"duplicate rule id {rule_id!r}")
-    pack = rule_id.split(".", 1)[0]
-    info = RuleInfo(rule_id, pack, severity, summary)
-    RULES[rule_id] = info
+    info = RULES[rule_id] = RuleInfo(rule_id, severity, summary)
     return info
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One finding: rule id, severity, message, and optional location."""
-
-    rule: str
-    severity: Severity
-    message: str
-    location: Optional[str] = None
-    data: Mapping[str, Any] = field(default_factory=dict)
-
-    def oneline(self) -> str:
-        where = f" ({self.location})" if self.location else ""
-        return f"[{self.rule}] {self.message}{where}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "message": self.message,
-        }
-        if self.location is not None:
-            record["location"] = self.location
-        if self.data:
-            record["data"] = dict(self.data)
-        return record
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "Diagnostic":
-        return cls(
-            rule=record["rule"],
-            severity=Severity(record["severity"]),
-            message=record["message"],
-            location=record.get("location"),
-            data=dict(record.get("data", {})),
-        )
-
-
 @dataclass
-class VerifyReport:
+class VerifyReport(Report):
     """Ordered diagnostics from one or more rule packs over one artifact."""
 
     artifact: str = ""
-    diagnostics: List[Diagnostic] = field(default_factory=list)
     #: rule packs that actually ran (a clean report still names them).
     packs: List[str] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    def add(self, diagnostic: Diagnostic) -> None:
-        self.diagnostics.append(diagnostic)
-
-    def extend(self, other: "VerifyReport") -> None:
-        self.diagnostics.extend(other.diagnostics)
-        for pack in other.packs:
-            if pack not in self.packs:
-                self.packs.append(pack)
-
-    # ------------------------------------------------------------------
-    def by_severity(self, severity: Severity) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is severity]
-
-    def errors(self) -> List[Diagnostic]:
-        return self.by_severity(Severity.ERROR)
-
-    def warnings(self) -> List[Diagnostic]:
-        return self.by_severity(Severity.WARNING)
+    def extend(self, *others: "VerifyReport") -> "VerifyReport":
+        super().extend(*others)
+        for other in others:
+            for pack in other.packs:
+                if pack not in self.packs:
+                    self.packs.append(pack)
+        return self
 
     def rules_fired(self) -> List[str]:
-        return sorted({d.rule for d in self.diagnostics})
-
-    @property
-    def ok(self) -> bool:
-        """True when no error-severity diagnostics were produced."""
-        return not self.errors()
-
-    def counts(self) -> Dict[str, int]:
-        totals = {"error": 0, "warning": 0, "info": 0}
-        for diagnostic in self.diagnostics:
-            totals[diagnostic.severity.value] += 1
-        return totals
+        return sorted({d.code for d in self.diagnostics})
 
     def raise_if_errors(self, context: str = "") -> None:
         if not self.ok:
@@ -191,17 +103,41 @@ class VerifyReport:
             head += f"  [packs: {', '.join(self.packs)}]"
         lines = [head]
         ordered = sorted(
-            self.diagnostics, key=lambda d: (d.severity.rank, d.rule)
+            self.diagnostics, key=lambda d: (d.severity.rank, d.code)
         )
         for diagnostic in ordered:
             where = f"  @ {diagnostic.location}" if diagnostic.location else ""
             lines.append(
                 f"  {diagnostic.severity.value.upper():7s} "
-                f"{diagnostic.rule:24s} {diagnostic.message}{where}"
+                f"{diagnostic.code:24s} {diagnostic.message}{where}"
             )
         if not self.diagnostics:
             lines.append("  clean: no diagnostics")
         return "\n".join(lines)
+
+    @staticmethod
+    def row(diagnostic: Diagnostic) -> Dict[str, Any]:
+        record: Dict[str, Any] = {
+            "rule": diagnostic.code,
+            "severity": diagnostic.severity.value,
+            "message": diagnostic.message,
+        }
+        if diagnostic.location is not None:
+            record["location"] = diagnostic.location
+        if diagnostic.data:
+            record["data"] = dict(diagnostic.data)
+        return record
+
+    @staticmethod
+    def from_row(record: Mapping[str, Any]) -> Diagnostic:
+        """Inverse of :meth:`row`."""
+        return Diagnostic(
+            code=record["rule"],
+            severity=Severity(record["severity"]),
+            message=record["message"],
+            location=record.get("location"),
+            data=dict(record.get("data", {})),
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """The ``repro verify --format json`` payload (see docs)."""
@@ -211,11 +147,11 @@ class VerifyReport:
             "packs": list(self.packs),
             "counts": self.counts(),
             "ok": self.ok,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
+            "diagnostics": [self.row(d) for d in self.diagnostics],
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        return super().to_json(indent)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "VerifyReport":
@@ -223,25 +159,14 @@ class VerifyReport:
             raise ValueError(
                 f"unsupported verify-report schema {payload.get('schema')!r}"
             )
-        report = cls(
+        return cls(
             artifact=payload.get("artifact", ""),
             diagnostics=[
-                Diagnostic.from_dict(r) for r in payload.get("diagnostics", ())
+                cls.from_row(r) for r in payload.get("diagnostics", ())
             ],
             packs=list(payload.get("packs", ())),
         )
-        return report
 
     @classmethod
     def from_json(cls, text: str) -> "VerifyReport":
         return cls.from_dict(json.loads(text))
-
-
-def merge_reports(
-    artifact: str, reports: Iterable[VerifyReport]
-) -> VerifyReport:
-    """Concatenate several pack reports into one artifact-level report."""
-    merged = VerifyReport(artifact=artifact)
-    for report in reports:
-        merged.extend(report)
-    return merged

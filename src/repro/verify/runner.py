@@ -20,7 +20,7 @@ from repro import obs
 from repro.machine.model import MachineModel
 from repro.verify.alloc_rules import verify_allocation, verify_allocation_step
 from repro.verify.dag_rules import verify_dag
-from repro.verify.diagnostics import VerifyReport, merge_reports
+from repro.verify.diagnostics import VerifyReport
 from repro.verify.lint_rules import lint_dag
 from repro.verify.schedule_rules import verify_schedule
 
@@ -46,7 +46,7 @@ def verify_dag_state(
     reports = [verify_dag(dag, machine, regions=False)]
     if requirements:
         reports.append(verify_allocation_step(dag, requirements, machine))
-    return _finish(merge_reports(artifact, reports))
+    return _finish(VerifyReport(artifact=artifact).extend(*reports))
 
 
 def _compilation_reports(result, lint: bool, remeasure: bool):
@@ -68,9 +68,8 @@ def verify_compilation(
 ) -> VerifyReport:
     """Run every applicable rule pack over one compilation result."""
     artifact = f"{result.method} on {result.machine.name}"
-    return _finish(
-        merge_reports(artifact, _compilation_reports(result, lint, remeasure))
-    )
+    reports = _compilation_reports(result, lint, remeasure)
+    return _finish(VerifyReport(artifact=artifact).extend(*reports))
 
 
 def verify_source(
@@ -98,4 +97,5 @@ def verify_source(
         input_dag, machine, method=method, verify=False, static_checks=False
     )
     reports.extend(_compilation_reports(result, lint=False, remeasure=remeasure))
-    return _finish(merge_reports(f"{method} on {machine.name}", reports))
+    artifact = f"{method} on {machine.name}"
+    return _finish(VerifyReport(artifact=artifact).extend(*reports))

@@ -8,6 +8,7 @@ covers the units, the integration points, and the contract lint.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.analyze import (
+    CODES,
     AnalyzeReport,
     Diagnostic,
     SourceSpan,
@@ -29,6 +31,7 @@ from repro.analyze import (
 )
 from repro.analyze.diagnostics import span_for
 from repro.cli import main
+from repro.diagnostics import Severity
 from repro.ir.parser import ParseError, parse_program
 from repro.machine.model import FUClass, MachineModel
 from repro.pipeline import PipelineError, build_dag, compile_trace
@@ -61,8 +64,8 @@ class TestDiagnostics:
         assert span.column == 12  # not the 'xx' def, not inside 'axe'
 
     def test_render_includes_code_and_severity(self):
-        d = Diagnostic("A101", "error", "boom", SourceSpan(1, "a = b"))
-        text = d.render()
+        d = Diagnostic("A101", Severity.ERROR, "boom", SourceSpan(1, "a = b"))
+        text = AnalyzeReport([d]).render()
         assert "error[A101]: boom" in text
         assert "   1 | a = b" in text
 
@@ -78,12 +81,21 @@ class TestDiagnostics:
 
     def test_report_ok_tracks_error_severity_only(self):
         report = AnalyzeReport()
-        report.add(Diagnostic("A105", "info", "unused"))
-        report.add(Diagnostic("A103", "warning", "unreachable"))
+        report.add(Diagnostic("A105", Severity.INFO, "unused"))
+        report.add(Diagnostic("A103", Severity.WARNING, "unreachable"))
         assert report.ok
-        report.add(Diagnostic("A101", "error", "use-before-def"))
+        report.add(Diagnostic("A101", Severity.ERROR, "use-before-def"))
         assert not report.ok
         assert json.loads(report.to_json())["ok"] is False
+
+    def test_docs_catalogue_in_sync(self):
+        text = (REPO / "docs" / "analysis.md").read_text()
+        documented = dict(
+            re.findall(r"^\| `(A\d{3})` \| (\w+) \|", text, re.MULTILINE)
+        )
+        assert documented == {
+            code: entry.severity.value for code, entry in CODES.items()
+        }, "docs/analysis.md code table out of sync with CODES"
 
 
 # ======================================================================
@@ -100,7 +112,7 @@ class TestWellformed:
     def test_use_before_def(self):
         diags = self.check("a = x + 1\nx = a + 2\n")
         assert codes_of(diags) == ["A101"]
-        assert diags[0].severity == "error"
+        assert diags[0].severity is Severity.ERROR
         assert "'x'" in diags[0].message
         assert diags[0].span.line_no == 1
 
@@ -113,7 +125,7 @@ class TestWellformed:
             "L0:\n  c = a < b\n  if c goto Lelsewhere\nL1:\n  halt\n"
         )
         assert codes_of(diags) == ["A102"]
-        assert diags[0].severity == "warning"
+        assert diags[0].severity is Severity.WARNING
 
     def test_unreachable_block(self):
         diags = self.check(
@@ -137,7 +149,7 @@ class TestWellformed:
     def test_unused_value_is_info(self):
         diags = self.check("a = b + c\nhalt\n")
         assert codes_of(diags) == ["A105"]
-        assert diags[0].severity == "info"
+        assert diags[0].severity is Severity.INFO
 
     def test_unexecutable_opcode(self):
         machine = MachineModel(
@@ -146,7 +158,7 @@ class TestWellformed:
         # frozenset() executes nothing -> every op is A106.
         diags = self.check("a = b + c\nstore [out], a\n", machine=machine)
         assert set(codes_of(diags)) == {"A106"}
-        assert all(d.severity == "error" for d in diags)
+        assert all(d.severity is Severity.ERROR for d in diags)
 
 
 # ======================================================================

@@ -212,3 +212,48 @@ class TestExecution:
         program = parse_program(LOOP_SOURCE)
         compiled = compile_program(program, MACHINE, method="ursa")
         assert compiled.total_static_ops() > 10
+
+
+# Both arms of the branch are the same trace once each block is its own.
+REPEATED_SOURCE = """
+L0:
+  c = load [C]
+  if c goto L2
+L1:
+  x = load [A]
+  y = x + 1
+  store [B], y
+  halt
+L2:
+  x = load [A]
+  y = x + 1
+  store [B], y
+  halt
+"""
+
+
+class TestRepeatedTraces:
+    def test_serial_and_jobs_agree_and_compile_duplicates_once(self):
+        from repro.serve import program_signature
+
+        program = parse_program(REPEATED_SOURCE)
+        serial = compile_program(program, MACHINE, max_trace_blocks=1)
+        sharded = compile_program(
+            program, MACHINE, max_trace_blocks=1, jobs=2
+        )
+        assert sorted(serial.traces) == ["L0", "L1", "L2"]
+        assert sorted(sharded.traces) == sorted(serial.traces)
+        for compiled in (serial, sharded):
+            # No cache in use: the counters read 0/0.
+            assert (compiled.cache_hits, compiled.cache_misses) == (0, 0)
+            traces = compiled.traces
+            assert traces["L1"].program is traces["L2"].program
+            for taken in (0, 1):
+                _, ok = verify_compiled_program(
+                    compiled, {("C", 0): taken, ("A", 0): 5}
+                )
+                assert ok
+        for head in serial.traces:
+            assert program_signature(
+                serial.traces[head].program
+            ) == program_signature(sharded.traces[head].program), head

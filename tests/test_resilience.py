@@ -21,10 +21,8 @@ from repro.pipeline import METHODS, PipelineError, build_dag, compile_trace
 from repro.resilience import (
     Deadline,
     DeadlineExpired,
-    RollbackError,
     active_deadline,
     deadline_scope,
-    guarded_apply,
 )
 from repro.resilience.fallback import (
     DegradationReport,
@@ -336,27 +334,6 @@ class TestTransactionalRollback:
         assert [r.description for r in transactional.records] == [
             r.description for r in plain.records
         ]
-
-
-class TestCheckpointHelpers:
-    def test_guarded_apply_rejects_bad_edit(self, fig2_dag):
-        before = len(fig2_dag)
-
-        def bad_edit(dag):
-            raise ValueError("broken edit")
-
-        with pytest.raises(RollbackError):
-            guarded_apply(fig2_dag, bad_edit)
-        assert len(fig2_dag) == before
-
-    def test_guarded_apply_returns_edited_clone(self, fig2_dag):
-        def edit(dag):
-            ops = dag.op_nodes()
-            dag.add_sequence_edge(ops[0], ops[-1], reason="test")
-
-        clone = guarded_apply(fig2_dag, edit)
-        assert clone is not fig2_dag
-        assert len(clone) == len(fig2_dag)
 
 
 # ======================================================================

@@ -30,7 +30,6 @@ from repro.machine.vliw import RegRef
 from repro.pipeline import METHODS, compile_trace
 from repro.verify import (
     RULES,
-    Diagnostic,
     Severity,
     VerifyError,
     VerifyReport,
@@ -69,7 +68,7 @@ def fired(report) -> set:
 
 
 def error_rules(report) -> set:
-    return {d.rule for d in report.errors()}
+    return {d.code for d in report.errors()}
 
 
 # ======================================================================
@@ -214,7 +213,7 @@ class TestAllocRules:
         allocation = fake_allocation(dag, machine, requirements, converged=False)
         report = verify_allocation(allocation, remeasure=False)
         assert report.ok
-        assert {d.rule for d in report.warnings()} & {
+        assert {d.code for d in report.warnings()} & {
             "alloc.fu-capacity", "alloc.reg-capacity",
         }
 
@@ -542,7 +541,7 @@ class TestCatalogueAndReport:
         assert RULES, "packs must register rules at import"
         for rule_id, info in RULES.items():
             assert re.fullmatch(r"(dag|alloc|sched|lint)\.[a-z][a-z-]*", rule_id)
-            assert info.rule_id == rule_id
+            assert info.code == rule_id
             assert info.pack == rule_id.split(".")[0]
             assert isinstance(info.severity, Severity)
             assert info.summary
@@ -606,7 +605,7 @@ class TestCatalogueAndReport:
         )
 
     def test_diagnostic_from_dict_defaults(self):
-        diag = Diagnostic.from_dict(
+        diag = VerifyReport.from_row(
             {"rule": "dag.cycle", "severity": "error", "message": "m"}
         )
         assert diag.location is None and diag.data == {}
