@@ -156,14 +156,14 @@ class URSAAllocator:
         )
 
         with obs.span("allocate.measure", iteration=0):
-            requirements = measure_all(dag, self.machine)
+            requirements = self._measure(dag)
         if self.transactional and any(
             r.available != self._capacity(r.kind, r.cls)
             for r in requirements
         ):
             obs.count("resilience.measurement_rejected")
             obs.event("resilience.degraded", site="allocator.measurement")
-            requirements = measure_all(dag, self.machine)
+            requirements = self._measure(dag)
         if self.verify_each:
             self._verify_state(dag, requirements, "input dag")
         initial_excess = sum(r.excess for r in requirements)
@@ -277,7 +277,7 @@ class URSAAllocator:
         ):
             obs.count("resilience.measurement_rejected")
             obs.event("resilience.degraded", site="allocator.measurement")
-            new_reqs = measure_all(new_dag, self.machine)
+            new_reqs = self._measure(new_dag)
         if self._weighted_excess(new_reqs) >= self._weighted_excess(old_reqs):
             return "commit shows no excess progress", new_reqs
         if self.verify_each:
@@ -395,12 +395,12 @@ class URSAAllocator:
         score, candidate = best
         # The trial rolled its edits back: commit the winner as a copy
         # plus its edits, which also runs the chaos transform hook, and
-        # take one full measurement of it — widths and Kill() carried
+        # take one full measurement of it — excesses and Kill() carried
         # into the next iteration always come from a from-scratch
-        # measure, and the chains of a class still excessive are built
-        # from that DAG when the next step first reads them.
+        # measure, and the chains of a class the next step attacks are
+        # built from that DAG before its exact width is read.
         new_dag = candidate.apply()
-        new_reqs = measure_all(new_dag, self.machine)
+        new_reqs = self._measure(new_dag)
         obs.event(
             "allocate.commit",
             iteration=iteration,
@@ -495,6 +495,18 @@ class URSAAllocator:
             if best is None or score < best[0]:
                 best = (score, candidate)
         return best
+
+    def _measure(self, dag: DependenceDAG) -> List[ResourceRequirement]:
+        """``measure_all``, then the chains of every class the next step
+        will attack, so the exact widths read before that step (the
+        budget, the commit record) come off those chains: an excessive
+        class runs one matching, not a width matching and then its
+        hammock-prioritized one."""
+        requirements = measure_all(dag, self.machine)
+        excessive = [r for r in requirements if r.is_excessive]
+        for requirement in self._active_requirements(excessive):
+            requirement.decomposition
+        return requirements
 
     def _active_requirements(
         self, excessive: List[ResourceRequirement]

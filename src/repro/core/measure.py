@@ -2,19 +2,27 @@
 
 For every resource class this module computes:
 
-* the worst-case requirement over all legal schedules — the width of the
-  resource's reuse partial order, ``n`` minus the size of a maximum
-  bipartite matching (Theorem 1); and
+* whether it fits: the worst-case requirement over all legal schedules
+  is the width of the resource's reuse partial order, ``n`` minus the
+  size of a maximum bipartite matching (Theorem 1), and a measurement
+  brackets it by two Dilworth bounds — a greedy chain cover above, an
+  antichain of minimal or maximal elements below — which settle every
+  class whose cover fits ``available`` or whose antichain exceeds it;
+* the exact width, only where a reader needs it (a class whose bounds
+  straddle ``available``, ``required`` itself): off the chains when
+  they are built, else from one matching warm-started from the greedy
+  one; and
 * for an excessive class only, the *excessive chain sets* (Definition
   6): per hammock, the trimmed subchains of the hammock-prioritized
   minimum chain decomposition whose heads are mutually independent and
   whose tails are mutually independent, which the transformations of §4
   consume directly.
 
-A class that fits never builds a hammock analysis or a decomposition:
-:attr:`ResourceRequirement.decomposition` is computed on first read.
-:func:`reuse_orders` is the relations alone, which trial scoring
-matches itself (warm-started from the committed matchings).
+A class that fits never runs a matching, builds a hammock analysis or
+a decomposition: :attr:`ResourceRequirement.decomposition` is computed
+on first read.  :func:`reuse_orders` is the relations alone, which trial
+scoring bounds and matches itself (warm-started from the committed
+matchings).
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from repro.graph.dilworth import (
     PartialOrder,
     minimum_chain_decomposition,
     width,
+    width_bounds,
     width_matching,
 )
 from repro.graph.hammock import Hammock, HammockAnalysis
@@ -61,12 +70,23 @@ class ResourceRequirement:
     """Measured worst-case requirement for one resource class.
 
     ``required`` is the width of the reuse ``order`` (Theorem 1), and
-    ``matching`` the maximum matching that proves it, as an index array
-    (entry ``i`` is the index matched to element ``i``, or -1).  The
-    hammock-prioritized chain ``decomposition`` only serves to locate
-    excess (Definition 6), so it is built on first read, from the
-    measured DAG at the version it was measured at; reading it once
-    that DAG has moved on raises :class:`StaleMeasurementError`.  A
+    ``matching`` a maximum matching that proves it, as an index array
+    (entry ``i`` is the index matched to element ``i``, or -1).  A
+    measurement computes neither: it stores two Dilworth bounds,
+    ``lower <= required <= upper`` (:func:`~repro.graph.dilworth.
+    width_bounds`), and :attr:`excess` and :attr:`is_excessive` decide
+    from them and the *current* ``available`` on every read.  Only a
+    class whose bounds straddle ``available``, or a reader of
+    ``required``/``matching`` themselves, forces the exact width: taken
+    from the decomposition when that is already built (its chains are a
+    minimum chain cover), else from :func:`~repro.graph.dilworth.
+    width_matching` warm-started from the greedy matching.  Neither
+    reads the DAG, so ``required`` never goes stale.
+
+    The hammock-prioritized chain ``decomposition`` only serves to
+    locate excess (Definition 6), so it is built on first read, from the
+    measured DAG at the version it was measured at; reading it once that
+    DAG has moved on raises :class:`StaleMeasurementError`.  A
     requirement built with an explicit ``decomposition`` (the reference
     oracle's) carries no DAG and is never stale.
     """
@@ -78,8 +98,7 @@ class ResourceRequirement:
         available: int,
         order: PartialOrder,
         element_node: Dict[Element, int],
-        required: int,
-        matching: Optional[List[int]] = None,
+        required: Optional[int] = None,
         dag: Optional[DependenceDAG] = None,
         decomposition: Optional[ChainDecomposition] = None,
         kill: Optional[KillAssignment] = None,
@@ -92,8 +111,16 @@ class ResourceRequirement:
         #: element -> representative DAG node (itself for FU elements,
         #: the defining node for register values).
         self.element_node = element_node
-        self.required = required
-        self.matching = matching
+        #: Dilworth bounds on the width: an antichain's size and a chain
+        #: cover's.  An exact ``required`` (the reference oracle's, which
+        #: also passes its decomposition) is both.
+        if required is None:
+            self.lower, self.upper, self._greedy = width_bounds(order.masks)
+        else:
+            self.lower = self.upper = required
+            self._greedy = None
+        self._required: Optional[int] = None
+        self._matching: Optional[List[int]] = None
         self.dag = dag
         self.version = dag.version if dag is not None else None
         self._decomposition = decomposition
@@ -121,12 +148,59 @@ class ResourceRequirement:
         return self._decomposition
 
     @property
+    def required(self) -> int:
+        if self._required is None:
+            self._resolve()
+        return self._required
+
+    @property
+    def matching(self) -> List[int]:
+        if self._matching is None:
+            self._resolve()
+        return self._matching
+
+    def _resolve(self) -> None:
+        """Compute the exact width and its matching, once."""
+        decomposition = self._decomposition
+        if decomposition is not None:
+            index = self.order.index
+            successor = decomposition.successor
+            self._required = len(decomposition.chains)
+            self._matching = [
+                index[successor[e]] if e in successor else -1
+                for e in self.order.elements
+            ]
+        elif self.lower == self.upper:
+            # The greedy matching already reaches the lower bound.
+            self._required = self.upper
+            self._matching = self._greedy
+        else:
+            obs.count("measure.width_matched")
+            self._required, self._matching = width_matching(
+                self.order.masks, self._greedy
+            )
+        obs.peak(
+            "measure.fu_width_peak"
+            if self.kind is ResourceKind.FUNCTIONAL_UNIT
+            else "measure.reg_width_peak",
+            self._required,
+        )
+
+    @property
     def excess(self) -> int:
-        return max(0, self.required - self.available)
+        available = self.available
+        if self.upper <= available:
+            return 0
+        return max(0, self.required - available)
 
     @property
     def is_excessive(self) -> bool:
-        return self.required > self.available
+        available = self.available
+        if self.upper <= available:
+            return False
+        if self.lower > available:
+            return True
+        return self.required > available
 
     def describe(self) -> str:
         return (
@@ -169,16 +243,12 @@ def _fu_requirement(
     fu_class: str,
     elements: List[int],
 ) -> ResourceRequirement:
-    order = can_reuse_fu(dag, elements)
-    required, matching = width_matching(order)
     return ResourceRequirement(
         kind=ResourceKind.FUNCTIONAL_UNIT,
         cls=fu_class,
         available=machine.fu_class(fu_class).count,
-        order=order,
+        order=can_reuse_fu(dag, elements),
         element_node={uid: uid for uid in elements},
-        required=required,
-        matching=matching,
         dag=dag,
     )
 
@@ -192,16 +262,12 @@ def _register_requirement(
 ) -> ResourceRequirement:
     if kill is None:
         kill = select_kill(dag, values)
-    order = can_reuse_registers(dag, values, kill.kill)
-    required, matching = width_matching(order)
     return ResourceRequirement(
         kind=ResourceKind.REGISTER,
         cls=reg_class,
         available=machine.registers[reg_class],
-        order=order,
+        order=can_reuse_registers(dag, values, kill.kill),
         element_node={v.name: v.def_uid for v in values},
-        required=required,
-        matching=matching,
         dag=dag,
         kill=kill,
         values={v.name: v for v in values},
@@ -265,12 +331,17 @@ def _requirements(
 
 
 def _counted(requirement: ResourceRequirement) -> ResourceRequirement:
-    if requirement.kind is ResourceKind.FUNCTIONAL_UNIT:
-        obs.count("measure.fu_requirements")
-        obs.peak("measure.fu_width_peak", requirement.required)
-    else:
-        obs.count("measure.reg_requirements")
-        obs.peak("measure.reg_width_peak", requirement.required)
+    """Count one measured class, and how its bounds decided it.  Forces
+    no width: the width peaks are recorded when a width is computed."""
+    obs.count(
+        "measure.fu_requirements"
+        if requirement.kind is ResourceKind.FUNCTIONAL_UNIT
+        else "measure.reg_requirements"
+    )
+    if requirement.upper <= requirement.available:
+        obs.count("measure.bound_fit")
+    elif requirement.lower > requirement.available:
+        obs.count("measure.bound_excessive")
     return requirement
 
 

@@ -20,8 +20,8 @@ property fuzz and the measurement benchmark compare against):
   ``reference.PrioritizedMatcher`` bit for bit: same left iteration
   order, same DFS neighbour order, hence the *same matching* and the
   same chain decomposition.  Used wherever the paper's hammock-priority
-  scheme is load-bearing (``core/measure.py``), and as one unprioritized
-  batch for ``dilworth.width``.
+  scheme is load-bearing (``core/measure.py``), and unprioritized,
+  cold or warm-started, for ``dilworth.width_matching``.
 * :func:`hopcroft_karp_masks` — Hopcroft–Karp with bitmask adjacency
   and batched BFS frontier masks, mirroring ``reference.hopcroft_karp``.
   The default matcher for unprioritized decompositions, and the kernel

@@ -10,8 +10,10 @@ The relation itself is stored as packed int bitmasks — one bit per
 element, positions given by :attr:`PartialOrder.index` — and the default
 matchers run directly on those masks (:mod:`repro.graph.bitset`):
 Hopcroft–Karp for plain decompositions and antichains; the batched Kuhn
-matcher for width (one unprioritized batch) and wherever the paper's
-hammock-priority insertion order is load-bearing.  The dict-of-sets
+matcher for exact widths (:func:`width_matching`, cold or warm-started)
+and wherever the paper's hammock-priority insertion order is
+load-bearing.  :func:`width_bounds` brackets a width with no matcher at
+all: a greedy chain cover above, an antichain below.  The dict-of-sets
 view (``above``) is materialized lazily for callers that still want it.  The original
 dict-based kernels live on in :mod:`repro.reference`, the oracle the
 property fuzz and the measurement benchmark compare against; both produce
@@ -399,22 +401,86 @@ def maximum_antichain(order: PartialOrder) -> Set[Element]:
 
 def width(order: PartialOrder) -> int:
     """The width (maximum antichain size) of the partial order."""
-    return width_matching(order)[0]
+    return width_matching(order.masks)[0]
 
 
-def width_matching(order: PartialOrder) -> Tuple[int, List[int]]:
-    """The width and the maximum matching that proves it.
+def greedy_matching(
+    masks: Sequence[int], start: Optional[Sequence[int]] = None
+) -> Tuple[int, List[int]]:
+    """A maximal matching of the relation with successor ``masks``.
+
+    Starting from ``start`` (a valid matching as an index array, -1 =
+    unmatched; empty when omitted), each unmatched left, in index
+    order, takes its lowest free right bit — no augmenting paths.
+    Returns ``(size, match_left)``.  Any matching of size ``m`` links
+    the ``n`` elements into ``n - m`` chains, so ``n - size`` bounds
+    the width from above (Dilworth).
+    """
+    match_left = [-1] * len(masks) if start is None else list(start)
+    taken = 0
+    for j in match_left:
+        if j >= 0:
+            taken |= 1 << j
+    size = bitset.popcount(taken)
+    for i, mask in enumerate(masks):
+        if match_left[i] < 0:
+            free = mask & ~taken
+            if free:
+                low = free & -free
+                taken |= low
+                match_left[i] = low.bit_length() - 1
+                size += 1
+    return size, match_left
+
+
+def width_bounds(masks: Sequence[int]) -> Tuple[int, int, List[int]]:
+    """``(lower, upper, greedy)``: two Dilworth bounds on the width of
+    the relation with successor ``masks``, and the matching behind the
+    upper one.
+
+    ``upper`` is ``n`` minus the size of :func:`greedy_matching` (a
+    chain cover).  ``lower`` is the larger of two antichains' sizes: the
+    minimal elements (no bit of theirs is set in any mask) and the
+    maximal ones (empty mask).  No augmenting path is searched.
+    """
+    n = len(masks)
+    size, greedy = greedy_matching(masks)
+    above_some = 0
+    maximal = 0
+    for mask in masks:
+        above_some |= mask
+        if not mask:
+            maximal += 1
+    lower = max(n - bitset.popcount(above_some), maximal)
+    return lower, n - size, greedy
+
+
+def width_matching(
+    masks: Sequence[int], start: Optional[Sequence[int]] = None
+) -> Tuple[int, List[int]]:
+    """The width of the relation with successor ``masks``, and the
+    maximum matching that proves it.
 
     The width is ``n`` minus the size of a maximum matching, found by
-    one unprioritized Kuhn batch: every maximum matching has the same
-    size, and on the reuse orders the allocator measures Kuhn's
-    augmenting DFS beats Hopcroft–Karp's layered phases.  The matching
-    is an index array: entry ``i`` is the index matched to element
-    ``i``'s left copy, or -1.
+    Kuhn's augmenting DFS: every maximum matching has the same size, and
+    on the reuse orders the allocator measures Kuhn beats Hopcroft–Karp's
+    layered phases.  ``start``, a valid matching (index array, -1 =
+    unmatched), warm-starts it: Kuhn's algorithm started from any valid
+    matching ends at a maximum one, and only the lefts ``start`` leaves
+    unmatched are augmented from.  The returned matching is an index
+    array in the same form.
     """
-    n = len(order.elements)
-    matcher = bitset.BitsetKuhn(n)
-    matcher.add_batch((i, mask) for i, mask in enumerate(order.masks) if mask)
+    n = len(masks)
+    if start is None:
+        matcher = bitset.BitsetKuhn(n)
+        matcher.add_batch((i, mask) for i, mask in enumerate(masks) if mask)
+    else:
+        match_right = [-1] * n
+        for i, j in enumerate(start):
+            if j >= 0:
+                match_right[j] = i
+        matcher = bitset.BitsetKuhn.from_state(masks, start, match_right)
+        matcher.maximize()
     return n - matcher.size, matcher.match_left
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.ir.instructions import Instruction
-from repro.ir.opcodes import Opcode, default_fu_class
+from repro.ir.opcodes import PSEUDO_OPS, Opcode, default_fu_class
 
 
 def default_reg_class(value: str) -> str:
@@ -106,25 +106,59 @@ class MachineModel:
         for cls, count in self.registers.items():
             if count < 1:
                 raise MachineConfigError(f"register class {cls!r} needs >= 1")
+        self._fill_tables()
+
+    # The lookup tables are derived state, not fields: equality,
+    # hashing, ``repr`` and the pickled bytes (pool workers, the serve
+    # cache) stay those of the fields, and unpickling refills them.  They
+    # are keyed by the opcode's value string, whose hash is cached, where
+    # an ``Opcode`` member hashes through ``Enum.__hash__`` on every
+    # lookup.
+    def _fill_tables(self) -> None:
+        fu_by_op: Dict[str, FUClass] = {}
+        latency_by_op: Dict[str, int] = {}
+        for op in Opcode:
+            for fu in self.fu_classes:
+                if fu.executes(op):
+                    fu_by_op[op._value_] = fu
+                    latency_by_op[op._value_] = fu.latency
+                    break
+            if op in PSEUDO_OPS:
+                latency_by_op[op._value_] = 0
+        object.__setattr__(
+            self, "_fu_by_name", {fu.name: fu for fu in self.fu_classes}
+        )
+        object.__setattr__(self, "_fu_by_op", fu_by_op)
+        object.__setattr__(self, "_latency_by_op", latency_by_op)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        for table in ("_fu_by_name", "_fu_by_op", "_latency_by_op"):
+            del state[table]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._fill_tables()
 
     # ------------------------------------------------------------------
     def fu_class(self, name: str) -> FUClass:
-        for fu in self.fu_classes:
-            if fu.name == name:
-                return fu
-        raise KeyError(name)
+        return self._fu_by_name[name]
 
     def fu_class_for(self, op: Opcode) -> FUClass:
         """The FU class that executes ``op`` (first match wins)."""
-        for fu in self.fu_classes:
-            if fu.executes(op):
-                return fu
-        raise MachineConfigError(f"no FU class executes {op!r}")
+        fu = self._fu_by_op.get(op._value_)
+        if fu is None:
+            raise MachineConfigError(f"no FU class executes {op!r}")
+        return fu
 
     def latency_of(self, inst: Instruction) -> int:
-        if inst.is_pseudo:
-            return 0
-        return self.fu_class_for(inst.op).latency
+        """Cycles ``inst`` takes: 0 for a pseudo op, else its class's
+        latency."""
+        latency = self._latency_by_op.get(inst.op._value_)
+        if latency is None:
+            raise MachineConfigError(f"no FU class executes {inst.op!r}")
+        return latency
 
     @property
     def total_fus(self) -> int:

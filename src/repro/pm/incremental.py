@@ -16,29 +16,34 @@ scores the result, and rolls back.  A trial costs what it changed:
   candidate that can still win gets its critical path computed.
 * **Node-inserting journals** (spill, remat) rebuild each class's
   relation with :func:`~repro.core.measure.reuse_orders`, the builder
-  ``measure_all`` uses, and re-match it warm: the committed matching,
-  mapped by uid or value name and restricted to the pairs still in the
-  new relation, is a valid matching of it, and Kuhn's algorithm started
-  from any valid matching ends at a maximum one.  No hammock analysis
-  and no chain decomposition are built.
+  ``measure_all`` uses, and score it by a greedy chain cover first: the
+  committed matching of an excessive class, mapped by uid or value name
+  and restricted to the pairs still in the new relation, is a valid
+  matching of it, extended greedily (a fitting class starts empty).
+  A cover that fits ``available`` proves the excess 0; otherwise
+  Kuhn's algorithm, started from that valid matching, ends at a maximum
+  one.  No hammock analysis and no chain decomposition are built.
 
 An edges-only journal is scored against per-class snapshots taken at
-the last committed measurement:
+the last committed measurement.  Only an excessive class's snapshot
+holds a matching; the snapshot reads no exact width of a class that
+fits.
 
 * **Functional units** — adding sequence edges only grows reachability,
   so the reuse relation gains pairs and its width never increases.  A
   class with no excess stays excess-free (exact, no work); a class whose
-  relevant reachability did not change keeps its width exactly; anything
-  else re-maximizes the committed width's matching *warm-started* with
+  relevant reachability did not change keeps its excess exactly;
+  anything else re-maximizes the committed matching *warm-started* with
   only the delta pairs the transaction's closure journal exposes.
 * **Registers** — if no value's def or use changed reachability and no
   contested ``Kill()`` candidate could have moved in the ASAP order, the
-  base width is exact.  Otherwise ``Kill()`` is re-selected: an
-  unchanged assignment means the reuse relation grew monotonically
-  (warm-startable); a changed one rebuilds that class's relation
-  (*cold*), re-matched from the restricted committed matching.
+  base excess is exact.  Otherwise ``Kill()`` is re-selected: an
+  unchanged assignment means the reuse relation grew monotonically, so
+  a fitting class stays fitting and an excessive one is warm-started; a
+  changed one rebuilds that class's relation (*cold*), scored as a
+  node-inserting journal's.
 
-Widths are what the driver's score needs; no chain decomposition is
+Excesses are what the driver's score needs; no chain decomposition is
 built here — a committed winner always gets a full ``measure_all`` at
 its new version, so trial shortcuts can never leak into downstream
 state.
@@ -54,9 +59,8 @@ from repro.core.kill import candidate_killers, select_kill
 from repro.core.measure import ResourceKind, ResourceRequirement, reuse_orders
 from repro.core.reuse import can_reuse_registers
 from repro.core.transforms.base import TransformCandidate, TransformError
-from repro.graph import bitset
 from repro.graph.dag import CycleError, DagTransaction, DependenceDAG
-from repro.graph.dilworth import PartialOrder
+from repro.graph.dilworth import PartialOrder, greedy_matching, width_matching
 from repro.machine.model import MachineModel
 
 
@@ -66,7 +70,8 @@ class TrialOutcome:
 
     weighted_excess: int
     critical_path: int
-    widths: Tuple[int, ...]
+    #: per-class excess, in snapshot (``measure_all``) order.
+    excesses: Tuple[int, ...]
 
 
 @dataclass
@@ -81,11 +86,13 @@ class _ClassBase:
     #: base relation as successor bitmasks, one per element index — a
     #: *copy* of the order's masks, safe to grow with delta pairs.
     masks: List[int]
-    #: the committed width's maximum matching, an index array (-1 =
-    #: unmatched).  Read-only: trials copy it before augmenting.
-    match_left: List[int]
-    width: int
+    #: the committed excess, as the requirement decides it.
+    excess: int
     available: int
+    #: an excessive class's maximum matching, an index array (-1 =
+    #: unmatched); None for a class that fits.  Read-only: trials copy
+    #: it before augmenting.
+    match_left: Optional[List[int]]
     # -- registers only -------------------------------------------------
     values: Optional[List] = None
     relevant: Optional[Set[int]] = None
@@ -101,19 +108,6 @@ _MODE_COUNTERS = {
     "warm": ("pm.trial.warm", "pm.trial.recomputed"),
     "cold": ("pm.trial.cold", "pm.trial.recomputed"),
 }
-
-
-def _maximum_width(adjacency: List[int], match_left: List[int]) -> int:
-    """Width of the order with successor masks ``adjacency``: Kuhn's
-    algorithm warm-started from ``match_left``, a valid matching of it
-    (index array, -1 = unmatched), ends at a maximum matching."""
-    match_right = [-1] * len(match_left)
-    for i, j in enumerate(match_left):
-        if j >= 0:
-            match_right[j] = i
-    matcher = bitset.BitsetKuhn.from_state(adjacency, match_left, match_right)
-    matcher.maximize()
-    return len(adjacency) - matcher.size
 
 
 class IncrementalMeasurer:
@@ -144,8 +138,7 @@ class IncrementalMeasurer:
             for kind in ResourceKind
         }
         self._base_weighted = sum(
-            self._weigh(base.req.kind, max(0, base.width - base.available))
-            for base in self._bases
+            self._weigh(base.req.kind, base.excess) for base in self._bases
         )
 
     def _weigh(self, kind: ResourceKind, excess: int) -> int:
@@ -157,15 +150,16 @@ class IncrementalMeasurer:
         self, dag: DependenceDAG, req: ResourceRequirement
     ) -> _ClassBase:
         elements = req.order.elements
+        excess = req.excess
         base = _ClassBase(
             req=req,
             elements=elements,
             element_set=set(elements),
             eidx=req.order.index,
             masks=list(req.order.masks),
-            match_left=req.matching,
-            width=req.required,
+            excess=excess,
             available=req.available,
+            match_left=req.matching if excess else None,
         )
         if req.kind is ResourceKind.REGISTER:
             values = list((req.values or {}).values())
@@ -222,13 +216,12 @@ class IncrementalMeasurer:
             obs.count(
                 "pm.trial.full" if txn.adds_nodes else "pm.trial.incremental"
             )
-            widths = [0] * len(self._bases)
+            excesses = [0] * len(self._bases)
             weighted = 0
             for kind in (ResourceKind.REGISTER, ResourceKind.FUNCTIONAL_UNIT):
-                for index, width in self._class_widths(dag, txn, kind):
-                    widths[index] = width
-                    available = self._bases[index].available
-                    weighted += self._weigh(kind, max(0, width - available))
+                for index, excess in self._class_excesses(dag, txn, kind):
+                    excesses[index] = excess
+                    weighted += self._weigh(kind, excess)
                     if kind is ResourceKind.FUNCTIONAL_UNIT and weighted > limit:
                         break
                 if weighted > limit:
@@ -238,16 +231,16 @@ class IncrementalMeasurer:
             return TrialOutcome(
                 weighted_excess=weighted,
                 critical_path=cp,
-                widths=tuple(widths),
+                excesses=tuple(excesses),
             )
         finally:
             if txn.active:
                 txn.rollback()
 
-    def _class_widths(
+    def _class_excesses(
         self, dag: DependenceDAG, txn: DagTransaction, kind: ResourceKind
     ) -> Iterator[Tuple[int, int]]:
-        """``(snapshot index, width)`` of every class of ``kind``, in
+        """``(snapshot index, excess)`` of every class of ``kind``, in
         snapshot order, each computed when it is drawn.
 
         A journal that inserted nodes rebuilds each class's relation with
@@ -257,45 +250,63 @@ class IncrementalMeasurer:
         if txn.adds_nodes:
             orders = reuse_orders(dag, self.machine, kind)
             for index, order in zip(indices, orders):
-                yield index, self._restricted_width(self._bases[index], order)
+                yield index, self._rebuilt_excess(self._bases[index], order)
             return
-        score = self._fu_width if kind is ResourceKind.FUNCTIONAL_UNIT else (
-            self._reg_width
+        score = self._fu_excess if kind is ResourceKind.FUNCTIONAL_UNIT else (
+            self._reg_excess
         )
         for index in indices:
-            width, mode = score(dag, txn, self._bases[index])
+            excess, mode = score(dag, txn, self._bases[index])
             for counter in _MODE_COUNTERS[mode]:
                 obs.count(counter)
-            yield index, width
+            yield index, excess
 
     # ------------------------------------------------------------------
-    def _warm_width(
+    def _warm_excess(
         self, base: _ClassBase, delta_pairs: List[Tuple]
     ) -> int:
-        """Width after growing the relation by ``delta_pairs``, by
-        augmenting the base maximum matching (never unmatching).
+        """Excess after growing an excessive class's relation by
+        ``delta_pairs``, by augmenting the base maximum matching (never
+        unmatching).
 
         The snapshot's masks are ORed with the journal-delta bits and the
-        committed width's matching is re-maximized — only the lefts it
-        left unmatched are augmented from."""
+        committed matching is re-maximized — only the lefts it left
+        unmatched are augmented from."""
         eidx = base.eidx
         adjacency = list(base.masks)
         for a, b in delta_pairs:
             adjacency[eidx[a]] |= 1 << eidx[b]
-        return _maximum_width(adjacency, base.match_left)
+        width, _ = width_matching(adjacency, base.match_left)
+        return max(0, width - base.available)
 
-    def _restricted_width(self, base: _ClassBase, order: PartialOrder) -> int:
-        """Width of a rebuilt relation, warm-started from the committed
-        matching restricted to the pairs still in it.
+    def _rebuilt_excess(self, base: _ClassBase, order: PartialOrder) -> int:
+        """Excess of a rebuilt relation: zero when :meth:`_upper_bound`'s
+        chain cover already fits, else the exact width's — Kuhn's
+        algorithm started from the cover's matching, a valid one, ends
+        at a maximum one."""
+        upper, start = self._upper_bound(base, order)
+        if upper <= base.available:
+            return 0
+        width, _ = width_matching(order.masks, start)
+        return max(0, width - base.available)
+
+    @staticmethod
+    def _upper_bound(
+        base: _ClassBase, order: PartialOrder
+    ) -> Tuple[int, List[int]]:
+        """A chain cover's size for a rebuilt relation, and the matching
+        behind it: the committed matching restricted to the pairs still
+        in the relation (when the class had one), extended greedily.
 
         Elements are uids (FU classes) or value names (registers), so
         the snapshot's pairs map onto the new relation by element; a
         pair whose ends are both present and still related is kept.
-        What is kept is a valid matching of the new relation, and Kuhn's
-        algorithm started from any valid matching ends at a maximum
-        one, so the width is exact."""
-        index = order.index
+        What is kept is a valid matching of the new relation."""
         masks = order.masks
+        if base.match_left is None:
+            size, matching = greedy_matching(masks)
+            return len(masks) - size, matching
+        index = order.index
         old = base.elements
         match_left = [-1] * len(order.elements)
         for i, j in enumerate(base.match_left):
@@ -305,25 +316,26 @@ class IncrementalMeasurer:
             b = index.get(old[j])
             if a is not None and b is not None and masks[a] >> b & 1:
                 match_left[a] = b
-        return _maximum_width(masks, match_left)
+        size, matching = greedy_matching(masks, match_left)
+        return len(masks) - size, matching
 
-    def _fu_width(
+    def _fu_excess(
         self, dag: DependenceDAG, txn: DagTransaction, base: _ClassBase
     ) -> Tuple[int, str]:
-        if base.width <= base.available:
+        if not base.excess:
             # Edge adds only shrink FU width: a fitting class stays
             # fitting, and its exact excess stays zero.
-            return base.width, "hit"
+            return 0, "hit"
         delta_pairs: List[Tuple[int, int]] = []
         for a in sorted(txn.changed_nodes() & base.element_set):
             for b in sorted(txn.new_descendants(a) & base.element_set):
                 delta_pairs.append((a, b))
         if not delta_pairs:
-            return base.width, "hit"
-        return self._warm_width(base, delta_pairs), "warm"
+            return base.excess, "hit"
+        return self._warm_excess(base, delta_pairs), "warm"
 
     # ------------------------------------------------------------------
-    def _reg_width(
+    def _reg_excess(
         self, dag: DependenceDAG, txn: DagTransaction, base: _ClassBase
     ) -> Tuple[int, str]:
         changed = txn.changed_nodes()
@@ -333,17 +345,21 @@ class IncrementalMeasurer:
             # No def/use reachability moved and no contested Kill()
             # candidate could have shifted in the ASAP tie-break: the
             # assignment and the relation are both unchanged.
-            return base.width, "hit"
+            return base.excess, "hit"
 
         values = base.values or []
         kill_new = select_kill(dag, values)
         if kill_new.kill == base.kill_dict:
+            # An unchanged Kill() only grows the relation, so a fitting
+            # class stays fitting.
+            if not base.excess:
+                return 0, "hit"
             delta_pairs = self._reg_delta_pairs(txn, base)
             if not delta_pairs:
-                return base.width, "hit"
-            return self._warm_width(base, delta_pairs), "warm"
+                return base.excess, "hit"
+            return self._warm_excess(base, delta_pairs), "warm"
         order = can_reuse_registers(dag, values, kill_new.kill)
-        return self._restricted_width(base, order), "cold"
+        return self._rebuilt_excess(base, order), "cold"
 
     def _asap_sensitive(
         self, dag: DependenceDAG, txn: DagTransaction, base: _ClassBase

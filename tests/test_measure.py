@@ -13,7 +13,7 @@ from repro.core.measure import (
 )
 from repro.core.transforms.spill import spill_slot_for
 from repro.graph.dag import DependenceDAG
-from repro.graph.dilworth import closure_from_dag_pairs, width
+from repro.graph.dilworth import closure_from_dag_pairs, width, width_matching
 from repro.graph.hammock import HammockAnalysis
 from repro.ir.parser import parse_trace
 from repro.machine import preset
@@ -245,19 +245,19 @@ def _required(dag, machine):
 
 
 def _trial_widths(dag, machine, committed):
-    """Every class's width as a node-inserting trial computes it: each
-    relation rebuilt by ``reuse_orders`` (registers first, as the trial
-    does), re-matched from the ``committed`` measurement's matching
-    restricted to it."""
+    """Every class's width as a node-inserting trial computes it when its
+    chain cover does not fit: each relation rebuilt by ``reuse_orders``
+    (registers first, as the trial does), re-matched from the cover's
+    matching — the ``committed`` measurement's restricted to it and
+    extended greedily."""
     measurer = IncrementalMeasurer(machine)
     measurer.rebase(dag, committed)
     widths = [None] * len(committed)
     for kind in (ResourceKind.REGISTER, ResourceKind.FUNCTIONAL_UNIT):
         orders = reuse_orders(dag, machine, kind)
         for index, order in zip(measurer._indices[kind], orders):
-            widths[index] = measurer._restricted_width(
-                measurer._bases[index], order
-            )
+            _, start = measurer._upper_bound(measurer._bases[index], order)
+            widths[index] = width_matching(order.masks, start)[0]
     return widths
 
 

@@ -149,8 +149,8 @@ class TestIncrementalTrialFuzz:
                     assert weighted >= base_excess
                 else:
                     trial = {
-                        (b.req.kind, b.req.cls): max(0, w - b.available)
-                        for b, w in zip(measurer._bases, outcome.widths)
+                        (b.req.kind, b.req.cls): excess
+                        for b, excess in zip(measurer._bases, outcome.excesses)
                     }
                     assert trial == scratch, (
                         f"dag {index} [{candidate.kind}] "
