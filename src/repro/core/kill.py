@@ -157,8 +157,7 @@ def select_kill(
 
 
 # ======================================================================
-# Set-cover cores (bitmask).  The public ``_greedy_min_cover`` /
-# ``_exact_min_cover`` wrappers keep the historical frozenset signature.
+# Set-cover cores (bitmask).
 # ======================================================================
 def _greedy_cover_masks(
     universe_mask: int,
@@ -207,9 +206,13 @@ def _exact_cover_masks(
     """Branch-and-bound cover plus a flag: True when the search finished
     (the result is provably minimum), False when a budget cut it short.
 
-    Same search tree as the historical frozenset version: nodes ordered
-    by descending coverage (ties by ascending id, via stable sort), the
-    greedy seed as incumbent, identical bounds and budget checks.
+    Same search tree as the oracle's frozenset version
+    (``reference._exact_cover_sets``): nodes ordered by descending
+    coverage (ties by ascending id, via stable sort), the greedy seed as
+    incumbent, identical bounds and budget checks.  The search is
+    budgeted (``node_budget`` tree nodes plus the active deadline); on
+    exhaustion it returns the best cover found so far, which is never
+    worse than the greedy seed.
     """
     best_solution = _greedy_cover_masks(universe_mask, nodes, cover_masks)
     best_size = len(best_solution)
@@ -256,59 +259,3 @@ def _exact_cover_masks(
 
     search(0, [], 0)
     return best_solution, not truncated
-
-
-# ======================================================================
-# Frozenset-signature wrappers (kept for callers and the test suite).
-# ======================================================================
-def _masks_from_covers(
-    universe: List[str], covers: Mapping[int, FrozenSet[str]]
-) -> Tuple[int, Dict[int, int]]:
-    value_bit = {name: i for i, name in enumerate(universe)}
-    cover_masks = {
-        node: bitset.mask_of(value_bit[name] for name in names)
-        for node, names in covers.items()
-    }
-    return (1 << len(universe)) - 1, cover_masks
-
-
-def _greedy_min_cover(
-    universe: List[str],
-    nodes: List[int],
-    covers: Mapping[int, FrozenSet[str]],
-) -> List[int]:
-    """Classical ln(n)-approximate greedy set cover."""
-    universe_mask, cover_masks = _masks_from_covers(universe, covers)
-    return _greedy_cover_masks(universe_mask, nodes, cover_masks)
-
-
-def _exact_min_cover(
-    universe: List[str],
-    nodes: List[int],
-    covers: Mapping[int, FrozenSet[str]],
-    node_budget: int = EXACT_COVER_NODE_BUDGET,
-) -> List[int]:
-    """Exact minimum cover by branch-and-bound on the candidate nodes.
-
-    The search is budgeted (``node_budget`` tree nodes plus the active
-    deadline); on exhaustion it returns the best cover found so far,
-    which is never worse than the greedy seed.
-    """
-    solution, _ = _exact_min_cover_budgeted(
-        universe, nodes, covers, node_budget=node_budget
-    )
-    return solution
-
-
-def _exact_min_cover_budgeted(
-    universe: List[str],
-    nodes: List[int],
-    covers: Mapping[int, FrozenSet[str]],
-    node_budget: int = EXACT_COVER_NODE_BUDGET,
-) -> Tuple[List[int], bool]:
-    """Branch-and-bound cover plus a flag: True when the search finished
-    (the result is provably minimum), False when a budget cut it short."""
-    universe_mask, cover_masks = _masks_from_covers(universe, covers)
-    return _exact_cover_masks(
-        universe_mask, nodes, cover_masks, node_budget=node_budget
-    )

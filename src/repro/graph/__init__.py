@@ -1,7 +1,7 @@
 """Graph substrate: dependence DAGs, hammocks, matching, Dilworth."""
 
 from repro.graph import bitset
-from repro.graph.bitset import BitsetKuhn, hopcroft_karp_masks, koenig_cover_masks
+from repro.graph.bitset import koenig_cover_masks
 from repro.graph.dag import CycleError, DependenceDAG, EdgeKind
 from repro.graph.dilworth import (
     ChainDecomposition,
@@ -15,7 +15,6 @@ from repro.graph.dilworth import (
 from repro.graph.hammock import Hammock, HammockAnalysis
 
 __all__ = [
-    "BitsetKuhn",
     "ChainDecomposition",
     "CycleError",
     "DependenceDAG",
@@ -26,7 +25,6 @@ __all__ = [
     "PartialOrderError",
     "bitset",
     "closure_from_dag_pairs",
-    "hopcroft_karp_masks",
     "koenig_cover_masks",
     "maximum_antichain",
     "minimum_chain_decomposition",

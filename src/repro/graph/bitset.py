@@ -12,24 +12,22 @@ big-int ops that the interpreter executes 64 bits at a time, which is
 where the measured ~10x over the dict-of-sets loops comes from (see
 ``docs/performance.md`` and ``BENCH_measurement_scaling.json``).
 
-Two matchers are provided; each replicates, in index space, the
-dict-of-sets matcher kept in :mod:`repro.reference` (the oracle the
-property fuzz and the measurement benchmark compare against):
+One matcher is provided, :class:`BitsetKuhn` — priority-batched Kuhn
+augmentation, the index-space replica of the dict-of-sets
+``reference.PrioritizedMatcher`` kept in :mod:`repro.reference` (the
+oracle the property fuzz and the measurement benchmark compare
+against): same left iteration order, same DFS neighbour order, hence
+the *same matching* and the same chain decomposition.  It serves every
+matching in the measurement core through :mod:`repro.graph.dilworth`:
+hammock-prioritized decompositions (``core/measure.py``), one
+unprioritized batch, and cold or warm-started exact widths
+(``dilworth.width_matching``).  :func:`koenig_cover_masks` turns any of
+its maximum matchings into the same König cover, and hence the same
+maximum antichain.
 
-* :class:`BitsetKuhn` — priority-batched Kuhn augmentation, mirroring
-  ``reference.PrioritizedMatcher`` bit for bit: same left iteration
-  order, same DFS neighbour order, hence the *same matching* and the
-  same chain decomposition.  Used wherever the paper's hammock-priority
-  scheme is load-bearing (``core/measure.py``), and unprioritized,
-  cold or warm-started, for ``dilworth.width_matching``.
-* :func:`hopcroft_karp_masks` — Hopcroft–Karp with bitmask adjacency
-  and batched BFS frontier masks, mirroring ``reference.hopcroft_karp``.
-  The default matcher for unprioritized decompositions, and the kernel
-  behind antichains via :func:`koenig_cover_masks`.
-
-Both honour the active :mod:`repro.resilience` deadline: stopping early
-leaves a valid (possibly non-maximum) matching, which overestimates
-chain counts — the conservative direction.
+The matcher honours the active :mod:`repro.resilience` deadline:
+stopping early leaves a valid (possibly non-maximum) matching, which
+overestimates chain counts — the conservative direction.
 """
 
 from __future__ import annotations
@@ -122,9 +120,11 @@ class BitsetKuhn:
         match_left: Sequence[int],
         match_right: Sequence[int],
     ) -> "BitsetKuhn":
-        """Warm-start from an existing matching (incremental re-measure):
-        adjacency is one mask per left, and only still-unmatched lefts
-        will be augmented from."""
+        """Start from an existing matching — all ``-1`` for a cold start,
+        a cached one for a warm start: adjacency is one mask per left,
+        and only still-unmatched lefts, in index order, will be
+        augmented from (exactly the rows and order one ``add_batch`` of
+        every nonempty row would give)."""
         n = len(adj)
         matcher = cls(n)
         for i, mask in enumerate(adj):
@@ -323,118 +323,6 @@ class BitsetKuhn:
         return self.n - self.match_left.count(-1)
 
 
-# ======================================================================
-# Hopcroft–Karp with batched BFS frontier masks.
-# ======================================================================
-def hopcroft_karp_masks(
-    n_left: int,
-    n_right: int,
-    adj: Sequence[int],
-) -> Tuple[List[int], List[int]]:
-    """Maximum matching over bitmask adjacency; returns ``(match_left,
-    match_right)`` index arrays (-1 = unmatched).
-
-    Index-space replica of :func:`repro.reference.hopcroft_karp`
-    for adjacency sorted ascending per left (which is how
-    ``PartialOrder`` enumerates pairs), so both produce the same
-    matching — and hence the same König cover and the same antichain.
-    The BFS processes whole layers as frontier masks: one OR per left
-    per phase instead of one queue entry per edge.
-    """
-    INF = n_left + n_right + 1
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0] * n_left
-    deadline = budgets.active_deadline()
-
-    while True:
-        # -- BFS phase: layer the unmatched lefts, batching each layer's
-        # reachable rights into one frontier mask.
-        frontier: List[int] = []
-        for u in range(n_left):
-            if match_l[u] < 0:
-                dist[u] = 0
-                frontier.append(u)
-            else:
-                dist[u] = INF
-        visited_r = 0
-        found = False
-        depth = 0
-        while frontier:
-            reach = 0
-            for u in frontier:
-                reach |= adj[u]
-            reach &= ~visited_r
-            visited_r |= reach
-            nxt: List[int] = []
-            mask = reach
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                owner = match_r[low.bit_length() - 1]
-                if owner < 0:
-                    found = True
-                elif dist[owner] == INF:
-                    dist[owner] = depth + 1
-                    nxt.append(owner)
-            frontier = nxt
-            depth += 1
-        if not found:
-            break
-        if deadline is not None and deadline.tick():
-            _degraded("matching.hopcroft_karp")
-            break
-        for u in range(n_left):
-            if match_l[u] < 0:
-                _hk_dfs(u, adj, match_l, match_r, dist, INF)
-
-    matched = n_left - match_l.count(-1)
-    obs.count("matching.hk_calls")
-    obs.peak("matching.size_peak", matched)
-    return match_l, match_r
-
-
-def _hk_dfs(
-    root: int,
-    adj: Sequence[int],
-    match_l: List[int],
-    match_r: List[int],
-    dist: List[int],
-    INF: int,
-) -> bool:
-    """Iterative layered DFS (recursion-free, so N=1024+ is safe)."""
-    stack: List[List[int]] = [[root, adj[root]]]
-    chosen: List[int] = []  # right tentatively taken by each frame
-    while stack:
-        frame = stack[-1]
-        u, remaining = frame
-        advanced = False
-        while remaining:
-            low = remaining & -remaining
-            remaining &= ~low
-            right = low.bit_length() - 1
-            owner = match_r[right]
-            if owner < 0:
-                # Success: flip the whole alternating path on the stack.
-                chosen.append(right)
-                for (left, _), taken in zip(stack, chosen):
-                    match_l[left] = taken
-                    match_r[taken] = left
-                return True
-            if dist[owner] == dist[u] + 1:
-                frame[1] = remaining
-                chosen.append(right)
-                stack.append([owner, adj[owner]])
-                advanced = True
-                break
-        if not advanced:
-            dist[u] = INF
-            stack.pop()
-            if chosen:
-                chosen.pop()
-    return False
-
-
 def koenig_cover_masks(
     n_left: int,
     adj: Sequence[int],
@@ -445,8 +333,12 @@ def koenig_cover_masks(
 
     Returns ``(visited_left, visited_right)`` masks; the minimum vertex
     cover is (matched lefts not visited) ∪ (visited rights), exactly as
-    :func:`repro.reference.minimum_vertex_cover` computes it — the
-    visited sets depend only on the matching, not on traversal order.
+    :func:`repro.reference.minimum_vertex_cover` computes it.  The
+    visited sets depend only on the matching, not on traversal order;
+    and for a *maximum* matching not even on which one
+    (Dulmage–Mendelsohn: the vertices alternating paths reach from
+    unmatched lefts are the same under every maximum matching), so any
+    maximum matcher yields the same cover and the same antichain.
     """
     visited_l = 0
     visited_r = 0

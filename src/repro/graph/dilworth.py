@@ -7,24 +7,24 @@ requirements by decomposing the *reuse* partial order of each resource
 into a minimum set of allocation chains via bipartite matching [FoF65].
 
 The relation itself is stored as packed int bitmasks — one bit per
-element, positions given by :attr:`PartialOrder.index` — and the default
-matchers run directly on those masks (:mod:`repro.graph.bitset`):
-Hopcroft–Karp for plain decompositions and antichains; the batched Kuhn
-matcher for exact widths (:func:`width_matching`, cold or warm-started)
-and wherever the paper's hammock-priority insertion order is
-load-bearing.  :func:`width_bounds` brackets a width with no matcher at
-all: a greedy chain cover above, an antichain below.  The dict-of-sets
-view (``above``) is materialized lazily for callers that still want it.  The original
-dict-based kernels live on in :mod:`repro.reference`, the oracle the
-property fuzz and the measurement benchmark compare against; both produce
-bit-identical decompositions, antichains, and widths.
+element, positions given by :attr:`PartialOrder.index` — and one matcher
+runs directly on those masks, the batched Kuhn matcher of
+:mod:`repro.graph.bitset`: in hammock-priority batches where the paper's
+insertion order is load-bearing, in one batch for plain decompositions,
+cold or warm-started for exact widths (:func:`width_matching`), and under
+König's construction for antichains.  :func:`width_bounds` brackets a
+width with no matcher at all: a greedy chain cover above, an antichain
+below.  The dict-of-sets view (``above``) is materialized lazily for
+callers that still want it.  The original dict-based kernels live on in
+:mod:`repro.reference`, the oracle the property fuzz and the measurement
+benchmark compare against; both produce bit-identical decompositions,
+antichains, and widths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -276,7 +276,6 @@ class ChainDecomposition:
 
 def minimum_chain_decomposition(
     order: PartialOrder,
-    priority: Optional[Callable[[Element, Element], int]] = None,
     levels: Optional[Mapping[Element, int]] = None,
 ) -> ChainDecomposition:
     """Minimum chain decomposition via maximum bipartite matching [FoF65].
@@ -285,16 +284,14 @@ def minimum_chain_decomposition(
     and an edge for every related pair; a maximum matching of size ``m``
     yields ``n - m`` chains by following matched successor links.
 
-    ``priority(a, b)`` (smaller = earlier batch) enables the paper's
+    ``levels`` (hammock nesting depth per element) enables the paper's
     hammock-aware insertion order, which makes the decomposition minimal
-    for nested hammocks as well as the whole DAG.  ``levels`` is the fast
-    spelling of the same scheme for the standard priority
-    ``abs(level(a) - level(b))`` (hammock nesting depth): batches are
-    formed by mask intersection instead of one callback per pair.
+    for nested hammocks as well as the whole DAG: edges are inserted in
+    batches of increasing priority ``abs(level(a) - level(b))``, formed
+    by mask intersection.  Without ``levels`` every edge goes in one
+    batch.
     """
-    if priority is not None and levels is not None:
-        raise ValueError("pass either priority or levels, not both")
-    match = _bitset_match(order, priority, levels)
+    match = _bitset_match(order, levels)
     obs.count("dilworth.decompositions")
     obs.count("dilworth.matched_pairs", len(match))
     return ChainDecomposition.from_successors(order, match)
@@ -302,73 +299,51 @@ def minimum_chain_decomposition(
 
 def _bitset_match(
     order: PartialOrder,
-    priority: Optional[Callable[[Element, Element], int]],
     levels: Optional[Mapping[Element, int]],
 ) -> Dict[Element, Element]:
-    """Mask-native matching: Hopcroft–Karp when unprioritized, the
-    priority-batched Kuhn replica otherwise."""
+    """Mask-native priority-batched Kuhn matching; no ``levels`` puts
+    every element on one level, so every row lands in batch 0."""
     n = len(order.elements)
     elements = order.elements
     masks = order.masks
-    if priority is None and levels is None:
-        match_left, _ = bitset.hopcroft_karp_masks(n, n, masks)
-        return {
-            elements[i]: elements[j]
-            for i, j in enumerate(match_left)
-            if j >= 0
-        }
-
     matcher = bitset.BitsetKuhn(n)
-    if levels is not None:
-        # Standard hammock priority abs(level(a) - level(b)): batch p
-        # selects, per left, the successors whose level differs by
-        # exactly p — two dict lookups and one AND per left per batch.
-        level_of = [levels[e] for e in elements]
-        buckets: Dict[int, int] = {}
-        for i, lvl in enumerate(level_of):
-            buckets[lvl] = buckets.get(lvl, 0) | (1 << i)
-        if buckets:
-            span = max(buckets) - min(buckets)
-            # Lefts with successor bits not yet emitted, ascending (the
-            # batch row order the Kuhn replica relies on); each batch
-            # subtracts what it emitted so exhausted lefts drop out.
-            pending = [(i, masks[i]) for i in range(n) if masks[i]]
-            for p in range(span + 1):
-                # selector depends only on the left's level: resolve the
-                # two bucket lookups once per level, not once per left.
-                if p == 0:
-                    selector_at = dict(buckets)
-                else:
-                    selector_at = {
-                        lvl: buckets.get(lvl - p, 0) | buckets.get(lvl + p, 0)
-                        for lvl in buckets
-                    }
-                rows: List[Tuple[int, int]] = []
-                remaining: List[Tuple[int, int]] = []
-                for i, mask in pending:
-                    row = mask & selector_at[level_of[i]]
-                    if row:
-                        rows.append((i, row))
-                        mask &= ~row
-                        if not mask:
-                            continue
-                    remaining.append((i, mask))
-                pending = remaining
-                if rows:
-                    matcher.add_batch(rows)
-                if not pending:
-                    break
-    else:
-        # Arbitrary callable: batch in pairs() order, so the callable
-        # sees one call per related pair in a deterministic sequence.
-        index = order.index
-        batches: Dict[int, Dict[int, int]] = {}
-        for a, b in order.pairs():
-            rows_by_left = batches.setdefault(priority(a, b), {})
-            ia = index[a]
-            rows_by_left[ia] = rows_by_left.get(ia, 0) | (1 << index[b])
-        for key in sorted(batches):
-            matcher.add_batch(batches[key].items())
+    # Batch p selects, per left, the successors whose level differs by
+    # exactly p — two dict lookups and one AND per left per batch.
+    level_of = [0] * n if levels is None else [levels[e] for e in elements]
+    buckets: Dict[int, int] = {}
+    for i, lvl in enumerate(level_of):
+        buckets[lvl] = buckets.get(lvl, 0) | (1 << i)
+    if buckets:
+        span = max(buckets) - min(buckets)
+        # Lefts with successor bits not yet emitted, ascending (the
+        # batch row order the Kuhn replica relies on); each batch
+        # subtracts what it emitted so exhausted lefts drop out.
+        pending = [(i, masks[i]) for i in range(n) if masks[i]]
+        for p in range(span + 1):
+            # selector depends only on the left's level: resolve the
+            # two bucket lookups once per level, not once per left.
+            if p == 0:
+                selector_at = dict(buckets)
+            else:
+                selector_at = {
+                    lvl: buckets.get(lvl - p, 0) | buckets.get(lvl + p, 0)
+                    for lvl in buckets
+                }
+            rows: List[Tuple[int, int]] = []
+            remaining: List[Tuple[int, int]] = []
+            for i, mask in pending:
+                row = mask & selector_at[level_of[i]]
+                if row:
+                    rows.append((i, row))
+                    mask &= ~row
+                    if not mask:
+                        continue
+                remaining.append((i, mask))
+            pending = remaining
+            if rows:
+                matcher.add_batch(rows)
+            if not pending:
+                break
     return {
         elements[i]: elements[j]
         for i, j in enumerate(matcher.match_left)
@@ -376,19 +351,29 @@ def _bitset_match(
     }
 
 
+def _inverse(match_left: Sequence[int]) -> List[int]:
+    """The right -> left index array of a left -> right matching."""
+    match_right = [-1] * len(match_left)
+    for i, j in enumerate(match_left):
+        if j >= 0:
+            match_right[j] = i
+    return match_right
+
+
 def maximum_antichain(order: PartialOrder) -> Set[Element]:
     """An antichain of maximum size, via König's theorem.
 
     By Dilworth, its size equals the width returned by
     :func:`minimum_chain_decomposition`.  The antichain is a deterministic
-    function of the order (the allocator's fallback candidates are built
-    from its members).
+    function of the order, whichever maximum matching König's
+    construction starts from (see :func:`bitset.koenig_cover_masks`);
+    the allocator's fallback candidates are built from its members.
     """
     n = len(order.elements)
     masks = order.masks
-    match_left, match_right = bitset.hopcroft_karp_masks(n, n, masks)
+    _, match_left = width_matching(masks)
     visited_left, visited_right = bitset.koenig_cover_masks(
-        n, masks, match_left, match_right
+        n, masks, match_left, _inverse(match_left)
     )
     return {
         element
@@ -471,16 +456,11 @@ def width_matching(
     array in the same form.
     """
     n = len(masks)
-    if start is None:
-        matcher = bitset.BitsetKuhn(n)
-        matcher.add_batch((i, mask) for i, mask in enumerate(masks) if mask)
-    else:
-        match_right = [-1] * n
-        for i, j in enumerate(start):
-            if j >= 0:
-                match_right[j] = i
-        matcher = bitset.BitsetKuhn.from_state(masks, start, match_right)
-        matcher.maximize()
+    match_left = [-1] * n if start is None else start
+    matcher = bitset.BitsetKuhn.from_state(
+        masks, match_left, _inverse(match_left)
+    )
+    matcher.maximize()
     return n - matcher.size, matcher.match_left
 
 

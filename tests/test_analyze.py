@@ -481,6 +481,9 @@ class TestContractLint:
                 "import sys, multiprocessing\n"
                 "from multiprocessing.pool import Pool\n"
                 "from .multiprocessing import shim\n"
+                "from repro.graph.bitset import BitsetKuhn as Matcher\n"
+                "matcher = bitset.BitsetKuhn(4)\n"
+                "koenig = bitset.koenig_cover_masks\n"
             )
             # The oracle itself may import anything, including its own
             # package; only other modules are held to C004.
@@ -488,10 +491,17 @@ class TestContractLint:
             # The worker pool is the one module allowed to fork.
             (pkg / "serve").mkdir()
             (pkg / "serve" / "pool.py").write_text("import multiprocessing\n")
+            # The Dilworth front end is the one module allowed to match.
+            (pkg / "graph").mkdir()
+            (pkg / "graph" / "dilworth.py").write_text(
+                "from repro.graph import bitset\n"
+                "matcher = bitset.BitsetKuhn(4)\n"
+            )
             findings = lint_contracts.run(tmp_path)
             codes = sorted(f.code for f in findings)
             assert codes == [
                 "C001", "C002", "C004", "C004", "C005", "C005", "C006", "C006",
+                "C007", "C007",
             ]
         finally:
             sys.path.pop(0)

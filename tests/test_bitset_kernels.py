@@ -17,6 +17,8 @@ same trace get different uids and are not comparable.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import reference
 from repro.core.kill import select_kill
@@ -30,10 +32,12 @@ from repro.core.reuse import (
 from repro.graph import bitset
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import (
+    _inverse,
     closure_from_dag_pairs,
     maximum_antichain,
     minimum_chain_decomposition,
     width as dilworth_width,
+    width_matching,
 )
 from repro.machine.model import MachineModel
 from repro.workloads.random_dags import random_layered_trace
@@ -83,14 +87,10 @@ def measurement_key(requirements):
 class TestDecompositionIdentity:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_unprioritized_same_width_and_valid(self, seed):
-        # The unprioritized path intentionally swaps matchers (batched
-        # Hopcroft-Karp vs the oracle's Kuhn): chain *sets* may differ, the
-        # width may not — and bit-identity is reserved for the
-        # prioritized paths the measurement core uses (below).
         order = random_order(6 + seed * 3, 0.2 + 0.04 * (seed % 5), seed)
         fast = minimum_chain_decomposition(order)
         slow = reference.minimum_chain_decomposition(order)
-        assert len(fast.chains) == len(slow.chains)
+        assert decomposition_key(fast) == decomposition_key(slow)
         for decomposition in (fast, slow):
             seen = [e for chain in decomposition.chains for e in chain]
             assert sorted(seen) == sorted(order.elements)  # a partition
@@ -107,15 +107,6 @@ class TestDecompositionIdentity:
         assert decomposition_key(fast) == decomposition_key(slow)
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-    def test_priority_callable_matches_legacy(self, seed):
-        order = random_order(6 + seed * 2, 0.3, seed)
-        levels = random_levels(order, seed + 99)
-        priority = lambda a, b: abs(levels[a] - levels[b])  # noqa: E731
-        fast = minimum_chain_decomposition(order, priority=priority)
-        slow = reference.minimum_chain_decomposition(order, priority=priority)
-        assert decomposition_key(fast) == decomposition_key(slow)
-
-    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_antichain_identical_not_just_equal_sized(self, seed):
         order = random_order(8 + seed * 3, 0.22, seed)
         fast = maximum_antichain(order)
@@ -124,6 +115,56 @@ class TestDecompositionIdentity:
         width = len(minimum_chain_decomposition(order).chains)
         assert len(fast) == width  # Dilworth, both sides
         assert dilworth_width(order) == reference.width(order) == width
+
+
+def koenig_antichain(order, match_left):
+    """König's antichain from the index-array matching ``match_left``."""
+    visited_left, visited_right = bitset.koenig_cover_masks(
+        len(order.elements), order.masks, match_left, _inverse(match_left)
+    )
+    return {
+        element
+        for i, element in enumerate(order.elements)
+        if (match_left[i] < 0 or visited_left >> i & 1)
+        and not visited_right >> i & 1
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**30),
+    st.integers(0, 28),
+    st.floats(0.05, 0.6),
+    st.integers(0, 4),
+)
+def test_property_antichain_independent_of_maximum_matching(
+    seed, n, density, max_level
+):
+    """König's cover reaches the same vertices from every maximum
+    matching (Dulmage–Mendelsohn), so the antichain does not depend on
+    which matcher found the matching: a cold Kuhn matching, a
+    hammock-prioritized decomposition's successor links and the
+    oracle's Hopcroft–Karp matching all give ``maximum_antichain``."""
+    order = random_order(n, density, seed)
+    rng = random.Random(seed)
+    levels = {e: rng.randint(0, max_level) for e in order.elements}
+    index = order.index
+
+    _, cold = width_matching(order.masks)
+    successor = minimum_chain_decomposition(order, levels=levels).successor
+    prioritized = [
+        index[successor[e]] if e in successor else -1 for e in order.elements
+    ]
+    oracle = reference.hopcroft_karp(order.elements, order.pairs())
+    hopcroft_karp = [
+        index[oracle[e]] if e in oracle else -1 for e in order.elements
+    ]
+
+    antichain = maximum_antichain(order)
+    assert antichain == reference.maximum_antichain(order)
+    for matching in (cold, prioritized, hopcroft_karp):
+        assert koenig_antichain(order, matching) == antichain
+    assert len(antichain) == dilworth_width(order)
 
 
 class TestReuseRelationIdentity:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.bitset import hopcroft_karp_masks
+from repro import reference
 from repro.graph.dilworth import (
     ChainDecomposition,
     PartialOrder,
@@ -144,7 +144,7 @@ def test_property_prioritized_decomposition_still_minimal(seed, n):
     rng = random.Random(seed)
     plain = minimum_chain_decomposition(po)
     prioritized = minimum_chain_decomposition(
-        po, priority=lambda a, b: rng.randrange(3)
+        po, levels={e: rng.randrange(3) for e in po.elements}
     )
     prioritized.validate()
     assert prioritized.width == plain.width
@@ -159,13 +159,11 @@ def test_property_prioritized_decomposition_still_minimal(seed, n):
 )
 def test_property_width_needs_no_priority(seed, n, density, max_level):
     """One unprioritized Kuhn batch, the hammock-prioritized
-    decomposition and Hopcroft–Karp all find the same width: every
-    maximum matching has the same size (Theorem 1)."""
+    decomposition and the oracle's Hopcroft–Karp all find the same
+    width: every maximum matching has the same size (Theorem 1)."""
     po = random_dag_order(n, density, seed)
     rng = random.Random(seed)
     levels = {e: rng.randint(0, max_level) for e in po.elements}
-    match_left, _ = hopcroft_karp_masks(n, n, po.masks)
-    matched = n - match_left.count(-1)
     prioritized = minimum_chain_decomposition(po, levels=levels)
     prioritized.validate()
-    assert width(po) == prioritized.width == n - matched
+    assert width(po) == prioritized.width == reference.width(po)

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.kill import (
-    _exact_min_cover,
-    _greedy_min_cover,
+    _exact_cover_masks,
+    _greedy_cover_masks,
     candidate_killers,
     select_kill,
 )
 from repro.core.reuse import collect_values
+from repro.graph.bitset import mask_of
 from repro.graph.dag import DependenceDAG
 from repro.ir.parser import parse_trace
 
@@ -119,34 +120,37 @@ class TestDepthsOnlyOnTies:
 
 
 class TestMinCover:
+    """The bitmask set-cover cores: bit ``i`` of a cover mask is the
+    ``i``-th value of the universe."""
+
     def test_exact_beats_or_ties_greedy(self):
-        universe = ["u1", "u2", "u3", "u4"]
+        universe = mask_of(range(4))
         covers = {
-            1: frozenset({"u1", "u2"}),
-            2: frozenset({"u3", "u4"}),
-            3: frozenset({"u1", "u3"}),
-            4: frozenset({"u2"}),
-            5: frozenset({"u4"}),
+            1: mask_of([0, 1]),
+            2: mask_of([2, 3]),
+            3: mask_of([0, 2]),
+            4: mask_of([1]),
+            5: mask_of([3]),
         }
         nodes = sorted(covers)
-        exact = _exact_min_cover(universe, nodes, covers)
-        greedy = _greedy_min_cover(universe, nodes, covers)
+        exact, complete = _exact_cover_masks(universe, nodes, covers)
+        greedy = _greedy_cover_masks(universe, nodes, covers)
+        assert complete
         assert len(exact) <= len(greedy)
         assert len(exact) == 2
 
     def test_exact_on_greedy_trap(self):
         # Classic instance where greedy picks the big set first and pays.
-        universe = list("abcdef")
+        universe = mask_of(range(6))  # a..f
         covers = {
-            0: frozenset("abcd"),
-            1: frozenset("abe"),
-            2: frozenset("cdf"),
+            0: mask_of([0, 1, 2, 3]),  # abcd
+            1: mask_of([0, 1, 4]),  # abe
+            2: mask_of([2, 3, 5]),  # cdf
         }
-        exact = _exact_min_cover(universe, [0, 1, 2], covers)
+        exact, _ = _exact_cover_masks(universe, [0, 1, 2], covers)
         assert len(exact) == 2
         assert set(exact) == {1, 2}
 
     def test_single_set_cover(self):
-        universe = ["x"]
-        covers = {9: frozenset({"x"})}
-        assert _exact_min_cover(universe, [9], covers) == [9]
+        covers = {9: mask_of([0])}
+        assert _exact_cover_masks(mask_of([0]), [9], covers) == ([9], True)

@@ -9,13 +9,10 @@ import pytest
 
 from repro import obs
 from repro.core.allocator import AllocationError, URSAAllocator
-from repro.core.kill import (
-    _exact_min_cover,
-    _exact_min_cover_budgeted,
-    _greedy_min_cover,
-)
+from repro.core.kill import _exact_cover_masks, _greedy_cover_masks
 from repro.core.measure import measure_all
 from repro.graph import bitset
+from repro.graph.dilworth import _inverse, width_matching
 from repro.machine.model import MachineModel
 from repro.pipeline import METHODS, PipelineError, build_dag, compile_trace
 from repro.resilience import (
@@ -100,50 +97,49 @@ class TestDeadline:
 # ======================================================================
 def _cover_instance(n_values: int, n_nodes: int):
     """Small sets with heavy overlap: the greedy seed is not provably
-    optimal from the root bound, so branch-and-bound must recurse."""
-    universe = [f"v{i}" for i in range(n_values)]
+    optimal from the root bound, so branch-and-bound must recurse.  Bit
+    ``i`` of a cover mask is value ``i``."""
+    universe = bitset.mask_of(range(n_values))
     covers = {
-        node: frozenset(
-            universe[(node + step) % n_values] for step in (0, 1, 5)
-        )
+        node: bitset.mask_of((node + step) % n_values for step in (0, 1, 5))
         for node in range(n_nodes)
     }
     return universe, list(range(n_nodes)), covers
 
 
+def _covered(covers, solution):
+    union = 0
+    for node in solution:
+        union |= covers[node]
+    return union
+
+
 class TestKillCoverBudget:
     def test_small_instance_completes(self):
         universe, nodes, covers = _cover_instance(6, 5)
-        solution, complete = _exact_min_cover_budgeted(universe, nodes, covers)
+        solution, complete = _exact_cover_masks(universe, nodes, covers)
         assert complete
-        assert set().union(*(covers[n] for n in solution)) == set(universe)
+        assert _covered(covers, solution) == universe
 
     def test_node_budget_truncates_to_valid_cover(self):
         universe, nodes, covers = _cover_instance(12, 14)
-        greedy = _greedy_min_cover(universe, nodes, covers)
-        solution, complete = _exact_min_cover_budgeted(
+        greedy = _greedy_cover_masks(universe, nodes, covers)
+        solution, complete = _exact_cover_masks(
             universe, nodes, covers, node_budget=1
         )
         assert not complete
         # Best-so-far is the greedy seed: still a valid cover, never worse.
         assert len(solution) <= len(greedy)
-        assert set().union(*(covers[n] for n in solution)) == set(universe)
-
-    def test_wrapper_signature_unchanged(self):
-        universe, nodes, covers = _cover_instance(6, 5)
-        assert _exact_min_cover(universe, nodes, covers) == \
-            _exact_min_cover_budgeted(universe, nodes, covers)[0]
+        assert _covered(covers, solution) == universe
 
     def test_deadline_truncates(self):
         universe, nodes, covers = _cover_instance(12, 14)
         with deadline_scope(expired_deadline()):
-            solution, complete = _exact_min_cover_budgeted(
-                universe, nodes, covers
-            )
+            solution, complete = _exact_cover_masks(universe, nodes, covers)
         # The per-256-node deadline check may or may not fire before the
         # search ends on an instance this size; the cover must hold
         # regardless.
-        assert set().union(*(covers[n] for n in solution)) == set(universe)
+        assert _covered(covers, solution) == universe
 
 
 # ======================================================================
@@ -185,18 +181,16 @@ def kernel_big():
 # Deadline-aware matching.
 # ======================================================================
 class TestMatchingDeadline:
-    """The production matchers (Hopcroft–Karp on masks and the batched
-    Kuhn replica) stop early on an expired deadline, keep a valid
-    matching, and count the degradation."""
+    """The production matcher (the batched Kuhn replica, cold through
+    ``width_matching`` and warm-started) stops early on an expired
+    deadline, keeps a valid matching, and counts the degradation."""
 
     N = 8
     ADJ = [(1 << N) - 1] * N  # complete 8x8 bipartite graph
 
-    def hopcroft_karp(self):
-        match_left, match_right = bitset.hopcroft_karp_masks(
-            self.N, self.N, self.ADJ
-        )
-        return match_left, match_right
+    def cold(self):
+        _, match_left = width_matching(self.ADJ)
+        return match_left, _inverse(match_left)
 
     def kuhn(self):
         # Warm start with half the lefts matched, as incremental
@@ -208,12 +202,12 @@ class TestMatchingDeadline:
         return matcher.match_left, matcher.match_right
 
     def test_unbudgeted_matching_is_maximum(self):
-        for run in (self.hopcroft_karp, self.kuhn):
+        for run in (self.cold, self.kuhn):
             match_left, _ = run()
             assert -1 not in match_left, run.__name__
 
     def test_expired_deadline_returns_partial_valid_matching(self):
-        for run in (self.hopcroft_karp, self.kuhn):
+        for run in (self.cold, self.kuhn):
             with obs.capture() as observer:
                 with deadline_scope(expired_deadline()):
                     match_left, match_right = run()

@@ -127,7 +127,6 @@ def test_roomy_compile_runs_no_matcher(monkeypatch):
         raise AssertionError("a fitting compile ran a maximum matching")
 
     monkeypatch.setattr(bitset.BitsetKuhn, "__init__", refuse)
-    monkeypatch.setattr(bitset, "hopcroft_karp_masks", refuse)
     machine = MachineModel.homogeneous(128, 512)
     for source in (
         kernel("figure2"),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Five rules, each guarding an invariant the test suite cannot easily
+Six rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -36,6 +36,14 @@ C006  No module under ``src/repro`` except ``serve/pool.py`` may
       executor: the server's warm pool and ``compile_program(jobs=N)``
       both run on it, so a second pool would bring back a second
       supervision, fallback and cost model (see docs/serving.md).
+
+C007  No module under ``src/repro`` except ``graph/dilworth.py`` may
+      reference ``BitsetKuhn`` (import it, name it or reach it as an
+      attribute).  It is the one bipartite matcher, and
+      ``graph/dilworth.py`` is its one front end (chain decompositions,
+      exact widths, antichains); a second caller is where a second
+      matcher, or a second way to drive this one, comes back (see
+      docs/performance.md).
 
 Usage::
 
@@ -272,6 +280,39 @@ def lint_process_executors(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# C007: bipartite matching outside the Dilworth front end.
+# ----------------------------------------------------------------------
+MATCHER = "BitsetKuhn"
+MATCHER_FRONT_END = "src/repro/graph/dilworth.py"
+
+
+def lint_matcher_references(path: Path, tree: ast.Module) -> List[Finding]:
+    if path.as_posix().endswith(MATCHER_FRONT_END):
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            hit = node.id == MATCHER
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == MATCHER
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(
+                alias.name.split(".")[-1] == MATCHER for alias in node.names
+            )
+        else:
+            continue
+        if hit:
+            findings.append(Finding(
+                path, node.lineno, "C007",
+                "src/repro references BitsetKuhn outside graph/dilworth.py; "
+                "it is the one bipartite matcher — measure through "
+                "dilworth (width_matching, minimum_chain_decomposition, "
+                "maximum_antichain)",
+            ))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
     findings: List[Finding] = []
@@ -283,6 +324,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_oracle_imports(rel, tree))
         findings.extend(lint_runtime_dependencies(rel, tree))
         findings.extend(lint_process_executors(rel, tree))
+        findings.extend(lint_matcher_references(rel, tree))
     return findings
 
 
