@@ -47,7 +47,7 @@ from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import maximum_antichain
 from repro.machine.model import MachineModel
 from repro.pm.incremental import IncrementalMeasurer
-from repro.resilience import budgets
+from repro.resilience import budgets, chaos
 
 
 class Policy(enum.Enum):
@@ -155,7 +155,9 @@ class URSAAllocator:
             self.machine, register_weight=self._excess_weight
         )
 
-        with obs.span("allocate.measure", iteration=0):
+        with obs.span("allocate.measure", iteration=0), chaos.decision(
+            iteration=0, phase="commit"
+        ):
             requirements = self._measure(dag)
         if self.transactional and any(
             r.available != self._capacity(r.kind, r.cls)
@@ -163,7 +165,8 @@ class URSAAllocator:
         ):
             obs.count("resilience.measurement_rejected")
             obs.event("resilience.degraded", site="allocator.measurement")
-            requirements = self._measure(dag)
+            with chaos.decision(iteration=0, phase="audit"):
+                requirements = self._measure(dag)
         if self.verify_each:
             self._verify_state(dag, requirements, "input dag")
         initial_excess = sum(r.excess for r in requirements)
@@ -182,6 +185,7 @@ class URSAAllocator:
         converged = sum(r.excess for r in requirements) == 0
 
         while not converged and iteration < budget:
+            chaos.expire_deadline(deadline, iteration + 1)
             if deadline is not None and deadline.expired():
                 degradation_events.append(f"deadline:{deadline.tripped}")
                 obs.count("resilience.allocator_deadline")
@@ -192,7 +196,9 @@ class URSAAllocator:
                 )
                 break
             iteration += 1
-            with obs.span("allocate.reduce", iteration=iteration):
+            with obs.span("allocate.reduce", iteration=iteration), (
+                chaos.decision(iteration=iteration)
+            ):
                 step = self._step(dag, requirements, iteration)
             if step is None:
                 break
@@ -202,9 +208,10 @@ class URSAAllocator:
                 # pre-commit ``dag, requirements`` are the checkpoint and
                 # rolling back is just keeping them.
                 obs.count("resilience.checkpoints")
-                failure, new_reqs = self._commit_failure(
-                    new_dag, new_reqs, requirements
-                )
+                with chaos.decision(iteration=iteration):
+                    failure, new_reqs = self._commit_failure(
+                        new_dag, new_reqs, requirements
+                    )
                 if failure is not None:
                     self._banned.add((record.kind, record.description))
                     obs.count("resilience.rollbacks")
@@ -277,7 +284,8 @@ class URSAAllocator:
         ):
             obs.count("resilience.measurement_rejected")
             obs.event("resilience.degraded", site="allocator.measurement")
-            new_reqs = self._measure(new_dag)
+            with chaos.decision(phase="audit"):
+                new_reqs = self._measure(new_dag)
         if self._weighted_excess(new_reqs) >= self._weighted_excess(old_reqs):
             return "commit shows no excess progress", new_reqs
         if self.verify_each:
@@ -366,7 +374,8 @@ class URSAAllocator:
         self._measurer.rebase(dag, requirements)
 
         self._illegal = 0
-        best = self._best_candidate(dag, candidates, current_weighted)
+        with chaos.decision(phase="trial"):
+            best = self._best_candidate(dag, candidates, current_weighted)
         if best is None:
             # The chain-set proposals made no global progress; fall back
             # to whole-decomposition chain merging (guaranteed to bound
@@ -388,7 +397,8 @@ class URSAAllocator:
                 fallbacks.extend(
                     self._fallback_candidates(dag, requirement, depth)
                 )
-            best = self._best_candidate(dag, fallbacks, current_weighted)
+            with chaos.decision(phase="fallback"):
+                best = self._best_candidate(dag, fallbacks, current_weighted)
         if best is None:
             obs.event("allocate.stuck", iteration=iteration)
             return None
@@ -399,8 +409,9 @@ class URSAAllocator:
         # into the next iteration always come from a from-scratch
         # measure, and the chains of a class the next step attacks are
         # built from that DAG before its exact width is read.
-        new_dag = candidate.apply()
-        new_reqs = self._measure(new_dag)
+        with chaos.decision(phase="commit"):
+            new_dag = candidate.apply()
+            new_reqs = self._measure(new_dag)
         obs.event(
             "allocate.commit",
             iteration=iteration,
@@ -467,7 +478,7 @@ class URSAAllocator:
         best: Optional[Tuple[Tuple, TransformCandidate]] = None
         obs.count("allocate.candidates", len(candidates))
         deadline = budgets.active_deadline()
-        for candidate in candidates:
+        for index, candidate in enumerate(candidates):
             if deadline is not None and deadline.tick():
                 # Keep whatever improver we already found; the run loop
                 # will notice the expiry and stop with best-so-far.
@@ -477,9 +488,10 @@ class URSAAllocator:
             if (candidate.kind, candidate.description) in self._banned:
                 continue
             try:
-                outcome = self._measurer.trial(
-                    candidate, None if best is None else best[0][0]
-                )
+                with chaos.decision(candidate=index):
+                    outcome = self._measurer.trial(
+                        candidate, None if best is None else best[0][0]
+                    )
             except TransformError:
                 obs.count("allocate.candidates_illegal")
                 self._illegal += 1

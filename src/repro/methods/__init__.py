@@ -157,19 +157,6 @@ class Backend:
             "cost_hint": self.cost_hint,
         }
 
-    def compile(self, source, machine, budget=None, **kw):
-        """Compile ``source`` for ``machine`` with this backend.
-
-        ``budget`` is a :class:`~repro.resilience.Deadline` (or None);
-        remaining keywords forward to
-        :func:`repro.pipeline.compile_trace`.
-        """
-        from repro.pipeline import compile_trace
-
-        return compile_trace(
-            source, machine, method=self.name, deadline=budget, **kw
-        )
-
 
 # ======================================================================
 # The registry.

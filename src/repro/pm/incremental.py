@@ -5,15 +5,14 @@ candidate, in every allocator mode: it applies the candidate's edits
 inside a :class:`~repro.graph.dag.DagTransaction` on the live DAG,
 scores the result, and rolls back.  A trial costs what it changed:
 
-* **Registers first, then a cutoff.**  Every register class is scored
-  first, in class order, so ``select_kill`` runs exactly as often and in
-  the same order whatever the outcome (the chaos ``kill`` fault draws
-  from one RNG stream).  The trial stops with ``None`` as soon as the
-  weighted excess is above ``min(base − 1, best)``: checked once after
-  the registers and again after each FU class.  A candidate stopped
-  there cannot win — a winner needs a strictly lower score — so the
-  cutoff never changes which candidate the driver keeps.  Only a
-  candidate that can still win gets its critical path computed.
+* **A cutoff after every class.**  Classes are scored one at a time in
+  snapshot (``measure_all``) order, and the trial stops with ``None`` as
+  soon as the weighted excess is above ``min(base − 1, best)``.  A
+  candidate stopped there cannot win — a winner needs a strictly lower
+  score — so the cutoff never changes which candidate the driver keeps.
+  (Chaos faults are keyed to the candidate and class, not to how many
+  ``select_kill`` calls came before, so skipped classes move no fault.)
+  Only a candidate that can still win gets its critical path computed.
 * **Node-inserting journals** (spill, remat) rebuild each class's
   relation with :func:`~repro.core.measure.reuse_orders`, the builder
   ``measure_all`` uses, and score it by a greedy chain cover first: the
@@ -118,8 +117,6 @@ class IncrementalMeasurer:
         self.register_weight = register_weight
         self.dag: Optional[DependenceDAG] = None
         self._bases: List[_ClassBase] = []
-        #: snapshot indices per resource kind, in snapshot order.
-        self._indices: Dict[ResourceKind, List[int]] = {}
         self._base_weighted = 0
 
     # ------------------------------------------------------------------
@@ -131,12 +128,6 @@ class IncrementalMeasurer:
         """Snapshot the committed measurements trials will diff against."""
         self.dag = dag
         self._bases = [self._snapshot(dag, req) for req in requirements]
-        self._indices = {
-            kind: [
-                i for i, base in enumerate(self._bases) if base.req.kind is kind
-            ]
-            for kind in ResourceKind
-        }
         self._base_weighted = sum(
             self._weigh(base.req.kind, base.excess) for base in self._bases
         )
@@ -193,10 +184,8 @@ class IncrementalMeasurer:
         ``min(base − 1, best)``: the candidate does not strictly improve
         on the committed DAG (the driver's progress filter), or it
         scores worse than ``best``, the lowest weighted excess the
-        driver has seen so far, and so cannot win.  Every register
-        class is scored first (``select_kill`` runs once per class, in
-        class order, whatever the outcome), then the cutoff is checked;
-        each FU class is followed by another check.  Only a candidate
+        driver has seen so far, and so cannot win.  The cutoff is
+        checked after every class, in snapshot order.  Only a candidate
         that can still win gets its critical path computed.  Raises
         :class:`TransformError` for illegal edits; the rollback runs
         either way, also when the edits failed partway.
@@ -218,12 +207,9 @@ class IncrementalMeasurer:
             )
             excesses = [0] * len(self._bases)
             weighted = 0
-            for kind in (ResourceKind.REGISTER, ResourceKind.FUNCTIONAL_UNIT):
-                for index, excess in self._class_excesses(dag, txn, kind):
-                    excesses[index] = excess
-                    weighted += self._weigh(kind, excess)
-                    if kind is ResourceKind.FUNCTIONAL_UNIT and weighted > limit:
-                        break
+            for index, excess in self._class_excesses(dag, txn):
+                excesses[index] = excess
+                weighted += self._weigh(self._bases[index].req.kind, excess)
                 if weighted > limit:
                     obs.count("pm.trial.cut")
                     return None
@@ -238,25 +224,28 @@ class IncrementalMeasurer:
                 txn.rollback()
 
     def _class_excesses(
-        self, dag: DependenceDAG, txn: DagTransaction, kind: ResourceKind
+        self, dag: DependenceDAG, txn: DagTransaction
     ) -> Iterator[Tuple[int, int]]:
-        """``(snapshot index, excess)`` of every class of ``kind``, in
-        snapshot order, each computed when it is drawn.
+        """``(snapshot index, excess)`` of every class, in snapshot order,
+        each computed when it is drawn.
 
         A journal that inserted nodes rebuilds each class's relation with
         ``measure_all``'s builder; an edges-only journal is diffed class
         by class against the snapshot, and counted by scoring mode."""
-        indices = self._indices[kind]
         if txn.adds_nodes:
-            orders = reuse_orders(dag, self.machine, kind)
-            for index, order in zip(indices, orders):
-                yield index, self._rebuilt_excess(self._bases[index], order)
+            orders = {
+                kind: reuse_orders(dag, self.machine, kind)
+                for kind in ResourceKind
+            }
+            for index, base in enumerate(self._bases):
+                order = next(orders[base.req.kind])
+                yield index, self._rebuilt_excess(base, order)
             return
-        score = self._fu_excess if kind is ResourceKind.FUNCTIONAL_UNIT else (
-            self._reg_excess
-        )
-        for index in indices:
-            excess, mode = score(dag, txn, self._bases[index])
+        for index, base in enumerate(self._bases):
+            if base.req.kind is ResourceKind.FUNCTIONAL_UNIT:
+                excess, mode = self._fu_excess(dag, txn, base)
+            else:
+                excess, mode = self._reg_excess(dag, txn, base)
             for counter in _MODE_COUNTERS[mode]:
                 obs.count(counter)
             yield index, excess

@@ -44,17 +44,6 @@ class DeadlineExpired(Exception):
         self.deadline = deadline
 
 
-#: Chaos hook (see ``repro.resilience.chaos``): called with the deadline
-#: on every expiry check; returning True force-trips it.  Installed only
-#: while a chaos scope with the ``deadline`` fault class is active.
-_expiry_hook: Optional[Callable[["Deadline"], bool]] = None
-
-
-def set_expiry_hook(hook: Optional[Callable[["Deadline"], bool]]) -> None:
-    global _expiry_hook
-    _expiry_hook = hook
-
-
 class Deadline:
     """A sticky time/work budget shared by one compilation."""
 
@@ -93,17 +82,18 @@ class Deadline:
     def tick(self, n: int = 1) -> bool:
         """Consume ``n`` work units; True when the budget is exhausted.
 
-        Wall-clock (and chaos-hook) expiry is only consulted every 32nd
-        tick: hot loops tick per element, and an unconditional
-        ``time.monotonic`` per tick costs more than the work being
-        budgeted.  Work-budget expiry is exact, and a direct
-        :meth:`expired` call always checks everything.
+        Wall-clock expiry is only consulted every 32nd tick: hot loops
+        tick per element, and an unconditional ``time.monotonic`` per
+        tick costs more than the work being budgeted.  Work-budget
+        expiry is exact, and a direct :meth:`expired` call always checks
+        everything.  Nothing else is keyed to ticks: the chaos
+        ``deadline`` fault trips at allocator iterations, not here.
         """
         self._ticks += n
         if self._tripped is not None:
             return True
         if self.work is not None and self._ticks > self.work:
-            self._trip("work")
+            self.trip("work")
             return True
         if self._ticks % 32 < n:
             return self.expired()
@@ -112,13 +102,10 @@ class Deadline:
     def expired(self) -> bool:
         if self._tripped is not None:
             return True
-        hook = _expiry_hook
-        if hook is not None and hook(self):
-            self._trip("chaos")
-        elif self.work is not None and self._ticks > self.work:
-            self._trip("work")
+        if self.work is not None and self._ticks > self.work:
+            self.trip("work")
         elif self.seconds is not None and self.elapsed() > self.seconds:
-            self._trip("time")
+            self.trip("time")
         return self._tripped is not None
 
     def check(self, site: str = "deadline") -> None:
@@ -126,7 +113,8 @@ class Deadline:
         if self.expired():
             raise DeadlineExpired(site, self)
 
-    def _trip(self, reason: str) -> None:
+    def trip(self, reason: str) -> None:
+        """Expire now, for ``reason`` (sticky, like every expiry)."""
         self._tripped = reason
         obs.count("resilience.deadline_expired")
         obs.event(

@@ -10,16 +10,29 @@ verified schedule (degraded, but correct).
 
 A :class:`ChaosMonkey` is seeded and installed with
 :func:`chaos_scope`; the hook points in ``transforms.base``,
-``core.measure``, ``core.kill`` and ``resilience.budgets`` call the
-module-level ``corrupt_*`` functions, which are no-ops (one attribute
-read) unless a monkey is in scope.  Every injection is appended to
-``monkey.injections`` and surfaced as ``resilience.chaos.*`` obs
-counters, so a run can be replayed and audited from its trace.
+``core.measure``, ``core.kill``, ``core.allocator`` and ``repro.serve``
+call the module-level functions below, which are no-ops (one list
+check) unless a monkey is in scope.  Every injection is appended to
+``monkey.injections`` with its site key and surfaced as
+``resilience.chaos.*`` obs counters, so a run can be replayed and
+audited from its trace.
+
+Faults are keyed to decisions, not to work: whether a fault fires at a
+site, and what it then corrupts, is a pure function of ``(seed, fault,
+site key)``.  A compiler site names the decision being made — the
+ladder rung, the allocator iteration (0 for the initial measurement),
+the phase (``commit``, ``trial``/``fallback`` plus the candidate index,
+or the transactional ``audit`` re-measure) and, for ``kill``, the
+register class — via :func:`decision` blocks; compiler hooks outside a
+named phase never fire.  Service sites key on the shard key and its
+dispatch attempt, or on the admission index.  So a change that does
+more or less work (an extra ``select_kill``, a cheaper trial, more
+deadline ticks) moves no fault.
 
 Fault classes:
 
 ``transform``
-    Perturb a *tentative* candidate DAG: duplicate a ``value_uses``
+    Perturb a committed candidate DAG: duplicate a ``value_uses``
     entry (caught by the ``dag.*`` verify pack), add a spurious legal
     sequence edge (silently pessimizes), or drop a memory-ordering
     edge (static packs can miss it; the simulator oracle catches it).
@@ -30,11 +43,11 @@ Fault classes:
     Point a contested value's killer at a non-maximal node (fires the
     ``alloc.kill-coverage`` verify rule).
 ``deadline``
-    Force the active :class:`~repro.resilience.budgets.Deadline` to
-    trip early via the budgets expiry hook.
+    Trip the active :class:`~repro.resilience.budgets.Deadline` at the
+    allocator's per-iteration check.
 
-Service-level fault classes (PR 9, consumed by ``repro.serve.pool``
-and the serve admission layer — see ``docs/serving.md``):
+Service-level fault classes (consumed by ``repro.serve.pool`` and the
+serve admission layer — see ``docs/serving.md``):
 
 ``worker_kill``
     SIGKILL a pool worker right after a shard is dispatched to it; the
@@ -53,13 +66,12 @@ and the serve admission layer — see ``docs/serving.md``):
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.resilience import budgets
 
-#: Compiler-level faults (PR 4) + service-level faults (PR 9).
+#: Compiler-level faults + service-level faults.
 FAULT_CLASSES = (
     "transform",
     "measure",
@@ -74,10 +86,8 @@ FAULT_CLASSES = (
 #: The subset consumed by the serving layer (pool + admission control).
 SERVICE_FAULTS = ("worker_kill", "worker_hang", "slow_shard", "queue_flood")
 
-#: Per-expiry-check probability scale for the ``deadline`` fault: the
-#: hook runs on *every* ``Deadline.expired()`` call, so the raw rate
-#: would trip almost immediately; scaling keeps trips sporadic.
-_DEADLINE_CHECK_SCALE = 0.05
+#: The parts of a compiler site key, outermost first.
+_SITE_PARTS = ("rung", "iteration", "phase", "candidate", "cls")
 
 
 class ChaosMonkey:
@@ -95,7 +105,8 @@ class ChaosMonkey:
         self.seed = seed
         self.faults = frozenset(faults)
         self.rate = rate
-        self.rng = random.Random(seed)
+        #: The compiler decision in progress (see :func:`decision`).
+        self.site: Dict[str, object] = {}
         #: Chronological log of every injected fault (dicts).
         self.injections: List[Dict[str, object]] = []
 
@@ -103,72 +114,89 @@ class ChaosMonkey:
         return sum(1 for entry in self.injections if entry["fault"] == fault)
 
     # ------------------------------------------------------------------
-    def _fire(self, fault: str, probability: Optional[float] = None) -> bool:
-        if fault not in self.faults:
-            return False
-        return self.rng.random() < (self.rate if probability is None else probability)
+    def _site_key(self, **parts) -> Optional[str]:
+        """The compiler site's key, or None outside a named phase."""
+        site = {**self.site, **parts}
+        if site.get("phase") is None:
+            return None
+        return "/".join(str(site[part]) for part in _SITE_PARTS if part in site)
 
-    def _log(self, fault: str, **details) -> None:
-        self.injections.append({"fault": fault, **details})
+    def _draw(self, fault: str, key: Optional[str]) -> Optional[random.Random]:
+        """``fault``'s generator at site ``key`` when it fires there.
+
+        The generator is seeded by a string naming the seed, the fault
+        and the site (strings seed through SHA-512, not ``hash()``), so
+        the draw and every follow-up choice depend on nothing else."""
+        if key is None or fault not in self.faults:
+            return None
+        rng = random.Random(f"{self.seed}:{fault}:{key}")
+        return rng if rng.random() < self.rate else None
+
+    def _log(self, fault: str, site: str, **details) -> None:
+        self.injections.append({"fault": fault, "site": site, **details})
         obs.count(f"resilience.chaos.{fault}")
-        obs.event("resilience.chaos", fault=fault, **details)
+        obs.event("resilience.chaos", fault=fault, site=site, **details)
 
     # ------------------------------------------------------------------
     def corrupt_transform(self, dag) -> bool:
-        """Perturb a freshly-cloned candidate DAG in place."""
-        if not self._fire("transform"):
-            return False
-        from repro.graph.dag import CycleError, EdgeKind
+        """Perturb a freshly-cloned candidate DAG in place.
 
-        mode = self.rng.choice(("dup-use", "extra-seq", "drop-seq"))
+        The modes are tried in a drawn order and the first one the DAG
+        offers a target for is applied, so a fault that fires corrupts
+        the DAG whenever any mode can."""
+        key = self._site_key()
+        rng = self._draw("transform", key)
+        if rng is None:
+            return False
+        from repro.graph.dag import EdgeKind
+
+        for mode in rng.sample(("dup-use", "extra-seq", "drop-seq"), 3):
+            if mode == "dup-use":
+                targets = sorted(n for n, uses in dag.value_uses.items() if uses)
+            elif mode == "drop-seq":
+                targets = sorted(
+                    (u, v)
+                    for u, v, data in dag.edges()
+                    if data.get("kind") is EdgeKind.SEQ
+                    and data.get("reason") == "mem"
+                )
+            else:  # a legal but unrequested ordering constraint
+                ops = dag.op_nodes()
+                targets = [
+                    (a, b)
+                    for a in ops
+                    for b in ops
+                    if a != b
+                    and not dag.reaches(a, b)
+                    and not dag.would_cycle(a, b)
+                ]
+            if targets:
+                break
+        else:
+            return False
+        target = rng.choice(targets)
         if mode == "dup-use":
-            names = sorted(n for n, uses in dag.value_uses.items() if uses)
-            if not names:
-                return False
-            name = self.rng.choice(names)
-            dag.value_uses[name].append(dag.value_uses[name][0])
-            self._log("transform", mode=mode, value=name)
+            dag.value_uses[target].append(dag.value_uses[target][0])
+            self._log("transform", key, mode=mode, value=target)
             return True
         if mode == "drop-seq":
-            mem_edges = sorted(
-                (u, v)
-                for u, v, data in dag.edges()
-                if data.get("kind") is EdgeKind.SEQ
-                and data.get("reason") == "mem"
-            )
-            if not mem_edges:
-                return False
-            u, v = self.rng.choice(mem_edges)
-            dag._unlink(u, v)
+            dag._unlink(*target)
             dag._invalidate()
-            self._log("transform", mode=mode, edge=[u, v])
-            return True
-        # extra-seq: a legal but unrequested ordering constraint.
-        ops = dag.op_nodes()
-        if len(ops) < 2:
-            return False
-        for _ in range(8):
-            a, b = self.rng.sample(ops, 2)
-            if dag.reaches(a, b) or dag.would_cycle(a, b):
-                continue
-            try:
-                dag.add_sequence_edge(a, b, reason="chaos")
-            except CycleError:
-                continue
-            self._log("transform", mode=mode, edge=[a, b])
-            return True
-        return False
+        else:
+            dag.add_sequence_edge(*target, reason="chaos")
+        self._log("transform", key, mode=mode, edge=list(target))
+        return True
 
     # ------------------------------------------------------------------
     def corrupt_measurements(self, requirements) -> bool:
         """Falsify one requirement's ``available`` count in place."""
-        if not self._fire("measure"):
+        key = self._site_key()
+        rng = self._draw("measure", key)
+        if rng is None or not requirements:
             return False
-        if not requirements:
-            return False
-        requirement = self.rng.choice(list(requirements))
+        requirement = rng.choice(list(requirements))
         before = requirement.available
-        if requirement.excess > 0 and self.rng.random() < 0.5:
+        if requirement.excess > 0 and rng.random() < 0.5:
             # Hide real excess: claim exactly enough resources exist.
             requirement.available = requirement.required
             mode = "hide-excess"
@@ -180,6 +208,7 @@ class ChaosMonkey:
             return False
         self._log(
             "measure",
+            key,
             mode=mode,
             resource=f"{requirement.kind.value}:{requirement.cls}",
             available_before=before,
@@ -190,7 +219,11 @@ class ChaosMonkey:
     # ------------------------------------------------------------------
     def corrupt_kill(self, dag, values, kill: Dict[str, int]) -> bool:
         """Point one live value's killer at a non-killer node in place."""
-        if not self._fire("kill"):
+        if not values:
+            return False
+        key = self._site_key(cls=values[0].reg_class)
+        rng = self._draw("kill", key)
+        if rng is None:
             return False
         victims = sorted(
             value.name
@@ -200,52 +233,39 @@ class ChaosMonkey:
         if not victims:
             return False
         by_name = {value.name: value for value in values}
-        name = self.rng.choice(victims)
+        name = rng.choice(victims)
         # The defining node is never a legal killer of a live value.
         bad = by_name[name].def_uid
         if kill[name] == bad:
             return False
-        self._log("kill", value=name, killer_before=kill[name], killer_after=bad)
+        self._log(
+            "kill", key, value=name, killer_before=kill[name], killer_after=bad
+        )
         kill[name] = bad
         return True
 
     # ------------------------------------------------------------------
-    def force_expiry(self, deadline) -> bool:
-        """Budgets expiry hook: sporadically trip the active deadline."""
-        if not self._fire("deadline", self.rate * _DEADLINE_CHECK_SCALE):
+    def force_expiry(self, deadline, iteration: int) -> bool:
+        """Trip ``deadline`` at the allocator's check before ``iteration``."""
+        key = self._site_key(iteration=iteration, phase="deadline")
+        if self._draw("deadline", key) is None:
             return False
-        self._log("deadline", ticks=deadline.ticks)
+        deadline.trip("chaos")
+        self._log("deadline", key)
         return True
 
     # -- service-level faults (consumed by repro.serve) ----------------
-    def kill_worker(self, worker=None, key=None) -> bool:
-        """SIGKILL the worker a shard was just dispatched to."""
-        if not self._fire("worker_kill"):
-            return False
-        self._log("worker_kill", worker=worker, key=key)
-        return True
-
-    def hang_worker(self, worker=None, key=None) -> bool:
-        """Wedge a worker past the hang watchdog."""
-        if not self._fire("worker_hang"):
-            return False
-        self._log("worker_hang", worker=worker, key=key)
-        return True
-
-    def shard_delay(self) -> float:
-        """Seconds of injected shard latency (0.0 = no injection)."""
-        if not self._fire("slow_shard"):
-            return 0.0
-        delay = round(self.rng.uniform(0.01, 0.05), 4)
-        self._log("slow_shard", seconds=delay)
-        return delay
-
-    def flood_queue(self) -> bool:
-        """Pretend the request queue is over its admission watermark."""
-        if not self._fire("queue_flood"):
-            return False
-        self._log("queue_flood")
-        return True
+    def service_fault(
+        self, fault: str, *key, **details
+    ) -> Optional[random.Random]:
+        """The generator of service ``fault`` at site ``key`` (a shard
+        key and its dispatch attempt, or an admission index) when it
+        fires there — logged with ``details`` — else None."""
+        site = "#".join(str(part) for part in key)
+        rng = self._draw(fault, site)
+        if rng is not None:
+            self._log(fault, site, **details)
+        return rng
 
 
 # ======================================================================
@@ -260,19 +280,36 @@ def active() -> Optional[ChaosMonkey]:
 
 @contextmanager
 def chaos_scope(monkey: ChaosMonkey):
-    """Install ``monkey``; also wires the deadline-expiry hook."""
+    """Install ``monkey`` for the duration of the block."""
     _STACK.append(monkey)
-    if "deadline" in monkey.faults:
-        budgets.set_expiry_hook(monkey.force_expiry)
     try:
         yield monkey
     finally:
         _STACK.pop()
-        survivor = active()
-        if survivor is not None and "deadline" in survivor.faults:
-            budgets.set_expiry_hook(survivor.force_expiry)
-        else:
-            budgets.set_expiry_hook(None)
+
+
+def decision(**parts):
+    """Name the compiler decision the hooks in the block belong to.
+
+    ``parts`` are ``rung``, ``iteration``, ``phase`` and ``candidate``;
+    nested blocks add to the outer ones.  Compiler hooks fire only
+    inside a ``phase``.  Without a monkey: one list check and a shared
+    no-op context."""
+    monkey = active()
+    return _UNNAMED if monkey is None else _named(monkey, parts)
+
+
+_UNNAMED = nullcontext()
+
+
+@contextmanager
+def _named(monkey: ChaosMonkey, parts: Dict[str, object]):
+    outer = monkey.site
+    monkey.site = {**outer, **parts}
+    try:
+        yield
+    finally:
+        monkey.site = outer
 
 
 # ======================================================================
@@ -281,46 +318,28 @@ def chaos_scope(monkey: ChaosMonkey):
 # ======================================================================
 def corrupt_transform(dag) -> bool:
     monkey = active()
-    return monkey.corrupt_transform(dag) if monkey is not None else False
+    return monkey is not None and monkey.corrupt_transform(dag)
 
 
 def corrupt_measurements(requirements) -> bool:
     monkey = active()
-    if monkey is None:
-        return False
-    return monkey.corrupt_measurements(requirements)
+    return monkey is not None and monkey.corrupt_measurements(requirements)
 
 
 def corrupt_kill(dag, values, kill: Dict[str, int]) -> bool:
     monkey = active()
-    if monkey is None:
-        return False
-    return monkey.corrupt_kill(dag, values, kill)
+    return monkey is not None and monkey.corrupt_kill(dag, values, kill)
 
 
-def service_kill_worker(worker=None, key=None) -> bool:
+def expire_deadline(deadline, iteration: int) -> bool:
+    """Maybe trip a live ``deadline`` at the allocator's iteration check."""
     monkey = active()
-    if monkey is None:
+    if monkey is None or deadline is None or deadline.tripped is not None:
         return False
-    return monkey.kill_worker(worker=worker, key=key)
+    return monkey.force_expiry(deadline, iteration)
 
 
-def service_hang_worker(worker=None, key=None) -> bool:
+def service_fault(fault: str, *key, **details) -> Optional[random.Random]:
+    """See :meth:`ChaosMonkey.service_fault`."""
     monkey = active()
-    if monkey is None:
-        return False
-    return monkey.hang_worker(worker=worker, key=key)
-
-
-def service_shard_delay() -> float:
-    monkey = active()
-    if monkey is None:
-        return 0.0
-    return monkey.shard_delay()
-
-
-def service_flood_queue() -> bool:
-    monkey = active()
-    if monkey is None:
-        return False
-    return monkey.flood_queue()
+    return None if monkey is None else monkey.service_fault(fault, *key, **details)

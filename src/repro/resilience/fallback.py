@@ -33,6 +33,7 @@ from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
 from repro.machine.model import MachineModel
 from repro.methods import ladder_for  # noqa: F401  (re-exported API)
+from repro.resilience import chaos
 from repro.resilience.budgets import Deadline, DeadlineExpired, deadline_scope
 from repro.scheduling.list_scheduler import Schedule, ScheduleError
 from repro.scheduling.packer import pack_in_order
@@ -42,12 +43,6 @@ from repro.scheduling.regalloc import LinearScanAllocator, RegAllocError
 #: allocators' ``%spill`` region so slot counters can never collide;
 #: every ``%``-prefixed base is excluded from user-memory verification.
 SE_SPILL_BASE = "%spillse"
-
-# The ladder itself is declared per backend in ``repro.methods``
-# (``Backend.fallback`` successors); :func:`repro.methods.ladder_for`
-# replaces the hard-coded ``_LADDER`` tuple that used to live here and
-# raises ``UnknownMethodError`` for names the registry has never seen
-# instead of silently degrading them to ``(method, "spill-everywhere")``.
 
 
 # ======================================================================
@@ -319,7 +314,7 @@ def compile_with_fallback(
 
         obs.count("resilience.fallback_attempts")
         try:
-            with deadline_scope(deadline):
+            with deadline_scope(deadline), chaos.decision(rung=rung):
                 result = compile_trace(source, machine, method=rung, **kwargs)
         except recoverable as exc:
             reason = f"{type(exc).__name__}: {_first_line(exc)}"

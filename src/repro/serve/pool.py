@@ -74,6 +74,8 @@ class ShardTask:
     deadline_ms: Optional[int]
     resilient: bool
     chaos_sleep_s: float = 0.0
+    #: how many times this shard was dispatched before (its chaos key).
+    attempt: int = 0
 
 
 def _compile_one(
@@ -428,13 +430,15 @@ class WorkerPool:
             if handle is None:
                 continue
             task = pending.popleft()
-            if chaos.service_hang_worker(worker=worker_id, key=task.key):
+            site = (task.key, task.attempt)
+            if chaos.service_fault("worker_hang", *site, worker=worker_id):
                 # Sleep far past the hang watchdog: the supervisor must
                 # SIGKILL and requeue, exactly like a real wedged worker.
                 task = replace(task, chaos_sleep_s=self._hang_budget(task) * 4)
             else:
-                delay = chaos.service_shard_delay()
-                if delay > 0:
+                slow = chaos.service_fault("slow_shard", *site)
+                if slow is not None:
+                    delay = round(slow.uniform(0.01, 0.05), 4)
                     task = replace(task, chaos_sleep_s=delay)
             try:
                 handle.inbox.put(task)
@@ -446,7 +450,7 @@ class WorkerPool:
             state.busy_since = time.monotonic()
             running[worker_id] = task
             obs.count("serve.pool.dispatched")
-            if chaos.service_kill_worker(worker=worker_id, key=task.key):
+            if chaos.service_fault("worker_kill", *site, worker=worker_id):
                 if state.pid is not None:
                     try:
                         os.kill(state.pid, signal.SIGKILL)
@@ -532,8 +536,10 @@ class WorkerPool:
                 task, quarantined=True
             )
             completed.add(task.task_id)
-        else:
-            pending.appendleft(task)  # retry on the next healthy worker
+        else:  # retry on the next healthy worker, as a new attempt
+            pending.appendleft(
+                replace(task, attempt=task.attempt + 1, chaos_sleep_s=0.0)
+            )
 
     def _next_restart_wait(self) -> Optional[float]:
         """Seconds until some dead slot may restart; None if none can."""

@@ -102,6 +102,8 @@ class ServeApp:
         self.flushes = 0
         self._closed = False
         self._inflight = 0
+        #: admissions attempted so far (the chaos ``queue_flood`` key).
+        self._admissions = 0
         self._admission = threading.Lock()
         self._idle = threading.Condition(self._admission)
         # Server-lifetime capture: /v1/stats reads these counters.  The
@@ -151,7 +153,8 @@ class ServeApp:
                     "server is draining; retry against another instance",
                 )
                 return 503, body, {"Retry-After": "1", "Connection": "close"}
-            flooded = chaos.service_flood_queue()
+            flooded = chaos.service_fault("queue_flood", self._admissions)
+            self._admissions += 1
             if flooded or self._inflight >= self.queue_depth:
                 self.shed += 1
                 obs.count("serve.shed")

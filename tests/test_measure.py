@@ -247,15 +247,16 @@ def _required(dag, machine):
 def _trial_widths(dag, machine, committed):
     """Every class's width as a node-inserting trial computes it when its
     chain cover does not fit: each relation rebuilt by ``reuse_orders``
-    (registers first, as the trial does), re-matched from the cover's
+    (in snapshot order, as the trial does), re-matched from the cover's
     matching — the ``committed`` measurement's restricted to it and
     extended greedily."""
     measurer = IncrementalMeasurer(machine)
     measurer.rebase(dag, committed)
     widths = [None] * len(committed)
-    for kind in (ResourceKind.REGISTER, ResourceKind.FUNCTIONAL_UNIT):
+    for kind in (ResourceKind.FUNCTIONAL_UNIT, ResourceKind.REGISTER):
         orders = reuse_orders(dag, machine, kind)
-        for index, order in zip(measurer._indices[kind], orders):
+        indices = [i for i, r in enumerate(committed) if r.kind is kind]
+        for index, order in zip(indices, orders):
             _, start = measurer._upper_bound(measurer._bases[index], order)
             widths[index] = width_matching(order.masks, start)[0]
     return widths

@@ -168,6 +168,68 @@ class TestIncrementalTrialFuzz:
         assert NODE_KINDS <= kinds_seen, kinds_seen
 
 
+class TestPerClassCutoff:
+    """The trial checks its cutoff after every class, registers too."""
+
+    SOURCE = "\n".join(
+        [f"f{i} = load [x{i}]\ni{i} = load [y{i}]" for i in range(8)]
+        + [
+            f"fs{i} = f{i} + f{i + 1}\nis{i} = i{i} + i{i + 1}\n"
+            f"m{i} = fs{i} * is{i}\nstore [z{i}], m{i}"
+            for i in range(0, 8, 2)
+        ]
+    )
+
+    def test_cut_after_first_register_class_skips_the_second(
+        self, monkeypatch
+    ):
+        import repro.core.measure as measure_module
+        import repro.pm.incremental as incremental_module
+        from repro.core.kill import select_kill
+        from repro.machine.presets import embedded_dsp
+
+        machine = embedded_dsp()
+        dag = DependenceDAG.from_trace(parse_trace(self.SOURCE))
+        requirements = measure_all(dag, machine)
+        kinds = [(r.kind, r.cls) for r in requirements]
+        assert kinds == [
+            (ResourceKind.FUNCTIONAL_UNIT, "any"),
+            (ResourceKind.REGISTER, "flt"),
+            (ResourceKind.REGISTER, "int"),
+        ]
+        classes: List[str] = []
+
+        def spy(dag, values, *args, **kwargs):
+            classes.append(values[0].reg_class)
+            return select_kill(dag, values, *args, **kwargs)
+
+        monkeypatch.setattr(incremental_module, "select_kill", spy)
+        monkeypatch.setattr(measure_module, "select_kill", spy)
+        measurer = IncrementalMeasurer(machine)
+        measurer.rebase(dag, requirements)
+        base = sum(_excesses(requirements).values())
+        tested = 0
+        for candidate in _all_candidates(
+            URSAAllocator(machine), dag, requirements
+        ):
+            classes.clear()
+            try:
+                outcome = measurer.trial(candidate)
+            except TransformError:
+                continue
+            if outcome is None or classes != ["flt", "int"]:
+                continue
+            fu, flt, _ = outcome.excesses
+            if not flt or fu >= base - 1:
+                continue
+            # Above the limit once the flt class is scored: cut there.
+            classes.clear()
+            assert measurer.trial(candidate, best=fu) is None
+            assert classes == ["flt"], candidate
+            tested += 1
+        assert tested, "no candidate re-selected Kill() for both classes"
+
+
 def _dag_state(dag: DependenceDAG):
     """Everything a rollback must restore, edge order in every row
     included."""

@@ -16,13 +16,28 @@ from repro import obs
 from repro.machine.model import MachineModel
 from repro.pipeline import compile_trace
 from repro.resilience import ChaosMonkey, Deadline, chaos_scope
-from repro.resilience import chaos as chaos_module
 from repro.resilience.chaos import FAULT_CLASSES, active
 from repro.verify import verify_compilation
 
 MACHINE = MachineModel.homogeneous(2, 4)
 
 CHAOS_SEEDS = range(25)
+
+#: Injection fields that name process-global uids.
+UID_FIELDS = ("edge", "killer_before", "killer_after")
+
+
+def normalized(entry):
+    """An injection as ``(fault, site, decision)``, without its uids
+    (instruction uids are process-global, so they differ between runs)."""
+    decision = tuple(
+        sorted(
+            (key, value)
+            for key, value in entry.items()
+            if key not in ("fault", "site") + UID_FIELDS
+        )
+    )
+    return entry["fault"], entry.get("site"), decision
 
 
 def resilient_compile(trace, deadline_seconds=30.0):
@@ -90,12 +105,10 @@ class TestPerFaultClass:
         assert_survived(result)
         assert monkey.injected("kill") >= 1
 
-    def test_forced_deadline_expiry(self, fig2_trace, monkeypatch):
-        # The deadline itself is unlimited; only the chaos hook trips it.
-        # The hook is scaled down to fire on 5% of expiry checks, so
-        # whether a seeded run trips at all depends on how many checks
-        # the compile makes.  Unscaled, rate=1.0 fires at the first check.
-        monkeypatch.setattr(chaos_module, "_DEADLINE_CHECK_SCALE", 1.0)
+    def test_forced_deadline_expiry(self, fig2_trace):
+        # The deadline itself is unlimited; only the chaos fault trips
+        # it, drawn once per allocator iteration: rate=1.0 trips it at
+        # the check before iteration 1.
         monkey, result = self.run_single_fault(
             fig2_trace, "deadline", deadline_seconds=None
         )
@@ -107,20 +120,12 @@ class TestPerFaultClass:
 
 class TestDeterminism:
     def test_same_seed_same_injections(self, fig2_trace):
-        # Instruction uids are process-global, so entries are normalized
-        # to their uid-independent parts before comparing runs.
-        def normalized(entries):
-            return [
-                (e["fault"], e.get("mode"), e.get("value"))
-                for e in entries
-            ]
-
         logs = []
         for _ in range(2):
             monkey = ChaosMonkey(seed=13, faults=FAULT_CLASSES, rate=0.4)
             with chaos_scope(monkey):
                 resilient_compile(fig2_trace)
-            logs.append(normalized(monkey.injections))
+            logs.append([normalized(e) for e in monkey.injections])
         assert logs[0] == logs[1]
         assert logs[0], "seed 13 must inject at least one fault"
 
@@ -135,3 +140,43 @@ class TestDeterminism:
         result = resilient_compile(fig2_trace)
         assert result.verified
         assert not result.degradation.degraded
+
+
+class TestWorkIndependence:
+    """Faults are keyed to decisions: doing more work moves none."""
+
+    @staticmethod
+    def sweep(trace):
+        outcomes = {}
+        for seed in CHAOS_SEEDS:
+            monkey = ChaosMonkey(seed=seed, faults=FAULT_CLASSES, rate=0.4)
+            with chaos_scope(monkey):
+                result = resilient_compile(trace)
+            outcomes[seed] = (
+                {normalized(e) for e in monkey.injections},
+                result.degradation.final_method,
+                result.degradation.deadline_tripped,
+            )
+        return outcomes
+
+    def test_injections_do_not_depend_on_work(self, fig2_trace, monkeypatch):
+        import repro.core.measure as measure_module
+        import repro.pm.incremental as incremental_module
+        from repro.core.kill import select_kill
+
+        plain = self.sweep(fig2_trace)
+        assert any(injections for injections, _, _ in plain.values())
+
+        def twice(dag, values, *args, **kwargs):
+            select_kill(dag, values, *args, **kwargs)  # discarded
+            return select_kill(dag, values, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measure_module, "select_kill", twice)
+            patch.setattr(incremental_module, "select_kill", twice)
+            assert self.sweep(fig2_trace) == plain
+
+        tick = Deadline.tick
+        with monkeypatch.context() as patch:
+            patch.setattr(Deadline, "tick", lambda self, n=1: tick(self, 2 * n))
+            assert self.sweep(fig2_trace) == plain
