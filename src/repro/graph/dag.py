@@ -1001,24 +1001,6 @@ class DependenceDAG:
         clone._hammock_analysis = None
         return clone
 
-    def check_invariants(self) -> None:
-        """Raise AssertionError when internal structure is inconsistent."""
-        self.topological_order()  # raises on cycles
-        for uid, inst in self._inst.items():
-            assert inst.uid == uid, f"uid mismatch at {uid}"
-        for u, v, data in self.edges():
-            if data["kind"] is EdgeKind.DATA and v != self.exit:
-                value = data["value"]
-                inst = self.instruction(v)
-                assert value in set(inst.uses()), (
-                    f"data edge {u}->{v} for {value!r} not used by {inst}"
-                )
-        for name, def_uid in self.value_defs.items():
-            if def_uid in (self.entry,):
-                continue
-            inst = self.instruction(def_uid)
-            assert inst.dest == name, f"value_defs[{name!r}] mismatch: {inst}"
-
     def linearize(self) -> List[Instruction]:
         """Any topological order of the real instructions (a legal
         sequential schedule of the transformed trace)."""

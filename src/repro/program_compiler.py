@@ -22,10 +22,9 @@ running the original program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.liveness import block_live_sets
-from repro.graph.dag import DependenceDAG
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.interp import MemoryState, run_program
 from repro.ir.opcodes import Opcode
@@ -259,116 +258,61 @@ def compile_program(
 ) -> CompiledProgram:
     """Compile every trace of ``program`` for ``machine``.
 
-    Duplicate traces compile once.  Per-trace compilation is not
-    individually simulated (the whole program is verified end-to-end
-    instead; see :func:`verify_compiled_program`).
-
-    Scaling knobs (see ``docs/serving.md``):
+    Per-trace compilation is not individually simulated (the whole
+    program is verified end-to-end instead; see
+    :func:`verify_compiled_program`).  The traces go through
+    :func:`repro.serve.pool.compile_traces`, the cache-and-dispatch path
+    the server's trace route takes too: duplicate traces compile once,
+    and a degraded artifact is never cached.  Knobs (see
+    ``docs/serving.md``):
 
     * ``cache`` — persistent content-addressed artifact cache: ``True``
       for the default store (``$REPRO_CACHE_DIR`` / ``~/.cache/repro``),
       a path, or a :class:`repro.serve.CompileCache`.  Identical traces
       hit across runs, processes, and users.
-    * ``jobs`` — fan cache-missing traces across a short-lived
-      :class:`repro.serve.pool.WorkerPool` of up to this many workers,
-      forked only when at least two traces miss (deterministic,
-      input-order results; degrades to serial if the pool cannot run).
+    * ``pool`` — a warm :class:`repro.serve.pool.WorkerPool` that
+      compiles the cache misses; without one, ``jobs`` ≥ 2 forks a
+      short-lived pool of up to ``jobs`` workers when at least two
+      traces miss.
     * ``deadline_ms`` / ``resilient`` — per-trace deadline and the
-      ``repro.resilience`` fallback ladder inside each shard.  A
-      deadline compile that did not degrade equals the plain compile,
-      so it is served from and stored in the cache like any other; a
-      degraded (e.g. deadline-tripped) answer is never stored.
-    * ``pool`` — a persistent :class:`repro.serve.pool.WorkerPool`:
-      cache-missing traces are dispatched to its warm supervised
-      workers instead of forking a short-lived one (preferred over
-      ``jobs`` when both are given; degrades to the ``jobs`` / serial
-      path if the pool cannot run).
+      ``repro.resilience`` fallback ladder inside each shard.
 
     Every knob is bit-identical to the serial compile with none set
     (compare :func:`repro.serve.program_signature` per trace).
     """
     from repro import obs
-    from repro.serve.cache import resolve_cache, trace_key
-    from repro.serve.pool import WorkerPool, _compile_one
+    from repro.serve.cache import resolve_cache
+    from repro.serve.pool import compile_traces
 
     program.validate()
     traces = entry_safe_traces(program, max_trace_blocks=max_trace_blocks)
     prepared_list = [prepare_trace(program, trace) for trace in traces]
     store = resolve_cache(cache)
-    extra = ("resilient",) if resilient else ()
-
-    artifacts: Dict[str, object] = {}  # key -> TraceArtifact
-    key_of: Dict[str, str] = {}  # head -> key
-    pending: List[Tuple[str, Sequence[Instruction]]] = []  # unique misses
-    pending_keys: Set[str] = set()
-    hits = 0
-    for prepared in prepared_list:
-        key = trace_key(prepared.instructions, machine, method, extra=extra)
-        key_of[prepared.head] = key
-        if key in artifacts or key in pending_keys:
-            continue  # duplicate trace: compile/fetch once
-        artifact = store.get(key) if store is not None else None
-        if artifact is not None:
-            artifacts[key] = artifact
-            hits += 1
-        else:
-            pending.append((key, prepared.instructions))
-            pending_keys.add(key)
-
-    fresh_keys: List[str] = []
-    if pending:
-        shards = None
-        if pool is not None:
-            # Warm supervised pool: no per-request fork cost, and worker
-            # crashes/hangs are recovered inside map_shards (None means
-            # the pool itself cannot run — fall through).
-            shards = pool.map_shards(
-                pending, machine, method,
-                deadline_ms=deadline_ms, resilient=resilient,
-            )
-        if shards is None and jobs is not None and jobs > 1 and len(pending) > 1:
-            try:
-                ephemeral = WorkerPool(workers=min(jobs, len(pending)))
-            except OSError as exc:  # no process spawning here
-                obs.count("serve.pool.unavailable")
-                obs.event("serve.pool.unavailable", reason=str(exc))
-            else:
-                with ephemeral:
-                    shards = ephemeral.map_shards(
-                        pending, machine, method,
-                        deadline_ms=deadline_ms, resilient=resilient,
-                    )
-        if shards is None:
-            shards = [
-                _compile_one(
-                    instructions, machine, method, deadline_ms, resilient, key,
-                )
-                for key, instructions in pending
-            ]
-        for artifact in shards:
-            artifacts[artifact.key] = artifact
-            fresh_keys.append(artifact.key)
-
-    if store is not None:
-        for key in fresh_keys:
-            artifact = artifacts[key]
-            degradation = artifact.degradation
-            if degradation is not None and degradation.get("degraded"):
-                continue  # never memoize a degraded answer
-            store.put(artifact)
+    outcomes = compile_traces(
+        [prepared.instructions for prepared in prepared_list],
+        machine,
+        method,
+        cache=store,
+        deadline_ms=deadline_ms,
+        resilient=resilient,
+        pool=pool,
+        jobs=jobs,
+    )
+    hits = len({outcome.key for outcome in outcomes if outcome.hit})
+    misses = len({outcome.key for outcome in outcomes if not outcome.hit})
 
     obs.count("serve.program_traces", len(prepared_list))
     if store is not None:
         obs.count("serve.program_cache_hits", hits)
 
-    compiled: Dict[str, CompiledTrace] = {}
-    for prepared in prepared_list:
-        artifact = artifacts[key_of[prepared.head]]
-        compiled[prepared.head] = CompiledTrace(
+    compiled = {
+        prepared.head: CompiledTrace(
             prepared=prepared,
-            program=artifact.program,
-            cycles_estimate=artifact.cycles_estimate,
+            program=outcome.artifact.program,
+            cycles_estimate=outcome.artifact.cycles_estimate,
         )
+        for prepared, outcome in zip(prepared_list, outcomes)
+    }
     return CompiledProgram(
         machine=machine,
         source=program,
@@ -376,7 +320,7 @@ def compile_program(
         traces=compiled,
         method=method,
         cache_hits=hits,
-        cache_misses=len(fresh_keys) if store is not None else 0,
+        cache_misses=misses if store is not None else 0,
     )
 
 

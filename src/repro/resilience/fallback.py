@@ -243,18 +243,16 @@ def compile_with_fallback(
     machine: MachineModel,
     method: str = "ursa",
     deadline: Optional[Deadline] = None,
-    check_packs: bool = True,
     hints=None,
     **kwargs,
 ):
     """Compile ``source``, escalating down the ladder until a rung yields
     a verified result; always attaches a :class:`DegradationReport`.
 
-    ``check_packs`` additionally runs ``verify_compilation`` (with
-    remeasurement) on each rung's output and treats pack errors as a
-    reason to escalate.  ``hints`` accepts a
-    :class:`repro.analyze.bounds.FeasibilityReport` for this trace on
-    this machine: a report that proves global infeasibility (live-in or
+    Each rung's output also runs ``verify_compilation`` (with
+    remeasurement), and pack errors are a reason to escalate.  ``hints``
+    accepts a :class:`repro.analyze.bounds.FeasibilityReport` for this
+    trace on this machine: a report that proves global infeasibility (live-in or
     live-out set exceeds the register file) raises immediately instead
     of burning the whole ladder, and rungs the static bounds prove
     doomed (e.g. ``ursa-seq`` when the pressure floor already exceeds
@@ -331,15 +329,13 @@ def compile_with_fallback(
         allocation = result.allocation
         if allocation is not None and not allocation.converged:
             problems.append("allocation did not converge")
-        if check_packs:
-            report = verify_compilation(result, remeasure=True)
-            errors = report.errors()
-            if errors:
-                head = getattr(errors[0], "rule", "")
-                problems.append(
-                    f"{len(errors)} verify pack error(s)"
-                    + (f" ({head})" if head else "")
-                )
+        errors = verify_compilation(result, remeasure=True).errors()
+        if errors:
+            head = getattr(errors[0], "rule", "")
+            problems.append(
+                f"{len(errors)} verify pack error(s)"
+                + (f" ({head})" if head else "")
+            )
 
         if not problems:
             attempts.append(

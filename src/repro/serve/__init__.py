@@ -7,11 +7,13 @@ Three layers, each usable alone (tour in ``docs/serving.md``):
   trace text + machine fingerprint + method + pipeline version.
   Plug it into :func:`repro.program_compiler.compile_program`
   via ``cache=True`` (or a path, or a :class:`CompileCache`).
-* :mod:`repro.serve.pool` / :mod:`repro.serve.supervisor` — the one
-  process executor, the supervised :class:`WorkerPool`: kept warm
-  behind ``repro serve --workers``, forked per call for
-  ``compile_program(jobs=N)``; crash/hang/memory-recovered, with
-  poisoned-trace quarantine, bit-identical to the serial path.
+* :mod:`repro.serve.pool` / :mod:`repro.serve.supervisor` —
+  ``compile_traces``, the one cache-and-dispatch path of every trace
+  compile, and the one process executor, the supervised
+  :class:`WorkerPool`: kept warm behind ``repro serve --workers``,
+  forked per call for ``compile_program(jobs=N)``;
+  crash/hang/memory-recovered, with poisoned-trace quarantine,
+  bit-identical to the serial path.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — a long-lived
   stdlib-HTTP compile service (``repro serve``) and its client, with
   admission control, graceful drain, and client-side retry/backoff.

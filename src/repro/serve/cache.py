@@ -59,10 +59,6 @@ CACHE_VERSION = 2
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-class CacheError(Exception):
-    """The persistent store is unusable (permissions, bad layout)."""
-
-
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
     env = os.environ.get(CACHE_DIR_ENV)
@@ -202,6 +198,7 @@ class CompileCache:
         self.memory_entries = memory_entries
         self._memo: "OrderedDict[str, TraceArtifact]" = OrderedDict()
         self._lock = threading.Lock()
+        self._thread = threading.local()
         self.hits = 0
         self.misses = 0
         self.hot_hits = 0
@@ -216,6 +213,7 @@ class CompileCache:
         """The cached artifact for ``key``, or None on a miss."""
         with self._lock:
             memo = self._memo.get(key)
+            self._thread.hot = memo is not None
             if memo is not None:
                 self._memo.move_to_end(key)
                 self.hot_hits += 1
@@ -249,6 +247,11 @@ class CompileCache:
         self.hits += 1
         obs.count("serve.cache_hit")
         return artifact
+
+    def answered_hot(self) -> bool:
+        """Whether this thread's latest :meth:`get` hit the memory memo
+        (``hot_hits`` is shared by every request thread)."""
+        return getattr(self._thread, "hot", False)
 
     def put(self, artifact: TraceArtifact) -> bool:
         """Store ``artifact`` under its key; False if it cannot pickle."""

@@ -1,10 +1,11 @@
-"""The one process executor: a supervised shard-compilation pool.
+"""The one process executor and the one cache-and-dispatch path.
 
-Every parallel compile in the repo runs here.  ``repro serve
---workers`` forks one :class:`WorkerPool` at server start and keeps it
-warm across requests; ``compile_program(jobs=N)`` forks a short-lived
-one per call (only when at least two traces miss the cache) and shuts
-it down when the batch is done.  Either way:
+Every trace compile goes through :func:`compile_traces`: the server's
+trace route with one trace, ``compile_program`` with a program's.
+Its misses run on a :class:`WorkerPool` — the warm one ``repro serve
+--workers`` forks at start, or a short-lived one for
+``compile_program(jobs=N)`` — or serially with :func:`_compile_one`,
+the same function the workers run.  Inside a pool:
 
 * each worker is **supervised**: liveness is checked every poll tick,
   idle workers emit heartbeats, and a worker that crashes, hangs past
@@ -28,11 +29,9 @@ contended across the fork boundary in a surprising way.  Batches are
 serialized by a parent-side lock (`ThreadingHTTPServer` handlers all
 funnel through the same pool).
 
-``map_shards`` returns in-order
-:class:`~repro.serve.cache.TraceArtifact` objects, or ``None`` when the
-pool cannot run at all (unpicklable payload, pool closed, every slot
-exhausted) — callers then compile serially with :func:`_compile_one`,
-the same function the workers run.
+``map_shards`` always returns complete, in-order artifacts: a pool
+that cannot run at all (closed, every slot exhausted, unpicklable
+payload) compiles the batch in the parent.
 """
 
 from __future__ import annotations
@@ -43,12 +42,12 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.ir.instructions import Instruction
 from repro.machine.model import MachineModel
-from repro.serve.cache import TraceArtifact
+from repro.serve.cache import CompileCache, TraceArtifact, trace_key
 from repro.serve.supervisor import RestartPolicy, Supervisor
 
 # Outbox message kinds (plain tuples; must stay picklable and tiny).
@@ -88,9 +87,9 @@ def _compile_one(
 ) -> TraceArtifact:
     """Compile one prepared trace into a :class:`TraceArtifact`.
 
-    Shared by the pool workers, the in-parent fallbacks, the serial
-    ``compile_program`` path and the server's trace route, so every
-    route produces identical artifacts for identical inputs.
+    Shared by the pool workers, the in-parent fallbacks and the serial
+    path of :func:`compile_traces`, so every route produces identical
+    artifacts for identical inputs.
     """
     from repro.pipeline import compile_trace
 
@@ -129,6 +128,86 @@ def _compile_one(
     )
 
 
+class TraceOutcome(NamedTuple):
+    """One trace's answer from :func:`compile_traces`."""
+
+    artifact: TraceArtifact
+    key: str
+    #: answered by the cache rather than compiled.
+    hit: bool
+    #: answered by the cache's memory memo, without reading disk.
+    hot: bool
+
+
+def compile_traces(
+    traces: Sequence[Sequence[Instruction]],
+    machine: MachineModel,
+    method: str,
+    cache: Optional[CompileCache] = None,
+    deadline_ms: Optional[float] = None,
+    resilient: bool = False,
+    pool: Optional[WorkerPool] = None,
+    jobs: Optional[int] = None,
+) -> List[TraceOutcome]:
+    """Answer each prepared trace from ``cache`` or by compiling it.
+
+    Resilient compiles are keyed apart from plain ones, and identical
+    traces in one call are looked up and compiled once.  Misses go to
+    ``pool`` when given; else to a pool forked for this call when
+    ``jobs`` ≥ 2 and at least two traces miss; else they compile here,
+    one by one.  Every artifact that did not degrade is stored in
+    ``cache``: a degraded answer (fallen down the ladder, deadline
+    tripped) is never memoized.  Outcomes are in input order.
+    """
+    extra = ("resilient",) if resilient else ()
+    keys = [trace_key(trace, machine, method, extra=extra) for trace in traces]
+    answers: Dict[str, TraceOutcome] = {}
+    misses: Dict[str, Sequence[Instruction]] = {}
+    for key, trace in zip(keys, traces):
+        if key in answers or key in misses:
+            continue
+        artifact = cache.get(key) if cache is not None else None
+        if artifact is None:
+            misses[key] = trace
+        else:
+            hot = cache.answered_hot()
+            answers[key] = TraceOutcome(artifact, key, True, hot)
+    compiled = _compile_misses(
+        list(misses.items()), machine, method, deadline_ms, resilient,
+        pool, jobs,
+    )
+    for key, artifact in zip(misses, compiled):
+        answers[key] = TraceOutcome(artifact, key, False, False)
+        degraded = (artifact.degradation or {}).get("degraded")
+        if cache is not None and not degraded:
+            cache.put(artifact)
+    return [answers[key] for key in keys]
+
+
+def _compile_misses(
+    shards, machine, method, deadline_ms, resilient, pool, jobs
+) -> List[TraceArtifact]:
+    if not shards:  # all hits: never wait on another request's batch
+        return []
+    if pool is not None:
+        return pool.map_shards(shards, machine, method, deadline_ms, resilient)
+    if jobs is not None and jobs > 1 and len(shards) > 1:
+        try:
+            ephemeral = WorkerPool(workers=min(jobs, len(shards)))
+        except OSError as exc:  # no process spawning here
+            obs.count("serve.pool.unavailable")
+            obs.event("serve.pool.unavailable", reason=str(exc))
+        else:
+            with ephemeral:
+                return ephemeral.map_shards(
+                    shards, machine, method, deadline_ms, resilient
+                )
+    return [
+        _compile_one(instructions, machine, method, deadline_ms, resilient, key)
+        for key, instructions in shards
+    ]
+
+
 def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
     """Long-lived worker loop: compile shards until the ``None`` sentinel.
 
@@ -160,12 +239,8 @@ def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
                 max((inst.uid for inst in task.instructions), default=0)
             )
             artifact = _compile_one(
-                list(task.instructions),
-                task.machine,
-                task.method,
-                task.deadline_ms,
-                task.resilient,
-                task.key,
+                list(task.instructions), task.machine, task.method,
+                task.deadline_ms, task.resilient, task.key,
             )
             outbox.put((_RESULT, task.task_id, worker_id, artifact, None))
         except BaseException as error:  # noqa: BLE001 - report, don't die
@@ -212,6 +287,9 @@ class WorkerPool:
             self.size, restart_policy, quarantine_threshold
         )
         self._rss_reader = _read_rss_kb
+        # Import the compiler before forking, so no worker pays for it
+        # on its first shard.
+        import repro.pipeline  # noqa: F401
         import multiprocessing  # lazy: the serial path never pays for it
 
         try:
@@ -307,13 +385,19 @@ class WorkerPool:
         return snap
 
     def _drain_beats(self) -> None:
-        """Consume idle heartbeats (results never appear outside a batch)."""
-        while True:
-            try:
-                message = self._outbox.get_nowait()
-            except (queue.Empty, OSError, ValueError):
-                return
-            self._note_beat(message)
+        """Consume idle heartbeats.  A batch in flight reads the outbox
+        itself, and a result taken here would be lost to it."""
+        if not self._batch_lock.acquire(blocking=False):
+            return
+        try:
+            while True:
+                try:
+                    message = self._outbox.get_nowait()
+                except (queue.Empty, OSError, ValueError):
+                    return
+                self._note_beat(message)
+        finally:
+            self._batch_lock.release()
 
     def _note_beat(self, message: tuple) -> bool:
         if message[0] != _BEAT:
@@ -331,39 +415,16 @@ class WorkerPool:
         method: str,
         deadline_ms: Optional[int] = None,
         resilient: bool = False,
-    ) -> Optional[List[object]]:
+    ) -> List[TraceArtifact]:
         """Compile ``[(key, instructions), ...]`` → in-order artifacts.
 
-        Returns ``None`` when the pool cannot run at all (caller falls
-        back to its serial path).
-        Worker deaths mid-shard are recovered internally: the shard is
+        Always complete and bit-identical to a serial compile.  Worker
+        deaths mid-shard are recovered internally: the shard is
         requeued, the worker restarted under backoff, and quarantined
-        keys are compiled in-parent — so a non-``None`` return is
-        always complete and bit-identical to a serial compile.
+        keys are compiled in-parent.  When the pool cannot run at all
+        (closed, unhealthy, unpicklable payload) the whole batch
+        compiles in-parent.
         """
-        if self._closed or not shards:
-            return None
-        if not self.supervisor.healthy():
-            obs.count("serve.pool.unavailable")
-            return None
-        import pickle
-
-        try:  # preflight: unpicklable machines degrade to serial (PR 7)
-            pickle.dumps((shards[0][1], machine))
-        except Exception:
-            obs.count("serve.pool.unpicklable")
-            return None
-        with self._batch_lock:
-            with obs.span("serve.pool.batch", shards=len(shards)):
-                return self._run_batch(
-                    shards, machine, method, deadline_ms, resilient
-                )
-
-    def _run_batch(
-        self, shards, machine, method, deadline_ms, resilient
-    ) -> List[object]:
-        from collections import deque
-
         tasks = [
             ShardTask(
                 task_id=index,
@@ -376,6 +437,30 @@ class WorkerPool:
             )
             for index, (key, instructions) in enumerate(shards)
         ]
+        with self._batch_lock:
+            if not self._can_run(tasks):
+                return [self._compile_in_parent(task) for task in tasks]
+            with obs.span("serve.pool.batch", shards=len(tasks)):
+                return self._run_batch(tasks)
+
+    def _can_run(self, tasks: Sequence[ShardTask]) -> bool:
+        if self._closed or not tasks:
+            return False
+        if not self.supervisor.healthy():
+            obs.count("serve.pool.unavailable")
+            return False
+        import pickle
+
+        try:  # preflight: an unpicklable machine compiles in-parent
+            pickle.dumps(tasks[0])
+        except Exception:
+            obs.count("serve.pool.unpicklable")
+            return False
+        return True
+
+    def _run_batch(self, tasks: Sequence[ShardTask]) -> List[TraceArtifact]:
+        from collections import deque
+
         results: List[object] = [None] * len(tasks)
         completed: set = set()
         pending = deque()
@@ -578,26 +663,15 @@ class WorkerPool:
     def _compile_in_parent(self, task: ShardTask, quarantined: bool = False):
         self.supervisor.parent_compiles += 1
         obs.count("serve.pool.parent_compiles")
-        if not quarantined:
-            return _compile_one(
-                list(task.instructions),
-                task.machine,
-                task.method,
-                task.deadline_ms,
-                task.resilient,
-                task.key,
-            )
-        # Quarantined key: always compile under the resilient fallback
-        # ladder and stamp the DegradationReport so the outcome is
-        # explicit (and never cached — degraded artifacts are skipped).
+        # A quarantined key always compiles under the resilient fallback
+        # ladder, with the quarantine stamped on its DegradationReport so
+        # the outcome is explicit (and never cached).
         artifact = _compile_one(
-            list(task.instructions),
-            task.machine,
-            task.method,
-            task.deadline_ms,
-            True,
-            task.key,
+            list(task.instructions), task.machine, task.method,
+            task.deadline_ms, task.resilient or quarantined, task.key,
         )
+        if not quarantined:
+            return artifact
         degradation = dict(artifact.degradation or {})
         degradation.setdefault("requested_method", task.method)
         degradation.setdefault("final_method", artifact.method)

@@ -49,8 +49,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.machine.model import MachineModel
-from repro.serve.cache import CompileCache, TraceArtifact, trace_key
-from repro.serve.pool import _compile_one
+from repro.serve.cache import CompileCache
+from repro.serve.pool import compile_traces
 
 #: Maps protocol error codes to HTTP statuses.
 ERROR_STATUS = {
@@ -261,8 +261,13 @@ def handle_trace_request(
     request: Dict[str, Any],
     cache: Optional[CompileCache],
     default_deadline_ms: Optional[float] = None,
+    pool: Optional[object] = None,
 ) -> Dict[str, Any]:
-    """Compile one straight-line trace; memoized through ``cache``."""
+    """Compile one straight-line trace; memoized through ``cache``.
+
+    A miss compiles on ``pool`` when the server has one, like the
+    traces of a program request.
+    """
     source = _require_source(request)
     method = _method_of(request)
     options = _options_of(request)
@@ -279,23 +284,11 @@ def handle_trace_request(
     _admit(parsed, machine, source)
     instructions = list(parsed.blocks[0].instructions)
 
-    extra = ("resilient",) if resilient else ()
-    key = trace_key(instructions, machine, method, extra=extra)
-    artifact: Optional[TraceArtifact] = None
-    hit = hot = False
-    if cache is not None:
-        before_hot = cache.hot_hits
-        artifact = cache.get(key)
-        hit = artifact is not None
-        hot = hit and cache.hot_hits > before_hot
-    if artifact is None:
-        artifact = _compile_one(
-            instructions, machine, method, deadline_ms, resilient, key
-        )
-        if cache is not None and not (
-            artifact.degradation and artifact.degradation.get("degraded")
-        ):
-            cache.put(artifact)
+    (outcome,) = compile_traces(
+        [instructions], machine, method, cache=cache,
+        deadline_ms=deadline_ms, resilient=resilient, pool=pool,
+    )
+    artifact = outcome.artifact
 
     verified: Optional[bool] = None
     if options.get("verify"):
@@ -322,7 +315,9 @@ def handle_trace_request(
             "program": str(program),
             "verified": verified,
             "degradation": artifact.degradation,
-            "cache": {"hit": hit, "hot": hot, "key": key},
+            "cache": {
+                "hit": outcome.hit, "hot": outcome.hot, "key": outcome.key,
+            },
         },
     }
 
@@ -426,7 +421,7 @@ def handle_single(
             obs.count("serve.requests")
             if kind == "trace":
                 response = handle_trace_request(
-                    request, cache, default_deadline_ms
+                    request, cache, default_deadline_ms, pool
                 )
             elif kind == "program":
                 response = handle_program_request(

@@ -37,7 +37,8 @@ Threading: :class:`ThreadingHTTPServer` gives one thread per
 connection.  The cache and pool are thread-safe (pool batches are
 serialized); compilation itself is pure Python and GIL-bound, so
 handler concurrency is about *latency overlap* while CPU-parallel
-throughput comes from the worker pool on ``program`` requests.
+throughput comes from the worker pool, which compiles every cache
+miss, trace and program requests alike.
 """
 
 from __future__ import annotations

@@ -484,13 +484,26 @@ class TestContractLint:
                 "from repro.graph.bitset import BitsetKuhn as Matcher\n"
                 "matcher = bitset.BitsetKuhn(4)\n"
                 "koenig = bitset.koenig_cover_masks\n"
+                "key = trace_key(trace, machine, 'ursa')\n"
+                "self.cache.put(artifact)\n"
+                "shards = pool.map_shards(pending, machine, 'ursa')\n"
+                "artifact = pool_mod._compile_one(trace, machine)\n"
+                "inbox.put(task)\n"
             )
             # The oracle itself may import anything, including its own
             # package; only other modules are held to C004.
             (pkg / "reference.py").write_text("import repro.reference\n")
-            # The worker pool is the one module allowed to fork.
+            # The worker pool is the one module allowed to fork; it and
+            # the cache own trace keys, cache puts and dispatch.
             (pkg / "serve").mkdir()
-            (pkg / "serve" / "pool.py").write_text("import multiprocessing\n")
+            (pkg / "serve" / "cache.py").write_text(
+                "key = trace_key(trace, machine, 'ursa')\n"
+            )
+            (pkg / "serve" / "pool.py").write_text(
+                "import multiprocessing\n"
+                "cache.put(_compile_one(trace, machine))\n"
+                "pool.map_shards(shards, machine, 'ursa')\n"
+            )
             # The Dilworth front end is the one module allowed to match.
             (pkg / "graph").mkdir()
             (pkg / "graph" / "dilworth.py").write_text(
@@ -501,7 +514,7 @@ class TestContractLint:
             codes = sorted(f.code for f in findings)
             assert codes == [
                 "C001", "C002", "C004", "C004", "C005", "C005", "C006", "C006",
-                "C007", "C007",
+                "C007", "C007", "C008", "C008", "C008", "C008",
             ]
         finally:
             sys.path.pop(0)

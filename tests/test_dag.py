@@ -5,6 +5,7 @@ import pytest
 from repro.graph.dag import CycleError, DependenceDAG, EdgeKind
 from repro.ir.instructions import Addr
 from repro.ir.parser import parse_trace
+from repro.verify import verify_dag
 
 
 class TestConstruction:
@@ -21,7 +22,7 @@ class TestConstruction:
             assert len(fig2_dag.succs(uid)) > 0
 
     def test_invariants_hold(self, fig2_dag):
-        fig2_dag.check_invariants()
+        verify_dag(fig2_dag).raise_if_errors()
 
     def test_memory_edges_between_aliasing_stores(self):
         insts = parse_trace(
@@ -157,7 +158,7 @@ class TestMutation:
         spill, reload, new_name = fig2_dag.insert_spill(
             "D", uses, Addr("%spill", 0)
         )
-        fig2_dag.check_invariants()
+        verify_dag(fig2_dag).raise_if_errors()
         assert fig2_dag.reaches(d, spill)
         assert fig2_dag.reaches(spill, reload)
         for use in uses:
@@ -190,8 +191,6 @@ class TestVerifierSurfacedRegressions:
         assert len(users) == len(set(users)) == 1
 
     def test_repeated_operand_verifies_clean(self):
-        from repro.verify import verify_dag
-
         dag = DependenceDAG.from_trace(
             parse_trace("b = load [x]\nc = b * b\nstore [y], c")
         )
@@ -204,7 +203,7 @@ class TestVerifierSurfacedRegressions:
         uses = (u for u in [dag.value_defs["b"], dag.value_defs["c"],
                             dag.value_defs["c"]])
         _, reload_uid, new_name = dag.insert_spill("a", uses, Addr("%t", 0))
-        dag.check_invariants()
+        verify_dag(dag).raise_if_errors()
         # Duplicated uid in the input must not double-record the use.
         assert dag.value_uses[new_name].count(dag.value_defs["c"]) == 1
 
@@ -215,7 +214,7 @@ class TestVerifierSurfacedRegressions:
         )
         late = (u for u in [dag.exit])  # generator, consumed once
         new_uid, new_name = dag.insert_remat("k", late)
-        dag.check_invariants()
+        verify_dag(dag).raise_if_errors()
         # The rematerialized value must take over the live-out role.
         assert new_name in dag.live_out and "k" not in dag.live_out
         assert dag.has_edge(new_uid, dag.exit)

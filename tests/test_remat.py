@@ -10,6 +10,7 @@ from repro.ir.builder import TraceBuilder
 from repro.ir.interp import run_trace
 from repro.ir.parser import parse_trace
 from repro.machine.model import MachineModel
+from repro.verify import verify_dag
 
 
 def pressure_kernel():
@@ -62,7 +63,7 @@ class TestInsertRemat:
         dag = DependenceDAG.from_trace(trace)
         k_uses = [u for u in dag.value_uses["k"] if u != dag.exit]
         remat_uid, new_name = dag.insert_remat("k", k_uses)
-        dag.check_invariants()
+        verify_dag(dag).raise_if_errors()
         # The final add now reads the clone.
         for use in k_uses:
             assert new_name in set(dag.instruction(use).uses())
@@ -94,7 +95,7 @@ class TestInsertRemat:
             if str(dag.instruction(u)).startswith("store [y]")
         )
         remat_uid, _ = dag.insert_remat("v", [store_y])
-        dag.check_invariants()
+        verify_dag(dag).raise_if_errors()
         result = run_trace(dag.linearize(), {("a", 0): 9})
         assert result.stores_to("y") == {0: 9}
 

@@ -468,6 +468,38 @@ class TestProtocolUnit:
         assert degradation["deadline_tripped"] == "time"
         assert cache.stats()["entries"] == 0
 
+    def test_hot_flag_ignores_other_threads_hot_hits(self, tmp_path):
+        from repro.serve.protocol import handle_payload
+
+        other = {"kind": "trace", "source": "x = load [Q]\nstore [R], x"}
+        # Fill the store, then serve from a fresh instance: the trace is
+        # on disk only, while `other` is in the memory memo.
+        handle_payload(
+            {"kind": "trace", "source": TRACE_SRC},
+            cache=CompileCache(tmp_path),
+        )
+        cache = CompileCache(tmp_path)
+        _, warm = handle_payload(other, cache=cache)
+        other_key = warm["result"]["cache"]["key"]
+        real_get = cache.get
+
+        def get_then_interleave(key):
+            artifact = real_get(key)
+            # Another request thread lands a hot hit right after ours.
+            thread = threading.Thread(target=real_get, args=(other_key,))
+            thread.start()
+            thread.join()
+            return artifact
+
+        cache.get = get_then_interleave
+        hot_before = cache.hot_hits
+        _, body = handle_payload(
+            {"kind": "trace", "source": TRACE_SRC}, cache=cache
+        )
+        assert cache.hot_hits == hot_before + 1  # the other thread's
+        assert body["result"]["cache"]["hit"] is True
+        assert body["result"]["cache"]["hot"] is False
+
     def test_machine_from_spec(self):
         from repro.serve.protocol import ProtocolError, machine_from_spec
 

@@ -31,6 +31,7 @@ import pytest
 from repro import obs
 from repro.ir.parser import parse_program, parse_trace
 from repro.machine.model import MachineModel
+from repro.pipeline import compile_trace
 from repro.program_compiler import compile_program, verify_compiled_program
 from repro.resilience import SERVICE_FAULTS, ChaosMonkey, chaos_scope
 from repro.serve.cache import CompileCache, program_signature, trace_key
@@ -187,21 +188,56 @@ class TestWorkerPool:
         assert pool.supervisor.parent_compiles == 0
         _identical(compile_program(program, MACHINE), pooled)
 
-    def test_unpicklable_machine_degrades_to_none(self, pool):
-        class Sabotage:
-            def __reduce__(self):
-                raise TypeError("nope")
+    def test_unpicklable_machine_compiles_in_parent(self, pool):
+        from dataclasses import replace
 
-        trace = parse_trace(TRACE_SRC)
-        shards = [("k", trace)]
-        assert pool.map_shards(shards, Sabotage(), "ursa") is None
+        from repro.machine.model import default_reg_class
 
-    def test_closed_pool_returns_none(self):
+        # A lambda classifier cannot cross the process boundary.
+        machine = replace(
+            MACHINE, reg_class_of=lambda name: default_reg_class(name)
+        )
+        traces = [parse_trace(TRACE_SRC), parse_trace(POISON_SRC)]
+        shards = [(trace_key(t, machine, "ursa"), t) for t in traces]
+        with obs.capture() as observer:
+            artifacts = pool.map_shards(shards, machine, "ursa")
+        assert [a.key for a in artifacts] == [key for key, _ in shards]
+        for artifact, trace in zip(artifacts, traces):
+            assert artifact.degradation is None
+            assert program_signature(artifact.program) == program_signature(
+                compile_trace(trace, MACHINE, verify=False).program
+            )
+        assert observer.counters["serve.pool.unpicklable"] == 1
+        assert observer.counters["serve.pool.parent_compiles"] == 2
+        assert "serve.pool.dispatched" not in observer.counters
+
+    def test_closed_pool_compiles_in_parent(self):
         worker_pool = WorkerPool(workers=1, **FAST)
         worker_pool.shutdown()
         trace = parse_trace(TRACE_SRC)
         key = trace_key(trace, MACHINE, "ursa")
-        assert worker_pool.map_shards([(key, trace)], MACHINE, "ursa") is None
+        (artifact,) = worker_pool.map_shards([(key, trace)], MACHINE, "ursa")
+        assert artifact.key == key and artifact.degradation is None
+        assert program_signature(artifact.program) == program_signature(
+            compile_trace(trace, MACHINE, verify=False).program
+        )
+        assert worker_pool.supervisor.parent_compiles == 1
+
+    def test_snapshot_during_a_batch_leaves_results_alone(self, pool):
+        import queue
+
+        with pool._batch_lock:  # a batch in flight owns the outbox
+            pool._outbox.put(("result", 0, 0, None, None))
+            time.sleep(0.1)  # let the queue's feeder thread flush it
+            pool.snapshot()
+        kinds = []  # idle heartbeats may share the outbox
+        deadline = time.monotonic() + 2.0
+        while "result" not in kinds and time.monotonic() < deadline:
+            try:
+                kinds.append(pool._outbox.get(timeout=0.1)[0])
+            except queue.Empty:
+                pass
+        assert "result" in kinds, "snapshot consumed a batch's result"
 
     def test_spawn_failure_stops_started_workers(self, monkeypatch):
         import multiprocessing.context
@@ -309,7 +345,7 @@ class TestCrashRecovery:
             trace = parse_trace(TRACE_SRC)
             key = trace_key(trace, MACHINE, "ursa")
             artifacts = worker_pool.map_shards([(key, trace)], MACHINE, "ursa")
-            assert artifacts is not None and artifacts[0].key == key
+            assert artifacts[0].key == key
             assert worker_pool.supervisor.mem_restarts == 1
             assert worker_pool.supervisor.states[0].pid != pid_before
             assert worker_pool.supervisor.states[0].alive
@@ -349,7 +385,6 @@ class TestQuarantine:
                 (trace_key(healthy, MACHINE, "ursa"), healthy),
             ]
             artifacts = worker_pool.map_shards(shards, MACHINE, "ursa")
-            assert artifacts is not None
             poisoned_artifact, healthy_artifact = artifacts
             # The poisoned shard killed exactly `threshold` workers,
             # then compiled in-parent under the fallback ladder with a
@@ -730,6 +765,76 @@ class TestPooledServer:
         assert excinfo.value.code == "overloaded"
         assert time.monotonic() - started < 10.0
         assert client.retries == 2
+
+
+# ======================================================================
+# The trace route on a pooled server (transport-free ServeApp).
+# ======================================================================
+TRACE_REQUEST = {
+    "kind": "trace", "source": TRACE_SRC, "machine": {"fus": 2, "regs": 4},
+}
+
+
+class TestPooledTraceRoute:
+    def _signature(self, app, body):
+        """The signature of the artifact the server cached for ``body``."""
+        assert body["ok"], body
+        artifact = app.cache.get(body["result"]["cache"]["key"])
+        return program_signature(artifact.program)
+
+    def _serial_signature(self, tmp_path):
+        from repro.serve.server import ServeApp
+
+        app = ServeApp(cache=tmp_path / "serial")
+        try:
+            _, body = app.compile(TRACE_REQUEST)
+            return self._signature(app, body)
+        finally:
+            app.close()
+
+    def test_trace_miss_runs_as_one_pool_task(self, tmp_path):
+        from repro.serve.server import ServeApp
+
+        app = ServeApp(cache=tmp_path / "pooled", workers=2, pool_options=FAST)
+        try:
+            _, body = app.compile(TRACE_REQUEST)
+            counters = app.observer.counters
+            assert counters["serve.pool.tasks"] == 1
+            assert counters.get("serve.pool.parent_compiles", 0) == 0
+            assert app.pool.supervisor.parent_compiles == 0
+            assert not body["result"]["cache"]["hit"]
+            pooled = self._signature(app, body)
+        finally:
+            app.close()
+        direct = compile_trace(parse_trace(TRACE_SRC), MACHINE).program
+        assert pooled == self._serial_signature(tmp_path)
+        assert pooled == program_signature(direct)
+
+    def test_worker_kill_during_trace_request_recovers(self, tmp_path):
+        from repro.serve.server import ServeApp
+
+        key = trace_key(parse_trace(TRACE_SRC), MACHINE, "ursa")
+
+        def kills(seed, attempt):
+            monkey = ChaosMonkey(seed=seed, faults=("worker_kill",), rate=0.5)
+            return monkey.service_fault("worker_kill", key, attempt) is not None
+
+        # A seed that kills the first dispatch and spares the retry.
+        seed = next(s for s in range(100) if kills(s, 0) and not kills(s, 1))
+        app = ServeApp(cache=tmp_path / "pooled", workers=2, pool_options=FAST)
+        try:
+            monkey = ChaosMonkey(seed=seed, faults=("worker_kill",), rate=0.5)
+            with chaos_scope(monkey):
+                _, body = app.compile(TRACE_REQUEST)
+            counters = app.observer.counters
+            assert monkey.injected("worker_kill") == 1
+            assert counters["serve.pool.worker_deaths"] == 1
+            assert counters.get("serve.pool.parent_compiles", 0) == 0
+            assert body["result"]["degradation"] is None
+            pooled = self._signature(app, body)
+        finally:
+            app.close()
+        assert pooled == self._serial_signature(tmp_path)
 
 
 # ======================================================================

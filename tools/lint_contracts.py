@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Six rules, each guarding an invariant the test suite cannot easily
+Seven rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -44,6 +44,15 @@ C007  No module under ``src/repro`` except ``graph/dilworth.py`` may
       exact widths, antichains); a second caller is where a second
       matcher, or a second way to drive this one, comes back (see
       docs/performance.md).
+
+C008  No module under ``src/repro`` except ``serve/cache.py`` and
+      ``serve/pool.py`` may call ``trace_key``, ``map_shards``,
+      ``_compile_one`` or ``.put`` on a cache (a receiver named like
+      ``cache`` or ``store``).  ``serve/pool.py::compile_traces`` is
+      the one cache-and-dispatch path: it keys every trace compile,
+      stores every artifact that did not degrade and dispatches the
+      misses.  A second caller is where a second cache policy comes
+      back (see docs/serving.md).
 
 Usage::
 
@@ -313,6 +322,46 @@ def lint_matcher_references(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# C008: cache policy and dispatch outside the cache-and-dispatch path.
+# ----------------------------------------------------------------------
+CACHE_POLICY_MODULES = ("src/repro/serve/cache.py", "src/repro/serve/pool.py")
+CACHE_POLICY_CALLS = {"trace_key", "map_shards", "_compile_one"}
+CACHE_RECEIVER = re.compile(r"cache|store", re.IGNORECASE)
+
+
+def _callee(func: ast.expr) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def lint_cache_policy(path: Path, tree: ast.Module) -> List[Finding]:
+    if path.as_posix().endswith(CACHE_POLICY_MODULES):
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _callee(node.func)
+        if name == "put":
+            receiver = _callee(node.func.value)
+            hit = receiver is not None and bool(CACHE_RECEIVER.search(receiver))
+        else:
+            hit = name in CACHE_POLICY_CALLS
+        if hit:
+            findings.append(Finding(
+                path, node.lineno, "C008",
+                f"src/repro calls {name} outside serve/cache.py and "
+                "serve/pool.py; compile_traces is the one "
+                "cache-and-dispatch path — key, store and dispatch "
+                "trace compiles through it",
+            ))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
     findings: List[Finding] = []
@@ -325,6 +374,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_runtime_dependencies(rel, tree))
         findings.extend(lint_process_executors(rel, tree))
         findings.extend(lint_matcher_references(rel, tree))
+        findings.extend(lint_cache_policy(rel, tree))
     return findings
 
 
