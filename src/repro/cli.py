@@ -140,7 +140,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         verify_each=args.verify_each,
         resilient=args.resilient,
         deadline=deadline,
-        transactional=args.transactional,
     )
     print(f"machine: {machine.describe()}   method: {args.method}")
     if args.show_source:
@@ -412,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--verify-each", action="store_true",
-        help="re-verify DAG invariants after every committed URSA transform",
+        help="re-verify DAG invariants after each phase and in every URSA "
+             "commit (a commit that breaks one is rolled back)",
     )
     p.add_argument(
         "--resilient", action="store_true",
@@ -423,10 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms", type=float, metavar="MS",
         help="compilation deadline; expiring searches degrade to "
              "heuristic answers",
-    )
-    p.add_argument(
-        "--transactional", action="store_true",
-        help="checkpoint each URSA commit and roll back regressions",
     )
     p.add_argument(
         "--json", action="store_true",

@@ -5,13 +5,16 @@ Repeatedly measures every resource, locates excessive chain sets, asks
 each applicable transformation for candidates, *tentatively applies*
 each candidate, re-measures, and commits the candidate that best
 combines excess reduction with critical-path preservation.  Every
-candidate — sequencing, spill and remat alike, in every mode (deadline,
-chaos and transactional runs included) — is tried in place inside one
-journaled DAG transaction and scored by
+candidate — sequencing, spill and remat alike, in every mode (deadline
+and chaos runs included) — is tried in place inside one journaled DAG
+transaction and scored by
 :class:`~repro.pm.incremental.IncrementalMeasurer`, then rolled back.
-The winner is committed one way: ``candidate.apply()`` builds it as a
-fresh DAG, so the pre-commit DAG is never mutated, and is measured
-once (again only when a transactional audit rejects that measurement).
+The winner is applied one way: ``candidate.apply()`` builds it as a
+fresh DAG, so the pre-commit DAG is never mutated, and is measured once
+(again only when the capacity audit rejects that measurement).  Every
+commit then passes one gate — capacity audit, strict excess progress,
+and with ``verify_each`` the invariant packs — or is rolled back and
+its candidate banned; its record is built from what the gate accepted.
 Policies:
 
 * ``INTEGRATED`` — all transformations compete each iteration (§5's
@@ -28,7 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.measure import (
@@ -86,17 +89,13 @@ class AllocationResult:
     converged: bool
     iterations: int
     #: True when the run was cut short or repaired (deadline expiry,
-    #: transactional rollbacks); details in ``degradation_events``.
+    #: rolled-back commits); details in ``degradation_events``.
     degraded: bool = False
     degradation_events: Tuple[str, ...] = ()
 
     @property
     def total_excess(self) -> int:
         return sum(r.excess for r in self.requirements)
-
-    @property
-    def spill_transform_count(self) -> int:
-        return sum(1 for r in self.records if r.kind.startswith("spill"))
 
     def describe(self) -> str:
         status = "converged" if self.converged else "NOT converged"
@@ -110,6 +109,16 @@ class AllocationResult:
         return "\n".join(lines)
 
 
+class _Step(NamedTuple):
+    """The winner of one step, applied and measured but not committed."""
+
+    candidate: TransformCandidate
+    dag: DependenceDAG
+    requirements: List[ResourceRequirement]
+    critical_path_before: int
+    critical_path_after: int
+
+
 class URSAAllocator:
     """Runs URSA's measurement/transformation loop for one machine."""
 
@@ -119,21 +128,15 @@ class URSAAllocator:
         policy: Policy = Policy.INTEGRATED,
         max_iterations: Optional[int] = None,
         verify_each: bool = False,
-        transactional: bool = False,
     ) -> None:
         self.machine = machine
         self.policy = policy
         self.max_iterations = max_iterations
-        #: Run the ``dag.*`` + ``alloc.*`` rule packs after every
-        #: committed transform (LLVM's ``-verify-each``); raises
-        #: :class:`repro.verify.VerifyError` at the first bad commit.
+        #: Run the ``dag.*`` + ``alloc.*`` rule packs on the input and
+        #: in the commit gate (LLVM's ``-verify-each``): a bad input
+        #: raises :class:`repro.verify.VerifyError`, a commit that breaks
+        #: an invariant is rolled back and its candidate banned.
         self.verify_each = verify_each
-        #: Treat each commit as a transaction: re-measure the committed
-        #: DAG (and, with ``verify_each``, re-run the packs) and roll
-        #: back to the checkpoint when the transform regressed excess or
-        #: broke an invariant, banning that candidate for the rest of
-        #: the run instead of raising.
-        self.transactional = transactional
         self._excess_weight = 1  # set per run from the DAG size
         self._banned: set = set()
         self._measurer: Optional[IncrementalMeasurer] = None
@@ -159,14 +162,8 @@ class URSAAllocator:
             iteration=0, phase="commit"
         ):
             requirements = self._measure(dag)
-        if self.transactional and any(
-            r.available != self._capacity(r.kind, r.cls)
-            for r in requirements
-        ):
-            obs.count("resilience.measurement_rejected")
-            obs.event("resilience.degraded", site="allocator.measurement")
-            with chaos.decision(iteration=0, phase="audit"):
-                requirements = self._measure(dag)
+        with chaos.decision(iteration=0):
+            requirements = self._audited(dag, requirements)
         if self.verify_each:
             self._verify_state(dag, requirements, "input dag")
         initial_excess = sum(r.excess for r in requirements)
@@ -202,38 +199,49 @@ class URSAAllocator:
                 step = self._step(dag, requirements, iteration)
             if step is None:
                 break
-            new_dag, new_reqs, record = step
-            if self.transactional:
-                # Every winner is committed as a fresh DAG, so the
-                # pre-commit ``dag, requirements`` are the checkpoint and
-                # rolling back is just keeping them.
-                obs.count("resilience.checkpoints")
-                with chaos.decision(iteration=iteration):
-                    failure, new_reqs = self._commit_failure(
-                        new_dag, new_reqs, requirements
-                    )
-                if failure is not None:
-                    self._banned.add((record.kind, record.description))
-                    obs.count("resilience.rollbacks")
-                    degradation_events.append(f"rollback:{record.kind}")
-                    obs.event(
-                        "resilience.rollback",
-                        iteration=iteration,
-                        kind=record.kind,
-                        description=record.description,
-                        reason=failure,
-                    )
-                    continue
-            dag, requirements = new_dag, new_reqs
-            records.append(record)
-            if self.verify_each and not self.transactional:
-                self._verify_state(
-                    dag,
-                    requirements,
-                    f"after iteration {iteration} ({record.kind}: "
-                    f"{record.description})",
+            candidate = step.candidate
+            # Every winner is built as a fresh DAG, so the pre-commit
+            # ``dag, requirements`` are the checkpoint and rolling back is
+            # just keeping them.
+            with chaos.decision(iteration=iteration):
+                failure, new_reqs = self._commit_failure(
+                    step.dag, step.requirements, requirements
                 )
-            converged = sum(r.excess for r in requirements) == 0
+            if failure is not None:
+                self._banned.add((candidate.kind, candidate.description))
+                obs.count("resilience.rollbacks")
+                degradation_events.append(f"rollback:{candidate.kind}")
+                obs.event(
+                    "resilience.rollback",
+                    iteration=iteration,
+                    kind=candidate.kind,
+                    description=candidate.description,
+                    reason=failure,
+                )
+                continue
+            record = TransformationRecord(
+                iteration=iteration,
+                kind=candidate.kind,
+                description=candidate.description,
+                excess_before=sum(r.excess for r in requirements),
+                excess_after=sum(r.excess for r in new_reqs),
+                critical_path_before=step.critical_path_before,
+                critical_path_after=step.critical_path_after,
+            )
+            obs.event(
+                "allocate.commit",
+                iteration=iteration,
+                kind=record.kind,
+                description=record.description,
+                spills_added=candidate.spills_added,
+                excess_before=record.excess_before,
+                excess_after=record.excess_after,
+                cp_before=record.critical_path_before,
+                cp_after=record.critical_path_after,
+            )
+            dag, requirements = step.dag, new_reqs
+            records.append(record)
+            converged = record.excess_after == 0
 
         obs.event(
             "allocate.done",
@@ -263,40 +271,50 @@ class URSAAllocator:
         new_reqs: List[ResourceRequirement],
         old_reqs: Sequence[ResourceRequirement],
     ) -> Tuple[Optional[str], List[ResourceRequirement]]:
-        """Transactional gate: (reason to roll back or None, requirements
-        to carry forward).
+        """The commit gate: (reason to roll back or None, requirements to
+        carry forward and record).
 
-        The measurements are audited, not blindly re-made: every
-        ``available`` field is re-derivable from the machine model for
-        free, and a lying measurement (exactly what the chaos harness
-        injects) has to bend ``available`` to hide or invent excess —
-        hiding a *real* excess forces ``available = required`` above
-        the true capacity.  Only when that audit fails is a full
-        honest re-measurement spent; a clean commit costs two integer
-        comparisons per requirement.  The committed numbers must then
-        show the same strict weighted-excess improvement
-        ``_best_candidate`` promised, and — with ``verify_each`` — pass
-        the invariant packs, converting what would be a fatal
-        ``VerifyError`` into a rollback.
+        Every commit passes it, in every mode.  The measurements are
+        audited (:meth:`_audited`), then must show the same strict
+        weighted-excess improvement ``_best_candidate`` promised, and —
+        with ``verify_each`` — pass the invariant packs, so a commit
+        that breaks one is rolled back rather than raised.
         """
-        if any(
-            r.available != self._capacity(r.kind, r.cls) for r in new_reqs
-        ):
-            obs.count("resilience.measurement_rejected")
-            obs.event("resilience.degraded", site="allocator.measurement")
-            with chaos.decision(phase="audit"):
-                new_reqs = self._measure(new_dag)
+        new_reqs = self._audited(new_dag, new_reqs)
         if self._weighted_excess(new_reqs) >= self._weighted_excess(old_reqs):
             return "commit shows no excess progress", new_reqs
         if self.verify_each:
             from repro.verify import VerifyError  # lazy: optional mode
 
             try:
-                self._verify_state(new_dag, new_reqs, "transactional commit")
+                self._verify_state(new_dag, new_reqs, "commit")
             except VerifyError as exc:
                 reason = str(exc).splitlines()[0] if str(exc) else "VerifyError"
                 return f"verify_each: {reason}", new_reqs
         return None, new_reqs
+
+    def _audited(
+        self, dag: DependenceDAG, requirements: List[ResourceRequirement]
+    ) -> List[ResourceRequirement]:
+        """``requirements``, or a re-measurement of ``dag`` when one of
+        them bends ``available``.
+
+        Every ``available`` field is re-derivable from the machine model
+        for free, and a lying measurement (exactly what the chaos
+        harness injects) has to bend it to hide or invent excess —
+        hiding a *real* excess forces ``available = required`` above the
+        true capacity.  So a clean measurement costs two integer
+        comparisons per requirement, and only a failed audit spends a
+        full measurement.  That re-measurement is not audited again.
+        """
+        if all(
+            r.available == self._capacity(r.kind, r.cls) for r in requirements
+        ):
+            return requirements
+        obs.count("resilience.measurement_rejected")
+        obs.event("resilience.degraded", site="allocator.measurement")
+        with chaos.decision(phase="audit"):
+            return self._measure(dag)
 
     def _capacity(self, kind: ResourceKind, cls: str) -> int:
         """The machine's true capacity for one resource class."""
@@ -336,12 +354,11 @@ class URSAAllocator:
         dag: DependenceDAG,
         requirements: List[ResourceRequirement],
         iteration: int,
-    ) -> Optional[
-        Tuple[DependenceDAG, List[ResourceRequirement], TransformationRecord]
-    ]:
-        """Evaluate candidates and commit the best; None when stuck.
+    ) -> Optional[_Step]:
+        """Evaluate candidates and apply the best; None when stuck.
 
         The returned DAG is always a fresh one: ``dag`` is never mutated.
+        Whether the winner is committed is the gate's call (see ``run``).
         """
         excessive = [r for r in requirements if r.is_excessive]
         active = self._active_requirements(excessive)
@@ -412,27 +429,7 @@ class URSAAllocator:
         with chaos.decision(phase="commit"):
             new_dag = candidate.apply()
             new_reqs = self._measure(new_dag)
-        obs.event(
-            "allocate.commit",
-            iteration=iteration,
-            kind=candidate.kind,
-            description=candidate.description,
-            spills_added=candidate.spills_added,
-            excess_before=sum(r.excess for r in requirements),
-            excess_after=sum(r.excess for r in new_reqs),
-            cp_before=current_cp,
-            cp_after=score[1],
-        )
-        record = TransformationRecord(
-            iteration=iteration,
-            kind=candidate.kind,
-            description=candidate.description,
-            excess_before=sum(r.excess for r in requirements),
-            excess_after=sum(r.excess for r in new_reqs),
-            critical_path_before=current_cp,
-            critical_path_after=score[1],
-        )
-        return new_dag, new_reqs, record
+        return _Step(candidate, new_dag, new_reqs, current_cp, score[1])
 
     def _weighted_excess(self, requirements: Sequence[ResourceRequirement]) -> int:
         """Register excess dominates FU excess lexicographically.

@@ -230,9 +230,6 @@ class ExcessiveChainSet:
     def tails(self) -> List[Element]:
         return [chain[-1] for chain in self.chains]
 
-    def element_nodes(self, elements: Sequence[Element]) -> List[int]:
-        return [self.requirement.element_node[e] for e in elements]
-
 
 # ======================================================================
 # Requirements.

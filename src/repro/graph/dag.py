@@ -684,10 +684,6 @@ class DependenceDAG:
         return self._txn
 
     @property
-    def in_transaction(self) -> bool:
-        return self._txn is not None
-
-    @property
     def transaction(self) -> Optional[DagTransaction]:
         """The active transaction, or None."""
         return self._txn

@@ -244,13 +244,6 @@ class ChainDecomposition:
     def width(self) -> int:
         return len(self.chains)
 
-    def chain_of(self, element: Element) -> int:
-        """Index of the chain containing ``element``."""
-        for index, chain in enumerate(self.chains):
-            if element in chain:
-                return index
-        raise KeyError(element)
-
     def chain_index(self) -> Dict[Element, int]:
         return {
             element: index

@@ -123,7 +123,6 @@ def compile_trace(
     resilient: bool = False,
     deadline: Optional[object] = None,
     hints: Optional[object] = None,
-    transactional: bool = False,
     backend_options: Optional[Dict[str, object]] = None,
 ) -> CompilationResult:
     """Compile one trace with the chosen method.
@@ -138,8 +137,10 @@ def compile_trace(
     ``static_checks`` runs the ``repro.verify`` schedule rule pack on
     the final schedule *before* any simulation — a soundness break is
     reported as the rule that caught it, not as a memory divergence.
-    ``verify_each`` additionally re-verifies the DAG after every
-    transform the URSA allocator commits (slow; for debugging passes).
+    ``verify_each`` additionally re-verifies the DAG after every phase
+    that rewrites it, raising on the first violation, and adds the
+    invariant packs to the URSA allocator's commit gate, which rolls
+    back a commit that breaks them (slow; for debugging passes).
 
     Resilience (see ``docs/resilience.md``): ``resilient=True`` routes
     through the escalation ladder — on any failure the compile degrades
@@ -147,9 +148,7 @@ def compile_trace(
     baseline, and the result carries a structured ``degradation``
     report.  ``deadline`` (a :class:`repro.resilience.Deadline`) bounds
     the NP-hard searches, which then return best-so-far answers tagged
-    as degraded.  ``transactional`` makes the URSA allocator checkpoint
-    each commit and roll back transforms that regress excess or break
-    the ``verify_each`` invariants.
+    as degraded.
 
     ``hints`` (only consulted when ``resilient=True``) accepts a
     :class:`repro.analyze.bounds.FeasibilityReport` from the static
@@ -182,7 +181,6 @@ def compile_trace(
             assignment=assignment,
             static_checks=static_checks,
             verify_each=verify_each,
-            transactional=transactional,
             backend_options=backend_options,
         )
     if deadline is not None:
@@ -190,12 +188,11 @@ def compile_trace(
             return _compile_once(
                 source, machine, method, live_out, verify, memory, seed,
                 optimize, assignment, static_checks, verify_each,
-                transactional, backend_options,
+                backend_options,
             )
     return _compile_once(
         source, machine, method, live_out, verify, memory, seed, optimize,
-        assignment, static_checks, verify_each, transactional,
-        backend_options,
+        assignment, static_checks, verify_each, backend_options,
     )
 
 
@@ -244,7 +241,6 @@ def _compile_once(
     assignment: str,
     static_checks: bool,
     verify_each: bool,
-    transactional: bool,
     backend_options: Optional[Dict[str, object]] = None,
 ) -> CompilationResult:
     """One rung of compilation; no ladder, deadline comes from scope."""
@@ -274,10 +270,7 @@ def _compile_once(
     if backend.policy is not None:
         with obs.span("phase.allocate", method=method):
             allocation = URSAAllocator(
-                machine,
-                backend.policy,
-                verify_each=verify_each,
-                transactional=transactional,
+                machine, backend.policy, verify_each=verify_each
             ).run(dag)
         final_dag = allocation.dag
         if verify_each:

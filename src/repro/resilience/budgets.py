@@ -74,11 +74,6 @@ class Deadline:
     def elapsed(self) -> float:
         return self._clock() - self._start
 
-    def remaining_seconds(self) -> Optional[float]:
-        if self.seconds is None:
-            return None
-        return max(0.0, self.seconds - self.elapsed())
-
     def tick(self, n: int = 1) -> bool:
         """Consume ``n`` work units; True when the budget is exhausted.
 

@@ -22,7 +22,7 @@ site, and what it then corrupts, is a pure function of ``(seed, fault,
 site key)``.  A compiler site names the decision being made — the
 ladder rung, the allocator iteration (0 for the initial measurement),
 the phase (``commit``, ``trial``/``fallback`` plus the candidate index,
-or the transactional ``audit`` re-measure) and, for ``kill``, the
+or the commit gate's ``audit`` re-measure) and, for ``kill``, the
 register class — via :func:`decision` blocks; compiler hooks outside a
 named phase never fire.  Service sites key on the shard key and its
 dispatch attempt, or on the admission index.  So a change that does

@@ -331,10 +331,8 @@ def compile_with_fallback(
             problems.append("allocation did not converge")
         errors = verify_compilation(result, remeasure=True).errors()
         if errors:
-            head = getattr(errors[0], "rule", "")
             problems.append(
-                f"{len(errors)} verify pack error(s)"
-                + (f" ({head})" if head else "")
+                f"{len(errors)} verify pack error(s) ({errors[0].code})"
             )
 
         if not problems:

@@ -512,9 +512,9 @@ class TestBitIdentity:
 
 
 # ======================================================================
-# One scoring path: deadline, transactional and chaos runs score every
-# candidate in place exactly like a plain run, and commit each winner
-# with exactly one apply().
+# One scoring path: deadline and chaos runs score every candidate in
+# place exactly like a plain run, and commit each winner with exactly
+# one apply().
 # ======================================================================
 def _scoring_modes():
     """(mode, compile kwargs, scope factory) — one fresh Deadline each."""
@@ -523,8 +523,8 @@ def _scoring_modes():
     yield "plain", lambda: {}, nullcontext
     yield "deadline", lambda: {"deadline": Deadline(seconds=3600)}, nullcontext
     # Chaos in scope but firing nothing (rate 0): only the mode switch
-    # is under test, folded into the transactional run to save a pass.
-    yield "transactional+chaos", lambda: {"transactional": True}, (
+    # is under test.
+    yield "chaos", lambda: {}, (
         lambda: chaos_scope(ChaosMonkey(seed=0, rate=0.0))
     )
 

@@ -285,49 +285,51 @@ class TestAllocatorNonConverged:
 
 
 class TestTransactionalRollback:
+    # Every commit is a transaction: the commit gate rolls back one that
+    # breaks an invariant and the run goes on from the pre-commit state.
     def test_corrupt_steps_are_rolled_back(self, fig2_dag, monkeypatch):
+        # The first winner leaves a broken DAG behind: the gate's
+        # verify_each packs catch it, the commit is rolled back and the
+        # run goes on without it.  Only commits the gate accepted are
+        # recorded or logged as ``allocate.commit``.
         machine = MachineModel.homogeneous(2, 4)
-        allocator = URSAAllocator(
-            machine, verify_each=True, transactional=True
-        )
+        allocator = URSAAllocator(machine, verify_each=True)
         real_step = allocator._step
 
         def bad_step(dag, requirements, iteration):
-            out = real_step(dag, requirements, iteration)
-            if out is None:
-                return None
-            new_dag, new_reqs, record = out
-            victim = next(
-                name for name, uses in new_dag.value_uses.items() if uses
-            )
-            new_dag.value_uses[victim].append(new_dag.value_uses[victim][0])
-            return new_dag, new_reqs, record
+            step = real_step(dag, requirements, iteration)
+            if step is not None and iteration == 1:
+                victim = next(
+                    name for name, uses in step.dag.value_uses.items() if uses
+                )
+                step.dag.value_uses[victim].append(
+                    step.dag.value_uses[victim][0]
+                )
+            return step
 
         monkeypatch.setattr(allocator, "_step", bad_step)
-        with obs.capture() as observer:
+        with obs.capture() as trace:
             result = allocator.run(fig2_dag)
-        # Every commit was corrupt, so every commit rolled back.
-        assert result.records == []
         assert result.degraded
-        assert any(
-            event.startswith("rollback:")
-            for event in result.degradation_events
-        )
-        assert observer.counters.get("resilience.rollbacks", 0) >= 1
-        # The final DAG is the untouched input copy.
+        assert result.degradation_events[0].startswith("rollback:")
+        assert trace.counters.get("resilience.rollbacks", 0) == 1
+        rollbacks = [
+            event for event in trace.events
+            if event["type"] == "event"
+            and event["name"] == "resilience.rollback"
+        ]
+        assert len(rollbacks) == 1
+        assert rollbacks[0]["iteration"] == 1
+        assert "dag.duplicate-use" in rollbacks[0]["reason"]
+        assert result.records, "the run goes on after the rollback"
+        assert all(record.iteration > 1 for record in result.records)
+        commits = obs.commit_log(trace.events)
+        assert [(c["iteration"], c["description"]) for c in commits] == [
+            (r.iteration, r.description) for r in result.records
+        ]
         from repro.verify import verify_dag_state
 
         assert verify_dag_state(result.dag, machine=machine).ok
-
-    def test_clean_run_unaffected_by_transactional(self, fig2_dag):
-        machine = MachineModel.homogeneous(2, 4)
-        plain = URSAAllocator(machine).run(fig2_dag)
-        transactional = URSAAllocator(machine, transactional=True).run(fig2_dag)
-        assert transactional.converged == plain.converged
-        assert not transactional.degraded
-        assert [r.description for r in transactional.records] == [
-            r.description for r in plain.records
-        ]
 
 
 # ======================================================================
@@ -406,6 +408,22 @@ class TestFallbackLadder:
         assert len(failed) == 3  # every URSA rung
         assert all("AllocationError" in a.reason for a in failed)
         assert report.cost_delta == 0  # only one rung produced cycles
+
+    def test_pack_error_reason_names_the_rule(self, fig2_trace, monkeypatch):
+        machine = MachineModel.homogeneous(2, 4)
+        real_run = URSAAllocator.run
+
+        def repeated_record(self, dag):
+            result = real_run(self, dag)
+            result.records.append(result.records[-1])  # iteration repeats
+            return result
+
+        monkeypatch.setattr(URSAAllocator, "run", repeated_record)
+        result = compile_trace(fig2_trace, machine, resilient=True)
+        assert result.verified
+        first = result.degradation.attempts[0]
+        assert first.method == "ursa" and first.outcome == "degraded"
+        assert "verify pack error(s) (alloc.records)" in first.reason
 
     def test_expired_deadline_skips_to_last_rung(self, fig2_trace):
         machine = MachineModel.homogeneous(2, 4)
@@ -513,7 +531,7 @@ class TestCLIExitCodes:
 
         code = cli.main(
             ["compile", "--kernel", "figure2", "--fus", "2", "--regs", "4",
-             "--deadline-ms", "10000", "--transactional"]
+             "--deadline-ms", "10000", "--verify-each"]
         )
         assert code == 0
         assert "verified=True" in capsys.readouterr().out

@@ -41,15 +41,14 @@ def normalized(entry):
 
 
 def resilient_compile(trace, deadline_seconds=30.0):
-    """One fully armored compile: ladder + deadline + transactional
-    commits + per-step verification."""
+    """One fully armored compile: ladder + deadline + per-step
+    verification."""
     return compile_trace(
         trace,
         MACHINE,
         method="ursa",
         resilient=True,
         deadline=Deadline(seconds=deadline_seconds),
-        transactional=True,
         verify_each=True,
     )
 
@@ -116,6 +115,37 @@ class TestPerFaultClass:
         assert result.degradation.degraded
         assert result.degradation.deadline_tripped == "chaos"
         assert result.degradation.final_method == "spill-everywhere"
+
+
+class TestCommitGate:
+    """Every URSA commit is audited, with no flag: a lying measurement is
+    rejected and re-measured, and the records are built from what the
+    gate carried forward, so the ladder's record check never fires."""
+
+    def test_plain_compile_rejects_lying_measurements(self, fig2_trace):
+        monkey = ChaosMonkey(faults=("measure",), rate=1.0)
+        with obs.capture() as trace, chaos_scope(monkey):
+            result = compile_trace(fig2_trace, MACHINE, method="ursa")
+        assert result.verified
+        assert trace.counters.get("resilience.measurement_rejected", 0) >= 1
+        records = result.allocation.records
+        assert records
+        for previous, record in zip(records, records[1:]):
+            assert record.excess_before == previous.excess_after
+        assert records[-1].excess_after == result.allocation.total_excess
+
+    def test_measure_sweep_never_escalates_on_a_pack_error(self, fig2_trace):
+        for seed in CHAOS_SEEDS:
+            monkey = ChaosMonkey(seed=seed, faults=("measure",), rate=0.4)
+            with chaos_scope(monkey):
+                result = resilient_compile(fig2_trace)
+            assert_survived(result)
+            escalated = [
+                attempt.describe()
+                for attempt in result.degradation.attempts
+                if "verify pack error" in attempt.reason
+            ]
+            assert not escalated, (seed, escalated)
 
 
 class TestDeterminism:

@@ -474,23 +474,46 @@ def test_verify_each_clean_on_kernels():
 
 def test_verify_each_raises_on_corrupt_step(monkeypatch):
     # Sabotage the step committer so every "transform" leaves a broken
-    # DAG behind; verify_each must catch it at that exact commit.
+    # DAG behind; verify_each's check must raise at that exact commit.
+    # The commit gate turns the raise into a rollback, so ``run`` only
+    # lets a VerifyError out for a corrupt input DAG.
     machine = MachineModel.homogeneous(2, 4)
     allocator = URSAAllocator(machine, verify_each=True)
     real_step = allocator._step
+    real_verify = allocator._verify_state
+    raised = []
+
+    def corrupt(dag):
+        victim = next(name for name, uses in dag.value_uses.items() if uses)
+        dag.value_uses[victim].append(dag.value_uses[victim][0])
 
     def bad_step(dag, requirements, iteration):
-        out = real_step(dag, requirements, iteration)
-        if out is None:
-            return None
-        new_dag, new_reqs, record = out
-        victim = next(iter(new_dag.value_uses))
-        new_dag.value_uses[victim].append(new_dag.value_uses[victim][0])
-        return new_dag, new_reqs, record
+        step = real_step(dag, requirements, iteration)
+        if step is not None:
+            corrupt(step.dag)
+        return step
+
+    def spy_verify(dag, requirements, context):
+        try:
+            real_verify(dag, requirements, context)
+        except VerifyError as exc:
+            raised.append((context, str(exc)))
+            raise
 
     monkeypatch.setattr(allocator, "_step", bad_step)
+    monkeypatch.setattr(allocator, "_verify_state", spy_verify)
+    result = allocator.run(DependenceDAG.from_trace(kernel("figure2")))
+    assert raised, "verify_each never checked a corrupt commit"
+    assert all(context == "commit" for context, _ in raised)
+    assert all("dag.duplicate-use" in message for _, message in raised)
+    # Every commit was corrupt, so every commit was rolled back.
+    assert result.records == []
+    assert len(result.degradation_events) == len(raised)
+
+    broken = DependenceDAG.from_trace(kernel("figure2"))
+    corrupt(broken)
     with pytest.raises(VerifyError) as err:
-        allocator.run(DependenceDAG.from_trace(kernel("figure2")))
+        URSAAllocator(machine, verify_each=True).run(broken)
     assert "dag.duplicate-use" in str(err.value)
 
 

@@ -95,7 +95,7 @@ def test_bound_decided_excess_is_exact(seed, n, density):
         assert fresh.excess == expected
         assert fresh.is_excessive == (expected > 0)
         # ``available`` rewritten after the measurement (chaos, the
-        # transactional audit) is read anew, whether or not the exact
+        # commit gate's audit) is read anew, whether or not the exact
         # width has been computed meanwhile.
         for resolved in (False, True):
             req = requirement_of(order, available)

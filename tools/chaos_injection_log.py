@@ -2,7 +2,7 @@
 """Print the chaos sweep's injection logs, one line per injection.
 
 Runs the 25-seed figure-2 sweep of ``tests/test_resilience_chaos.py``
-(every fault class at rate 0.4, resilient + transactional + verify-each
+(every fault class at rate 0.4, resilient + deadline + verify-each
 compiles on ``homogeneous(2, 4)``) and prints each seed's injections in
 order as ``seed fault site decision``, without the process-global uids.
 Every draw is keyed by ``(seed, fault, site)``, so the output must not
@@ -38,8 +38,7 @@ def main() -> int:
         with chaos_scope(monkey):
             result = compile_trace(
                 trace, machine, method="ursa", resilient=True,
-                deadline=Deadline(seconds=30.0), transactional=True,
-                verify_each=True,
+                deadline=Deadline(seconds=30.0), verify_each=True,
             )
         for entry in monkey.injections:
             decision = sorted(
