@@ -13,6 +13,12 @@ branchy dispatch) three ways and compares wall-clock:
   (``jobs=2``).  Pool start-up dominates at this trace size, so the
   speedup is reported honestly but not gated.
 
+A second table times the server's **hot route**: ms per
+``ServeApp.compile`` memo hit with ``verify: true`` over every kernel
+trace, once with seed 0 repeated (the memo answers its verdict and
+rendering) and once with a fresh seed per request (that seed's
+verification runs once).  It is printed, not gated.
+
 Bit-identity is asserted in the same run: warm, cold, and sharded
 compiles must agree per trace on ``program_signature`` (the uid-free
 rendering), and every compiled program must verify against the
@@ -29,6 +35,7 @@ pytest benchmark via ``pytest benchmarks/bench_serve_cache.py -s``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import tempfile
 import time
@@ -41,7 +48,8 @@ if __package__ in (None, ""):  # standalone: find _common and (maybe) repro
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from _common import emit_table
+from _common import emit
+from repro.ir.printer import format_table
 
 VECTOR_SCALE = """
 start:
@@ -112,9 +120,7 @@ def _signatures(compiled) -> Dict[str, str]:
     }
 
 
-def run_benchmark(
-    repeats: int = 3, quiet: bool = False
-) -> Dict[str, float]:
+def run_benchmark(repeats: int = 3) -> Dict[str, float]:
     """Cold/warm/sharded timings over the program basket."""
     from repro.machine.model import MachineModel
     from repro.ir.parser import parse_program
@@ -200,18 +206,27 @@ def run_benchmark(
         f"{total_serial * 1e3:.1f}", f"{total_sharded * 1e3:.1f}",
         f"{shard_speedup:.2f}x",
     ))
-    table = emit_table(
-        "serve_cache",
-        ("program", "traces", "cold ms", "warm ms", "cache speedup",
-         "serial ms", "jobs=2 ms", "shard speedup"),
-        rows,
-        title=(
-            "persistent compile cache: cold vs warm (fresh cache instance), "
-            "plus sharded jobs=2 vs serial — all paths bit-identical"
+    hot = hot_route(rounds=10 * repeats)
+    emit("serve_cache", "\n\n".join((
+        format_table(
+            ("program", "traces", "cold ms", "warm ms", "cache speedup",
+             "serial ms", "jobs=2 ms", "shard speedup"),
+            rows,
+            title=(
+                "persistent compile cache: cold vs warm (fresh cache "
+                "instance), plus sharded jobs=2 vs serial — all paths "
+                "bit-identical"
+            ),
         ),
-    )
-    if quiet:
-        _ = table
+        format_table(
+            ("hot route", "requests", "ms per hit"),
+            [(label, count, f"{ms:.3f}") for label, (count, ms) in hot.items()],
+            title=(
+                "ServeApp.compile memo hits with verify: true over every "
+                "kernel trace (printed, not gated)"
+            ),
+        ),
+    )))
     return {
         "cold_s": total_cold,
         "warm_s": total_warm,
@@ -219,7 +234,62 @@ def run_benchmark(
         "shard_speedup": shard_speedup,
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
+        "hot_ms": hot["seed 0 repeated"][1],
+        "fresh_seed_ms": hot["fresh seed"][1],
     }
+
+
+def hot_route(rounds: int) -> Dict[str, Tuple[int, float]]:
+    """(requests, ms per request) of ``ServeApp.compile`` memo hits.
+
+    Every kernel trace is compiled once, then asked ``rounds`` more
+    times with ``verify: true``: with seed 0 repeated, and with a seed
+    no request used before.  Every answer must be a verified hot hit.
+    """
+    from repro.serve.server import ServeApp
+    from repro.workloads import KERNELS
+
+    sources = [
+        "\n".join(str(inst) for inst in factory())
+        for factory in KERNELS.values()
+    ]
+
+    def request(source: str, seed: int) -> Dict[str, object]:
+        return {
+            "kind": "trace", "source": source,
+            "machine": {"fus": 2, "regs": 4},
+            "options": {"verify": True, "seed": seed},
+        }
+
+    fresh = itertools.count(1)
+    timings: Dict[str, Tuple[int, float]] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-hot-") as root:
+        app = ServeApp(cache=root)
+        try:
+            for source in sources:
+                app.compile(request(source, 0))
+            for label, seed_of in (
+                ("seed 0 repeated", lambda: 0),
+                ("fresh seed", lambda: next(fresh)),
+            ):
+                count = rounds * len(sources)
+                begin = time.perf_counter()
+                for _ in range(rounds):
+                    for source in sources:
+                        status, body = app.compile(request(source, seed_of()))
+                        result = body.get("result") or {}
+                        if not (
+                            status == 200 and result["verified"] is True
+                            and result["cache"]["hot"]
+                        ):
+                            raise AssertionError(
+                                f"hot route: not a verified hot hit: {body}"
+                            )
+                elapsed = time.perf_counter() - begin
+                timings[label] = (count, elapsed * 1e3 / count)
+        finally:
+            app.close()
+    return timings
 
 
 def test_serve_cache_effectiveness():
@@ -244,7 +314,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"warm speedup {metrics['warm_speedup']:.1f}x "
         f"(target {SPEEDUP_TARGET}x), sharded jobs=2 "
         f"{metrics['shard_speedup']:.2f}x vs serial, "
-        f"{int(metrics['cache_hits'])} warm hits"
+        f"{int(metrics['cache_hits'])} warm hits; hot route "
+        f"{metrics['hot_ms']:.3f} ms per hit (seed 0), "
+        f"{metrics['fresh_seed_ms']:.3f} ms (fresh seed)"
     )
     if metrics["warm_speedup"] < SPEEDUP_TARGET:
         print(

@@ -75,6 +75,20 @@ class Addr:
 Operand = Union[Imm, Var]
 
 
+# The classification sets keyed by opcode value string, whose hash is
+# cached, as ``MachineModel._latency_by_op`` is: an ``Opcode`` member
+# would hash through the Python-level ``Enum.__hash__`` on every test.
+def _values(ops) -> frozenset:
+    return frozenset(op._value_ for op in ops)
+
+
+_MEMORY = _values(MEMORY_OPS)
+_MEMORY_WRITE = _values(MEMORY_WRITE_OPS)
+_MEMORY_READ = _values(MEMORY_READ_OPS)
+_CONTROL = _values(CONTROL_OPS)
+_PSEUDO = _values(PSEUDO_OPS)
+
+
 _UID_COUNTER = [0]
 
 
@@ -137,23 +151,23 @@ class Instruction:
 
     @property
     def is_memory(self) -> bool:
-        return self.op in MEMORY_OPS
+        return self.op._value_ in _MEMORY
 
     @property
     def is_memory_write(self) -> bool:
-        return self.op in MEMORY_WRITE_OPS
+        return self.op._value_ in _MEMORY_WRITE
 
     @property
     def is_memory_read(self) -> bool:
-        return self.op in MEMORY_READ_OPS
+        return self.op._value_ in _MEMORY_READ
 
     @property
     def is_control(self) -> bool:
-        return self.op in CONTROL_OPS
+        return self.op._value_ in _CONTROL
 
     @property
     def is_pseudo(self) -> bool:
-        return self.op in PSEUDO_OPS
+        return self.op._value_ in _PSEUDO
 
     @property
     def is_spill_code(self) -> bool:

@@ -19,8 +19,12 @@ schedule-length estimate) in an on-disk object store rooted at
 ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``).  Identical kernels
 therefore compile once per fleet, not once per process.
 
-Layering (see ``docs/serving.md``): a lookup is tried before any DAG
-is even built; only misses run the pass pipeline.
+Layering (see ``docs/serving.md``): a lookup is tried before the
+source is parsed; only misses run the pass pipeline.  The in-memory
+memo keeps, next to each artifact, what the server's trace route
+derives from it — the verification verdict per memory seed and the
+rendered answer — and an index from each admitted request text
+(:func:`source_digest`) to its key, so a hot hit is a lookup.
 
 Counters: ``serve.cache_hit`` / ``serve.cache_miss`` /
 ``serve.cache_put`` / ``serve.cache_evict`` (disk), ``serve.hot_hit``
@@ -39,7 +43,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set,
+    TypeVar, Union,
+)
 
 from repro import obs
 from repro.ir.instructions import Instruction
@@ -57,6 +64,13 @@ CACHE_VERSION = 2
 
 #: Environment override for the store location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: How many derived values (verdicts, the rendering) and how many
+#: indexed source texts one memo entry keeps.  Past the cap a request
+#: is still answered in full; it only leaves nothing behind.
+NOTES_PER_ENTRY = 32
+
+_T = TypeVar("_T")
 
 
 def default_cache_dir() -> Path:
@@ -142,6 +156,24 @@ def trace_key(
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def source_digest(
+    source: str, machine_spec: object, method: str, resilient: bool
+) -> str:
+    """The memo index address of a trace request's text.
+
+    Hashes the source text, the canonical JSON of the machine spec, the
+    resolved method and the ``resilient`` flag: everything a request
+    names that picks its :func:`trace_key` (a deadline only bounds the
+    compile).  Two specs that build the same machine may digest apart;
+    that costs a full-path lookup, never a wrong answer.
+    """
+    canon = json.dumps(
+        [source, machine_spec, method, bool(resilient)],
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def program_signature(program: VLIWProgram) -> str:
     """A uid-free rendering of a VLIW program, for identity checks.
 
@@ -173,6 +205,24 @@ class TraceArtifact:
     degradation: Optional[Dict[str, object]] = None
 
 
+class _MemoEntry:
+    """One memo slot: an artifact and what was derived from its program.
+
+    ``notes`` (named derived values: a verdict per memory seed, the
+    rendered answer) and ``sources`` (digests of the admitted request
+    texts indexed to this key) hold only while ``artifact.program`` is
+    the very object ``program`` they were computed from.
+    """
+
+    __slots__ = ("artifact", "program", "notes", "sources")
+
+    def __init__(self, artifact: TraceArtifact) -> None:
+        self.artifact = artifact
+        self.program = artifact.program
+        self.notes: Dict[Hashable, object] = {}
+        self.sources: Set[str] = set()
+
+
 # ======================================================================
 # The store.
 # ======================================================================
@@ -184,7 +234,11 @@ class CompileCache:
     atomic (temp file + rename), and unreadable objects are treated as
     misses and deleted.  The memory level is a bounded LRU memo that
     makes *hot* traces free without even touching the filesystem —
-    this is the ``repro serve`` hot-trace memoization.
+    this is the ``repro serve`` hot-trace memoization.  Each memo entry
+    also carries notes derived from its program (:meth:`derive`) and
+    the source texts indexed to its key (:meth:`index`,
+    :meth:`recall`); re-memoizing the key (a put, a disk read) or
+    evicting it drops both.
 
     Thread-safe: the server handles requests on multiple threads.
     """
@@ -196,7 +250,8 @@ class CompileCache:
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.memory_entries = memory_entries
-        self._memo: "OrderedDict[str, TraceArtifact]" = OrderedDict()
+        self._memo: "OrderedDict[str, _MemoEntry]" = OrderedDict()
+        self._index: Dict[str, str] = {}  # source digest -> key
         self._lock = threading.Lock()
         self._thread = threading.local()
         self.hits = 0
@@ -212,15 +267,15 @@ class CompileCache:
     def get(self, key: str) -> Optional[TraceArtifact]:
         """The cached artifact for ``key``, or None on a miss."""
         with self._lock:
-            memo = self._memo.get(key)
-            self._thread.hot = memo is not None
-            if memo is not None:
+            entry = self._memo.get(key)
+            self._thread.hot = entry is not None
+            if entry is not None:
                 self._memo.move_to_end(key)
                 self.hot_hits += 1
                 self.hits += 1
                 obs.count("serve.hot_hit")
                 obs.count("serve.cache_hit")
-                return memo
+                return entry.artifact
         path = self._object_path(key)
         try:
             blob = path.read_bytes()
@@ -280,10 +335,95 @@ class CompileCache:
 
     def _memoize(self, key: str, artifact: TraceArtifact) -> None:
         with self._lock:
-            self._memo[key] = artifact
-            self._memo.move_to_end(key)
+            old = self._memo.pop(key, None)
+            if old is not None:
+                self._unindex(old)
+            self._memo[key] = _MemoEntry(artifact)
             while len(self._memo) > self.memory_entries:
-                self._memo.popitem(last=False)
+                self._unindex(self._memo.popitem(last=False)[1])
+
+    # ------------------------------------------------------------------
+    # What the memo keeps beside each artifact.  The private helpers run
+    # under ``_lock``; the public methods take it.
+    # ------------------------------------------------------------------
+    def _unindex(self, entry: _MemoEntry) -> None:
+        for digest in entry.sources:
+            if self._index.get(digest) == entry.artifact.key:
+                del self._index[digest]
+        entry.sources.clear()
+
+    def _current(self, entry: _MemoEntry) -> bool:
+        """Whether ``entry``'s notes and sources still describe its
+        program; if the program was swapped, drop them and rebind."""
+        if entry.program is entry.artifact.program:
+            return True
+        self._unindex(entry)
+        entry.notes.clear()
+        entry.program = entry.artifact.program
+        return False
+
+    def _bound(self, key: str, program: VLIWProgram) -> Optional[_MemoEntry]:
+        """``key``'s memo entry if it holds exactly ``program``."""
+        entry = self._memo.get(key)
+        if entry is None or entry.artifact.program is not program:
+            return None
+        self._current(entry)
+        return entry
+
+    def derive(
+        self,
+        key: str,
+        program: VLIWProgram,
+        name: Hashable,
+        compute: Callable[[], _T],
+    ) -> _T:
+        """The note ``name`` of ``key``'s memo entry, computed once.
+
+        Kept only while the entry holds exactly ``program`` (an ``is``
+        check): a program the memo does not hold (degraded, so never
+        stored) is computed afresh and not kept, and an entry whose
+        program was swapped drops its old notes first.
+        """
+        with self._lock:
+            entry = self._bound(key, program)
+            if entry is not None and name in entry.notes:
+                return entry.notes[name]  # type: ignore[return-value]
+        value = compute()
+        with self._lock:
+            entry = self._bound(key, program)
+            if entry is not None and len(entry.notes) < NOTES_PER_ENTRY:
+                entry.notes.setdefault(name, value)
+        return value
+
+    def index(self, digest: str, key: str, program: VLIWProgram) -> None:
+        """Index an admitted request text under ``key``.
+
+        Call only after the source parsed and passed admission, with the
+        program it was answered with; nothing is indexed unless ``key``'s
+        memo entry holds exactly that program.
+        """
+        with self._lock:
+            entry = self._bound(key, program)
+            if entry is not None and len(entry.sources) < NOTES_PER_ENTRY:
+                entry.sources.add(digest)
+                self._index[digest] = key
+
+    def recall(
+        self, digest: str, need: Optional[Hashable] = None
+    ) -> Optional[str]:
+        """The key ``digest`` was indexed under, if its memo entry can
+        answer the request without its source: the entry still holds the
+        program it was indexed with and, if ``need`` is given, that
+        note.  Counts nothing: the caller answers through :meth:`get`.
+        """
+        with self._lock:
+            key = self._index.get(digest)
+            entry = self._memo.get(key) if key is not None else None
+            if entry is None or not self._current(entry):
+                return None
+            if need is not None and need not in entry.notes:
+                return None
+            return key
 
     # ------------------------------------------------------------------
     # Maintenance (the `repro cache` CLI).
@@ -364,6 +504,7 @@ class CompileCache:
             removed += 1
         with self._lock:
             self._memo.clear()
+            self._index.clear()
         return removed
 
     def _evict(self, path: Path, gc: bool = False) -> None:

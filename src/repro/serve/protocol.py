@@ -41,16 +41,25 @@ return the full report, diagnostics and feasibility bounds included.
 Degraded-but-successful compiles stay ``ok: true`` and carry the
 structured :class:`~repro.resilience.fallback.DegradationReport` dict
 in ``result.degradation`` — same shape as the CLI's ``--json`` output.
+
+A trace request whose source text was already admitted for the same
+machine spec, method and ``resilient`` flag is a *hot hit*: it is
+recalled from the cache's memo by a digest of that text and answered
+with the verdict (per ``options.seed``) and rendering the memo keeps
+for the artifact's program — no parse, admission, key or
+re-verification (docs/serving.md, "The hot memo").  Option types are
+checked before any lookup, so a hit and a miss answer alike.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.machine.model import MachineModel
-from repro.serve.cache import CompileCache
-from repro.serve.pool import compile_traces
+from repro.serve.cache import CompileCache, source_digest
+from repro.serve.pool import TraceOutcome, compile_traces
 
 #: Maps protocol error codes to HTTP statuses.
 ERROR_STATUS = {
@@ -195,7 +204,23 @@ def _options_of(request: Dict[str, Any]) -> Dict[str, Any]:
         raise ProtocolError(
             "bad_request", f"unknown options: {sorted(unknown)}"
         )
-    return options
+    # Checked before any cache lookup, so a hit and a miss answer alike.
+    try:
+        seed = int(options.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError("bad_request", "'options.seed' must be an integer")
+    deadline_ms = options.get("deadline_ms")
+    if deadline_ms is not None and (
+        isinstance(deadline_ms, bool)
+        or not isinstance(deadline_ms, (int, float))
+        or not 0 <= deadline_ms < math.inf
+    ):
+        raise ProtocolError(
+            "bad_request",
+            "'options.deadline_ms' must be a finite non-negative number "
+            "or null",
+        )
+    return {**options, "seed": seed}
 
 
 def _memory_of(options: Dict[str, Any]) -> Dict[Tuple[str, int], int]:
@@ -257,6 +282,17 @@ def _admit(program, machine: MachineModel, source: str) -> None:
         )
 
 
+def _parse_trace(source: str):
+    """Parse a trace request's source: exactly one basic block."""
+    parsed = _parse_or_reject(source)
+    if len(parsed.blocks) != 1:
+        raise ProtocolError(
+            "parse_error",
+            f"expected straight-line code, found {len(parsed.blocks)} blocks",
+        )
+    return parsed
+
+
 def handle_trace_request(
     request: Dict[str, Any],
     cache: Optional[CompileCache],
@@ -266,7 +302,11 @@ def handle_trace_request(
     """Compile one straight-line trace; memoized through ``cache``.
 
     A miss compiles on ``pool`` when the server has one, like the
-    traces of a program request.
+    traces of a program request.  A source text the memo has already
+    seen admitted for the same machine spec, method and ``resilient``
+    flag is recalled by its digest: no parse, admission or key, and the
+    verdict and rendering the memo keeps for its program.  Only a
+    request that needs a verdict the memo lacks takes the full path.
     """
     source = _require_source(request)
     method = _method_of(request)
@@ -274,33 +314,62 @@ def handle_trace_request(
     machine = machine_from_spec(request.get("machine"))
     deadline_ms = options.get("deadline_ms", default_deadline_ms)
     resilient = bool(options.get("resilient", False))
+    verify = bool(options.get("verify"))
+    verdict = ("verified", options["seed"])  # its memo note name
 
-    parsed = _parse_or_reject(source)
-    if len(parsed.blocks) != 1:
-        raise ProtocolError(
-            "parse_error",
-            f"expected straight-line code, found {len(parsed.blocks)} blocks",
+    outcome: Optional[TraceOutcome] = None
+    if cache is not None:
+        digest = source_digest(
+            source, request.get("machine"), method, resilient
         )
-    _admit(parsed, machine, source)
-    instructions = list(parsed.blocks[0].instructions)
-
-    (outcome,) = compile_traces(
-        [instructions], machine, method, cache=cache,
-        deadline_ms=deadline_ms, resilient=resilient, pool=pool,
-    )
+        key = cache.recall(digest, verdict if verify else None)
+        # ``get`` misses a recalled key only if the object left the memo
+        # and the disk since (a concurrent gc or clear); the full path
+        # then looks it up once more.
+        artifact = cache.get(key) if key is not None else None
+        if artifact is not None:
+            outcome = TraceOutcome(artifact, key, True, cache.answered_hot())
+    instructions = None
+    if outcome is None:
+        parsed = _parse_trace(source)
+        _admit(parsed, machine, source)
+        instructions = list(parsed.blocks[0].instructions)
+        (outcome,) = compile_traces(
+            [instructions], machine, method, cache=cache,
+            deadline_ms=deadline_ms, resilient=resilient, pool=pool,
+        )
+        if cache is not None:
+            cache.index(digest, outcome.key, outcome.artifact.program)
     artifact = outcome.artifact
+    program = artifact.program
 
-    verified: Optional[bool] = None
-    if options.get("verify"):
+    def derived(name, compute):
+        if cache is None:
+            return compute()
+        return cache.derive(outcome.key, program, name, compute)
+
+    def run_verify() -> bool:
         from repro.pipeline import build_dag, synthesize_memory, verify_program
 
-        dag = build_dag(instructions)
-        memory = synthesize_memory(dag, int(options.get("seed", 0)))
-        _, verified = verify_program(
-            dag, artifact.program, machine, memory
-        )
+        # A recalled hit parsed nothing; it lacks the verdict only if its
+        # memo entry was re-memoized or swapped since the recall.
+        trace = instructions
+        if trace is None:
+            trace = list(_parse_trace(source).blocks[0].instructions)
+        dag = build_dag(trace)
+        memory = synthesize_memory(dag, options["seed"])
+        return verify_program(dag, program, machine, memory)[1]
 
-    program = artifact.program
+    def render() -> Dict[str, Any]:
+        return {
+            "issue_cycles": program.issue_cycles,
+            "op_count": program.op_count,
+            "spill_ops": program.spill_op_count,
+            "utilization": round(program.utilization(), 4),
+            "program": str(program),
+        }
+
+    verified = derived(verdict, run_verify) if verify else None
     return {
         "ok": True,
         "result": {
@@ -308,11 +377,7 @@ def handle_trace_request(
             "method": method,
             "machine": machine.describe(),
             "cycles_estimate": artifact.cycles_estimate,
-            "issue_cycles": program.issue_cycles,
-            "op_count": program.op_count,
-            "spill_ops": program.spill_op_count,
-            "utilization": round(program.utilization(), 4),
-            "program": str(program),
+            **derived("rendering", render),
             "verified": verified,
             "degradation": artifact.degradation,
             "cache": {

@@ -9,7 +9,14 @@ from repro.ir.instructions import (
     Var,
     validate_instruction,
 )
-from repro.ir.opcodes import Opcode
+from repro.ir.opcodes import (
+    CONTROL_OPS,
+    MEMORY_OPS,
+    MEMORY_READ_OPS,
+    MEMORY_WRITE_OPS,
+    PSEUDO_OPS,
+    Opcode,
+)
 
 
 class TestOperands:
@@ -69,6 +76,15 @@ class TestInstruction:
     def test_spill_is_spill_code(self):
         inst = Instruction(Opcode.SPILL, srcs=(Var("a"),), addr=Addr("%spill"))
         assert inst.is_spill_code and inst.is_memory_write
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+    def test_classification_matches_opcode_sets(self, op):
+        inst = Instruction(op)
+        assert inst.is_memory == (op in MEMORY_OPS)
+        assert inst.is_memory_write == (op in MEMORY_WRITE_OPS)
+        assert inst.is_memory_read == (op in MEMORY_READ_OPS)
+        assert inst.is_control == (op in CONTROL_OPS)
+        assert inst.is_pseudo == (op in PSEUDO_OPS)
 
     def test_with_renamed_uses_keeps_uid(self):
         inst = Instruction(Opcode.ADD, dest="c", srcs=(Var("a"), Var("b")))

@@ -13,6 +13,7 @@ Three properties carry the serving story (docs/serving.md):
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 import threading
@@ -509,3 +510,304 @@ class TestProtocolUnit:
         assert len(classed.fu_classes) > 1
         with pytest.raises(ProtocolError):
             machine_from_spec({"warp": 9})
+
+    @pytest.mark.parametrize("options", [
+        {"seed": "abc", "verify": True},
+        {"seed": [1], "verify": True},
+        {"deadline_ms": "soon"},
+        {"deadline_ms": -1},
+        {"deadline_ms": True},
+    ], ids=["seed-text", "seed-list", "deadline-text", "deadline-negative",
+            "deadline-bool"])
+    def test_bad_option_types_are_bad_requests(self, cache, options):
+        from repro.serve.protocol import handle_payload
+
+        request = {"kind": "trace", "source": TRACE_SRC}
+        answers = [handle_payload({**request, "options": options}, cache)]
+        handle_payload(request, cache)  # now the trace is a memo hit
+        answers.append(handle_payload({**request, "options": options}, cache))
+        for status, body in answers:
+            assert status == 400
+            assert body["error"]["code"] == "bad_request"
+        # Rejected before any lookup: only the plain request touched it.
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_seed_is_normalized_to_int(self, cache):
+        from repro.serve.protocol import handle_payload
+
+        request = {"kind": "trace", "source": TRACE_SRC}
+        _, as_int = handle_payload(
+            {**request, "options": {"verify": True, "seed": 7}}, cache
+        )
+        _, as_text = handle_payload(
+            {**request, "options": {"verify": True, "seed": "7"}}, cache
+        )
+        assert as_int["result"]["verified"] is as_text["result"]["verified"]
+        assert as_text["result"]["cache"]["hot"]
+
+
+# ======================================================================
+# The hot route: a memo hit answers from memory.
+# ======================================================================
+def _hot_traces():
+    """The serve-mix hot pool: every kernel, then the example traces
+    that are not a copy of one."""
+    from repro.workloads import KERNELS
+
+    traces = {
+        name: "\n".join(str(inst) for inst in factory()) + "\n"
+        for name, factory in KERNELS.items()
+    }
+    rendered = set(traces.values())
+    examples = Path(__file__).resolve().parents[1] / "examples" / "traces"
+    for path in sorted(examples.glob("*.ursa")):
+        source = path.read_text()
+        text = "\n".join(str(inst) for inst in parse_trace(source)) + "\n"
+        if text not in rendered:
+            traces[f"example-{path.stem}"] = source
+    return traces
+
+
+HOT_OPTIONS = (
+    {"verify": True},
+    {},
+    {"verify": False},
+    {"verify": True, "seed": 7},
+    {"verify": True, "deadline_ms": 60_000},
+    {"verify": True, "resilient": True},
+    {"verify": True, "seed": 7, "resilient": True},
+)
+
+
+def _trace_request(source, options=None, machine=None):
+    return {
+        "kind": "trace", "source": source,
+        "machine": machine or {"preset": "research"},
+        "method": "ursa", "options": options or {},
+    }
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """Counts ``_parse_or_reject`` calls (the full path's first step)."""
+    import repro.serve.protocol as protocol
+
+    calls = []
+    real = protocol._parse_or_reject
+
+    def spy(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(protocol, "_parse_or_reject", spy)
+    return calls
+
+
+def _count_gets(cache):
+    calls = []
+    real = cache.get
+
+    def spy(key):
+        calls.append(key)
+        return real(key)
+
+    cache.get = spy
+    return calls
+
+
+class TestHotRoute:
+    def test_hits_are_byte_identical_to_a_fresh_server(
+        self, cache, count_parses
+    ):
+        from repro.serve.protocol import handle_payload
+
+        traces = _hot_traces()
+        assert len(traces) == 16
+        requests = [
+            _trace_request(source, options)
+            for source in traces.values() for options in HOT_OPTIONS
+        ]
+        fresh = [handle_payload(r, cache=None) for r in requests]
+        for request in requests:  # fill the memo, verdicts and index
+            handle_payload(request, cache)
+        del count_parses[:]
+        degraded = 0
+        for request, (status, expected) in zip(requests, fresh):
+            got_status, got = handle_payload(request, cache)
+            if (expected["result"]["degradation"] or {}).get("degraded"):
+                degraded += 1  # never stored, so compiled afresh
+            else:
+                assert got["result"]["cache"] == {
+                    "hit": True, "hot": True,
+                    "key": expected["result"]["cache"]["key"],
+                }
+                got["result"]["cache"] = expected["result"]["cache"]
+            assert got_status == status == 200
+            assert json.dumps(got) == json.dumps(expected)
+        # Every stored answer was recalled by its text, unparsed.
+        assert degraded < len(requests) // 10
+        assert len(count_parses) == degraded
+
+    def test_swapped_program_is_verified_again(self, cache):
+        from repro.serve.protocol import handle_payload
+
+        wrong_src = TRACE_SRC.replace("t0 * a", "t0 - a")
+        _, right = handle_payload(
+            _trace_request(TRACE_SRC, {"verify": True}), cache
+        )
+        _, wrong = handle_payload(
+            _trace_request(wrong_src, {"verify": True}), cache
+        )
+        assert right["result"]["verified"] and wrong["result"]["verified"]
+        key = right["result"]["cache"]["key"]
+        wrong_program = cache.get(wrong["result"]["cache"]["key"]).program
+        cache.get(key).program = wrong_program
+
+        _, body = handle_payload(
+            _trace_request(TRACE_SRC, {"verify": True}), cache
+        )
+        assert body["result"]["verified"] is False
+        assert body["result"]["program"] == str(wrong_program)
+        assert body["result"]["program"] == wrong["result"]["program"]
+        assert body["result"]["program"] != right["result"]["program"]
+
+    def test_ill_formed_source_is_never_indexed(self, cache, count_parses):
+        from repro.serve.protocol import handle_payload
+
+        ill_formed = _trace_request(
+            "a = x + 1\nstore [B], a\nx = load [A]", {"verify": True}
+        )
+        first = handle_payload(ill_formed, cache)
+        second = handle_payload(ill_formed, cache)
+        assert first[0] == 422 and first[1]["error"]["code"] == "ill_formed"
+        assert first[1]["error"]["diagnostics"]
+        assert second == first
+        assert len(count_parses) == 2
+        assert cache._index == {}
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_text_hit_calls_get_once_and_counts_like_a_full_hit(
+        self, cache, count_parses
+    ):
+        from repro.serve.protocol import handle_payload
+
+        other = "x = load [Q]\ny = x * x\nstore [R], y\n"
+        sequence = [
+            (TRACE_SRC, {"verify": True}),        # miss
+            (TRACE_SRC, {"verify": True}),        # text hit
+            (TRACE_SRC, {"verify": True, "seed": 7}),  # new verdict
+            (TRACE_SRC, {"verify": True, "seed": "7"}),  # text hit
+            (TRACE_SRC, {}),                      # text hit
+            (other, {"verify": True}),            # miss
+            (TRACE_SRC, {"verify": False}),       # text hit
+        ]
+        gets = _count_gets(cache)
+        for number, (source, options) in enumerate(sequence, 1):
+            status, _ = handle_payload(_trace_request(source, options), cache)
+            assert status == 200
+            assert len(gets) == number
+        # What every request paid at the parent, one lookup each.
+        assert (cache.hits, cache.hot_hits, cache.misses) == (5, 5, 2)
+        assert len(count_parses) == 3  # two misses and the new seed
+
+    def test_eviction_drops_index_and_verdicts(self, tmp_path, count_parses):
+        from repro.serve.protocol import handle_payload
+
+        cache = CompileCache(tmp_path / "store", memory_entries=1)
+        other = "x = load [Q]\ny = x * x\nstore [R], y\n"
+        request = _trace_request(TRACE_SRC, {"verify": True})
+        _, first = handle_payload(request, cache)
+        handle_payload(_trace_request(other, {"verify": True}), cache)
+        key = first["result"]["cache"]["key"]
+        assert key not in cache._index.values()  # evicted with its entry
+        del count_parses[:]
+
+        _, again = handle_payload(request, cache)
+        assert count_parses == [TRACE_SRC]  # the full path
+        assert again["result"]["cache"] == {
+            "hit": True, "hot": False, "key": key,
+        }
+        again["result"]["cache"] = first["result"]["cache"]
+        assert json.dumps(again) == json.dumps(first)
+
+    def test_key_re_memoized_after_recall_still_verifies(
+        self, cache, count_parses
+    ):
+        from repro.serve.protocol import handle_payload
+
+        request = _trace_request(TRACE_SRC, {"verify": True})
+        _, first = handle_payload(request, cache)
+        real_get = cache.get
+
+        def get_then_reload(key):
+            artifact = real_get(key)
+            # Another request thread re-memoizes the key from disk.
+            blob = cache._object_path(key).read_bytes()
+            cache._memoize(key, pickle.loads(blob))
+            return artifact
+
+        cache.get = get_then_reload
+        del count_parses[:]
+        _, body = handle_payload(request, cache)
+        assert count_parses == [TRACE_SRC]  # parsed only to verify
+        assert body["result"]["cache"]["hit"] and body["result"]["verified"]
+        body["result"]["cache"] = first["result"]["cache"]
+        assert json.dumps(body) == json.dumps(first)
+
+    def test_concurrent_requests_keep_memo_and_index_consistent(
+        self, tmp_path
+    ):
+        from repro.serve.protocol import handle_payload
+
+        sources = [
+            TRACE_SRC,
+            TRACE_SRC.replace("t0 * a", "t0 - a"),
+            "x = load [Q]\ny = x * x\nstore [R], y\n",
+        ]
+        requests = [
+            _trace_request(source, options, machine={"fus": 2, "regs": 4})
+            for source in sources
+            for options in ({"verify": True}, {"verify": True, "seed": 3}, {})
+        ]
+
+        def answer(body):
+            return body["result"]["program"], body["result"]["verified"]
+
+        expected = [answer(handle_payload(r, cache=None)[1]) for r in requests]
+        # Two memo slots for three traces: evictions and disk re-reads
+        # race the recalls.
+        cache = CompileCache(tmp_path / "store", memory_entries=2)
+        errors = []
+        per_thread = 40
+
+        def client(offset):
+            try:
+                for i in range(per_thread):
+                    n = (offset + 7 * i) % len(requests)
+                    status, body = handle_payload(requests[n], cache)
+                    if status != 200 or answer(body) != expected[n]:
+                        errors.append((n, status, body))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(t,)) for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # One lookup per request, never two.
+        assert cache.hits + cache.misses == 8 * per_thread
+        for digest, key in cache._index.items():
+            assert digest in cache._memo[key].sources
+        for key, entry in cache._memo.items():
+            assert all(cache._index[d] == key for d in entry.sources)
+
