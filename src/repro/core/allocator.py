@@ -10,11 +10,11 @@ and chaos runs included) — is tried in place inside one journaled DAG
 transaction and scored by
 :class:`~repro.pm.incremental.IncrementalMeasurer`, then rolled back.
 The winner is applied one way: ``candidate.apply()`` builds it as a
-fresh DAG, so the pre-commit DAG is never mutated, and is measured once
-(again only when the capacity audit rejects that measurement).  Every
-commit then passes one gate — capacity audit, strict excess progress,
-and with ``verify_each`` the invariant packs — or is rolled back and
-its candidate banned; its record is built from what the gate accepted.
+fresh DAG, so the pre-commit DAG is never mutated, and is measured once.
+Every commit then passes one gate — capacity audit (which repairs a
+bent ``available`` in place), strict excess progress, and with
+``verify_each`` the invariant packs — or is rolled back and its
+candidate banned; its record is built from what the gate accepted.
 Policies:
 
 * ``INTEGRATED`` — all transformations compete each iteration (§5's
@@ -162,8 +162,7 @@ class URSAAllocator:
             iteration=0, phase="commit"
         ):
             requirements = self._measure(dag)
-        with chaos.decision(iteration=0):
-            requirements = self._audited(dag, requirements)
+        self._audit(requirements)
         if self.verify_each:
             self._verify_state(dag, requirements, "input dag")
         initial_excess = sum(r.excess for r in requirements)
@@ -203,10 +202,8 @@ class URSAAllocator:
             # Every winner is built as a fresh DAG, so the pre-commit
             # ``dag, requirements`` are the checkpoint and rolling back is
             # just keeping them.
-            with chaos.decision(iteration=iteration):
-                failure, new_reqs = self._commit_failure(
-                    step.dag, step.requirements, requirements
-                )
+            new_reqs = step.requirements
+            failure = self._commit_failure(step.dag, new_reqs, requirements)
             if failure is not None:
                 self._banned.add((candidate.kind, candidate.description))
                 obs.count("resilience.rollbacks")
@@ -270,19 +267,18 @@ class URSAAllocator:
         new_dag: DependenceDAG,
         new_reqs: List[ResourceRequirement],
         old_reqs: Sequence[ResourceRequirement],
-    ) -> Tuple[Optional[str], List[ResourceRequirement]]:
-        """The commit gate: (reason to roll back or None, requirements to
-        carry forward and record).
+    ) -> Optional[str]:
+        """The commit gate: the reason to roll back, or None.
 
         Every commit passes it, in every mode.  The measurements are
-        audited (:meth:`_audited`), then must show the same strict
+        audited (:meth:`_audit`), then must show the same strict
         weighted-excess improvement ``_best_candidate`` promised, and —
         with ``verify_each`` — pass the invariant packs, so a commit
         that breaks one is rolled back rather than raised.
         """
-        new_reqs = self._audited(new_dag, new_reqs)
+        self._audit(new_reqs)
         if self._weighted_excess(new_reqs) >= self._weighted_excess(old_reqs):
-            return "commit shows no excess progress", new_reqs
+            return "commit shows no excess progress"
         if self.verify_each:
             from repro.verify import VerifyError  # lazy: optional mode
 
@@ -290,31 +286,30 @@ class URSAAllocator:
                 self._verify_state(new_dag, new_reqs, "commit")
             except VerifyError as exc:
                 reason = str(exc).splitlines()[0] if str(exc) else "VerifyError"
-                return f"verify_each: {reason}", new_reqs
-        return None, new_reqs
+                return f"verify_each: {reason}"
+        return None
 
-    def _audited(
-        self, dag: DependenceDAG, requirements: List[ResourceRequirement]
-    ) -> List[ResourceRequirement]:
-        """``requirements``, or a re-measurement of ``dag`` when one of
-        them bends ``available``.
+    def _audit(self, requirements: Sequence[ResourceRequirement]) -> None:
+        """Set every bent ``available`` back to the machine's capacity.
 
-        Every ``available`` field is re-derivable from the machine model
-        for free, and a lying measurement (exactly what the chaos
-        harness injects) has to bend it to hide or invent excess —
+        ``available`` is re-derivable from the machine model for free,
+        and it is the one field a lying measurement (exactly what the
+        chaos harness injects) must bend to hide or invent excess —
         hiding a *real* excess forces ``available = required`` above the
-        true capacity.  So a clean measurement costs two integer
-        comparisons per requirement, and only a failed audit spends a
-        full measurement.  That re-measurement is not audited again.
+        true capacity.  ``excess`` is derived from the width bounds and
+        ``available`` on every read, so restoring ``available`` repairs
+        the measurement whole, at two integer comparisons per
+        requirement.
         """
-        if all(
-            r.available == self._capacity(r.kind, r.cls) for r in requirements
-        ):
-            return requirements
-        obs.count("resilience.measurement_rejected")
-        obs.event("resilience.degraded", site="allocator.measurement")
-        with chaos.decision(phase="audit"):
-            return self._measure(dag)
+        rejected = False
+        for r in requirements:
+            capacity = self._capacity(r.kind, r.cls)
+            if r.available != capacity:
+                r.available = capacity
+                rejected = True
+        if rejected:
+            obs.count("resilience.measurement_rejected")
+            obs.event("resilience.degraded", site="allocator.measurement")
 
     def _capacity(self, kind: ResourceKind, cls: str) -> int:
         """The machine's true capacity for one resource class."""

@@ -61,45 +61,41 @@ def collect_values(
     """Enumerate every value in the DAG with its definition and uses.
 
     Values are classified into register classes via the machine model
-    (default: everything in ``"gpr"``).  Inside a transaction whose
-    start version had its values collected for the same machine, only
-    the values the transaction touched are collected again and merged
-    into that list by name.
+    (default: everything in ``"gpr"``) and memoized per DAG version and
+    machine object.  Inside a transaction whose start version had its
+    values collected for the same machine, only the values the
+    transaction touched are collected again and merged into that list
+    by name.
     """
-    cached = dag._values_cache
-    if (
-        cached is not None
-        and cached[0] == dag.version
-        and cached[1] is machine
-    ):
-        return list(cached[2])
-    classify = machine.reg_class_of if machine is not None else (lambda name: "gpr")
-    value_defs = dag.value_defs
-    value_uses = dag.value_uses
+    # The entry holds the machine, so no other live machine shares its id.
+    key = ("values", id(machine))
 
-    def info(name: str) -> ValueInfo:
-        def_uid = value_defs[name]
-        uses = tuple(sorted(set(value_uses.get(name, ())) - {def_uid}))
-        return ValueInfo(name, def_uid, uses, classify(name))
+    def collect() -> Tuple[Optional[MachineModel], List[ValueInfo]]:
+        classify = machine.reg_class_of if machine is not None else (lambda name: "gpr")
+        value_defs = dag.value_defs
+        value_uses = dag.value_uses
 
-    txn = dag.transaction
-    base = None if txn is None else txn.base_values
-    if base is not None and base[0] == txn.base_version and base[1] is machine:
+        def info(name: str) -> ValueInfo:
+            def_uid = value_defs[name]
+            uses = tuple(sorted(set(value_uses.get(name, ())) - {def_uid}))
+            return ValueInfo(name, def_uid, uses, classify(name))
+
+        txn = dag.transaction
+        base = None if txn is None else txn.base_derived(key)
+        if base is None:
+            return machine, [info(name) for name in sorted(value_defs)]
         touched = txn.touched_values()
-        values = [v for v in base[2] if v.name not in touched]
+        values = [v for v in base[1] if v.name not in touched]
         values.extend(
             info(name) for name in sorted(touched) if name in value_defs
         )
         # Two sorted runs with unique names: one merge pass.
         values.sort(key=_BY_NAME)
-    else:
-        values = [info(name) for name in sorted(value_defs)]
-    # ValueInfo is frozen and the enumeration is a pure function of the
-    # DAG's def/use tables, so a version-keyed cache (invalidated by any
-    # graph edit, like the topo/hammock caches) is safe; callers get a
-    # fresh list so they may filter/extend freely.
-    dag._values_cache = (dag.version, machine, values)
-    return list(values)
+        return machine, values
+
+    # ValueInfo is frozen, so callers get a fresh list of shared values
+    # they may filter/extend freely.
+    return list(dag.derived(key, collect)[1])
 
 
 def fu_elements(dag: DependenceDAG, machine: MachineModel, fu_class: str) -> List[int]:

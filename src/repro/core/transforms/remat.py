@@ -39,15 +39,11 @@ def is_rematerializable(dag: DependenceDAG, value: str) -> bool:
     if inst.op is Opcode.CONST:
         return True
     if inst.op is Opcode.LOAD:
-        for uid in dag.op_nodes():
-            other = dag.instruction(uid)
-            if (
-                other.is_memory_write
-                and other.addr is not None
-                and other.addr.may_alias(inst.addr)
-            ):
-                return False
-        return True
+        writes = dag.derived("memory_writes", lambda: tuple(
+            other.addr for other in map(dag.instruction, dag.op_nodes())
+            if other.is_memory_write and other.addr is not None
+        ))
+        return not any(addr.may_alias(inst.addr) for addr in writes)
     return False
 
 

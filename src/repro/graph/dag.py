@@ -29,6 +29,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -36,6 +37,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from repro.ir.instructions import Addr, Instruction, Var
@@ -53,6 +55,18 @@ class TransactionError(Exception):
 
 #: ``value_defs`` snapshot marker for a name the transaction introduced.
 _ABSENT = object()
+
+T = TypeVar("T")
+
+#: Memo keys derived from nodes and edges alone (``copy`` carries them)
+#: and, of those, the ones derived from the topological order alone (an
+#: edge that keeps the order carries them to the new version).
+_STRUCTURE_KEYS = ("topo", "op_nodes", "asap")
+_ORDER_KEYS = ("topo", "op_nodes")
+
+
+def _unit_latency(inst: Instruction) -> int:
+    return 0 if inst.is_pseudo else 1
 
 
 class DagTransaction:
@@ -78,10 +92,9 @@ class DagTransaction:
     instructions, value tables, closure and ``version`` exactly, so any
     analysis cached against the old version becomes valid again and a
     rolled-back trial is indistinguishable from one that never ran.  The
-    DAG's own version-keyed caches (topological order, latency-free
-    ASAP depths, collected values) are put back as they stood at
-    transaction start, so the trial's recomputations at its own versions
-    do not evict them.
+    DAG's memo of derived analyses (:meth:`DependenceDAG.derived`) is
+    put back whole as it stood at transaction start, so the trial's
+    recomputations at its own versions do not evict them.
     """
 
     def __init__(self, dag: "DependenceDAG") -> None:
@@ -102,12 +115,8 @@ class DagTransaction:
         self._source_len = len(dag.source_order)
         #: the closure caches set aside at the first node insertion.
         self._closure: Optional[tuple] = None
-        #: the version-keyed caches as they stood at transaction start.
-        self._caches = (
-            dag._topo_cache, dag._topo_version,
-            dag._asap_cache, dag._asap_version,
-            dag._values_cache,
-        )
+        #: the DAG's memo as it stood at transaction start.
+        self._memo = dict(dag._memo)
         self.active = True
 
     # -- journal recording (called by DependenceDAG) -------------------
@@ -150,10 +159,6 @@ class DagTransaction:
 
     # -- queries -------------------------------------------------------
     @property
-    def base_version(self) -> int:
-        return self._base_version
-
-    @property
     def adds_nodes(self) -> bool:
         """True once a node was inserted: the closure journal stopped,
         so the trial must be measured from scratch."""
@@ -172,11 +177,10 @@ class DagTransaction:
         value's definition and uses are as they stood at its start."""
         return set(self._values)
 
-    @property
-    def base_values(self) -> Optional[tuple]:
-        """The DAG's collected-values cache as it stood at transaction
-        start: ``(version, machine, values)``, or None."""
-        return self._caches[4]
+    def base_derived(self, key: Hashable) -> object:
+        """The memoized value of ``key`` at the base version, or None."""
+        entry = self._memo.get(key)
+        return entry[1] if entry and entry[0] == self._base_version else None
 
     def new_descendants(self, uid: int) -> Set[int]:
         """Nodes reachable from ``uid`` now but not at transaction start."""
@@ -220,11 +224,7 @@ class DagTransaction:
         if dag._desc_cache is not None:
             for uid, old in self._masks.items():
                 dag._desc_cache[uid] = old
-        (
-            dag._topo_cache, dag._topo_version,
-            dag._asap_cache, dag._asap_version,
-            dag._values_cache,
-        ) = self._caches
+        dag._memo = self._memo
         dag.version = self._base_version
         dag._txn = None
         self.active = False
@@ -286,14 +286,8 @@ class DependenceDAG:
         self._desc_cache: Optional[Dict[int, int]] = None
         self._mask_index: Optional[Dict[int, int]] = None
         self._mask_order: Optional[List[int]] = None
-        self._topo_cache: Optional[List[int]] = None
-        self._topo_version: int = -1
-        self._asap_cache: Optional[Dict[int, int]] = None
-        self._asap_version: int = -1
-        #: (version, machine, values) — populated by reuse.collect_values.
-        self._values_cache: Optional[tuple] = None
-        #: (version, HammockAnalysis) — populated by HammockAnalysis.of.
-        self._hammock_analysis = None
+        #: key -> (version, value) of every analysis read through derived.
+        self._memo: Dict[Hashable, Tuple[int, object]] = {}
 
     # ==================================================================
     # Construction.
@@ -503,10 +497,10 @@ class DependenceDAG:
 
     def op_nodes(self) -> List[int]:
         """Real instruction nodes, excluding ENTRY/EXIT, in topo order."""
-        return [
-            uid for uid in self.topological_order()
+        return list(self.derived("op_nodes", lambda: [
+            uid for uid in self.derived("topo", self._topological_order_uncached)
             if uid not in (self.entry, self.exit)
-        ]
+        ]))
 
     def instruction(self, uid: int) -> Instruction:
         return self._inst[uid]
@@ -547,21 +541,14 @@ class DependenceDAG:
     def topological_order(self) -> List[int]:
         """A deterministic topological order (by uid among ready nodes).
 
-        Cached per ``version``: measurement makes several O(E) sweeps
-        (closure, reuse DPs, ASAP, hammocks) that all start here.  The
-        version key keeps the cache safe inside transactions — every
-        ``add_sequence_edge`` bumps the version, and a new edge can
-        invalidate an existing order even without changing reachability.
-        An edge that points forward in the cached order leaves this
-        min-uid Kahn order unchanged, so ``add_sequence_edge`` carries
-        the cache over to the new version in that case.
+        Memoized per ``version`` (:meth:`derived`): measurement makes
+        several O(E) sweeps (closure, reuse DPs, ASAP, hammocks) that
+        all start here.  A new edge can invalidate an order even without
+        changing reachability, but one that points forward in the
+        memoized order leaves this min-uid Kahn order unchanged, so
+        ``add_sequence_edge`` carries the entry to the new version.
         """
-        if self._topo_cache is not None and self._topo_version == self.version:
-            return list(self._topo_cache)
-        order = self._topological_order_uncached()
-        self._topo_cache = order
-        self._topo_version = self.version
-        return list(order)
+        return list(self.derived("topo", self._topological_order_uncached))
 
     def _topological_order_uncached(self) -> List[int]:
         indegree = {u: len(row) for u, row in self._pred.items()}
@@ -580,6 +567,22 @@ class DependenceDAG:
         if len(order) != len(indegree):
             raise CycleError("dependence graph contains a cycle")
         return order
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, computed at most once per ``version``.
+
+        The one memo for analyses derived from the DAG: ``key`` maps to
+        ``(version, value)``, and any mutation makes every entry stale
+        by bumping the version.  A transaction snapshots the memo and
+        ``rollback`` restores it; ``copy`` carries the entries derived
+        from structure alone.  The value is shared: do not mutate it.
+        """
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] == self.version:
+            return entry[1]  # type: ignore[return-value]
+        value = compute()
+        self._memo[key] = (self.version, value)
+        return value
 
     # ------------------------------------------------------------------
     # Reachability (bitmask transitive closure, cached).
@@ -710,10 +713,10 @@ class DependenceDAG:
     def asap(
         self, latency: Optional[Callable[[Instruction], int]] = None
     ) -> Dict[int, int]:
-        """Earliest start cycle per node along longest paths from ENTRY."""
-        if latency is None and self._asap_version == self.version:
-            return dict(self._asap_cache)  # type: ignore[arg-type]
-        lat = latency or (lambda inst: 0 if inst.is_pseudo else 1)
+        """Earliest start cycle per node along longest paths from ENTRY
+        (memoized per version when latency-free)."""
+        if latency is None:
+            return dict(self.derived("asap", lambda: self.asap(_unit_latency)))
         order = self.topological_order()
         # One latency lookup per node (not per edge), then a plain dict DP.
         pred_of = self._pred
@@ -727,18 +730,14 @@ class DependenceDAG:
                 if r > best:
                     best = r
             start[uid] = best
-            ready[uid] = best + lat(inst_of[uid])
-        if latency is None:
-            self._asap_cache = start
-            self._asap_version = self.version
-            return dict(start)
+            ready[uid] = best + latency(inst_of[uid])
         return start
 
     def alap(
         self, latency: Optional[Callable[[Instruction], int]] = None
     ) -> Dict[int, int]:
         """Latest start cycle per node that still meets the critical path."""
-        lat = latency or (lambda inst: 0 if inst.is_pseudo else 1)
+        lat = latency or _unit_latency
         asap = self.asap(latency)
         horizon = asap[self.exit]
         late: Dict[int, int] = {}
@@ -774,11 +773,12 @@ class DependenceDAG:
         if dst in self._succ[src]:
             return False
         redundant = self.reaches(src, dst)
-        order = self._topo_cache
+        old_version = self.version
+        topo = self._memo.get("topo")
         keeps_order = (
-            order is not None
-            and self._topo_version == self.version
-            and order.index(src) < order.index(dst)
+            topo is not None
+            and topo[0] == old_version
+            and topo[1].index(src) < topo[1].index(dst)
         )
         self._link(src, dst, kind=EdgeKind.SEQ, reason=reason)
         txn = self._txn
@@ -796,7 +796,10 @@ class DependenceDAG:
             # ``dst`` only becomes ready later than before, and it was
             # never the smallest ready uid before ``src`` was taken, so
             # the min-uid Kahn order is unchanged.
-            self._topo_version = self.version
+            for key in _ORDER_KEYS:
+                entry = self._memo.get(key)
+                if entry is not None and entry[0] == old_version:
+                    self._memo[key] = (self.version, entry[1])
         return not redundant
 
     def would_cycle(self, src: int, dst: int) -> bool:
@@ -963,11 +966,10 @@ class DependenceDAG:
         A warm transitive closure is carried over (the masks are copied;
         the uid<->bit tables are never mutated, so they are shared), so
         edits journaled in a transaction on the copy maintain it
-        incrementally instead of rebuilding it from scratch.  A current
-        topological order and latency-free ASAP cache are carried to the
-        copy's version too: the copy has the same nodes and edges, so
-        min-uid Kahn gives the same order, and the caches are never
-        changed in place, so they are shared.
+        incrementally instead of rebuilding it from scratch.  The memo
+        entries derived from structure alone (topological order, op
+        nodes, latency-free ASAP) are carried, shared, to the copy's
+        version when current: the copy has the same nodes and edges.
         """
         clone = DependenceDAG.__new__(DependenceDAG)
         clone._succ = {uid: dict(row) for uid, row in self._succ.items()}
@@ -987,14 +989,11 @@ class DependenceDAG:
         clone._desc_cache = dict(self._desc_cache) if warm else None
         clone._mask_index = self._mask_index
         clone._mask_order = self._mask_order
-        topo_current = self._topo_version == self.version
-        clone._topo_cache = self._topo_cache if topo_current else None
-        clone._topo_version = clone.version if topo_current else -1
-        asap_current = self._asap_version == self.version
-        clone._asap_cache = self._asap_cache if asap_current else None
-        clone._asap_version = clone.version if asap_current else -1
-        clone._values_cache = None
-        clone._hammock_analysis = None
+        clone._memo = {
+            key: (clone.version, entry[1])
+            for key, entry in self._memo.items()
+            if key in _STRUCTURE_KEYS and entry[0] == self.version
+        }
         return clone
 
     def linearize(self) -> List[Instruction]:

@@ -83,16 +83,12 @@ class HammockAnalysis:
 
     @classmethod
     def of(cls, dag: DependenceDAG) -> "HammockAnalysis":
-        """The analysis for ``dag`` at its current version, cached on the
-        DAG.  The analysis is a pure function of the graph's structure,
-        so re-measurement loops (driver iterations, trial scoring) reuse
-        it for free until an edit bumps the version."""
-        cached = getattr(dag, "_hammock_analysis", None)
-        if cached is not None and cached[0] == dag.version:
-            return cached[1]
-        analysis = cls(dag)
-        dag._hammock_analysis = (dag.version, analysis)
-        return analysis
+        """The analysis for ``dag`` at its current version, memoized on
+        the DAG (:meth:`DependenceDAG.derived`).  The analysis is a pure
+        function of the graph's structure, so re-measurement loops
+        (driver iterations, trial scoring) reuse it for free until an
+        edit bumps the version."""
+        return dag.derived("hammocks", lambda: cls(dag))
 
     # ------------------------------------------------------------------
     def dominates(self, a: int, b: int) -> bool:

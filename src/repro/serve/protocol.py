@@ -205,6 +205,11 @@ def _options_of(request: Dict[str, Any]) -> Dict[str, Any]:
             "bad_request", f"unknown options: {sorted(unknown)}"
         )
     # Checked before any cache lookup, so a hit and a miss answer alike.
+    for flag in ("verify", "resilient", "bounds"):
+        if flag in options and not isinstance(options[flag], bool):
+            raise ProtocolError(
+                "bad_request", f"'options.{flag}' must be a boolean"
+            )
     try:
         seed = int(options.get("seed", 0))
     except (TypeError, ValueError, OverflowError):

@@ -489,6 +489,12 @@ class TestContractLint:
                 "shards = pool.map_shards(pending, machine, 'ursa')\n"
                 "artifact = pool_mod._compile_one(trace, machine)\n"
                 "inbox.put(task)\n"
+                "dag._kill_cache = (dag.version, machine, kill)\n"
+                "cached = getattr(dag, '_hammocks', None)\n"
+                "setattr(dag, '_hammocks', analysis)\n"
+                "memo = txn.dag._memo\n"
+                "self._memo = {}\n"
+                "dag._unlink(src, dst)\n"
             )
             # The oracle itself may import anything, including its own
             # package; only other modules are held to C004.
@@ -510,11 +516,17 @@ class TestContractLint:
                 "from repro.graph import bitset\n"
                 "matcher = bitset.BitsetKuhn(4)\n"
             )
+            # The DAG is the one module allowed to keep its caches.
+            (pkg / "graph" / "dag.py").write_text(
+                "dag._memo = dict(self._memo)\n"
+                "dag._desc_cache = None\n"
+            )
             findings = lint_contracts.run(tmp_path)
             codes = sorted(f.code for f in findings)
             assert codes == [
                 "C001", "C002", "C004", "C004", "C005", "C005", "C006", "C006",
                 "C007", "C007", "C008", "C008", "C008", "C008",
+                "C009", "C009", "C009",
             ]
         finally:
             sys.path.pop(0)

@@ -221,8 +221,8 @@ class TestVerifierSurfacedRegressions:
 
 
 # ======================================================================
-# Version-keyed caches: the topological order is kept across an edge
-# that points forward in it, and a rollback restores every cache.
+# The version-keyed memo: the topological order is kept across an edge
+# that points forward in it, and a rollback restores every entry.
 # ======================================================================
 def _asap_from_scratch(dag):
     """Latency-free ASAP depths by a DP over a fresh min-uid Kahn order."""
@@ -239,10 +239,15 @@ def _asap_from_scratch(dag):
 
 
 def _caches(dag):
-    return (
-        dag._topo_cache, dag._topo_version,
-        dag._asap_cache, dag._asap_version,
-        dag._values_cache,
+    """Every memo entry, ``(version, value)``, by key."""
+    return dict(dag._memo)
+
+
+def _same_entries(memo, cached):
+    """Equal entries, each the very object (and value) cached before."""
+    return memo == cached and all(
+        memo[key] is entry and memo[key][1] is entry[1]
+        for key, entry in cached.items()
     )
 
 
@@ -321,7 +326,7 @@ class TestKeptTopologicalOrder:
             txn.rollback()
             assert dag.version == version
             assert _caches(dag) == cached, seed
-            assert all(a is b for a, b in zip(_caches(dag), cached)), seed
+            assert _same_entries(dag._memo, cached), seed
             assert dag.topological_order() == dag._topological_order_uncached()
             assert dag.asap() == _asap_from_scratch(dag)
         consistent, inconsistent, reordering = totals
@@ -339,8 +344,8 @@ class TestKeptTopologicalOrder:
         order, depths = dag.topological_order(), dag.asap()
         clone = dag.copy()
         assert clone.version != dag.version
-        assert clone._topo_version == clone.version
-        assert clone._asap_version == clone.version
+        assert clone._memo["topo"][0] == clone.version
+        assert clone._memo["asap"][0] == clone.version
         assert clone.topological_order() == order
         assert clone.topological_order() == clone._topological_order_uncached()
         assert clone.asap() == depths == _asap_from_scratch(clone)
@@ -350,6 +355,195 @@ class TestKeptTopologicalOrder:
             if a != b and not dag.would_cycle(a, b) and not dag.reaches(a, b)
         )
         dag.add_sequence_edge(src, dst)
-        dag._topo_version = dag._asap_version = -1
+        dag._memo = {key: (-1, value) for key, (_, value) in dag._memo.items()}
         clone = dag.copy()
-        assert clone._topo_cache is None and clone._asap_cache is None
+        assert "topo" not in clone._memo and "asap" not in clone._memo
+
+
+# ======================================================================
+# One memo for every analysis derived from a DAG version.
+# ======================================================================
+_PROBE = object()
+
+
+def _aliasing_trace(seed):
+    """A random trace whose loads and stores share one base, so some
+    loads may alias a store and others provably do not."""
+    import random
+
+    rng = random.Random(seed)
+    lines = [f"v{i} = load [m+{rng.randrange(6)}]" for i in range(4)]
+    names = [f"v{i}" for i in range(4)]
+    lines.append("k = 7")
+    names.append("k")
+    for i in range(6):
+        a, b = rng.sample(names, 2)
+        lines.append(f"w{i} = {a} + {b}")
+        names.append(f"w{i}")
+    for offset in rng.sample(range(8), 3):
+        lines.append(f"store [m+{offset}], {rng.choice(names[5:])}")
+    return parse_trace("\n".join(lines))
+
+
+def _fresh_rematerializable(dag, name):
+    """``is_rematerializable`` by a fresh scan over ``op_nodes()``."""
+    from repro.ir.opcodes import Opcode
+
+    def_uid = dag.value_defs.get(name)
+    if def_uid is None or def_uid == dag.entry:
+        return False
+    inst = dag.instruction(def_uid)
+    if inst.op is not Opcode.LOAD:
+        return inst.op is Opcode.CONST
+    return not any(
+        other.is_memory_write
+        and other.addr is not None
+        and other.addr.may_alias(inst.addr)
+        for other in map(dag.instruction, dag.op_nodes())
+    )
+
+
+def _random_edge(dag, rng):
+    """Add one legal sequence edge between random op nodes, if any."""
+    for _ in range(20):
+        src, dst = rng.sample(dag.op_nodes(), 2)
+        if not dag.would_cycle(src, dst) and not dag.has_edge(src, dst):
+            dag.add_sequence_edge(src, dst)
+            return
+
+
+def _spillable(dag, loads=True):
+    """A value with a real definition and uses: (name, def uid)."""
+    return next(
+        (n, u) for n, u in sorted(dag.value_defs.items())
+        if u != dag.entry
+        and dag.value_uses.get(n)
+        and dag.instruction(u).dest == n
+        and (loads or not dag.instruction(u).is_memory_read)
+    )
+
+
+def _check_memo(dag, machine):
+    """The memo answers only from entries stamped with the current
+    version, and every analysis it answers equals a fresh one."""
+    from repro.core.reuse import collect_values
+    from repro.core.transforms.remat import is_rematerializable
+    from repro.graph.hammock import HammockAnalysis
+
+    for key, (version, value) in list(dag._memo.items()):
+        expected = value if version == dag.version else _PROBE
+        assert dag.derived(key, lambda: _PROBE) is expected, key
+    dag._memo = {k: e for k, e in dag._memo.items() if e[1] is not _PROBE}
+
+    order = dag._topological_order_uncached()
+    assert dag.topological_order() == order
+    assert dag.op_nodes() == [u for u in order if u not in (dag.entry, dag.exit)]
+    assert dag.asap() == _asap_from_scratch(dag)
+    memoized, fresh = HammockAnalysis.of(dag), HammockAnalysis(dag)
+    assert (memoized.order, memoized.dom, memoized.pdom) == (
+        fresh.order, fresh.dom, fresh.pdom
+    )
+    assert collect_values(dag, machine) == collect_values(dag.copy(), machine)
+    for name in sorted(dag.value_defs):
+        assert is_rematerializable(dag, name) == (
+            _fresh_rematerializable(dag, name)
+        ), name
+    assert all(version == dag.version for version, _ in dag._memo.values())
+
+
+class TestOneMemo:
+    def test_rollback_restores_the_committed_hammocks(self):
+        from repro.graph.hammock import HammockAnalysis
+        from repro.workloads.random_dags import random_layered_trace
+
+        dag = DependenceDAG.from_trace(
+            random_layered_trace(n_ops=16, width=5, seed=0)
+        )
+        committed = HammockAnalysis.of(dag)
+        txn = dag.begin_transaction()
+        src, dst = next(
+            (a, b) for a in dag.op_nodes() for b in dag.op_nodes()
+            if a != b and not dag.would_cycle(a, b) and not dag.reaches(a, b)
+        )
+        dag.add_sequence_edge(src, dst)
+        assert HammockAnalysis.of(dag) is not committed
+        txn.rollback()
+        assert HammockAnalysis.of(dag) is committed
+
+    def test_memo_never_answers_from_another_version(self):
+        import random
+
+        from repro.core.transforms.spill import spill_slot_for
+        from repro.machine.model import MachineModel
+        from repro.workloads.random_dags import random_layered_trace
+
+        machine = MachineModel.homogeneous(2, 4)
+        for seed in range(50):
+            rng = random.Random(seed)
+            trace = (
+                random_layered_trace(n_ops=12, width=4, seed=seed)
+                if seed % 2 else _aliasing_trace(seed)
+            )
+            dag = DependenceDAG.from_trace(trace)
+            _check_memo(dag, machine)
+            # Outside a transaction.
+            for _ in range(3):
+                _random_edge(dag, rng)
+                _check_memo(dag, machine)
+            # Inside one, with a node insertion, then rolled back.
+            cached = _caches(dag)
+            txn = dag.begin_transaction()
+            _random_edge(dag, rng)
+            _check_memo(dag, machine)
+            spill = seed % 4 < 2
+            # A load is only ever cloned when no store may alias it.
+            name, def_uid = _spillable(dag, loads=spill)
+            late = dag.value_uses[name][-1:]
+            if spill:
+                dag.insert_spill(name, late, spill_slot_for(dag, def_uid))
+            else:
+                dag.insert_remat(name, late)
+            _check_memo(dag, machine)
+            _random_edge(dag, rng)
+            _check_memo(dag, machine)
+            txn.rollback()
+            assert _same_entries(dag._memo, cached), seed
+            _check_memo(dag, machine)
+
+    def test_rematerializable_matches_a_fresh_store_scan(self):
+        from repro.core.transforms.remat import is_rematerializable
+        from repro.ir.opcodes import Opcode
+
+        def check(dag):
+            answers = {}
+            for name in sorted(dag.value_defs):
+                answers[name] = is_rematerializable(dag, name)
+                assert answers[name] == _fresh_rematerializable(dag, name)
+            return answers
+
+        loads = flipped = 0
+        for seed in range(40):
+            dag = DependenceDAG.from_trace(_aliasing_trace(seed))
+            before = check(dag)
+            safe = [
+                name for name, ok in before.items()
+                if ok and dag.instruction(dag.value_defs[name]).op is Opcode.LOAD
+            ]
+            loads += sum(
+                dag.instruction(dag.value_defs[n]).op is Opcode.LOAD
+                for n in before
+            )
+            txn = dag.begin_transaction()
+            name, _ = _spillable(dag)
+            # Spill into a safe load's cell: that load may no longer be
+            # re-executed while the transaction stands.
+            cell = dag.instruction(dag.value_defs[safe[0]]).addr if safe else None
+            if cell is not None:
+                dag.insert_spill(name, dag.value_uses[name][-1:], cell)
+                inside = check(dag)
+                assert not inside[safe[0]], seed
+                flipped += 1
+            txn.rollback()
+            assert check(dag) == before, seed
+        # The traces exercise both answers for loads.
+        assert 0 < flipped < loads, (flipped, loads)

@@ -119,8 +119,9 @@ class TestPerFaultClass:
 
 class TestCommitGate:
     """Every URSA commit is audited, with no flag: a lying measurement is
-    rejected and re-measured, and the records are built from what the
-    gate carried forward, so the ladder's record check never fires."""
+    rejected and its ``available`` set back to the machine's capacity,
+    and the records are built from what the gate carried forward, so
+    the ladder's record check never fires."""
 
     def test_plain_compile_rejects_lying_measurements(self, fig2_trace):
         monkey = ChaosMonkey(faults=("measure",), rate=1.0)
@@ -133,6 +134,31 @@ class TestCommitGate:
         for previous, record in zip(records, records[1:]):
             assert record.excess_before == previous.excess_after
         assert records[-1].excess_after == result.allocation.total_excess
+
+    def test_plain_compile_ends_with_honest_capacities(self, fig2_trace):
+        capacity = {
+            **{("fu", c.name): c.count for c in MACHINE.fu_classes},
+            **{("reg", cls): n for cls, n in MACHINE.registers.items()},
+        }
+        for seed in CHAOS_SEEDS:
+            monkey = ChaosMonkey(seed=seed, faults=("measure",), rate=1.0)
+            with chaos_scope(monkey):
+                result = compile_trace(fig2_trace, MACHINE, method="ursa")
+            assert monkey.injected("measure") >= 1, seed
+            bent = [
+                r.describe() for r in result.allocation.requirements
+                if r.available != capacity[r.kind.value, r.cls]
+            ]
+            assert not bent, (seed, bent)
+
+    def test_sweep_ends_on_every_ladder_rung(self, fig2_trace):
+        finals = set()
+        for seed in CHAOS_SEEDS:
+            monkey = ChaosMonkey(seed=seed, faults=FAULT_CLASSES, rate=0.4)
+            with chaos_scope(monkey):
+                result = resilient_compile(fig2_trace)
+            finals.add(result.degradation.final_method)
+        assert {"ursa", "ursa-phased", "spill-everywhere"} <= finals, finals
 
     def test_measure_sweep_never_escalates_on_a_pack_error(self, fig2_trace):
         for seed in CHAOS_SEEDS:

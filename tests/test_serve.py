@@ -517,8 +517,11 @@ class TestProtocolUnit:
         {"deadline_ms": "soon"},
         {"deadline_ms": -1},
         {"deadline_ms": True},
+        {"verify": "false", "resilient": "false"},
+        {"verify": 1},
+        {"resilient": None},
     ], ids=["seed-text", "seed-list", "deadline-text", "deadline-negative",
-            "deadline-bool"])
+            "deadline-bool", "flags-text", "verify-number", "resilient-null"])
     def test_bad_option_types_are_bad_requests(self, cache, options):
         from repro.serve.protocol import handle_payload
 
@@ -531,6 +534,25 @@ class TestProtocolUnit:
             assert body["error"]["code"] == "bad_request"
         # Rejected before any lookup: only the plain request touched it.
         assert (cache.hits, cache.misses) == (0, 1)
+
+    @pytest.mark.parametrize("kind, options", [
+        ("program", {"verify": "false"}),
+        ("analyze", {"bounds": "false"}),
+    ])
+    def test_non_boolean_flags_are_bad_requests(self, cache, kind, options):
+        from repro.serve.protocol import handle_payload
+
+        program = kind == "program"
+        request = {"kind": kind, "source": PROGRAM_SRC if program else TRACE_SRC}
+        answers = [handle_payload({**request, "options": options}, cache)]
+        # A real boolean skips the verification that needs initial memory.
+        warm = {**request, "options": {"verify": False}} if program else request
+        assert handle_payload(warm, cache)[0] == 200  # now a memo hit
+        answers.append(handle_payload({**request, "options": options}, cache))
+        for status, body in answers:
+            assert status == 400
+            assert body["error"]["code"] == "bad_request"
+        assert answers[0] == answers[1]
 
     def test_seed_is_normalized_to_int(self, cache):
         from repro.serve.protocol import handle_payload

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Seven rules, each guarding an invariant the test suite cannot easily
+Eight rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -53,6 +53,16 @@ C008  No module under ``src/repro`` except ``serve/cache.py`` and
       stores every artifact that did not degrade and dispatches the
       misses.  A second caller is where a second cache policy comes
       back (see docs/serving.md).
+
+C009  No module under ``src/repro`` except ``graph/dag.py`` may name
+      the DAG's private caches ``_memo``, ``_desc_cache``,
+      ``_mask_index`` or ``_mask_order`` (as an attribute of anything
+      but ``self``, or as a ``getattr``-family string), nor assign a
+      ``_``-prefixed attribute on a receiver named ``dag``.  Every
+      analysis derived from a DAG version goes through
+      ``DependenceDAG.derived``, whose memo a transaction snapshots and
+      restores whole; a cache kept on the DAG from outside is one that
+      rollback and copy do not know about (see docs/passes.md).
 
 Usage::
 
@@ -362,6 +372,56 @@ def lint_cache_policy(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# C009: the DAG's private caches outside graph/dag.py.
+# ----------------------------------------------------------------------
+DAG_MODULE = "src/repro/graph/dag.py"
+DAG_CACHES = {"_memo", "_desc_cache", "_mask_index", "_mask_order"}
+ATTR_BUILTINS = {"getattr", "setattr", "hasattr", "delattr"}
+
+
+def _touches_dag_private(receiver: ast.expr, attr: str, write: bool) -> bool:
+    """Whether ``receiver.attr`` (written when ``write``) breaks C009."""
+    owner = receiver.id if isinstance(receiver, ast.Name) else None
+    if attr in DAG_CACHES:
+        return owner != "self"
+    return write and attr.startswith("_") and owner == "dag"
+
+
+def lint_dag_private_state(path: Path, tree: ast.Module) -> List[Finding]:
+    if path.as_posix().endswith(DAG_MODULE):
+        return []
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attr = node.attr
+            hit = _touches_dag_private(
+                node.value, attr, isinstance(node.ctx, (ast.Store, ast.Del))
+            )
+        elif (
+            isinstance(node, ast.Call)
+            and _callee(node.func) in ATTR_BUILTINS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            attr = node.args[1].value
+            hit = _touches_dag_private(
+                node.args[0], attr, _callee(node.func) in ("setattr", "delattr")
+            )
+        else:
+            continue
+        if hit:
+            findings.append(Finding(
+                path, node.lineno, "C009",
+                f"src/repro touches the DAG's private {attr} outside "
+                "graph/dag.py; derive per-version analyses through "
+                "DependenceDAG.derived, the one memo that rollback and "
+                "copy maintain",
+            ))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
     findings: List[Finding] = []
@@ -375,6 +435,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_process_executors(rel, tree))
         findings.extend(lint_matcher_references(rel, tree))
         findings.extend(lint_cache_policy(rel, tree))
+        findings.extend(lint_dag_private_state(rel, tree))
     return findings
 
 
