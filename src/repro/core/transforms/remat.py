@@ -39,11 +39,9 @@ def is_rematerializable(dag: DependenceDAG, value: str) -> bool:
     if inst.op is Opcode.CONST:
         return True
     if inst.op is Opcode.LOAD:
-        writes = dag.derived("memory_writes", lambda: tuple(
-            other.addr for other in map(dag.instruction, dag.op_nodes())
-            if other.is_memory_write and other.addr is not None
-        ))
-        return not any(addr.may_alias(inst.addr) for addr in writes)
+        return not any(
+            addr.may_alias(inst.addr) for _, addr in dag.memory_writes()
+        )
     return False
 
 

@@ -502,6 +502,14 @@ class DependenceDAG:
             if uid not in (self.entry, self.exit)
         ]))
 
+    def memory_writes(self) -> Tuple[Tuple[int, Addr], ...]:
+        """``(uid, addr)`` of every addressed memory write, in topo order."""
+        return self.derived("memory_writes", lambda: tuple(
+            (uid, inst.addr) for uid in self.op_nodes()
+            if (inst := self._inst[uid]).is_memory_write
+            and inst.addr is not None
+        ))
+
     def instruction(self, uid: int) -> Instruction:
         return self._inst[uid]
 
@@ -930,6 +938,11 @@ class DependenceDAG:
                 remat_name = f"{value}@m{suffix}"
 
         clone = replace(original, dest=remat_name).fresh_copy()
+        # Re-executing a load must still follow any may-aliasing writes.
+        aliasing = [
+            uid for uid, addr in self.memory_writes()
+            if addr.may_alias(clone.addr)
+        ] if clone.is_memory_read else []
         self._add_node(clone)
         self._journal_values(remat_name, *clone.uses())
         self.value_defs[remat_name] = clone.uid
@@ -938,17 +951,8 @@ class DependenceDAG:
             if src_uid != clone.uid:
                 self._add_edge(src_uid, clone.uid, EdgeKind.DATA, value=name)
             self.value_uses.setdefault(name, []).append(clone.uid)
-        # Re-executing a load must still follow any may-aliasing writes.
-        if clone.is_memory_read:
-            for uid in self.op_nodes():
-                other = self.instruction(uid)
-                if (
-                    other.is_memory_write
-                    and other.addr is not None
-                    and other.addr.may_alias(clone.addr)
-                    and not self.reaches(clone.uid, uid)
-                ):
-                    self._add_edge(uid, clone.uid, EdgeKind.SEQ, reason="mem")
+        for uid in aliasing:
+            self._add_edge(uid, clone.uid, EdgeKind.SEQ, reason="mem")
 
         self._retarget_uses(value, clone.uid, remat_name, late)
         self.source_order.append(clone.uid)

@@ -412,14 +412,26 @@ def _random_edge(dag, rng):
             return
 
 
-def _spillable(dag, loads=True):
-    """A value with a real definition and uses: (name, def uid)."""
-    return next(
+def _spillable(dag, prefer=lambda name: False):
+    """A value with a real definition and uses: (name, def uid), the
+    first one ``prefer`` accepts if there is one."""
+    found = [
         (n, u) for n, u in sorted(dag.value_defs.items())
         if u != dag.entry
         and dag.value_uses.get(n)
         and dag.instruction(u).dest == n
-        and (loads or not dag.instruction(u).is_memory_read)
+    ]
+    return next((c for c in found if prefer(c[0])), found[0])
+
+
+def _safe_load(dag):
+    """A predicate: ``name`` is a load ``is_rematerializable`` accepts."""
+    from repro.core.transforms.remat import is_rematerializable
+    from repro.ir.opcodes import Opcode
+
+    return lambda name: (
+        dag.instruction(dag.value_defs[name]).op is Opcode.LOAD
+        and is_rematerializable(dag, name)
     )
 
 
@@ -478,6 +490,7 @@ class TestOneMemo:
         from repro.workloads.random_dags import random_layered_trace
 
         machine = MachineModel.homogeneous(2, 4)
+        safe_load_remats = 0
         for seed in range(50):
             rng = random.Random(seed)
             trace = (
@@ -496,12 +509,14 @@ class TestOneMemo:
             _random_edge(dag, rng)
             _check_memo(dag, machine)
             spill = seed % 4 < 2
-            # A load is only ever cloned when no store may alias it.
-            name, def_uid = _spillable(dag, loads=spill)
+            # Remat a load when one is safe, as the allocator would.
+            safe = _safe_load(dag)
+            name, def_uid = _spillable(dag, safe)
             late = dag.value_uses[name][-1:]
             if spill:
                 dag.insert_spill(name, late, spill_slot_for(dag, def_uid))
             else:
+                safe_load_remats += safe(name)
                 dag.insert_remat(name, late)
             _check_memo(dag, machine)
             _random_edge(dag, rng)
@@ -509,6 +524,38 @@ class TestOneMemo:
             txn.rollback()
             assert _same_entries(dag._memo, cached), seed
             _check_memo(dag, machine)
+        assert safe_load_remats >= 10, safe_load_remats
+
+    def test_remat_of_an_aliasing_load_follows_the_stores(self):
+        from repro.core.transforms.remat import is_rematerializable
+        from repro.ir.opcodes import Opcode
+
+        cloned = 0
+        for seed in range(20):
+            dag = DependenceDAG.from_trace(_aliasing_trace(seed))
+            name = next((
+                n for n in sorted(dag.value_defs) if dag.value_uses.get(n)
+                and dag.instruction(dag.value_defs[n]).op is Opcode.LOAD
+                and not is_rematerializable(dag, n)
+            ), None)
+            if name is None:
+                continue
+            addr = dag.instruction(dag.value_defs[name]).addr
+            writes = [w for w, a in dag.memory_writes() if a.may_alias(addr)]
+            # Only a use no aliasing write depends on can move after them.
+            late = [
+                u for u in dag.value_uses[name]
+                if not any(u == w or dag.reaches(u, w) for w in writes)
+            ][-1:]
+            if not late:
+                continue
+            txn = dag.begin_transaction()
+            uid, _ = dag.insert_remat(name, late)
+            assert all(dag.reaches(w, uid) for w in writes), seed
+            txn.rollback()
+            assert uid not in dag
+            cloned += 1
+        assert cloned >= 10, cloned
 
     def test_rematerializable_matches_a_fresh_store_scan(self):
         from repro.core.transforms.remat import is_rematerializable
