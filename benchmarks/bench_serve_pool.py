@@ -33,6 +33,12 @@ Runs standalone for the CI smoke job::
   measurement-scaling gate because process fork latency is noisier
   than pure compute.
 
+A third row times two one-shard batches sent from two threads at once
+against the same two shards sent one after the other, both on the warm
+pool: batches from different threads overlap on different workers.
+It is printed and kept in the trajectory (``concurrent``) but not
+gated — on a 2-vCPU host, parallel shards gain little over serial ones.
+
 ``--update`` rewrites the baseline from the current run.
 """
 
@@ -41,9 +47,10 @@ from __future__ import annotations
 import gc
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 if __package__ in (None, ""):  # standalone: find _common and (maybe) repro
     sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -51,7 +58,8 @@ if __package__ in (None, ""):  # standalone: find _common and (maybe) repro
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from _common import emit_table, gated_main
+from _common import emit, gated_main
+from repro.ir.printer import format_table
 from repro.machine.model import MachineModel
 from repro.serve.cache import program_signature, trace_key
 from repro.serve.pool import WorkerPool
@@ -145,12 +153,54 @@ def measure_batch(
     }
 
 
+def measure_concurrent(pool: WorkerPool, repeats: int = 5) -> Dict[str, object]:
+    """Time two one-shard batches sent from two threads at once against
+    the same two shards sent one after the other, on the warm pool."""
+    singles = [[shard] for shard in _make_shards(2)]
+
+    def serial():
+        return [pool.map_shards(s, MACHINE, METHOD)[0] for s in singles]
+
+    def concurrent():
+        answers = [None] * len(singles)
+
+        def send(index):
+            answers[index] = pool.map_shards(singles[index], MACHINE, METHOD)[0]
+
+        threads = [
+            threading.Thread(target=send, args=(index,))
+            for index in range(len(singles))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return answers
+
+    if _signatures(concurrent()) != _signatures(serial()):
+        raise AssertionError(
+            "concurrent and serial batches disagree — bit-identity broken"
+        )
+    serial_ms = _median_ms(serial, repeats)
+    concurrent_ms = _median_ms(concurrent, repeats)
+    return {
+        "batches": len(singles),
+        "trace_ops": TRACE_OPS,
+        "serial_ms": round(serial_ms, 3),
+        "concurrent_ms": round(concurrent_ms, 3),
+        "speedup": round(serial_ms / concurrent_ms, 2) if concurrent_ms else None,
+        "workers": WORKERS,
+    }
+
+
 def run_benchmark(
     batch_sizes: Sequence[int] = BATCH_SIZES, repeats: int = 5
-) -> List[Dict[str, object]]:
+) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
+    """The per-batch-size rows and the (ungated) concurrent row."""
     pool = WorkerPool(workers=WORKERS)
     try:
-        return [measure_batch(pool, batch, repeats) for batch in batch_sizes]
+        entries = [measure_batch(pool, batch, repeats) for batch in batch_sizes]
+        return entries, measure_concurrent(pool, repeats)
     finally:
         pool.shutdown()
 
@@ -188,17 +238,28 @@ def check_against_baseline(
     return failures
 
 
-def _emit(entries: Sequence[Dict[str, object]]) -> None:
-    emit_table(
-        "serve_pool",
+def _emit(entries: Sequence[Dict[str, object]], concurrent) -> None:
+    batches = format_table(
         ("batch", "ops/trace", "warm ms", "cold ms", "speedup"),
         [
             (e["batch"], e["trace_ops"], f"{e['warm_ms']:.1f}",
              f"{e['cold_ms']:.1f}", f"{e['speedup']:.1f}x")
             for e in entries
         ],
-        "Serving — persistent supervised pool vs a pool per request",
+        title="Serving — persistent supervised pool vs a pool per request",
     )
+    overlap = format_table(
+        ("batches", "ops/trace", "serial ms", "concurrent ms", "speedup"),
+        [(
+            concurrent["batches"], concurrent["trace_ops"],
+            f"{concurrent['serial_ms']:.1f}",
+            f"{concurrent['concurrent_ms']:.1f}",
+            f"{concurrent['speedup']:.2f}x",
+        )],
+        title="Serving — one-shard batches from two threads vs one after "
+        "the other, warm pool (not gated)",
+    )
+    emit("serve_pool", f"{batches}\n\n{overlap}")
 
 
 # ======================================================================
@@ -229,8 +290,8 @@ def test_warm_pool_beats_cold_pool_on_small_batches():
 def _run(quick: bool):
     batch_sizes = QUICK_BATCH_SIZES if quick else BATCH_SIZES
     repeats = 3 if quick else 5
-    entries = run_benchmark(batch_sizes, repeats)
-    _emit(entries)
+    entries, concurrent = run_benchmark(batch_sizes, repeats)
+    _emit(entries, concurrent)
     payload = {
         "benchmark": "serve_pool",
         "workload": (
@@ -242,6 +303,7 @@ def _run(quick: bool):
                     "cold = short-lived WorkerPool per call (fork, map, "
                     "shut down), warm = WorkerPool (forked once)",
         "entries": list(entries),
+        "concurrent": concurrent,
     }
     return entries, payload
 

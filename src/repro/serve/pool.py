@@ -7,57 +7,56 @@ Its misses run on a :class:`WorkerPool` — the warm one ``repro serve
 ``compile_program(jobs=N)`` — or serially with :func:`_compile_one`,
 the same function the workers run.  Inside a pool:
 
-* each worker is **supervised**: liveness is checked every poll tick,
-  idle workers emit heartbeats, and a worker that crashes, hangs past
-  its shard deadline, or exceeds a memory watermark is killed and
-  respawned under the capped exponential backoff of
-  :class:`~repro.serve.supervisor.RestartPolicy`;
-* a shard whose worker died is **requeued** on another worker — and a
-  trace key that keeps killing workers is circuit-broken by the
-  :class:`~repro.serve.supervisor.QuarantineRegistry` and compiled
-  in-parent under the resilient fallback ladder instead of
-  crash-looping the pool;
-* compilation is deterministic, so a shard retried after a crash (or
-  even double-executed by a stale worker) produces the same artifact —
-  ``map_shards`` keeps only the first result per task and bit-identity
-  with a serial compile is preserved (``program_signature``).
+* one **collector** thread reads the workers' shared outbox.  It
+  routes each result to its batch by ``(batch id, task id, attempt)``
+  and drops any result its slot is not running, runs the hang
+  watchdog, reaps dead workers and requeues their shards.  It blocks
+  while nothing is in flight;
+* ``map_shards`` registers its batch, hands pending shards to idle
+  workers under a short lock and waits on the batch's own event, so
+  batches from different threads overlap.  In-parent compiles run in
+  the batch's own thread;
+* a worker that crashes, stays busy past its hang budget, or exceeds a
+  memory watermark is killed and respawned under the capped backoff of
+  :class:`~repro.serve.supervisor.RestartPolicy`; its shard is
+  **requeued** as a new attempt, and a trace key that keeps killing
+  workers is **quarantined** (compiled in-parent under the resilient
+  fallback ladder);
+* compilation is deterministic, so a retried shard produces the same
+  artifact: bit-identity with a serial compile (``program_signature``).
 
-Fork-safety notes: each worker has a private inbox ``Queue`` written
-only by the parent; all workers share one outbox ``Queue`` written
-only by children and read only by the parent, so neither lock is ever
-contended across the fork boundary in a surprising way.  Batches are
-serialized by a parent-side lock (`ThreadingHTTPServer` handlers all
-funnel through the same pool).
-
+Each worker has a private inbox ``Queue`` written only by the parent;
+all share one outbox written only by workers.  A worker drops the
+observer capture it inherits over the fork before its first task.
 ``map_shards`` always returns complete, in-order artifacts: a pool
-that cannot run at all (closed, every slot exhausted, unpicklable
-payload) compiles the batch in the parent.
+that cannot run (closed, every slot exhausted, unpicklable payload)
+compiles the batch in the parent.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import pickle
 import queue
 import signal
 import threading
 import time
+import traceback
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.ir.instructions import Instruction
+from repro.ir.instructions import Instruction, ensure_uid_floor
 from repro.machine.model import MachineModel
 from repro.serve.cache import CompileCache, TraceArtifact, trace_key
 from repro.serve.supervisor import RestartPolicy, Supervisor
 
-# Outbox message kinds (plain tuples; must stay picklable and tiny).
+# The outbox's one message, a plain tuple that must stay picklable and
+# tiny: (_RESULT, batch, worker_id, task_id, attempt, artifact, error).
 _RESULT = "result"
-_BEAT = "beat"
-
-# How often an idle worker proves its loop is not wedged.
-HEARTBEAT_INTERVAL_S = 5.0
-
-# Parent-side poll tick while a batch is in flight.
+# Collector tick while shards are in flight (hang and liveness checks).
 _POLL_S = 0.02
 
 
@@ -72,6 +71,7 @@ class ShardTask:
     method: str
     deadline_ms: Optional[int]
     resilient: bool
+    batch: int  # the ``map_shards`` call this shard belongs to
     chaos_sleep_s: float = 0.0
     #: how many times this shard was dispatched before (its chaos key).
     attempt: int = 0
@@ -215,26 +215,26 @@ def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
     parent's drain path); SIGTERM/SIGKILL from the supervisor just end
     the process — the parent requeues whatever we were holding.
     """
+    # A capture inherited over the fork would keep every record of every
+    # shard in this process's memory, where nothing ever reads it.
+    from repro.obs.observer import _stack as inherited_captures
+
+    inherited_captures.clear()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     while True:
-        try:
-            task = inbox.get(timeout=HEARTBEAT_INTERVAL_S)
-        except queue.Empty:
-            outbox.put((_BEAT, worker_id, time.time()))
-            continue
+        task = inbox.get()
         if task is None:
             return
         if task.chaos_sleep_s > 0:  # injected by service-level chaos faults
             time.sleep(task.chaos_sleep_s)
+        artifact, error = None, None
         try:
             # The parent's uid counter is always ahead of ours (we forked
             # at server start); lift ours past the shipped instructions
             # or freshly synthesized uids would collide with them.
-            from repro.ir.instructions import ensure_uid_floor
-
             ensure_uid_floor(
                 max((inst.uid for inst in task.instructions), default=0)
             )
@@ -242,11 +242,12 @@ def _pool_worker_main(worker_id: int, inbox, outbox) -> None:
                 list(task.instructions), task.machine, task.method,
                 task.deadline_ms, task.resilient, task.key,
             )
-            outbox.put((_RESULT, task.task_id, worker_id, artifact, None))
-        except BaseException as error:  # noqa: BLE001 - report, don't die
-            if isinstance(error, (KeyboardInterrupt, SystemExit)):
-                raise
-            outbox.put((_RESULT, task.task_id, worker_id, None, repr(error)))
+        except Exception as exc:  # noqa: BLE001 - report, don't die
+            error = repr(exc)
+        outbox.put((
+            _RESULT, task.batch, worker_id, task.task_id, task.attempt,
+            artifact, error,
+        ))
 
 
 def _read_rss_kb(pid: int) -> Optional[int]:
@@ -261,12 +262,25 @@ def _read_rss_kb(pid: int) -> Optional[int]:
     return None
 
 
-class _WorkerHandle:
+class _WorkerHandle(NamedTuple):
     """A live worker process plus its private inbox queue."""
 
-    def __init__(self, process, inbox) -> None:
-        self.process = process
-        self.inbox = inbox
+    process: object
+    inbox: object
+
+
+class _Batch:
+    """One ``map_shards`` call: its answers and the shards left to place."""
+
+    def __init__(self, tasks: Sequence[ShardTask]) -> None:
+        self.id = tasks[0].batch
+        self.tasks = tasks
+        self.results: List[Optional[TraceArtifact]] = [None] * len(tasks)
+        self.open = set(range(len(tasks)))  # task ids not answered yet
+        self.pending: deque = deque()  # shards waiting for an idle worker
+        # (task, quarantined) pairs the batch's own thread compiles.
+        self.in_parent: deque = deque()
+        self.wake = threading.Event()
 
 
 class WorkerPool:
@@ -283,9 +297,7 @@ class WorkerPool:
         self.size = max(1, int(workers))
         self.hang_timeout_s = hang_timeout_s
         self.max_worker_rss_mb = max_worker_rss_mb
-        self.supervisor = Supervisor(
-            self.size, restart_policy, quarantine_threshold
-        )
+        self.supervisor = Supervisor(self.size, restart_policy, quarantine_threshold)
         self._rss_reader = _read_rss_kb
         # Import the compiler before forking, so no worker pays for it
         # on its first shard.
@@ -298,7 +310,13 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context()
         self._outbox = self._ctx.Queue()
         self._handles: List[Optional[_WorkerHandle]] = [None] * self.size
-        self._batch_lock = threading.Lock()
+        # The short lock over slots and batches; an idle collector waits on it.
+        self._lock = threading.Condition()
+        self._batches: Dict[int, _Batch] = {}
+        self._batch_ids = itertools.count()
+        self._collector = threading.Thread(
+            target=self._collect, name="repro-pool-collector", daemon=True
+        )
         self._closed = False
         try:
             for worker_id in range(self.size):
@@ -306,6 +324,7 @@ class WorkerPool:
         except BaseException:
             self.shutdown()  # don't leak the workers already started
             raise
+        self._collector.start()
         obs.peak("serve.pool.workers", self.supervisor.alive_count())
 
     # -- lifecycle -----------------------------------------------------
@@ -339,10 +358,18 @@ class WorkerPool:
         handle.process.join(timeout=2.0)
 
     def shutdown(self, timeout_s: float = 2.0) -> None:
-        """Stop all workers (sentinel first, SIGKILL stragglers)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop the collector, then the workers (sentinel first, SIGKILL
+        stragglers).  A batch still waiting compiles its unanswered
+        shards in its own thread."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True  # the collector routes nothing after this
+            self._lock.notify_all()
+            for batch in self._batches.values():
+                batch.wake.set()
+        if self._collector.is_alive():
+            self._collector.join()
         for handle in self._handles:
             if handle is not None and handle.process.is_alive():
                 try:
@@ -362,10 +389,6 @@ class WorkerPool:
             state.alive = False
             state.pid = None
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __enter__(self) -> "WorkerPool":
         return self
 
@@ -374,40 +397,17 @@ class WorkerPool:
 
     # -- observation ---------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Pool state for ``/v1/stats`` and ``/healthz``."""
-        self._drain_beats()
-        for worker_id, state in enumerate(self.supervisor.states):
-            handle = self._handles[worker_id]
-            if state.alive and (handle is None or not handle.process.is_alive()):
-                state.alive = False
-        snap = self.supervisor.snapshot()
+        """Pool state for ``/v1/stats`` and ``/healthz``.  A slot whose
+        process died since the collector last looked reads as down."""
+        with self._lock:
+            snap = self.supervisor.snapshot()
+            for worker, handle in zip(snap["workers"], self._handles):
+                worker["alive"] = handle is not None and handle.process.is_alive()
+        snap["alive"] = sum(worker["alive"] for worker in snap["workers"])
         snap["closed"] = self._closed
         return snap
 
-    def _drain_beats(self) -> None:
-        """Consume idle heartbeats.  A batch in flight reads the outbox
-        itself, and a result taken here would be lost to it."""
-        if not self._batch_lock.acquire(blocking=False):
-            return
-        try:
-            while True:
-                try:
-                    message = self._outbox.get_nowait()
-                except (queue.Empty, OSError, ValueError):
-                    return
-                self._note_beat(message)
-        finally:
-            self._batch_lock.release()
-
-    def _note_beat(self, message: tuple) -> bool:
-        if message[0] != _BEAT:
-            return False
-        worker_id = message[1]
-        if 0 <= worker_id < self.size:
-            self.supervisor.states[worker_id].last_beat = time.monotonic()
-        return True
-
-    # -- the batch loop ------------------------------------------------
+    # -- batches -------------------------------------------------------
     def map_shards(
         self,
         shards: Sequence[Tuple[str, Sequence[object]]],
@@ -423,25 +423,20 @@ class WorkerPool:
         requeued, the worker restarted under backoff, and quarantined
         keys are compiled in-parent.  When the pool cannot run at all
         (closed, unhealthy, unpicklable payload) the whole batch
-        compiles in-parent.
+        compiles in-parent.  Calls from different threads overlap.
         """
+        batch = next(self._batch_ids)
         tasks = [
-            ShardTask(
-                task_id=index,
-                key=key,
-                instructions=tuple(instructions),
-                machine=machine,
-                method=method,
-                deadline_ms=deadline_ms,
-                resilient=resilient,
-            )
+            ShardTask(index, key, tuple(instructions), machine, method,
+                      deadline_ms, resilient, batch)
             for index, (key, instructions) in enumerate(shards)
         ]
-        with self._batch_lock:
-            if not self._can_run(tasks):
-                return [self._compile_in_parent(task) for task in tasks]
-            with obs.span("serve.pool.batch", shards=len(tasks)):
-                return self._run_batch(tasks)
+        if not self._can_run(tasks):
+            return [self._compile_in_parent(task) for task in tasks]
+        with obs.span("serve.pool.batch", shards=len(tasks)):
+            results = self._run_batch(tasks)
+            obs.count("serve.pool.tasks", len(tasks))
+        return results
 
     def _can_run(self, tasks: Sequence[ShardTask]) -> bool:
         if self._closed or not tasks:
@@ -449,8 +444,6 @@ class WorkerPool:
         if not self.supervisor.healthy():
             obs.count("serve.pool.unavailable")
             return False
-        import pickle
-
         try:  # preflight: an unpicklable machine compiles in-parent
             pickle.dumps(tasks[0])
         except Exception:
@@ -459,52 +452,64 @@ class WorkerPool:
         return True
 
     def _run_batch(self, tasks: Sequence[ShardTask]) -> List[TraceArtifact]:
-        from collections import deque
+        batch = _Batch(tasks)
+        with self._lock:
+            for task in tasks:
+                if self.supervisor.quarantine.hit(task.key):
+                    batch.in_parent.append((task, True))
+                else:
+                    batch.pending.append(task)
+            self._batches[batch.id] = batch
+        try:
+            while True:
+                with self._lock:  # every change to the batch sets its event
+                    if not batch.open:
+                        break
+                    work, nap = self._next_step(batch)
+                    batch.wake.clear()  # under the lock: no change is missed
+                if work is None:
+                    batch.wake.wait(nap)  # None: until something changes
+                    continue
+                task, quarantined = work
+                artifact = self._compile_in_parent(task, quarantined)
+                with self._lock:
+                    batch.results[task.task_id] = artifact
+                    batch.open.discard(task.task_id)
+        finally:
+            with self._lock:
+                del self._batches[batch.id]
+        return batch.results
 
-        results: List[object] = [None] * len(tasks)
-        completed: set = set()
-        pending = deque()
-        for task in tasks:
-            if self.supervisor.quarantine.hit(task.key):
-                results[task.task_id] = self._compile_in_parent(
-                    task, quarantined=True
-                )
-                completed.add(task.task_id)
-            else:
-                pending.append(task)
-        running: Dict[int, ShardTask] = {}
-        while len(completed) < len(tasks):
-            self._dispatch(pending, running)
-            if not running:
-                if pending:
-                    # No worker can take work right now (all dead or in
-                    # backoff).  If a slot's backoff expires imminently,
-                    # wait for the restart — shards should recover onto
-                    # workers, not silently serialize into the parent —
-                    # otherwise guarantee progress in-parent.
-                    wait = self._next_restart_wait()
-                    if wait is not None and wait <= 0.25:
-                        time.sleep(min(max(wait, 0.0) + 0.005, 0.25))
-                        continue
-                    task = pending.popleft()
-                    results[task.task_id] = self._compile_in_parent(task)
-                    completed.add(task.task_id)
-                continue
-            message = self._poll()
-            if message is not None:
-                self._absorb(message, tasks, results, completed, running)
-            self._reap(running, pending, results, completed)
-        obs.count("serve.pool.tasks", len(tasks))
-        return results
+    def _next_step(self, batch: _Batch):
+        """``(work, nap)``: a shard the batch's thread compiles itself,
+        or how long to wait for its event (None: until it is set)."""
+        self._dispatch()
+        if batch.in_parent:
+            return batch.in_parent.popleft(), None
+        if self._closed:  # shut down: what is left compiles here
+            return (batch.tasks[min(batch.open)], False), None
+        if batch.pending and not self.supervisor.busy():
+            # No worker can take work (all dead or in backoff).  Wait for
+            # an imminent restart — shards should recover onto workers,
+            # not serialize into the parent — else compile one here.
+            wait = self._next_restart_wait()
+            if wait is not None and wait <= 0.25:
+                return None, min(max(wait, 0.0) + 0.005, 0.25)
+            return (batch.pending.popleft(), False), None
+        return None, None
 
-    def _dispatch(self, pending, running) -> None:
+    def _dispatch(self) -> None:
+        """Hand pending shards, oldest batch first, to idle workers."""
         from repro.resilience import chaos
 
+        if self._closed:
+            return
         now = time.monotonic()
         for worker_id, state in enumerate(self.supervisor.states):
-            if not pending:
+            batch = next((b for b in self._batches.values() if b.pending), None)
+            if batch is None:
                 return
-            if state.busy_key is not None:
+            if state.task is not None:
                 continue
             if not state.alive:
                 if self.supervisor.may_restart(state, now):
@@ -514,7 +519,7 @@ class WorkerPool:
             handle = self._handles[worker_id]
             if handle is None:
                 continue
-            task = pending.popleft()
+            task = batch.pending.popleft()
             site = (task.key, task.attempt)
             if chaos.service_fault("worker_hang", *site, worker=worker_id):
                 # Sleep far past the hang watchdog: the supervisor must
@@ -528,12 +533,11 @@ class WorkerPool:
             try:
                 handle.inbox.put(task)
             except (OSError, ValueError):  # pragma: no cover - torn queue
-                self._on_death(worker_id, running, pending, None, None)
-                pending.appendleft(task)
+                self._on_death(worker_id)
+                batch.pending.appendleft(task)
                 continue
-            state.busy_key = task.key
-            state.busy_since = time.monotonic()
-            running[worker_id] = task
+            state.task, state.busy_since = task, time.monotonic()
+            self._lock.notify()  # the collector, should it be idle
             obs.count("serve.pool.dispatched")
             if chaos.service_fault("worker_kill", *site, worker=worker_id):
                 if state.pid is not None:
@@ -541,101 +545,103 @@ class WorkerPool:
                         os.kill(state.pid, signal.SIGKILL)
                     except (OSError, ProcessLookupError):  # pragma: no cover
                         pass
+        if not self.supervisor.busy():  # no worker took work: batches decide
+            for batch in self._batches.values():
+                if batch.pending:
+                    batch.wake.set()
 
-    def _poll(self) -> Optional[tuple]:
-        try:
-            return self._outbox.get(timeout=_POLL_S)
-        except (queue.Empty, OSError, ValueError):
-            return None
+    # -- the collector -------------------------------------------------
+    def _collect(self) -> None:
+        """The outbox's one reader (see module docs)."""
+        message = None
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                try:  # a failing step must not leave the batches unserved
+                    if message is not None:
+                        self._route(message)
+                    self._reap()
+                    self._dispatch()
+                except Exception:  # noqa: BLE001 - the next tick retries
+                    obs.count("serve.pool.collector_errors")
+                    obs.event(
+                        "serve.pool.collector_error", error=traceback.format_exc()
+                    )
+                while not (self.supervisor.busy() or self._closed):
+                    self._lock.wait()  # nothing in flight: no timed wakeups
+            try:
+                message = None if self._closed else self._outbox.get(timeout=_POLL_S)
+            except (queue.Empty, OSError, ValueError):
+                message = None
 
-    def _absorb(self, message, tasks, results, completed, running) -> None:
-        if self._note_beat(message):
+    def _route(self, message: tuple) -> None:
+        """Deliver one result to its batch, or drop it: a result that is
+        not its slot's current shard (an earlier batch's, a superseded
+        attempt's, a duplicate) neither answers a task nor frees a slot."""
+        _, batch_id, worker_id, task_id, attempt, artifact, error = message
+        state = self.supervisor.states[worker_id]
+        task = state.task
+        if task is None or (task.batch, task.task_id, task.attempt) != (
+            batch_id, task_id, attempt
+        ):
             return
-        _, task_id, worker_id, artifact, error = message
-        if 0 <= worker_id < self.size:
-            state = self.supervisor.states[worker_id]
-            if worker_id in running and running[worker_id].task_id == task_id:
-                del running[worker_id]
-                self.supervisor.on_task_done(state)
-                self._maybe_recycle_for_memory(worker_id)
+        self.supervisor.on_task_done(state)
+        batch = self._batches.get(batch_id)  # None: it raised meanwhile
+        if batch is not None:
+            if error is not None:
+                # The shard raised *inside* the worker.  Reproduce it
+                # in-parent so the genuine exception type propagates.
+                obs.count("serve.pool.shard_errors")
+                obs.event("serve.pool.shard_error", key=task.key, error=error)
+                batch.in_parent.append((task, False))
             else:
-                # Stale result from a pre-restart incarnation of this
-                # slot: don't touch the current incarnation's busy state.
-                state.last_beat = time.monotonic()
-        if task_id in completed:
-            return  # stale duplicate from a pre-restart incarnation
-        if error is not None:
-            # The shard raised *inside* the worker.  Reproduce in-parent
-            # so the genuine exception type propagates to the caller.
-            obs.count("serve.pool.shard_errors")
-            obs.event(
-                "serve.pool.shard_error", key=tasks[task_id].key, error=error
-            )
-            results[task_id] = self._compile_in_parent(tasks[task_id])
-        else:
-            results[task_id] = artifact
-        completed.add(task_id)
+                batch.results[task_id] = artifact
+                batch.open.discard(task_id)
+            batch.wake.set()
+        self._maybe_recycle_for_memory(worker_id)
 
-    def _reap(self, running, pending, results, completed) -> None:
+    def _reap(self) -> None:
         """Kill hung workers; absorb deaths; requeue or quarantine shards."""
         now = time.monotonic()
         for worker_id, state in enumerate(self.supervisor.states):
             handle = self._handles[worker_id]
             if handle is None or not state.alive:
                 continue
-            alive = handle.process.is_alive()
-            if (
-                alive
-                and state.busy_since is not None
-                and worker_id in running
-                and now - state.busy_since
-                > self._hang_budget(running[worker_id])
-            ):
+            alive, task = handle.process.is_alive(), state.task
+            if alive and task and now - state.busy_since > self._hang_budget(task):
                 self.supervisor.hangs += 1
                 obs.count("serve.pool.hangs")
-                obs.event(
-                    "serve.pool.hang", worker=worker_id, key=state.busy_key
-                )
+                obs.event("serve.pool.hang", worker=worker_id, key=task.key)
                 handle.process.kill()
                 handle.process.join(timeout=2.0)
                 alive = False
             if not alive:
-                task = running.pop(worker_id, None)
-                self._on_death(
-                    worker_id, running, pending, results, completed, task
-                )
+                self._on_death(worker_id, task)
 
-    def _on_death(
-        self, worker_id, running, pending, results, completed, task=None
-    ) -> None:
+    def _on_death(self, worker_id: int, task: Optional[ShardTask] = None) -> None:
         state = self.supervisor.states[worker_id]
-        quarantined = self.supervisor.on_death(
-            state, task.key if task is not None else None
-        )
+        quarantined = self.supervisor.on_death(state, task and task.key)
         self._discard_handle(worker_id)
         obs.peak("serve.pool.workers", self.supervisor.alive_count())
-        if task is None or results is None or task.task_id in completed:
+        batch = task and self._batches.get(task.batch)
+        if batch is None:
             return
         if quarantined:
-            results[task.task_id] = self._compile_in_parent(
-                task, quarantined=True
-            )
-            completed.add(task.task_id)
+            batch.in_parent.append((task, True))
+            batch.wake.set()
         else:  # retry on the next healthy worker, as a new attempt
-            pending.appendleft(
+            batch.pending.appendleft(
                 replace(task, attempt=task.attempt + 1, chaos_sleep_s=0.0)
             )
 
     def _next_restart_wait(self) -> Optional[float]:
         """Seconds until some dead slot may restart; None if none can."""
-        now = time.monotonic()
+        exhausted, now = self.supervisor.policy.exhausted, time.monotonic()
         waits = [
             state.not_before - now
             for state in self.supervisor.states
-            if not state.alive
-            and not self.supervisor.policy.exhausted(
-                state.consecutive_failures
-            )
+            if not state.alive and not exhausted(state.consecutive_failures)
         ]
         return min(waits) if waits else None
 
@@ -648,20 +654,16 @@ class WorkerPool:
     def _maybe_recycle_for_memory(self, worker_id: int) -> None:
         if self.max_worker_rss_mb is None:
             return
-        state = self.supervisor.states[worker_id]
-        if state.pid is None or not state.alive:
-            return
-        rss_kb = self._rss_reader(state.pid)
+        rss_kb = self._rss_reader(self.supervisor.states[worker_id].pid)
         if rss_kb is not None and rss_kb > self.max_worker_rss_mb * 1024:
             self.supervisor.mem_restarts += 1
             obs.count("serve.pool.mem_restarts")
-            obs.event(
-                "serve.pool.mem_restart", worker=worker_id, rss_kb=rss_kb
-            )
+            obs.event("serve.pool.mem_restart", worker=worker_id, rss_kb=rss_kb)
             self._restart(worker_id, reason="memory")
 
     def _compile_in_parent(self, task: ShardTask, quarantined: bool = False):
-        self.supervisor.parent_compiles += 1
+        with self._lock:
+            self.supervisor.parent_compiles += 1
         obs.count("serve.pool.parent_compiles")
         # A quarantined key always compiles under the resilient fallback
         # ladder, with the quarantine stamped on its DegradationReport so

@@ -34,11 +34,12 @@ Service hardening (PR 9, ``docs/serving.md`` runbook):
   idempotent and returns whether it performed the flush).
 
 Threading: :class:`ThreadingHTTPServer` gives one thread per
-connection.  The cache and pool are thread-safe (pool batches are
-serialized); compilation itself is pure Python and GIL-bound, so
-handler concurrency is about *latency overlap* while CPU-parallel
-throughput comes from the worker pool, which compiles every cache
-miss, trace and program requests alike.
+connection.  The cache and pool are thread-safe, and batches from
+different handler threads run at once on different pool workers;
+compilation itself is pure Python and GIL-bound, so handler
+concurrency is about *latency overlap* while CPU-parallel throughput
+comes from the worker pool, which compiles every cache miss, trace and
+program requests alike.
 """
 
 from __future__ import annotations

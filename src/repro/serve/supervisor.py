@@ -8,8 +8,8 @@ policy is unit-testable without forking anything:
   of the same worker slot, and the give-up bar (a slot that keeps
   dying without ever finishing a task is eventually abandoned rather
   than crash-looped);
-* :class:`WorkerState` — one slot's bookkeeping: pid, busy task,
-  restart/death counts, heartbeat timestamps, backoff gate;
+* :class:`WorkerState` — one slot's bookkeeping: pid, busy task and
+  since when, restart/death counts, backoff gate;
 * :class:`QuarantineRegistry` — the poisoned-trace circuit breaker: a
   trace key whose compilation has killed ``threshold`` workers is
   quarantined and from then on compiled only in-parent under the
@@ -26,7 +26,7 @@ Counters (``docs/observability.md``): ``serve.pool.worker_deaths``,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -62,25 +62,25 @@ class WorkerState:
     worker_id: int
     pid: Optional[int] = None
     alive: bool = False
-    busy_key: Optional[str] = None
+    #: the shard the slot is running (a ``ShardTask``), None when idle.
+    task: Optional[object] = None
     busy_since: Optional[float] = None
     restarts: int = 0
     consecutive_failures: int = 0
     not_before: float = 0.0
     tasks_done: int = 0
-    last_beat: float = field(default_factory=time.monotonic)
 
     def snapshot(self) -> Dict[str, object]:
-        now = time.monotonic()
+        since = self.busy_since  # when the current shard was dispatched
         return {
             "id": self.worker_id,
             "pid": self.pid,
             "alive": self.alive,
-            "busy": self.busy_key is not None,
+            "busy": self.task is not None,
             "restarts": self.restarts,
             "consecutive_failures": self.consecutive_failures,
             "tasks_done": self.tasks_done,
-            "beat_age_s": round(now - self.last_beat, 3),
+            "busy_s": None if since is None else round(time.monotonic() - since, 3),
         }
 
 
@@ -153,22 +153,20 @@ class Supervisor:
     def on_spawn(self, state: WorkerState, pid: int) -> None:
         state.pid = pid
         state.alive = True
-        state.busy_key = None
+        state.task = None
         state.busy_since = None
-        state.last_beat = time.monotonic()
 
     def on_task_done(self, state: WorkerState) -> None:
-        state.busy_key = None
+        state.task = None
         state.busy_since = None
         state.consecutive_failures = 0
         state.tasks_done += 1
-        state.last_beat = time.monotonic()
 
     def on_death(self, state: WorkerState, key: Optional[str]) -> bool:
         """Record one worker death; True when ``key`` just quarantined."""
         state.alive = False
         state.pid = None
-        state.busy_key = None
+        state.task = None
         state.busy_since = None
         state.consecutive_failures += 1
         state.not_before = time.monotonic() + self.policy.delay_for(
@@ -176,12 +174,8 @@ class Supervisor:
         )
         self.deaths += 1
         obs.count("serve.pool.worker_deaths")
-        obs.event(
-            "serve.pool.death",
-            worker=state.worker_id,
-            key=key,
-            consecutive=state.consecutive_failures,
-        )
+        obs.event("serve.pool.death", worker=state.worker_id, key=key,
+                  consecutive=state.consecutive_failures)
         if key is not None:
             return self.quarantine.record_death(key)
         return False
@@ -201,6 +195,9 @@ class Supervisor:
             state.alive or not self.policy.exhausted(state.consecutive_failures)
             for state in self.states
         )
+
+    def busy(self) -> bool:
+        return any(state.task is not None for state in self.states)
 
     def alive_count(self) -> int:
         return sum(1 for state in self.states if state.alive)

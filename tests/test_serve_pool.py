@@ -224,20 +224,55 @@ class TestWorkerPool:
         assert worker_pool.supervisor.parent_compiles == 1
 
     def test_snapshot_during_a_batch_leaves_results_alone(self, pool):
-        import queue
+        program = parse_program(PROGRAM_SRC)
+        serial = compile_program(program, MACHINE)
+        stop = threading.Event()
+        snapshots = []
 
-        with pool._batch_lock:  # a batch in flight owns the outbox
-            pool._outbox.put(("result", 0, 0, None, None))
-            time.sleep(0.1)  # let the queue's feeder thread flush it
-            pool.snapshot()
-        kinds = []  # idle heartbeats may share the outbox
-        deadline = time.monotonic() + 2.0
-        while "result" not in kinds and time.monotonic() < deadline:
+        def poll():
+            while not stop.is_set():
+                snapshots.append(pool.snapshot())
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            monkey = ChaosMonkey(seed=5, faults=("slow_shard",), rate=1.0)
+            with chaos_scope(monkey):
+                pooled = compile_program(program, MACHINE, pool=pool)
+        finally:
+            stop.set()
+            poller.join(10)
+        assert not poller.is_alive()
+        _identical(serial, pooled)
+        assert monkey.injected("slow_shard") >= 1 and snapshots
+        assert pool.supervisor.parent_compiles == 0
+        assert pool.supervisor.deaths == 0
+
+    def test_workers_start_with_no_inherited_capture(self, monkeypatch):
+        import repro.serve.pool as pool_mod
+
+        real = pool_mod._compile_one
+
+        def reporting(*args):
+            artifact = real(*args)
+            artifact.degradation = {
+                "pid": os.getpid(), "observed": obs.active() is not None,
+            }
+            return artifact
+
+        monkeypatch.setattr(pool_mod, "_compile_one", reporting)
+        trace = parse_trace(TRACE_SRC)
+        with obs.capture():  # open before the fork, like ServeApp's
+            worker_pool = WorkerPool(workers=1, **FAST)
             try:
-                kinds.append(pool._outbox.get(timeout=0.1)[0])
-            except queue.Empty:
-                pass
-        assert "result" in kinds, "snapshot consumed a batch's result"
+                (artifact,) = worker_pool.map_shards(
+                    [(trace_key(trace, MACHINE, "ursa"), trace)],
+                    MACHINE, "ursa",
+                )
+            finally:
+                worker_pool.shutdown()
+        assert artifact.degradation["pid"] != os.getpid()
+        assert artifact.degradation["observed"] is False
 
     def test_spawn_failure_stops_started_workers(self, monkeypatch):
         import multiprocessing.context
@@ -351,6 +386,183 @@ class TestCrashRecovery:
             assert worker_pool.supervisor.states[0].alive
         finally:
             worker_pool.shutdown()
+
+
+# ======================================================================
+# Result routing and overlapping batches.
+# ======================================================================
+def _variant(n):
+    return parse_trace(TRACE_SRC.replace("a + b", f"a + {n}"))
+
+
+def _shard(trace):
+    return [(trace_key(trace, MACHINE, "ursa"), trace)]
+
+
+def _route_results_through(monkeypatch, wrapper):
+    """Fork workers whose outbox is ``wrapper(worker_id, outbox)``."""
+    import repro.serve.pool as pool_mod
+
+    real = pool_mod._pool_worker_main
+
+    def main(worker_id, inbox, outbox):
+        real(worker_id, inbox, wrapper(worker_id, outbox))
+
+    monkeypatch.setattr(pool_mod, "_pool_worker_main", main)
+
+
+class _StaleFirst:
+    """Sends the worker's first result again ahead of every later one."""
+
+    def __init__(self, worker_id, outbox):
+        self.outbox, self.first = outbox, None
+
+    def put(self, message):
+        if self.first is None:
+            self.first = message
+        else:
+            self.outbox.put(self.first)
+        self.outbox.put(message)
+
+
+class _FirstEchoedByTheOtherSlot:
+    """Slot 0's first result arrives twice, the copy claiming slot 1
+    (a result's third field is its worker slot)."""
+
+    def __init__(self, worker_id, outbox):
+        self.outbox, self.echo = outbox, worker_id == 0
+
+    def put(self, message):
+        self.outbox.put(message)
+        if self.echo:
+            self.echo = False
+            self.outbox.put(message[:2] + (1,) + message[3:])
+
+
+class TestResultRouting:
+    def test_stale_result_of_an_earlier_batch_is_dropped(self, monkeypatch):
+        _route_results_through(monkeypatch, _StaleFirst)
+        worker_pool = WorkerPool(workers=1, **FAST)
+        try:
+            for trace in (_variant(1), _variant(2), _variant(3)):
+                shards = _shard(trace)
+                (artifact,) = worker_pool.map_shards(shards, MACHINE, "ursa")
+                assert artifact.key == shards[0][0]
+            assert worker_pool.supervisor.parent_compiles == 0
+        finally:
+            worker_pool.shutdown()
+
+    def test_duplicate_result_frees_no_slot(self, monkeypatch):
+        _route_results_through(monkeypatch, _FirstEchoedByTheOtherSlot)
+        worker_pool = WorkerPool(workers=2, **FAST)
+        try:
+            for n in range(6):
+                shards = _shard(_variant(n))
+                (artifact,) = worker_pool.map_shards(shards, MACHINE, "ursa")
+                assert artifact.key == shards[0][0]
+                workers = worker_pool.snapshot()["workers"]
+                assert not any(worker["busy"] for worker in workers)
+            assert worker_pool.supervisor.parent_compiles == 0
+        finally:
+            worker_pool.shutdown()
+
+    def test_collector_survives_a_malformed_message(self, pool):
+        pool._outbox.put(("result",))
+        time.sleep(0.1)  # let the queue's feeder thread flush it
+        shards = _shard(_variant(1))
+        with obs.capture() as observer:
+            (artifact,) = pool.map_shards(shards, MACHINE, "ursa")
+        assert artifact.key == shards[0][0]
+        assert observer.counters["serve.pool.collector_errors"] == 1
+        assert pool.supervisor.parent_compiles == 0
+
+    def test_two_batches_run_at_once_on_two_workers(self, monkeypatch):
+        import multiprocessing
+
+        import repro.serve.pool as pool_mod
+
+        # Each worker waits inside its shard until the other holds one.
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=5)
+        real = pool_mod._compile_one
+        parent_pid = os.getpid()
+
+        def meeting(*args):
+            if os.getpid() != parent_pid:
+                barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(pool_mod, "_compile_one", meeting)
+        answers = {}
+        with obs.capture() as observer:
+            worker_pool = WorkerPool(workers=2, **FAST)
+            try:
+                def send(n):
+                    shards = _shard(_variant(n))
+                    (artifact,) = worker_pool.map_shards(
+                        shards, MACHINE, "ursa"
+                    )
+                    answers[shards[0][0]] = artifact.key
+
+                threads = [
+                    threading.Thread(target=send, args=(n,)) for n in (1, 2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+            finally:
+                worker_pool.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 2
+        assert all(key == answer for key, answer in answers.items())
+        assert worker_pool.supervisor.parent_compiles == 0
+        assert "serve.pool.shard_errors" not in observer.counters
+
+    def test_concurrent_batches_each_get_their_own_answers(self):
+        import sys
+
+        STEPS = 40
+
+        traces = [_variant(n) for n in range(6)]
+        shards = [_shard(trace)[0] for trace in traces]
+        serial = {
+            key: program_signature(compile_trace(trace, MACHINE).program)
+            for key, trace in shards
+        }
+        wrong = []
+
+        def client(offset):
+            for step in range(STEPS):
+                batch = [shards[(offset + step + i) % len(shards)]
+                         for i in range(1 + step % 2)]
+                answers = worker_pool.map_shards(batch, MACHINE, "ursa")
+                for (key, _), artifact in zip(batch, answers):
+                    if artifact.key != key or program_signature(
+                        artifact.program
+                    ) != serial[key]:
+                        wrong.append((offset, step, key))
+
+        interval = sys.getswitchinterval()
+        worker_pool = WorkerPool(workers=3, **FAST)  # more than the cores
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(max(0.0, deadline - time.monotonic()))
+            hung = [thread.is_alive() for thread in threads]  # before shutdown
+        finally:
+            sys.setswitchinterval(interval)
+            worker_pool.shutdown()
+        assert not any(hung), "a batch never returned"
+        assert wrong == []
+        assert worker_pool.supervisor.parent_compiles == 0
+        done = sum(s.tasks_done for s in worker_pool.supervisor.states)
+        assert done == 4 * STEPS * 3 // 2
 
 
 # ======================================================================
