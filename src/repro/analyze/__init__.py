@@ -34,7 +34,7 @@ from repro.analyze.diagnostics import (
     render_parse_error,
 )
 from repro.analyze.wellformed import check_program
-from repro.diagnostics import Diagnostic, SourceSpan
+from repro.diagnostics import CompileError, Diagnostic, SourceSpan
 from repro.ir.program import Program
 from repro.machine.model import MachineModel
 
@@ -109,13 +109,12 @@ def analyze_source(
     returned report (``report.ok`` is False), so callers get uniform
     structured output for every failure mode.
     """
-    from repro.ir.parser import ParseError, parse_program
-    from repro.ir.program import IRError
+    from repro.ir.parser import parse_program
 
     obs.count("analyze.sources")
     try:
         program = parse_program(source)
-    except (ParseError, IRError, ValueError) as exc:
+    except (CompileError, ValueError) as exc:
         report = AnalyzeReport(filename=filename)
         report.add(parse_error_diagnostic(exc, source, filename))
         return report

@@ -27,6 +27,7 @@ from repro.diagnostics import (
     Report,
     Severity,
     SourceSpan,
+    first_line,
 )
 
 #: Stable diagnostic codes.  Append-only; never renumber.
@@ -106,7 +107,7 @@ def parse_error_diagnostic(
         span = span_for(line_no, lines, filename)
         if span is not None and not span.line and line:
             span = SourceSpan(line_no, line, filename)
-    message = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+    message = first_line(exc)
     if line_no and span is not None:
         # The span already renders the location and line text; drop the
         # redundant "line N: ...: 'text'" envelope ParseError carries.

@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.metrics import STATS_HEADERS
 from repro.analysis.visualize import dag_to_dot, schedule_gantt
 from repro.core.measure import find_excessive_sets, measure_all
+from repro.diagnostics import CompileError, first_line
 from repro.graph.dag import DependenceDAG
-from repro.ir.parser import parse_program, parse_trace
+from repro.ir.parser import ParseError, parse_program, parse_trace
 from repro.ir.printer import format_table, format_trace
 from repro.machine.model import MachineModel
 from repro.methods import default_compare_methods, method_names, resolve
@@ -583,22 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compiler_errors() -> tuple:
-    """Failure types mapped to structured exit code 2 (vs. tracebacks)."""
-    from repro.core.allocator import AllocationError
-    from repro.ir.program import IRError
-    from repro.pipeline import PipelineError
-    from repro.scheduling.list_scheduler import ScheduleError
-    from repro.scheduling.regalloc import RegAllocError
-    from repro.verify import VerifyError
-
-    return (AllocationError, PipelineError, ScheduleError, RegAllocError,
-            VerifyError, IRError)
-
-
 def _structured_failure(args: argparse.Namespace, exc: Exception) -> int:
     """One-line machine-readable diagnostic; JSON under ``--json``."""
-    message = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+    message = first_line(exc)
     if getattr(args, "json", False):
         import json as _json
 
@@ -618,8 +606,6 @@ def _structured_failure(args: argparse.Namespace, exc: Exception) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    from repro.ir.parser import ParseError
-
     try:
         return args.func(args)
     except ParseError as exc:
@@ -641,7 +627,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return _structured_failure(args, exc)
-    except _compiler_errors() as exc:
+    except CompileError as exc:
         return _structured_failure(args, exc)
 
 

@@ -46,6 +46,7 @@ from repro.core.transforms.fu_seq import propose_fu_sequencing
 from repro.core.transforms.reg_seq import propose_register_sequencing
 from repro.core.transforms.remat import propose_rematerializations
 from repro.core.transforms.spill import propose_spills, spill_slot_for
+from repro.diagnostics import CompileError, first_line
 from repro.graph.dag import DependenceDAG
 from repro.graph.dilworth import maximum_antichain
 from repro.machine.model import MachineModel
@@ -60,7 +61,7 @@ class Policy(enum.Enum):
     SPILL_ONLY = "spill-only"
 
 
-class AllocationError(Exception):
+class AllocationError(CompileError):
     """The program cannot fit the machine (e.g. too many live-outs)."""
 
 
@@ -285,8 +286,7 @@ class URSAAllocator:
             try:
                 self._verify_state(new_dag, new_reqs, "commit")
             except VerifyError as exc:
-                reason = str(exc).splitlines()[0] if str(exc) else "VerifyError"
-                return f"verify_each: {reason}"
+                return f"verify_each: {first_line(exc)}"
         return None
 
     def _audit(self, requirements: Sequence[ResourceRequirement]) -> None:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Imm, Var
 from repro.machine.vliw import MachineOp, RegRef, VLIWProgram, VLIWWord
 from repro.scheduling.list_scheduler import Schedule, ScheduledOp
 
 
-class CodegenError(Exception):
+class CodegenError(CompileError):
     """Raised when a schedule cannot be lowered (missing binding etc.)."""
 
 

@@ -10,6 +10,13 @@ once (``repro.analyze.diagnostics.CODES``,
 ``repro.verify.diagnostics.RULES``), and a :class:`Report` subclass
 that owns its wire rows and its rendering.
 
+Every compile-path failure derives from :class:`CompileError`, whose
+``code`` says what the failure means to a caller: ``parse_error`` (the
+input does not parse), ``compile_error`` (a valid input no method or
+check accepted) or ``timeout`` (a deadline expired).  The CLI, the
+serve protocol, the escalation ladder and the portfolio read that code;
+an exception that is not a ``CompileError`` is a bug.
+
 Like ``repro.obs``, this module imports nothing else from ``repro``.
 """
 
@@ -19,6 +26,19 @@ import enum
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
+
+
+class CompileError(Exception):
+    """Base of every compile-path failure; ``code`` classifies it."""
+
+    code = "compile_error"
+
+
+def first_line(exc: BaseException, default: Optional[str] = None) -> str:
+    """The first line of ``str(exc)``; ``default`` (or the type name)
+    when the message is empty."""
+    text = str(exc)
+    return text.splitlines()[0] if text else default or type(exc).__name__
 
 
 class Severity(enum.Enum):

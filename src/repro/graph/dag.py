@@ -40,12 +40,13 @@ from typing import (
     TypeVar,
 )
 
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
 from repro.ir.rename import is_single_assignment, rename_trace
 
 
-class CycleError(Exception):
+class CycleError(CompileError):
     """Adding an edge would create a cycle (an illegal sequentialization)."""
 
 

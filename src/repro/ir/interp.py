@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Addr, Imm, Instruction, Operand, Var
 from repro.ir.opcodes import Opcode
 from repro.ir.program import Program
@@ -18,7 +19,7 @@ from repro.ir.program import Program
 MemoryState = Dict[Tuple[str, int], int]
 
 
-class InterpreterError(Exception):
+class InterpreterError(CompileError):
     """Raised on runtime errors: undefined values, bad reads, div by zero."""
 
 

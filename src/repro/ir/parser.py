@@ -32,14 +32,17 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
+from repro.diagnostics import CompileError
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import Addr, Imm, Instruction, Operand, Var
 from repro.ir.opcodes import Opcode
 from repro.ir.program import Program
 
 
-class ParseError(Exception):
+class ParseError(CompileError):
     """Raised when source text is not valid ursa-lang."""
+
+    code = "parse_error"
 
     def __init__(self, message: str, line_no: int, line: str) -> None:
         super().__init__(f"line {line_no}: {message}: {line.strip()!r}")

@@ -5,12 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.diagnostics import CompileError
 from repro.ir.block import BasicBlock
 from repro.ir.instructions import Instruction
 
 
-class IRError(Exception):
+class IRError(CompileError):
     """Raised for malformed IR programs."""
+
+    code = "parse_error"
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import PSEUDO_OPS, Opcode, default_fu_class
 
@@ -72,7 +73,7 @@ class FUClass:
         return 1 if self.pipelined else self.latency
 
 
-class MachineConfigError(Exception):
+class MachineConfigError(CompileError):
     """Raised for inconsistent machine descriptions."""
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Imm, Instruction, Var
 from repro.ir.interp import MemoryState, _binary_eval
 from repro.ir.opcodes import Opcode
@@ -26,7 +27,7 @@ from repro.machine.model import MachineModel
 from repro.machine.vliw import MachineOp, RegRef, VLIWProgram
 
 
-class SimulationError(Exception):
+class SimulationError(CompileError):
     """A machine-model violation or runtime fault during simulation."""
 
 

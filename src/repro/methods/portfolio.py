@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.allocator import AllocationError
+from repro.diagnostics import CompileError
 from repro.methods import ScheduleOutcome
 from repro.resilience.budgets import DeadlineExpired, active_deadline
 
@@ -46,22 +47,6 @@ def _validate_members(members: Sequence[str]) -> Tuple[str, ...]:
     if not validated:
         raise AllocationError("portfolio needs at least one member")
     return tuple(validated)
-
-
-def _recoverable():
-    from repro.graph.dag import CycleError
-    from repro.pipeline import PipelineError
-    from repro.scheduling.list_scheduler import ScheduleError
-    from repro.scheduling.regalloc import RegAllocError
-
-    return (
-        PipelineError,
-        AllocationError,
-        ScheduleError,
-        RegAllocError,
-        DeadlineExpired,
-        CycleError,
-    )
 
 
 class _MemberOutcome:
@@ -125,7 +110,6 @@ def _run_members(
     """
     from repro.methods import resolve
 
-    recoverable = _recoverable()
     outcomes = {member: _MemberOutcome(member) for member in members}
     for member in sorted(members, key=lambda m: resolve(m).cost_hint):
         outcome = outcomes[member]
@@ -133,7 +117,7 @@ def _run_members(
             cycles, schedule, final_dag, allocation, report = _compile_member(
                 member, dag, machine
             )
-        except recoverable as exc:
+        except CompileError as exc:
             outcome.outcome = "failed"
             outcome.reason = f"{type(exc).__name__}: {exc}"
             obs.count("portfolio.member_failures")

@@ -24,6 +24,7 @@ from repro.analysis.metrics import ScheduleStats
 from repro.core.allocator import AllocationResult, URSAAllocator
 from repro.core.assignment import assign
 from repro.core.codegen import lower_schedule
+from repro.diagnostics import CompileError
 from repro.graph.dag import DependenceDAG
 from repro.ir.instructions import Instruction
 from repro.ir.interp import Interpreter, MemoryState
@@ -47,7 +48,7 @@ from repro.scheduling.list_scheduler import Schedule
 METHODS = method_names()
 
 
-class PipelineError(Exception):
+class PipelineError(CompileError):
     """Compilation or verification failed."""
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.liveness import block_live_sets
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.interp import MemoryState, run_program
 from repro.ir.opcodes import Opcode
@@ -38,7 +39,7 @@ from repro.machine.vliw import VLIWProgram
 VAR_BASE_PREFIX = "%var:"
 
 
-class ProgramCompileError(Exception):
+class ProgramCompileError(CompileError):
     """Whole-program compilation or execution failed."""
 
 

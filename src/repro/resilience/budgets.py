@@ -28,15 +28,18 @@ from contextlib import contextmanager
 from typing import Callable, List, Optional
 
 from repro import obs
+from repro.diagnostics import CompileError
 
 
-class DeadlineExpired(Exception):
+class DeadlineExpired(CompileError):
     """A budgeted computation ran out of time or work.
 
     Raised only by :meth:`Deadline.check`; paths that can degrade
     in place consult :meth:`Deadline.expired` instead and return their
     best-so-far answer.
     """
+
+    code = "timeout"
 
     def __init__(self, site: str, deadline: Optional["Deadline"] = None):
         super().__init__(site)

@@ -28,16 +28,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.allocator import AllocationError
-from repro.graph.dag import CycleError, DependenceDAG
+from repro.diagnostics import CompileError, first_line
+from repro.graph.dag import DependenceDAG
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
 from repro.machine.model import MachineModel
 from repro.methods import ladder_for  # noqa: F401  (re-exported API)
 from repro.resilience import chaos
-from repro.resilience.budgets import Deadline, DeadlineExpired, deadline_scope
-from repro.scheduling.list_scheduler import Schedule, ScheduleError
+from repro.resilience.budgets import Deadline, deadline_scope
+from repro.scheduling.list_scheduler import Schedule
 from repro.scheduling.packer import pack_in_order
-from repro.scheduling.regalloc import LinearScanAllocator, RegAllocError
+from repro.scheduling.regalloc import LinearScanAllocator
 
 #: Memory region for the spill-everywhere baseline.  Distinct from the
 #: allocators' ``%spill`` region so slot counters can never collide;
@@ -213,11 +214,6 @@ def spill_everywhere_schedule(
 # ======================================================================
 # The ladder itself.
 # ======================================================================
-def _first_line(exc: BaseException) -> str:
-    text = str(exc)
-    return text.splitlines()[0] if text else type(exc).__name__
-
-
 def _attribution(result) -> str:
     """One-line backend attribution for a winning rung.
 
@@ -262,7 +258,7 @@ def compile_with_fallback(
     for every rung.
     """
     from repro.pipeline import PipelineError, compile_trace
-    from repro.verify import VerifyError, verify_compilation
+    from repro.verify import verify_compilation
 
     doomed: Dict[str, str] = {}
     if hints is not None:
@@ -274,16 +270,6 @@ def compile_with_fallback(
                 f"{reasons}"
             )
         doomed = dict(hints.doomed_rungs())
-
-    recoverable = (
-        PipelineError,
-        AllocationError,
-        ScheduleError,
-        RegAllocError,
-        VerifyError,
-        DeadlineExpired,
-        CycleError,
-    )
 
     ladder = ladder_for(method)
     attempts: List[RungAttempt] = []
@@ -314,8 +300,10 @@ def compile_with_fallback(
         try:
             with deadline_scope(deadline), chaos.decision(rung=rung):
                 result = compile_trace(source, machine, method=rung, **kwargs)
-        except recoverable as exc:
-            reason = f"{type(exc).__name__}: {_first_line(exc)}"
+        except CompileError as exc:
+            if exc.code == "parse_error":
+                raise  # bad input fails every rung alike
+            reason = f"{type(exc).__name__}: {first_line(exc)}"
             attempts.append(RungAttempt(rung, "failed", reason))
             obs.count("resilience.fallback_escalations")
             obs.event("resilience.escalate", rung=rung, reason=reason)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
+from repro.diagnostics import CompileError
 from repro.graph.dag import DependenceDAG, EdgeKind
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
@@ -35,7 +36,7 @@ from repro.scheduling.priorities import latency_weighted_height
 SPILL_BASE = "%spill"
 
 
-class ScheduleError(Exception):
+class ScheduleError(CompileError):
     """The scheduler could not produce a legal schedule."""
 
 
@@ -179,8 +180,6 @@ class ListScheduler:
             latency_weighted_height(dag, machine)
         )
         self.pressure_threshold = pressure_threshold
-        #: set True to print a per-cycle decision trace (debugging aid).
-        self.debug = False
         # Deterministic tie-break rank, invariant to the global uid
         # counter: raw uids differ between logically identical DAGs
         # built at different times, which made results irreproducible.
@@ -461,19 +460,6 @@ class ListScheduler:
                     )
                     if placed:
                         issued_this_cycle = True
-
-            if self.debug:
-                live = {
-                    n: (s.reg, sorted(s.pending_users))
-                    for n, s in values.items()
-                    if s.reg is not None or s.spill_addr is not None
-                }
-                print(
-                    f"[{cycle}] ready={[u for u, _ in ready]} "
-                    f"blocked={blocked_spilled} reloads={reload_candidates} "
-                    f"free={ {c: sorted(p) for c, p in free_regs.items()} } "
-                    f"issued={issued_this_cycle} live={live}"
-                )
 
             if not issued_this_cycle:
                 # Are we stuck purely on registers?

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.diagnostics import CompileError
 from repro.ir.instructions import Addr, Instruction, Var
 from repro.ir.opcodes import Opcode
 from repro.machine.model import MachineModel
@@ -24,7 +25,7 @@ from repro.machine.vliw import RegRef
 from repro.scheduling.list_scheduler import SPILL_BASE
 
 
-class RegAllocError(Exception):
+class RegAllocError(CompileError):
     """Raised when allocation is impossible (too few registers)."""
 
 

@@ -28,8 +28,11 @@ parse_error 400   the ursa-lang source does not parse
 ill_formed  422   static analysis rejected the source before compile
 compile_error 422 the pipeline rejected the program (verifier, ...)
 timeout     408   the deadline expired (non-resilient compiles)
-internal    500   unexpected server-side failure
+internal    500   not a ``CompileError``: a server-side bug
 ========== ====== ================================================
+
+``parse_error``, ``compile_error`` and ``timeout`` are the ``code`` of
+the raised :class:`repro.diagnostics.CompileError`.
 
 ``ill_formed`` rejections are *admission control* (docs/analysis.md):
 ``repro.analyze`` well-formedness errors fail the request with
@@ -57,6 +60,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.diagnostics import CompileError, first_line
 from repro.machine.model import MachineModel
 from repro.serve.cache import CompileCache, source_digest
 from repro.serve.pool import TraceOutcome, compile_traces
@@ -153,24 +157,15 @@ def error_response(
 
 
 def _classify_exception(exc: Exception) -> Tuple[str, str]:
-    """(error code, message) for a compile-path exception."""
-    from repro.resilience.budgets import DeadlineExpired
-
+    """(error code, message) for a compile-path exception; anything that
+    is not a :class:`CompileError` is a bug and answers ``internal``."""
     if isinstance(exc, ProtocolError):
         return exc.code, str(exc)
-    if isinstance(exc, DeadlineExpired):
-        return "timeout", f"deadline expired at {exc.site}"
-    name = type(exc).__name__
-    if name in (
-        "PipelineError", "AllocationError", "ScheduleError",
-        "RegAllocError", "VerifyError", "ProgramCompileError",
-        "CycleError", "MachineConfigError", "InterpreterError",
-    ):
-        message = str(exc).splitlines()[0] if str(exc) else name
-        return "compile_error", message
-    if name in ("ParseError", "SyntaxError", "ValueError", "KeyError"):
-        return "parse_error", str(exc).splitlines()[0] if str(exc) else name
-    return "internal", f"{name}: {exc}"
+    if isinstance(exc, CompileError):
+        if exc.code == "timeout":
+            return "timeout", f"deadline expired at {exc.site}"
+        return exc.code, first_line(exc)
+    return "internal", f"{type(exc).__name__}: {exc}"
 
 
 # ======================================================================
@@ -257,10 +252,7 @@ def _parse_or_reject(source: str):
     try:
         return parse_program(source)
     except Exception as exc:
-        raise ProtocolError(
-            "parse_error",
-            str(exc).splitlines()[0] if str(exc) else "parse failed",
-        )
+        raise ProtocolError("parse_error", first_line(exc, "parse failed"))
 
 
 def _admit(program, machine: MachineModel, source: str) -> None:

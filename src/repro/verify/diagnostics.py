@@ -19,14 +19,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.diagnostics import Diagnostic, DiagnosticCode, Report, Severity
+from repro.diagnostics import (
+    CompileError, Diagnostic, DiagnosticCode, Report, Severity,
+)
 
 #: Bumped whenever a consumer of ``repro verify --format json`` output
 #: would misinterpret newer reports.
 REPORT_SCHEMA_VERSION = 1
 
 
-class VerifyError(Exception):
+class VerifyError(CompileError):
     """A rule pack found error-severity diagnostics.
 
     Carries the offending :class:`VerifyReport` so callers can render

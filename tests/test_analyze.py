@@ -495,6 +495,14 @@ class TestContractLint:
                 "memo = txn.dag._memo\n"
                 "self._memo = {}\n"
                 "dag._unlink(src, dst)\n"
+                "class LocalError(CompileError):\n"
+                "    code = 'parse_error'\n"
+                "recoverable = (LocalError, CompileError, ValueError)\n"
+                "name = type(exc).__name__\n"
+                "hit = name in ('ParseError', 'IRError')\n"
+                "hit = type(exc).__name__ == 'KeyError'\n"
+                "single = (CompileError, ValueError)\n"
+                "main = __name__ == '__main__'\n"
             )
             # The oracle itself may import anything, including its own
             # package; only other modules are held to C004.
@@ -526,7 +534,7 @@ class TestContractLint:
             assert codes == [
                 "C001", "C002", "C004", "C004", "C005", "C005", "C006", "C006",
                 "C007", "C007", "C008", "C008", "C008", "C008",
-                "C009", "C009", "C009",
+                "C009", "C009", "C009", "C010", "C010", "C010",
             ]
         finally:
             sys.path.pop(0)

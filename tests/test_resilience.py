@@ -409,6 +409,40 @@ class TestFallbackLadder:
         assert all("AllocationError" in a.reason for a in failed)
         assert report.cost_delta == 0  # only one rung produced cycles
 
+    def test_codegen_failure_escalates(self, fig2_trace, monkeypatch):
+        import repro.pipeline
+        from repro.core.codegen import CodegenError
+
+        machine = MachineModel.homogeneous(2, 4)
+        real_lower = repro.pipeline.lower_schedule
+        calls = []
+
+        def fail_first(schedule):
+            calls.append(schedule)
+            if len(calls) == 1:
+                raise CodegenError("injected lowering failure")
+            return real_lower(schedule)
+
+        monkeypatch.setattr(repro.pipeline, "lower_schedule", fail_first)
+        result = compile_trace(fig2_trace, machine, resilient=True)
+        assert result.verified
+        first = result.degradation.attempts[0]
+        assert first.method == "ursa" and first.outcome == "failed"
+        assert first.reason == "CodegenError: injected lowering failure"
+        assert result.method == "ursa-phased"
+
+    def test_parse_error_fails_the_first_rung_only(self):
+        from repro.ir.parser import ParseError
+
+        with obs.capture() as cap:
+            with pytest.raises(ParseError):
+                compile_trace(
+                    "garbage (", MachineModel.homogeneous(2, 4),
+                    resilient=True,
+                )
+        assert cap.counters["resilience.fallback_attempts"] == 1
+        assert "resilience.fallback_escalations" not in cap.counters
+
     def test_pack_error_reason_names_the_rule(self, fig2_trace, monkeypatch):
         machine = MachineModel.homogeneous(2, 4)
         real_run = URSAAllocator.run
@@ -482,7 +516,51 @@ class TestTrippedDeadlineIsDegraded:
 # ======================================================================
 # Structured CLI failures (satellite).
 # ======================================================================
+@pytest.mark.parametrize("module, name, code", [
+    ("repro.pipeline", "PipelineError", "compile_error"),
+    ("repro.core.allocator", "AllocationError", "compile_error"),
+    ("repro.methods.bnb", "ExactSearchError", "compile_error"),
+    ("repro.scheduling.list_scheduler", "ScheduleError", "compile_error"),
+    ("repro.scheduling.regalloc", "RegAllocError", "compile_error"),
+    ("repro.verify", "VerifyError", "compile_error"),
+    ("repro.program_compiler", "ProgramCompileError", "compile_error"),
+    ("repro.graph.dag", "CycleError", "compile_error"),
+    ("repro.machine.model", "MachineConfigError", "compile_error"),
+    ("repro.ir.interp", "InterpreterError", "compile_error"),
+    ("repro.core.codegen", "CodegenError", "compile_error"),
+    ("repro.machine.simulator", "SimulationError", "compile_error"),
+    ("repro.ir.parser", "ParseError", "parse_error"),
+    ("repro.ir.program", "IRError", "parse_error"),
+    ("repro.resilience.budgets", "DeadlineExpired", "timeout"),
+])
+def test_compile_failures_share_one_family(module, name, code):
+    import importlib
+
+    from repro.diagnostics import CompileError
+
+    cls = getattr(importlib.import_module(module), name)
+    assert issubclass(cls, CompileError)
+    assert cls.code == code
+
+
 class TestCLIExitCodes:
+    def test_uninitialised_read_exits_2_without_traceback(
+        self, tmp_path, capsys
+    ):
+        from repro import cli
+
+        source = tmp_path / "uninit.ursa"
+        source.write_text(
+            "start:\n  x = load [v]\n  y = x + 1\n  store [w], y\n  halt\n"
+        )
+        code = cli.main(["program", str(source)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro program: error: InterpreterError: "
+            "read of uninitialised memory [v]\n"
+        )
+
     def test_compiler_error_exits_2_with_one_line_diagnostic(
         self, monkeypatch, capsys
     ):

@@ -58,6 +58,14 @@ done:
 MACHINE = MachineModel.homogeneous(2, 4)
 
 
+def oversized_trace(cap):
+    """A well-formed trace of ``cap + 2`` ops (loads and stores)."""
+    count = cap // 2 + 1
+    return "".join(f"v{i} = load [A{i}]\n" for i in range(count)) + "".join(
+        f"store [B{i}], v{i}\n" for i in range(count)
+    )
+
+
 @pytest.fixture
 def cache(tmp_path):
     return CompileCache(tmp_path / "store")
@@ -426,6 +434,38 @@ class TestProtocolUnit:
         status, body = handle_payload({"kind": "trace"}, cache=None)
         assert status == 400
         assert body["error"]["code"] == "bad_request"
+
+    def test_exact_backend_over_its_cap_is_a_compile_error(self):
+        from repro.methods.bnb import MAX_BNB_OPS
+        from repro.serve.protocol import handle_payload
+
+        status, body = handle_payload(
+            {"kind": "trace", "source": oversized_trace(MAX_BNB_OPS),
+             "method": "bnb-exact"},
+            cache=None,
+        )
+        assert status == 422
+        assert body["error"]["code"] == "compile_error"
+        assert body["error"]["type"] == "ExactSearchError"
+        assert body["error"]["message"].startswith(
+            f"{MAX_BNB_OPS + 2} ops exceed bnb-exact's cap of {MAX_BNB_OPS}"
+        )
+
+    def test_compiler_bug_is_internal_not_parse_error(self, monkeypatch):
+        from repro.serve.protocol import handle_payload
+
+        def bug(*args, **kwargs):
+            raise KeyError("missing binding")
+
+        monkeypatch.setattr("repro.pipeline.compile_trace", bug)
+        status, body = handle_payload(
+            {"kind": "trace", "source": TRACE_SRC}, cache=None
+        )
+        assert status == 500
+        assert body["error"] == {
+            "code": "internal", "type": "KeyError",
+            "message": "KeyError: 'missing binding'",
+        }
 
     def test_oversized_batch_rejected(self):
         from repro.serve.protocol import handle_payload

@@ -188,6 +188,22 @@ class TestWorkerPool:
         assert pool.supervisor.parent_compiles == 0
         _identical(compile_program(program, MACHINE), pooled)
 
+    def test_shard_compile_error_keeps_its_code(self, pool):
+        from repro.methods.bnb import MAX_BNB_OPS
+        from repro.serve.protocol import handle_payload
+        from tests.test_serve import oversized_trace
+
+        with obs.capture() as observer:
+            status, body = handle_payload(
+                {"kind": "trace", "source": oversized_trace(MAX_BNB_OPS),
+                 "method": "bnb-exact"},
+                cache=None, pool=pool,
+            )
+        assert status == 422
+        assert body["error"]["code"] == "compile_error"
+        assert body["error"]["type"] == "ExactSearchError"
+        assert observer.counters["serve.pool.shard_errors"] == 1
+
     def test_unpicklable_machine_compiles_in_parent(self, pool):
         from dataclasses import replace
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static contract lint for ``src/repro`` (stdlib-only, AST-based).
 
-Eight rules, each guarding an invariant the test suite cannot easily
+Nine rules, each guarding an invariant the test suite cannot easily
 see because violations only bite in another process, another run, or
 only on the path a test does not take:
 
@@ -63,6 +63,16 @@ C009  No module under ``src/repro`` except ``graph/dag.py`` may name
       ``DependenceDAG.derived``, whose memo a transaction snapshots and
       restores whole; a cache kept on the DAG from outside is one that
       rollback and copy do not know about (see docs/passes.md).
+
+C010  No module under ``src/repro`` may compare an exception's type
+      name (``.__name__``, directly or through a variable assigned
+      from it) with a string literal, and no ``except`` clause or
+      other tuple may list two or more classes of the ``CompileError``
+      family (resolved from the class statements under ``src/repro``).
+      ``repro.diagnostics.CompileError.code`` is the one answer to
+      "which exceptions are compile failures, and what does each mean
+      to a caller"; a name match misses subclasses, and a hand-kept
+      list drifts from the family (see docs/serving.md).
 
 Usage::
 
@@ -422,11 +432,83 @@ def lint_dag_private_state(path: Path, tree: ast.Module) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
+# C010: exception lists and type-name matching beside CompileError.code.
+# ----------------------------------------------------------------------
+FAILURE_BASE = "CompileError"
+
+
+def compile_error_family(trees: List[ast.Module]) -> set:
+    """Names of ``CompileError`` and every class deriving from it."""
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_callee(base) for base in node.bases}
+    family = {FAILURE_BASE}
+    while True:
+        grown = family | {name for name, of in bases.items() if of & family}
+        if grown == family:
+            return family
+        family = grown
+
+
+def _is_str_literal(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_str_literal(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def lint_failure_classification(
+    path: Path, tree: ast.Module, family: set
+) -> List[Finding]:
+    def is_type_name(node: ast.expr) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "__name__"
+
+    name_vars = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_type_name(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            hit = any(
+                is_type_name(o) or (isinstance(o, ast.Name) and o.id in name_vars)
+                for o in operands
+            ) and any(_is_str_literal(o) for o in operands)
+            message = (
+                "src/repro matches an exception's type name against a "
+                "string; read CompileError.code instead (a name match "
+                "misses subclasses)"
+            )
+        elif isinstance(node, ast.Tuple):
+            members = sorted({_callee(elt) for elt in node.elts} & family)
+            hit = len(members) >= 2
+            message = (
+                f"src/repro lists CompileError classes {members} together; "
+                "catch CompileError and read its code instead of keeping "
+                "an exception list"
+            )
+        else:
+            continue
+        if hit:
+            findings.append(Finding(path, node.lineno, "C010", message))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run(root: Path) -> List[Finding]:
     schema = load_name_schema(root)
+    trees = [
+        (path, ast.parse(path.read_text(encoding="utf-8")))
+        for path in python_files(root)
+    ]
+    family = compile_error_family([tree for _, tree in trees])
     findings: List[Finding] = []
-    for path in python_files(root):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in trees:
         rel = path.relative_to(root)
         findings.extend(lint_classifiers(rel, tree))
         findings.extend(lint_obs_names(rel, tree, schema))
@@ -436,6 +518,7 @@ def run(root: Path) -> List[Finding]:
         findings.extend(lint_matcher_references(rel, tree))
         findings.extend(lint_cache_policy(rel, tree))
         findings.extend(lint_dag_private_state(rel, tree))
+        findings.extend(lint_failure_classification(rel, tree, family))
     return findings
 
 
